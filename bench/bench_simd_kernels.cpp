@@ -181,10 +181,28 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
     const BitVolume bits = randomBits(32, 128, 128, 19, 0.3);
     const BitVolume bits2 = randomBits(32, 128, 128, 20, 0.3);
     const BitVolume cnt_mask = randomBits(in_c, in_h, in_w, 21, 0.3);
-    const BitVolume cnt_ind = randomBits(in_c, k, k, 22, 0.5);
-    std::vector<std::uint16_t> cnt_out(out_h * out_w, 0);
-    std::vector<std::uint32_t> cnt_scratch(out_h * out_w, 0);
+    std::vector<BitVolume> cnt_ind;
+    std::vector<const std::uint64_t *> cnt_ind_words;
+    for (std::size_t m = 0; m < out_c; ++m)
+        cnt_ind.push_back(randomBits(in_c, k, k, 22 + m, 0.5));
+    for (const BitVolume &v : cnt_ind)
+        cnt_ind_words.push_back(v.words());
+    std::vector<std::uint16_t> cnt_out(out_c * out_h * out_w, 0);
+    std::vector<std::uint8_t> cnt_scratch(simd::countNwInputsScratchBytes(
+        in_c, in_h, in_w, out_h, out_w, k, pad));
     std::vector<std::uint16_t> cnt_ref;
+
+    // Masked conv at the skip ratios of an early (0.3, dropout only)
+    // and a typical (0.72, dropped + predicted) B-VGG16 block.
+    const double skip_densities[] = {0.3, 0.72};
+    const BitVolume skips[] = {
+        randomBits(out_c, out_h, out_w, 23, skip_densities[0]),
+        randomBits(out_c, out_h, out_w, 24, skip_densities[1])};
+    std::vector<float> masked_pad(
+        simd::convMaskedPadFloats(in_c, in_h, in_w, pad));
+    std::vector<std::uint32_t> masked_live(
+        simd::convMaskedIndexCount(out_h, out_w));
+    std::vector<float> masked_ref[2];
     std::size_t pop_ref = 0, popbits_ref = 0, andpop_ref = 0;
 
     rows.push_back({"convForward",
@@ -201,10 +219,17 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
                     format("%zu bits @ 13", bits.size() - 40), {}});
     rows.push_back({"andPopcountWords",
                     format("%zu word pairs", bits.wordCount()), {}});
-    rows.push_back({"countKernelPlane",
-                    format("%zux%zux%zu k%zu p%zu", in_c, in_h, in_w, k,
-                           pad),
+    rows.push_back({"countNwInputs",
+                    format("%zux%zux%zu k%zu p%zu -> %zu", in_c, in_h,
+                           in_w, k, pad, out_c),
                     {}});
+    for (double density : skip_densities) {
+        rows.push_back({"convForwardMasked",
+                        format("%zux%zux%zu k%zu s%zu p%zu -> %zu skip %.2f",
+                               in_c, in_h, in_w, k, stride, pad, out_c,
+                               density),
+                        {}});
+    }
 
     for (simd::SimdLevel level : levels) {
         const simd::SimdKernels &ks = simd::kernelsFor(level);
@@ -314,18 +339,36 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
 
         rows[8].ns[li] = timeNs(
             [&] {
-                ks.countKernelPlane(cnt_mask.words(), cnt_ind.words(),
-                                    cnt_out.data(), cnt_scratch.data(),
-                                    in_c, in_h, in_w, out_h, out_w, k,
-                                    stride, pad);
+                ks.countNwInputs(cnt_mask.words(), cnt_ind_words.data(),
+                                 cnt_out.data(), cnt_scratch.data(), in_c,
+                                 out_c, in_h, in_w, out_h, out_w, k,
+                                 stride, pad);
             },
-            scaledIters(100));
+            scaledIters(is_scalar ? 2 : 100));
         if (is_scalar)
             cnt_ref = cnt_out;
         else
             check(sameBytes(cnt_out.data(), cnt_ref.data(),
                             cnt_out.size() * sizeof(std::uint16_t)),
-                  "countKernelPlane output differs from scalar");
+                  "countNwInputs output differs from scalar");
+
+        for (std::size_t d = 0; d < 2; ++d) {
+            rows[9 + d].ns[li] = timeNs(
+                [&] {
+                    ks.convForwardMasked(
+                        conv_in.data(), conv_w.data(), conv_b.data(),
+                        skips[d].words(), conv_out.data(),
+                        masked_pad.data(), masked_live.data(), in_c,
+                        out_c, in_h, in_w, out_h, out_w, k, stride, pad);
+                },
+                scaledIters(40));
+            if (is_scalar)
+                masked_ref[d] = conv_out;
+            else
+                check(sameBytes(conv_out.data(), masked_ref[d].data(),
+                                conv_out.size() * sizeof(float)),
+                      "convForwardMasked output differs from scalar");
+        }
     }
     return rows;
 }

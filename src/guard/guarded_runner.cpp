@@ -58,8 +58,8 @@ tryRunGuardedPredictive(const BcnnTopology &topo,
     }
 
     GuardedMcResult result;
-    result.preOutput = net.forward(input, nullptr);
-    const ZeroMaps zero_maps = computeZeroMaps(topo, input);
+    const ZeroMaps zero_maps =
+        computeZeroMaps(topo, input, &result.preOutput);
     const AuditOptions &audit_opts = guard.options().audit;
     const std::size_t interval = guard.options().decisionInterval;
     const std::size_t events_before = guard.eventCount();

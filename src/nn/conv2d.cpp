@@ -1,5 +1,7 @@
 #include "conv2d.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "simd/simd.hpp"
 
@@ -50,27 +52,61 @@ Conv2d::computeNeuron(const Tensor &input, std::size_t m, std::size_t r,
 {
     const std::size_t h = input.shape().dim(1);
     const std::size_t w = input.shape().dim(2);
-    float acc = bias_(m);
+    FASTBCNN_DCHECK(input.shape().dim(0) == inChannels_ &&
+                        m < outChannels_ &&
+                        r * stride_ + kernelSize_ <= h + 2 * padding_ &&
+                        c * stride_ + kernelSize_ <= w + 2 * padding_,
+                    "computeNeuron index out of range");
+    // Raw pointers over the in-range tap window: the window is the
+    // same for every input channel, so the per-tap bounds checks of
+    // the checked accessors reduce to two index ranges per neuron.
+    using Idx = std::ptrdiff_t;
+    const Idx k = static_cast<Idx>(kernelSize_);
+    const Idx y0 = static_cast<Idx>(r * stride_) - static_cast<Idx>(padding_);
+    const Idx x0 = static_cast<Idx>(c * stride_) - static_cast<Idx>(padding_);
+    const Idx i0 = std::max<Idx>(0, -y0);
+    const Idx j0 = std::max<Idx>(0, -x0);
+    const Idx i1 = std::min<Idx>(k, static_cast<Idx>(h) - y0);
+    const Idx j1 = std::min<Idx>(k, static_cast<Idx>(w) - x0);
+    const float *in = input.data().data();
+    const float *wm =
+        weights_.data().data() + m * inChannels_ * kernelSize_ * kernelSize_;
+    float acc = bias_.data()[m];
     for (std::size_t n = 0; n < inChannels_; ++n) {
-        for (std::size_t i = 0; i < kernelSize_; ++i) {
-            const std::ptrdiff_t in_r =
-                static_cast<std::ptrdiff_t>(r * stride_ + i) -
-                static_cast<std::ptrdiff_t>(padding_);
-            if (in_r < 0 || in_r >= static_cast<std::ptrdiff_t>(h))
-                continue;
-            for (std::size_t j = 0; j < kernelSize_; ++j) {
-                const std::ptrdiff_t in_c =
-                    static_cast<std::ptrdiff_t>(c * stride_ + j) -
-                    static_cast<std::ptrdiff_t>(padding_);
-                if (in_c < 0 || in_c >= static_cast<std::ptrdiff_t>(w))
-                    continue;
-                acc += weights_(m, n, i, j) *
-                       input(n, static_cast<std::size_t>(in_r),
-                             static_cast<std::size_t>(in_c));
-            }
+        const float *wk = wm + static_cast<Idx>(n) * k * k;
+        const float *plane = in + n * h * w;
+        for (Idx i = i0; i < i1; ++i) {
+            const float *row = plane + (y0 + i) * static_cast<Idx>(w);
+            for (Idx j = j0; j < j1; ++j)
+                acc += wk[i * k + j] * row[x0 + j];
         }
     }
     return acc;
+}
+
+Tensor
+Conv2d::forwardMasked(const Tensor &input, const BitVolume &skip) const
+{
+    const Shape out_shape = outputShape({input.shape()});
+    FASTBCNN_CHECK(skip.channels() == out_shape.dim(0) &&
+                   skip.height() == out_shape.dim(1) &&
+                   skip.width() == out_shape.dim(2),
+                   "skip bitmap / conv output shape mismatch");
+    Tensor out(out_shape);
+    const std::size_t in_h = input.shape().dim(1);
+    const std::size_t in_w = input.shape().dim(2);
+    const std::size_t out_h = out_shape.dim(1);
+    const std::size_t out_w = out_shape.dim(2);
+    std::vector<float> pad(
+        simd::convMaskedPadFloats(inChannels_, in_h, in_w, padding_));
+    std::vector<std::uint32_t> live(
+        simd::convMaskedIndexCount(out_h, out_w));
+    simd::active().convForwardMasked(
+        input.data().data(), weights_.data().data(), bias_.data().data(),
+        skip.words(), out.data().data(), pad.data(), live.data(),
+        inChannels_, outChannels_, in_h, in_w, out_h, out_w, kernelSize_,
+        stride_, padding_);
+    return out;
 }
 
 Tensor

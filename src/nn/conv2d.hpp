@@ -40,9 +40,19 @@ class Conv2d : public Layer
                    ForwardHooks *hooks) const override;
 
     /**
-     * Compute a single output neuron (m, r, c) for @p input.  This is
-     * the unit of work the PE skip engine elides; exposed so tests can
-     * verify skip-correctness neuron by neuron.
+     * Forward with neuron skipping (the PE skip engine): outputs whose
+     * bit is set in @p skip, an (M, R, C) bitmap of the output shape,
+     * are not computed and read +0.0f; every other output is
+     * bit-identical to forward()'s.
+     */
+    Tensor forwardMasked(const Tensor &input, const BitVolume &skip) const;
+
+    /**
+     * Compute a single output neuron (m, r, c) for @p input: bias,
+     * then every in-range (n, i, j) tap in order.  Unlike forward() it
+     * does not skip zero weights.  This is the unit of work the PE
+     * skip engine elides; the shadow audit re-computes skipped neurons
+     * with it, and tests verify skip-correctness neuron by neuron.
      */
     float computeNeuron(const Tensor &input, std::size_t m,
                         std::size_t r, std::size_t c) const;

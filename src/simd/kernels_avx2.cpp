@@ -399,24 +399,202 @@ avx2AndPopcountWords(const std::uint64_t *a, const std::uint64_t *b,
     return andPopcountWords4(a, b, n);
 }
 
-FASTBCNN_HOT void
-avx2CountKernelPlane(const std::uint64_t *mask_words,
-                     const std::uint64_t *ind_words, std::uint16_t *out,
-                     std::uint32_t *row_scratch,
-                     std::size_t in_channels, std::size_t in_h,
-                     std::size_t in_w, std::size_t out_h,
-                     std::size_t out_w, std::size_t k, std::size_t s,
-                     std::size_t p)
+/** Geometry shared by every vector of one masked conv call. */
+struct MaskedGeom {
+    const float *pad;  ///< zero-padded input copy
+    std::size_t in_channels, kernel, pw, plane, out_w;
+    __m256i lo, hi_r, hi_c, stride, pwv;
+};
+
+/**
+ * Eight live positions of one output channel: a register accumulator
+ * across the whole (n, i, j) tap loop, taps gathered from the
+ * zero-padded input, padding taps blended out.  Stores the first
+ * @p n_store lanes (the rest repeat the last live position).
+ */
+FASTBCNN_HOT inline void
+avx2MaskedVector(const MaskedGeom &g, const float *w_m, float bias,
+                 const std::uint32_t *live, std::size_t n_store,
+                 float *out_plane)
 {
-    if (k + p > kMaxWordWindow) {
-        scalarCountKernelPlane(mask_words, ind_words, out, row_scratch,
-                               in_channels, in_h, in_w, out_h, out_w,
-                               k, s, p);
+    const __m256i rc =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(live));
+    const __m256i y0 =
+        _mm256_mullo_epi32(_mm256_srli_epi32(rc, 16), g.stride);
+    const __m256i x0 = _mm256_mullo_epi32(
+        _mm256_and_si256(rc, _mm256_set1_epi32(0xffff)), g.stride);
+    const __m256i offs =
+        _mm256_add_epi32(_mm256_mullo_epi32(y0, g.pwv), x0);
+    __m256 row_ok[kMaxMaskedKernel];
+    __m256 col_ok[kMaxMaskedKernel];
+    int all = 0xff;
+    for (std::size_t t = 0; t < g.kernel; ++t) {
+        const __m256i tv = _mm256_set1_epi32(static_cast<int>(t));
+        const __m256i y = _mm256_add_epi32(y0, tv);
+        const __m256i x = _mm256_add_epi32(x0, tv);
+        row_ok[t] = _mm256_castsi256_ps(_mm256_and_si256(
+            _mm256_cmpgt_epi32(y, g.lo), _mm256_cmpgt_epi32(g.hi_r, y)));
+        col_ok[t] = _mm256_castsi256_ps(_mm256_and_si256(
+            _mm256_cmpgt_epi32(x, g.lo), _mm256_cmpgt_epi32(g.hi_c, x)));
+        all &= _mm256_movemask_ps(row_ok[t]) &
+               _mm256_movemask_ps(col_ok[t]);
+    }
+    __m256 acc = _mm256_set1_ps(bias);
+    const std::size_t kk = g.kernel * g.kernel;
+    for (std::size_t n = 0; n < g.in_channels; ++n) {
+        const float *pn = g.pad + n * g.plane;
+        const float *wk = w_m + n * kk;
+        for (std::size_t i = 0; i < g.kernel; ++i) {
+            const float *pr = pn + i * g.pw;
+            for (std::size_t j = 0; j < g.kernel; ++j) {
+                const float wv = wk[i * g.kernel + j];
+                if (wv == 0.0f)
+                    continue;
+                const __m256 x = _mm256_i32gather_ps(pr + j, offs, 4);
+                const __m256 sum =
+                    _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(wv), x));
+                acc = all == 0xff
+                          ? sum
+                          : _mm256_blendv_ps(
+                                acc, sum,
+                                _mm256_and_ps(row_ok[i], col_ok[j]));
+            }
+        }
+    }
+    alignas(32) float lanes[8];
+    _mm256_store_ps(lanes, acc);
+    for (std::size_t l = 0; l < n_store; ++l) {
+        const std::uint32_t u = live[l];
+        out_plane[(u >> 16) * g.out_w + (u & 0xffff)] = lanes[l];
+    }
+}
+
+/*
+ * Masked conv (the skip engine): per output channel the live positions
+ * are compacted and run eight per vector, so a skipped neuron costs
+ * nothing but its bit.  Each vector keeps its accumulator in a
+ * register across the whole (n, i, j) tap loop and gathers its taps
+ * from a zero-padded copy of the input; taps that fall in the padding
+ * are blended out, so the accumulator sees exactly the scalar tap
+ * sequence (a padding tap must not even add w * 0: -0.0 + +0.0 is
+ * +0.0, and Inf * 0 is NaN).
+ */
+FASTBCNN_HOT void
+avx2ConvForwardMasked(const float *in_data, const float *w_data,
+                      const float *bias, const std::uint64_t *skip_words,
+                      float *out_data, float *pad_scratch,
+                      std::uint32_t *index_scratch,
+                      std::size_t in_channels, std::size_t out_channels,
+                      std::size_t in_h, std::size_t in_w,
+                      std::size_t out_h, std::size_t out_w,
+                      std::size_t kernel, std::size_t stride,
+                      std::size_t padding)
+{
+    if (kernel > kMaxMaskedKernel || out_h >= 65536 || out_w >= 65536) {
+        scalarConvForwardMasked(in_data, w_data, bias, skip_words,
+                                out_data, pad_scratch, index_scratch,
+                                in_channels, out_channels, in_h, in_w,
+                                out_h, out_w, kernel, stride, padding);
         return;
     }
-    countKernelPlaneWords<4>(mask_words, ind_words, out, row_scratch,
-                             in_channels, in_h, in_w, out_h, out_w, k,
-                             s, p);
+    padConvInput(in_data, pad_scratch, in_channels, in_h, in_w, padding);
+    const auto i32 = [](std::size_t v) {
+        return _mm256_set1_epi32(static_cast<int>(v));
+    };
+    MaskedGeom g;
+    g.pad = pad_scratch;
+    g.in_channels = in_channels;
+    g.kernel = kernel;
+    g.pw = in_w + 2 * padding;
+    g.plane = (in_h + 2 * padding) * g.pw;
+    g.out_w = out_w;
+    // Padded coordinate y is a real row iff p - 1 < y < in_h + p.
+    g.lo = _mm256_set1_epi32(static_cast<int>(padding) - 1);
+    g.hi_r = i32(in_h + padding);
+    g.hi_c = i32(in_w + padding);
+    g.stride = i32(stride);
+    g.pwv = i32(g.pw);
+    for (std::size_t m = 0; m < out_channels; ++m) {
+        float *out_plane = out_data + m * out_h * out_w;
+        std::fill(out_plane, out_plane + out_h * out_w, 0.0f);
+        const std::size_t live = collectLivePositions(
+            skip_words, m, out_h, out_w, 8, index_scratch);
+        const float *w_m = w_data + m * in_channels * kernel * kernel;
+        for (std::size_t v = 0; v < live; v += 8) {
+            avx2MaskedVector(g, w_m, bias[m], index_scratch + v,
+                             std::min<std::size_t>(8, live - v),
+                             out_plane);
+        }
+    }
+}
+
+/**
+ * Sum the indicator-selected byte planes over @p kRegs x 16 output
+ * positions starting at @p base, in saturating u16 lanes (exactly
+ * min(count, 0xffff)), and store the first @p count of them.
+ */
+template <int kRegs>
+FASTBCNN_HOT inline void
+avx2SumPlanes(const std::uint8_t *planes, std::size_t stride,
+              const std::uint64_t *ind, std::size_t taps,
+              std::size_t base, std::uint16_t *out, std::size_t count)
+{
+    __m256i acc[kRegs];
+    for (int r = 0; r < kRegs; ++r)
+        acc[r] = _mm256_setzero_si256();
+    for (std::size_t w0 = 0; w0 < taps; w0 += 64) {
+        std::uint64_t bits = ind[w0 / 64];
+        if (taps - w0 < 64)
+            bits &= (1ull << (taps - w0)) - 1;
+        while (bits != 0) {
+            const std::size_t t =
+                w0 + static_cast<std::size_t>(std::countr_zero(bits));
+            bits &= bits - 1;
+            const std::uint8_t *pl = planes + t * stride + base;
+            for (int r = 0; r < kRegs; ++r) {
+                acc[r] = _mm256_adds_epu16(
+                    acc[r], _mm256_cvtepu8_epi16(_mm_loadu_si128(
+                                reinterpret_cast<const __m128i *>(
+                                    pl + 16 * r))));
+            }
+        }
+    }
+    alignas(32) std::uint16_t tmp[16 * kRegs];
+    for (int r = 0; r < kRegs; ++r) {
+        _mm256_store_si256(reinterpret_cast<__m256i *>(tmp + 16 * r),
+                           acc[r]);
+    }
+    std::copy(tmp, tmp + std::min<std::size_t>(count, 16 * kRegs),
+              out + base);
+}
+
+FASTBCNN_HOT void
+avx2CountNwInputs(const std::uint64_t *mask_words,
+                  const std::uint64_t *const *ind_words,
+                  std::uint16_t *out, std::uint8_t *scratch,
+                  std::size_t in_channels, std::size_t out_channels,
+                  std::size_t in_h, std::size_t in_w, std::size_t out_h,
+                  std::size_t out_w, std::size_t k, std::size_t s,
+                  std::size_t p)
+{
+    const std::uint8_t *planes = buildCountPlanes(
+        mask_words, scratch, in_channels, in_h, in_w, out_h, out_w, k, s,
+        p);
+    const std::size_t stride = countPlaneStride(out_h, out_w);
+    const std::size_t hw = out_h * out_w;
+    const std::size_t taps = in_channels * k * k;
+    for (std::size_t m = 0; m < out_channels; ++m) {
+        std::uint16_t *o = out + m * hw;
+        std::size_t base = 0;
+        for (; base + 64 <= stride; base += 64) {
+            avx2SumPlanes<4>(planes, stride, ind_words[m], taps, base, o,
+                             hw - base);
+        }
+        for (; base < stride; base += 16) {
+            avx2SumPlanes<1>(planes, stride, ind_words[m], taps, base, o,
+                             hw - base);
+        }
+    }
 }
 
 /*
@@ -777,7 +955,8 @@ avx2TableOrNull()
         &avx2PoolMax,           &avx2PoolAvg,
         &avx2Relu,              &avx2PopcountWords,
         &avx2PopcountBits,      &avx2AndPopcountWords,
-        &avx2CountKernelPlane,  &avx2QuantConvForward,
+        &avx2ConvForwardMasked, &avx2CountNwInputs,
+        &avx2QuantConvForward,
         &avx2QuantDenseAccum,   &avx2QuantRelu,
         &avx2QuantPoolMax,
     };

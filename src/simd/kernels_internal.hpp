@@ -6,8 +6,8 @@
  *
  * The scalar kernels are inline here — not in kernels_scalar.cpp — so
  * the SSE4 / AVX2 translation units can fall back to them for shapes
- * their vector paths do not cover (e.g. exotic strides, k + padding
- * too wide for single-word windows) while still being compiled under
+ * their vector paths do not cover (e.g. exotic strides, kernels wider
+ * than kMaxMaskedKernel) while still being compiled under
  * the same -ffp-contract=off policy.  Falling back never changes
  * results: the scalar kernels ARE the semantics, the vector kernels
  * are bit-identical reimplementations (see simd.hpp).
@@ -34,11 +34,11 @@ const SimdKernels *sse4TableOrNull();
 const SimdKernels *avx2TableOrNull();
 
 /**
- * Widest (k + padding) the single-word sliding-window formulation of
- * countKernelPlane supports: the k window bits plus up to p bits of
- * left-edge shift must fit one 64-bit extract with headroom.
+ * Largest kernel size the vector masked-conv paths hold per-tap
+ * validity vectors for on the stack; wider kernels (none of the paper
+ * models) take the scalar reference.
  */
-inline constexpr std::size_t kMaxWordWindow = 57;
+inline constexpr std::size_t kMaxMaskedKernel = 16;
 
 /** Read bit @p pos of a packed bit array. */
 FASTBCNN_HOT inline bool
@@ -112,6 +112,129 @@ scalarConvForward(const float *in_data, const float *w_data,
             }
         }
     }
+}
+
+/**
+ * Scalar masked conv forward: per output, convForward's exact tap
+ * order (bias, then n, i, j; zero weights and out-of-range taps
+ * skipped) for live positions, +0.0f at skipped ones.  The scratch
+ * buffers are unused at this level.
+ */
+FASTBCNN_HOT inline void
+scalarConvForwardMasked(const float *in_data, const float *w_data,
+                        const float *bias,
+                        const std::uint64_t *skip_words, float *out_data,
+                        float *pad_scratch, std::uint32_t *index_scratch,
+                        std::size_t in_channels,
+                        std::size_t out_channels, std::size_t in_h,
+                        std::size_t in_w, std::size_t out_h,
+                        std::size_t out_w, std::size_t kernel,
+                        std::size_t stride, std::size_t padding)
+{
+    (void)pad_scratch;
+    (void)index_scratch;
+    for (std::size_t m = 0; m < out_channels; ++m) {
+        for (std::size_t r = 0; r < out_h; ++r) {
+            for (std::size_t c = 0; c < out_w; ++c) {
+                const std::size_t flat = (m * out_h + r) * out_w + c;
+                if (bitAt(skip_words, flat)) {
+                    out_data[flat] = 0.0f;
+                    continue;
+                }
+                float acc = bias[m];
+                for (std::size_t n = 0; n < in_channels; ++n) {
+                    const float *in_plane = in_data + n * in_h * in_w;
+                    const float *w_kernel =
+                        w_data + (m * in_channels + n) * kernel * kernel;
+                    for (std::size_t i = 0; i < kernel; ++i) {
+                        const std::ptrdiff_t in_r =
+                            static_cast<std::ptrdiff_t>(r * stride + i) -
+                            static_cast<std::ptrdiff_t>(padding);
+                        if (in_r < 0 ||
+                            in_r >= static_cast<std::ptrdiff_t>(in_h)) {
+                            continue;
+                        }
+                        const float *in_row = in_plane + in_r * in_w;
+                        for (std::size_t j = 0; j < kernel; ++j) {
+                            const float wv = w_kernel[i * kernel + j];
+                            if (wv == 0.0f)
+                                continue;
+                            const std::ptrdiff_t in_c =
+                                static_cast<std::ptrdiff_t>(
+                                    c * stride + j) -
+                                static_cast<std::ptrdiff_t>(padding);
+                            if (in_c < 0 ||
+                                in_c >=
+                                    static_cast<std::ptrdiff_t>(in_w)) {
+                                continue;
+                            }
+                            acc += wv * in_row[in_c];
+                        }
+                    }
+                }
+                out_data[flat] = acc;
+            }
+        }
+    }
+}
+
+/**
+ * Copy the (in_channels, in_h, in_w) input into @p padded with
+ * @p padding zero rows / columns on every side, so the vector
+ * masked-conv paths can gather any tap without a bounds check.
+ */
+FASTBCNN_HOT inline void
+padConvInput(const float *in_data, float *padded, std::size_t in_channels,
+             std::size_t in_h, std::size_t in_w, std::size_t padding)
+{
+    const std::size_t ph = in_h + 2 * padding;
+    const std::size_t pw = in_w + 2 * padding;
+    for (std::size_t n = 0; n < in_channels; ++n) {
+        float *dst = padded + n * ph * pw;
+        std::fill(dst, dst + padding * pw, 0.0f);
+        for (std::size_t y = 0; y < in_h; ++y) {
+            float *row = dst + (y + padding) * pw;
+            std::fill(row, row + padding, 0.0f);
+            std::copy(in_data + (n * in_h + y) * in_w,
+                      in_data + (n * in_h + y + 1) * in_w, row + padding);
+            std::fill(row + padding + in_w, row + pw, 0.0f);
+        }
+        std::fill(dst + (padding + in_h) * pw, dst + ph * pw, 0.0f);
+    }
+}
+
+/**
+ * Compact the live (skip bit 0) positions of output plane @p m into
+ * @p live as (r << 16) | c, padding the list to a whole number of
+ * @p lanes by repeating the last entry.  @return the live count.
+ * Requires out_h, out_w < 65536 (callers gate).
+ */
+FASTBCNN_HOT inline std::size_t
+collectLivePositions(const std::uint64_t *skip_words, std::size_t m,
+                     std::size_t out_h, std::size_t out_w,
+                     std::size_t lanes, std::uint32_t *live)
+{
+    const std::size_t plane = out_h * out_w;
+    const std::size_t base = m * plane;
+    std::size_t count = 0;
+    for (std::size_t z0 = 0; z0 < plane; z0 += 64) {
+        const std::size_t span = std::min<std::size_t>(64, plane - z0);
+        std::uint64_t bits = ~extract64(skip_words, base + z0);
+        if (span < 64)
+            bits &= (1ull << span) - 1;
+        while (bits != 0) {
+            const std::size_t z =
+                z0 + static_cast<std::size_t>(std::countr_zero(bits));
+            bits &= bits - 1;
+            live[count++] = static_cast<std::uint32_t>(
+                ((z / out_w) << 16) | (z % out_w));
+        }
+    }
+    if (count > 0) {
+        for (std::size_t t = count; t % lanes != 0; ++t)
+            live[t] = live[count - 1];
+    }
+    return count;
 }
 
 /**
@@ -270,57 +393,53 @@ scalarAndPopcountWords(const std::uint64_t *a, const std::uint64_t *b,
 }
 
 /**
- * Scalar Eq. 5 counting (the historical countKernelPlane, bit-by-bit
- * over raw words).  @p row_scratch is unused at this level.
+ * Scalar Eq. 5 counting: bit by bit over the raw words for every
+ * kernel and output position, clamped once at the end.  @p scratch is
+ * unused at this level.
  */
 FASTBCNN_HOT inline void
-scalarCountKernelPlane(const std::uint64_t *mask_words,
-                       const std::uint64_t *ind_words,
-                       std::uint16_t *out, std::uint32_t *row_scratch,
-                       std::size_t in_channels, std::size_t in_h,
-                       std::size_t in_w, std::size_t out_h,
-                       std::size_t out_w, std::size_t k, std::size_t s,
-                       std::size_t p)
+scalarCountNwInputs(const std::uint64_t *mask_words,
+                    const std::uint64_t *const *ind_words,
+                    std::uint16_t *out, std::uint8_t *scratch,
+                    std::size_t in_channels, std::size_t out_channels,
+                    std::size_t in_h, std::size_t in_w, std::size_t out_h,
+                    std::size_t out_w, std::size_t k, std::size_t s,
+                    std::size_t p)
 {
-    (void)row_scratch;
-    for (std::size_t r = 0; r < out_h; ++r) {
-        for (std::size_t c = 0; c < out_w; ++c) {
-            std::uint32_t n_d = 0;
-            for (std::size_t n = 0; n < in_channels; ++n) {
-                for (std::size_t i = 0; i < k; ++i) {
-                    const std::ptrdiff_t in_r =
-                        static_cast<std::ptrdiff_t>(r * s + i) -
+    (void)scratch;
+    for (std::size_t z = 0; z < out_channels * out_h * out_w; ++z) {
+        const std::size_t m = z / (out_h * out_w);
+        const std::size_t r = z / out_w % out_h;
+        const std::size_t c = z % out_w;
+        std::uint32_t n_d = 0;
+        for (std::size_t n = 0; n < in_channels; ++n) {
+            for (std::size_t i = 0; i < k; ++i) {
+                const std::ptrdiff_t in_r =
+                    static_cast<std::ptrdiff_t>(r * s + i) -
+                    static_cast<std::ptrdiff_t>(p);
+                if (in_r < 0 || in_r >= static_cast<std::ptrdiff_t>(in_h))
+                    continue;
+                for (std::size_t j = 0; j < k; ++j) {
+                    const std::ptrdiff_t in_c =
+                        static_cast<std::ptrdiff_t>(c * s + j) -
                         static_cast<std::ptrdiff_t>(p);
-                    if (in_r < 0 ||
-                        in_r >= static_cast<std::ptrdiff_t>(in_h)) {
+                    if (in_c < 0 ||
+                        in_c >= static_cast<std::ptrdiff_t>(in_w)) {
                         continue;
                     }
-                    for (std::size_t j = 0; j < k; ++j) {
-                        const std::ptrdiff_t in_c =
-                            static_cast<std::ptrdiff_t>(c * s + j) -
-                            static_cast<std::ptrdiff_t>(p);
-                        if (in_c < 0 ||
-                            in_c >=
-                                static_cast<std::ptrdiff_t>(in_w)) {
-                            continue;
-                        }
-                        const std::size_t mask_bit =
-                            (n * in_h +
-                             static_cast<std::size_t>(in_r)) *
-                                in_w +
-                            static_cast<std::size_t>(in_c);
-                        const std::size_t ind_bit =
-                            (n * k + i) * k + j;
-                        if (bitAt(mask_words, mask_bit) &&
-                            bitAt(ind_words, ind_bit)) {
-                            ++n_d;
-                        }
+                    const std::size_t mask_bit =
+                        (n * in_h + static_cast<std::size_t>(in_r)) *
+                            in_w +
+                        static_cast<std::size_t>(in_c);
+                    if (bitAt(mask_words, mask_bit) &&
+                        bitAt(ind_words[m], (n * k + i) * k + j)) {
+                        ++n_d;
                     }
                 }
             }
-            out[r * out_w + c] = static_cast<std::uint16_t>(
-                std::min<std::uint32_t>(n_d, 0xffffu));
         }
+        out[z] = static_cast<std::uint16_t>(
+            std::min<std::uint32_t>(n_d, 0xffffu));
     }
 }
 
@@ -483,168 +602,63 @@ scalarQuantPoolMax(const std::int8_t *in, std::int8_t *out,
     }
 }
 
-// --------------------------------------- shared word-parallel Eq. 5
+// ------------------------------------------- shared byte-plane Eq. 5
 
 /**
- * Word-parallel Eq. 5 counting: the j loop collapses into one
- * popcount(window & indicator_row) per (n, i) tap row — the xnor/
- * popcount formulation of binarized-network inference, applied to the
- * skip predictor's AND-count.
- *
- * Narrow planes (in_w <= 64, every CNN the paper evaluates) take the
- * row-resident path: one funnel shift per (n, i, input row) yields the
- * whole masked row with zeros at and past in_w, so every window along
- * it is edge-masked for free by a plain shift — the indicator row is
- * hoisted out of the row loop entirely.  Wider planes fall back to
- * per-window extraction.  Both paths accumulate into a caller-provided
- * out_h * out_w uint32 scratch plane and saturate into @p out at the
- * end.  @p kUnroll = 4 gives the unrolled 4x64-bit popcount lanes the
- * AVX2 level uses (independent popcnt chains).
- *
- * Instantiated inside each vector TU so std::popcount lowers to the
- * hardware POPCNT of that TU's -m flags.  Integer arithmetic only —
- * identical counts to scalarCountKernelPlane by construction.
- * Requires k + p <= kMaxWordWindow (callers gate and fall back).
+ * First half of the vector Eq. 5 count: expand the (in_channels, in_h,
+ * in_w) mask bits into a zero-padded byte image, then cut one shifted
+ * 0/1 byte plane per (n, i, j) tap out of it — plane (n, i, j) holds
+ * mask(n, r*s+i-p, c*s+j-p) at r * out_w + c, 0 for padding taps.
+ * Planes start countPlaneStride(out_h, out_w) bytes apart, tails
+ * zeroed.  Each kernel's count is then the sum of the planes its
+ * indicator bits select (the popcount trick of binarized inference,
+ * turned into byte adds).  @return the first plane.
  */
-template <int kUnroll>
-FASTBCNN_HOT inline void
-countKernelPlaneWords(const std::uint64_t *mask_words,
-                      const std::uint64_t *ind_words,
-                      std::uint16_t *out, std::uint32_t *scratch,
-                      std::size_t in_channels, std::size_t in_h,
-                      std::size_t in_w, std::size_t out_h,
-                      std::size_t out_w, std::size_t k, std::size_t s,
-                      std::size_t p)
+FASTBCNN_HOT inline const std::uint8_t *
+buildCountPlanes(const std::uint64_t *mask_words, std::uint8_t *scratch,
+                 std::size_t in_channels, std::size_t in_h,
+                 std::size_t in_w, std::size_t out_h, std::size_t out_w,
+                 std::size_t k, std::size_t s, std::size_t p)
 {
-    const std::uint64_t kmask = (1ull << k) - 1;
-    for (std::size_t z = 0; z < out_h * out_w; ++z)
-        scratch[z] = 0;
-    const bool narrow =
-        in_w <= 64 && p <= 63 &&
-        (out_w == 0 || (out_w - 1) * s <= 63 + p);
-    if (narrow) {
-        const std::uint64_t row_mask =
-            in_w >= 64 ? ~0ull : (1ull << in_w) - 1;
-        for (std::size_t n = 0; n < in_channels; ++n) {
-            for (std::size_t i = 0; i < k; ++i) {
-                const std::uint64_t ind =
-                    extract64(ind_words, (n * k + i) * k) & kmask;
-                if (ind == 0)
-                    continue;
+    const std::size_t ph = in_h + 2 * p;
+    const std::size_t pw = in_w + 2 * p;
+    std::uint8_t *image = scratch;
+    std::fill(image, image + in_channels * ph * pw, std::uint8_t{0});
+    for (std::size_t n = 0; n < in_channels; ++n) {
+        for (std::size_t y = 0; y < in_h; ++y) {
+            std::uint8_t *row = image + (n * ph + y + p) * pw + p;
+            const std::size_t bit0 = (n * in_h + y) * in_w;
+            for (std::size_t x0 = 0; x0 < in_w; x0 += 64) {
+                const std::uint64_t bits = extract64(mask_words, bit0 + x0);
+                const std::size_t span = std::min<std::size_t>(64, in_w - x0);
+                for (std::size_t t = 0; t < span; ++t)
+                    row[x0 + t] = static_cast<std::uint8_t>((bits >> t) & 1);
+            }
+        }
+    }
+    const std::size_t stride = countPlaneStride(out_h, out_w);
+    std::uint8_t *planes = image + in_channels * ph * pw;
+    for (std::size_t n = 0; n < in_channels; ++n) {
+        for (std::size_t i = 0; i < k; ++i) {
+            for (std::size_t j = 0; j < k; ++j) {
+                std::uint8_t *plane = planes + ((n * k + i) * k + j) * stride;
                 for (std::size_t r = 0; r < out_h; ++r) {
-                    const std::ptrdiff_t in_r =
-                        static_cast<std::ptrdiff_t>(r * s + i) -
-                        static_cast<std::ptrdiff_t>(p);
-                    if (in_r < 0 ||
-                        in_r >= static_cast<std::ptrdiff_t>(in_h)) {
-                        continue;
+                    const std::uint8_t *src =
+                        image + (n * ph + r * s + i) * pw + j;
+                    std::uint8_t *dst = plane + r * out_w;
+                    if (s == 1) {
+                        std::copy(src, src + out_w, dst);
+                    } else {
+                        for (std::size_t c = 0; c < out_w; ++c)
+                            dst[c] = src[c * s];
                     }
-                    const std::uint64_t mrow =
-                        extract64(
-                            mask_words,
-                            (n * in_h +
-                             static_cast<std::size_t>(in_r)) *
-                                in_w) &
-                        row_mask;
-                    if (mrow == 0)
-                        continue;
-                    std::uint32_t *srow = scratch + r * out_w;
-                    const auto windowCount =
-                        [&](std::size_t c0) -> std::uint32_t {
-                        const std::ptrdiff_t base =
-                            static_cast<std::ptrdiff_t>(c0 * s) -
-                            static_cast<std::ptrdiff_t>(p);
-                        const std::uint64_t win =
-                            base < 0 ? mrow << (-base) : mrow >> base;
-                        return static_cast<std::uint32_t>(
-                            std::popcount(win & ind));
-                    };
-                    std::size_t c = 0;
-                    if constexpr (kUnroll == 4) {
-                        for (; c + 4 <= out_w; c += 4) {
-                            const std::uint32_t p0 = windowCount(c);
-                            const std::uint32_t p1 = windowCount(c + 1);
-                            const std::uint32_t p2 = windowCount(c + 2);
-                            const std::uint32_t p3 = windowCount(c + 3);
-                            srow[c] += p0;
-                            srow[c + 1] += p1;
-                            srow[c + 2] += p2;
-                            srow[c + 3] += p3;
-                        }
-                    }
-                    for (; c < out_w; ++c)
-                        srow[c] += windowCount(c);
                 }
-            }
-        }
-    } else {
-        for (std::size_t r = 0; r < out_h; ++r) {
-            std::uint32_t *srow = scratch + r * out_w;
-            for (std::size_t n = 0; n < in_channels; ++n) {
-                for (std::size_t i = 0; i < k; ++i) {
-                    const std::ptrdiff_t in_r =
-                        static_cast<std::ptrdiff_t>(r * s + i) -
-                        static_cast<std::ptrdiff_t>(p);
-                    if (in_r < 0 ||
-                        in_r >= static_cast<std::ptrdiff_t>(in_h)) {
-                        continue;
-                    }
-                    const std::uint64_t ind =
-                        extract64(ind_words, (n * k + i) * k) & kmask;
-                    if (ind == 0)
-                        continue;
-                    const std::size_t row_bit =
-                        (n * in_h + static_cast<std::size_t>(in_r)) *
-                        in_w;
-                    const auto windowCount =
-                        [&](std::size_t c0) -> std::uint32_t {
-                        const std::ptrdiff_t base =
-                            static_cast<std::ptrdiff_t>(c0 * s) -
-                            static_cast<std::ptrdiff_t>(p);
-                        std::uint64_t win;
-                        if (base < 0) {
-                            win = extract64(mask_words, row_bit)
-                                  << (-base);
-                        } else {
-                            win = extract64(
-                                mask_words,
-                                row_bit +
-                                    static_cast<std::size_t>(base));
-                        }
-                        const std::ptrdiff_t valid_bits =
-                            static_cast<std::ptrdiff_t>(in_w) - base;
-                        std::uint64_t valid = kmask;
-                        if (valid_bits <= 0)
-                            valid = 0;
-                        else if (valid_bits <
-                                 static_cast<std::ptrdiff_t>(k))
-                            valid &= (1ull << valid_bits) - 1;
-                        return static_cast<std::uint32_t>(
-                            std::popcount(win & ind & valid));
-                    };
-                    std::size_t c = 0;
-                    if constexpr (kUnroll == 4) {
-                        for (; c + 4 <= out_w; c += 4) {
-                            const std::uint32_t p0 = windowCount(c);
-                            const std::uint32_t p1 = windowCount(c + 1);
-                            const std::uint32_t p2 = windowCount(c + 2);
-                            const std::uint32_t p3 = windowCount(c + 3);
-                            srow[c] += p0;
-                            srow[c + 1] += p1;
-                            srow[c + 2] += p2;
-                            srow[c + 3] += p3;
-                        }
-                    }
-                    for (; c < out_w; ++c)
-                        srow[c] += windowCount(c);
-                }
+                std::fill(plane + out_h * out_w, plane + stride,
+                          std::uint8_t{0});
             }
         }
     }
-    for (std::size_t z = 0; z < out_h * out_w; ++z) {
-        out[z] = static_cast<std::uint16_t>(
-            std::min<std::uint32_t>(scratch[z], 0xffffu));
-    }
+    return planes;
 }
 
 /** Word-at-a-time bit-range popcount (masked first/last words). */

@@ -17,7 +17,8 @@ scalarTable()
         &scalarPoolMax,           &scalarPoolAvg,
         &scalarRelu,              &scalarPopcountWords,
         &scalarPopcountBits,      &scalarAndPopcountWords,
-        &scalarCountKernelPlane,  &scalarQuantConvForward,
+        &scalarConvForwardMasked, &scalarCountNwInputs,
+        &scalarQuantConvForward,
         &scalarQuantDenseAccum,   &scalarQuantRelu,
         &scalarQuantPoolMax,
     };

@@ -392,24 +392,174 @@ sse4AndPopcountWords(const std::uint64_t *a, const std::uint64_t *b,
     return andPopcountWords4(a, b, n);
 }
 
+/*
+ * Masked conv: the AVX2 level's scheme at four lanes — compacted live
+ * positions, a register accumulator per vector across the whole tap
+ * loop, taps read from the zero-padded input copy (four scalar loads:
+ * SSE has no gather) and padding taps blended out.
+ */
 FASTBCNN_HOT void
-sse4CountKernelPlane(const std::uint64_t *mask_words,
-                     const std::uint64_t *ind_words, std::uint16_t *out,
-                     std::uint32_t *row_scratch,
-                     std::size_t in_channels, std::size_t in_h,
-                     std::size_t in_w, std::size_t out_h,
-                     std::size_t out_w, std::size_t k, std::size_t s,
-                     std::size_t p)
+sse4ConvForwardMasked(const float *in_data, const float *w_data,
+                      const float *bias, const std::uint64_t *skip_words,
+                      float *out_data, float *pad_scratch,
+                      std::uint32_t *index_scratch,
+                      std::size_t in_channels, std::size_t out_channels,
+                      std::size_t in_h, std::size_t in_w,
+                      std::size_t out_h, std::size_t out_w,
+                      std::size_t kernel, std::size_t stride,
+                      std::size_t padding)
 {
-    if (k + p > kMaxWordWindow) {
-        scalarCountKernelPlane(mask_words, ind_words, out, row_scratch,
-                               in_channels, in_h, in_w, out_h, out_w,
-                               k, s, p);
+    if (kernel > kMaxMaskedKernel || out_h >= 65536 || out_w >= 65536) {
+        scalarConvForwardMasked(in_data, w_data, bias, skip_words,
+                                out_data, pad_scratch, index_scratch,
+                                in_channels, out_channels, in_h, in_w,
+                                out_h, out_w, kernel, stride, padding);
         return;
     }
-    countKernelPlaneWords<1>(mask_words, ind_words, out, row_scratch,
-                             in_channels, in_h, in_w, out_h, out_w, k,
-                             s, p);
+    padConvInput(in_data, pad_scratch, in_channels, in_h, in_w, padding);
+    const std::size_t pw = in_w + 2 * padding;
+    const std::size_t plane = (in_h + 2 * padding) * pw;
+    const std::size_t kk = kernel * kernel;
+    const auto i32 = [](std::size_t v) {
+        return _mm_set1_epi32(static_cast<int>(v));
+    };
+    // Padded coordinate y is a real row iff p - 1 < y < in_h + p.
+    const __m128i lo = _mm_set1_epi32(static_cast<int>(padding) - 1);
+    const __m128i hi_r = i32(in_h + padding);
+    const __m128i hi_c = i32(in_w + padding);
+    const __m128i sv = i32(stride);
+    const __m128i pwv = i32(pw);
+    const __m128i low16 = i32(0xffff);
+    __m128 row_ok[kMaxMaskedKernel];
+    __m128 col_ok[kMaxMaskedKernel];
+    alignas(16) float lanes[4];
+    alignas(16) std::int32_t offs[4];
+    for (std::size_t m = 0; m < out_channels; ++m) {
+        float *out_plane = out_data + m * out_h * out_w;
+        std::fill(out_plane, out_plane + out_h * out_w, 0.0f);
+        const std::size_t live = collectLivePositions(
+            skip_words, m, out_h, out_w, 4, index_scratch);
+        const float *w_m = w_data + m * in_channels * kk;
+        const __m128 b4 = _mm_set1_ps(bias[m]);
+        for (std::size_t v = 0; v < live; v += 4) {
+            const __m128i rc = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(index_scratch + v));
+            const __m128i y0 = _mm_mullo_epi32(_mm_srli_epi32(rc, 16), sv);
+            const __m128i x0 =
+                _mm_mullo_epi32(_mm_and_si128(rc, low16), sv);
+            _mm_store_si128(
+                reinterpret_cast<__m128i *>(offs),
+                _mm_add_epi32(_mm_mullo_epi32(y0, pwv), x0));
+            int all = 0xf;
+            for (std::size_t t = 0; t < kernel; ++t) {
+                const __m128i tv = i32(t);
+                const __m128i y = _mm_add_epi32(y0, tv);
+                const __m128i x = _mm_add_epi32(x0, tv);
+                row_ok[t] = _mm_castsi128_ps(_mm_and_si128(
+                    _mm_cmpgt_epi32(y, lo), _mm_cmpgt_epi32(hi_r, y)));
+                col_ok[t] = _mm_castsi128_ps(_mm_and_si128(
+                    _mm_cmpgt_epi32(x, lo), _mm_cmpgt_epi32(hi_c, x)));
+                all &= _mm_movemask_ps(row_ok[t]) &
+                       _mm_movemask_ps(col_ok[t]);
+            }
+            __m128 acc = b4;
+            for (std::size_t n = 0; n < in_channels; ++n) {
+                const float *pn = pad_scratch + n * plane;
+                const float *wk = w_m + n * kk;
+                for (std::size_t i = 0; i < kernel; ++i) {
+                    const float *pr = pn + i * pw;
+                    for (std::size_t j = 0; j < kernel; ++j) {
+                        const float wv = wk[i * kernel + j];
+                        if (wv == 0.0f)
+                            continue;
+                        const float *b = pr + j;
+                        const __m128 x = _mm_setr_ps(b[offs[0]], b[offs[1]],
+                                                     b[offs[2]], b[offs[3]]);
+                        const __m128 sum = _mm_add_ps(
+                            acc, _mm_mul_ps(_mm_set1_ps(wv), x));
+                        acc = all == 0xf
+                                  ? sum
+                                  : _mm_blendv_ps(
+                                        acc, sum,
+                                        _mm_and_ps(row_ok[i], col_ok[j]));
+                    }
+                }
+            }
+            _mm_store_ps(lanes, acc);
+            const std::size_t n_live = std::min<std::size_t>(4, live - v);
+            for (std::size_t l = 0; l < n_live; ++l) {
+                const std::uint32_t u = index_scratch[v + l];
+                out_plane[(u >> 16) * out_w + (u & 0xffff)] = lanes[l];
+            }
+        }
+    }
+}
+
+/**
+ * Sum the indicator-selected byte planes over @p kRegs x 8 output
+ * positions starting at @p base, in saturating u16 lanes (exactly
+ * min(count, 0xffff)), and store the first @p count of them.
+ */
+template <int kRegs>
+FASTBCNN_HOT inline void
+sse4SumPlanes(const std::uint8_t *planes, std::size_t stride,
+              const std::uint64_t *ind, std::size_t taps,
+              std::size_t base, std::uint16_t *out, std::size_t count)
+{
+    __m128i acc[kRegs];
+    for (int r = 0; r < kRegs; ++r)
+        acc[r] = _mm_setzero_si128();
+    for (std::size_t w0 = 0; w0 < taps; w0 += 64) {
+        std::uint64_t bits = ind[w0 / 64];
+        if (taps - w0 < 64)
+            bits &= (1ull << (taps - w0)) - 1;
+        while (bits != 0) {
+            const std::size_t t =
+                w0 + static_cast<std::size_t>(std::countr_zero(bits));
+            bits &= bits - 1;
+            const std::uint8_t *pl = planes + t * stride + base;
+            for (int r = 0; r < kRegs; ++r) {
+                acc[r] = _mm_adds_epu16(
+                    acc[r], _mm_cvtepu8_epi16(_mm_loadl_epi64(
+                                reinterpret_cast<const __m128i *>(
+                                    pl + 8 * r))));
+            }
+        }
+    }
+    alignas(16) std::uint16_t tmp[8 * kRegs];
+    for (int r = 0; r < kRegs; ++r)
+        _mm_store_si128(reinterpret_cast<__m128i *>(tmp + 8 * r), acc[r]);
+    std::copy(tmp, tmp + std::min<std::size_t>(count, 8 * kRegs),
+              out + base);
+}
+
+FASTBCNN_HOT void
+sse4CountNwInputs(const std::uint64_t *mask_words,
+                  const std::uint64_t *const *ind_words,
+                  std::uint16_t *out, std::uint8_t *scratch,
+                  std::size_t in_channels, std::size_t out_channels,
+                  std::size_t in_h, std::size_t in_w, std::size_t out_h,
+                  std::size_t out_w, std::size_t k, std::size_t s,
+                  std::size_t p)
+{
+    const std::uint8_t *planes = buildCountPlanes(
+        mask_words, scratch, in_channels, in_h, in_w, out_h, out_w, k, s,
+        p);
+    const std::size_t stride = countPlaneStride(out_h, out_w);
+    const std::size_t hw = out_h * out_w;
+    const std::size_t taps = in_channels * k * k;
+    for (std::size_t m = 0; m < out_channels; ++m) {
+        std::uint16_t *o = out + m * hw;
+        std::size_t base = 0;
+        for (; base + 32 <= stride; base += 32) {
+            sse4SumPlanes<4>(planes, stride, ind_words[m], taps, base, o,
+                             hw - base);
+        }
+        for (; base < stride; base += 16) {
+            sse4SumPlanes<2>(planes, stride, ind_words[m], taps, base, o,
+                             hw - base);
+        }
+    }
 }
 
 /*
@@ -639,7 +789,8 @@ sse4TableOrNull()
         &sse4PoolMax,           &sse4PoolAvg,
         &sse4Relu,              &sse4PopcountWords,
         &sse4PopcountBits,      &sse4AndPopcountWords,
-        &sse4CountKernelPlane,  &sse4QuantConvForward,
+        &sse4ConvForwardMasked, &sse4CountNwInputs,
+        &sse4QuantConvForward,
         &sse4QuantDenseAccum,   &sse4QuantRelu,
         &sse4QuantPoolMax,
     };

@@ -121,24 +121,51 @@ struct SimdKernels {
                                     std::size_t n);
 
     /**
-     * Eq. 5 counting for one output kernel: slide the (in_channels,
-     * k, k) indicator volume @p ind_words over the (in_channels,
-     * in_h, in_w) dropout-mask volume @p mask_words and write the
-     * dropped nw-input count of every output position into @p out
-     * (out_h * out_w uint16 entries, saturated at 0xffff).  Both bit
-     * volumes are flat row-major packed with a guard word past the
-     * end.  @p row_scratch is caller-provided working storage of
-     * out_h * out_w uint32 entries (contents undefined before and
-     * after).
+     * Masked convolution forward (the skip engine): @p skip_words is a
+     * packed (out_channels, out_h, out_w) bitmap in flat row-major
+     * order with a guard word past the end.  Outputs whose bit is set
+     * are not computed and read +0.0f; every other output is computed
+     * exactly as convForward computes it — bias, then the (n, i, j)
+     * taps in order, skipping exactly-zero weights and out-of-range
+     * taps — so live outputs are bit-identical to convForward's
+     * (NaN payloads excepted: a NaN output is a NaN at every level).
+     * @p pad_scratch (convMaskedPadFloats entries) and
+     * @p index_scratch (convMaskedIndexCount entries) are
+     * caller-provided working storage, contents undefined before and
+     * after.
      */
-    void (*countKernelPlane)(const std::uint64_t *mask_words,
-                             const std::uint64_t *ind_words,
-                             std::uint16_t *out,
-                             std::uint32_t *row_scratch,
-                             std::size_t in_channels, std::size_t in_h,
-                             std::size_t in_w, std::size_t out_h,
-                             std::size_t out_w, std::size_t k,
-                             std::size_t s, std::size_t p);
+    void (*convForwardMasked)(const float *in, const float *w,
+                              const float *bias,
+                              const std::uint64_t *skip_words,
+                              float *out, float *pad_scratch,
+                              std::uint32_t *index_scratch,
+                              std::size_t in_channels,
+                              std::size_t out_channels, std::size_t in_h,
+                              std::size_t in_w, std::size_t out_h,
+                              std::size_t out_w, std::size_t kernel,
+                              std::size_t stride, std::size_t padding);
+
+    /**
+     * Eq. 5 counting for a whole conv layer: for every output kernel
+     * m, slide its (in_channels, k, k) indicator volume
+     * @p ind_words[m] over the (in_channels, in_h, in_w) dropout-mask
+     * volume @p mask_words and write the dropped nw-input count of
+     * every output position into @p out (out_channels * out_h * out_w
+     * uint16 entries, m-major).  Counts saturate: each entry is
+     * exactly min(count, 0xffff).  Bit volumes are flat row-major
+     * packed with a guard word past the end; out-of-range (padding)
+     * taps count nothing.  @p scratch is caller-provided working
+     * storage of countNwInputsScratchBytes bytes (contents undefined
+     * before and after).
+     */
+    void (*countNwInputs)(const std::uint64_t *mask_words,
+                          const std::uint64_t *const *ind_words,
+                          std::uint16_t *out, std::uint8_t *scratch,
+                          std::size_t in_channels,
+                          std::size_t out_channels, std::size_t in_h,
+                          std::size_t in_w, std::size_t out_h,
+                          std::size_t out_w, std::size_t k,
+                          std::size_t s, std::size_t p);
 
     /*
      * Quantized int8 kernels.  Integer arithmetic is exact and
@@ -197,6 +224,43 @@ struct SimdKernels {
                          std::size_t out_w, std::size_t k, std::size_t s,
                          std::size_t p, std::int8_t init);
 };
+
+/** Floats of pad_scratch convForwardMasked needs: a zero-padded copy
+ *  of the input. */
+inline std::size_t
+convMaskedPadFloats(std::size_t in_channels, std::size_t in_h,
+                    std::size_t in_w, std::size_t padding)
+{
+    return in_channels * (in_h + 2 * padding) * (in_w + 2 * padding);
+}
+
+/** Entries of index_scratch convForwardMasked needs: one output
+ *  plane's live positions, rounded up to whole 8-lane vectors. */
+inline std::size_t
+convMaskedIndexCount(std::size_t out_h, std::size_t out_w)
+{
+    return (out_h * out_w + 7) / 8 * 8;
+}
+
+/** Bytes between consecutive tap planes of the countNwInputs scratch:
+ *  one byte per output position, rounded up to 16-byte vectors. */
+inline std::size_t
+countPlaneStride(std::size_t out_h, std::size_t out_w)
+{
+    return (out_h * out_w + 15) / 16 * 16;
+}
+
+/** Bytes of scratch countNwInputs needs: the zero-padded byte image
+ *  of the mask plus one shifted byte plane per (n, i, j) tap. */
+inline std::size_t
+countNwInputsScratchBytes(std::size_t in_channels, std::size_t in_h,
+                          std::size_t in_w, std::size_t out_h,
+                          std::size_t out_w, std::size_t k,
+                          std::size_t p)
+{
+    return in_channels * (in_h + 2 * p) * (in_w + 2 * p) +
+           in_channels * k * k * countPlaneStride(out_h, out_w);
+}
 
 /**
  * @return the active dispatch table.  Initialised on first use from

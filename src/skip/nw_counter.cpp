@@ -61,21 +61,24 @@ countDroppedNwInputs(const Conv2d &conv, const BitVolume &input_mask,
     const std::size_t out_w = (in_w + 2 * p - k) / s + 1;
 
     CountVolume counts(conv.outChannels(), out_h, out_w);
-    // Eq. 5 inner loops live in the dispatched SIMD kernel layer: the
-    // vector levels collapse each indicator row into one
-    // popcount(mask_window & indicator_bits) per output column.  The
-    // plane scratch is hoisted here so the hot kernels never allocate.
-    std::vector<std::uint32_t> row_scratch(out_h * out_w, 0);
+    // Eq. 5 lives in the dispatched SIMD kernel layer: the vector
+    // levels cut one shifted byte plane per (n, i, j) tap out of the
+    // mask and add up the planes each kernel's indicator bits select.
+    // Scratch is hoisted here so the hot kernels never allocate.
+    std::vector<const std::uint64_t *> ind_words(conv.outChannels());
     for (std::size_t m = 0; m < conv.outChannels(); ++m) {
         const BitVolume &ind = indicators.kernel(m);
         FASTBCNN_DCHECK(ind.channels() == conv.inChannels() &&
                         ind.height() == k && ind.width() == k,
                         "indicator volume shape mismatch");
-        simd::active().countKernelPlane(
-            input_mask.words(), ind.words(), &counts.at(m, 0, 0),
-            row_scratch.data(), conv.inChannels(), in_h, in_w, out_h,
-            out_w, k, s, p);
+        ind_words[m] = ind.words();
     }
+    std::vector<std::uint8_t> scratch(simd::countNwInputsScratchBytes(
+        conv.inChannels(), in_h, in_w, out_h, out_w, k, p));
+    simd::active().countNwInputs(
+        input_mask.words(), ind_words.data(), counts.data(),
+        scratch.data(), conv.inChannels(), conv.outChannels(), in_h, in_w,
+        out_h, out_w, k, s, p);
     return counts;
 }
 

@@ -45,6 +45,11 @@ class CountVolume
     /** @return total element count. */
     std::size_t size() const { return data_.size(); }
 
+    /** @return the flat counters (c*H*W + r*W + col order). */
+    std::uint16_t *data() { return data_.data(); }
+    /** @return the flat counters (const). */
+    const std::uint16_t *data() const { return data_.data(); }
+
     /** @return the largest counter value (0 for empty). */
     std::uint16_t maxValue() const;
 

@@ -2,6 +2,24 @@
 
 namespace fastbcnn {
 
+namespace {
+
+/**
+ * Whether a block's dropped neurons may be skipped too: only when the
+ * conv feeds nothing but its ReLU and the ReLU nothing but its
+ * Dropout, so no consumer can observe a dropped neuron's value.
+ */
+bool
+droppedAreDead(const BcnnTopology &topo, const ConvBlock &block)
+{
+    const std::vector<NodeId> &conv_out = topo.consumersOf(block.conv);
+    const std::vector<NodeId> &relu_out = topo.consumersOf(block.relu);
+    return conv_out.size() == 1 && conv_out[0] == block.relu &&
+           relu_out.size() == 1 && relu_out[0] == block.dropout;
+}
+
+} // namespace
+
 PredictiveResult
 predictiveForward(const BcnnTopology &topo,
                   const IndicatorSet &indicators,
@@ -22,33 +40,39 @@ predictiveForward(const BcnnTopology &topo,
             ins.push_back(producer == Network::inputNode
                               ? &input : &outputs[producer]);
         }
-        outputs[id] = net.layer(id).forward(ins, &replay);
-
-        if (net.layer(id).kind() != LayerKind::Conv2d)
+        const Layer &layer = net.layer(id);
+        const ConvBlock *block = layer.kind() == LayerKind::Conv2d
+                                     ? &topo.blockOfConv(id)
+                                     : nullptr;
+        if (block == nullptr || block->index > opts.upToBlock) {
+            outputs[id] = layer.forward(ins, &replay);
             continue;
-        const ConvBlock &block = topo.blockOfConv(id);
-        if (block.index > opts.upToBlock)
-            continue;
+        }
 
-        // Emulate the central predictor for this block: count dropped
-        // nw-inputs from the effective input mask, compare with the
-        // per-kernel thresholds, AND with the zero index, then force
-        // the predicted neurons to zero (the MUX in the skip engine).
-        const auto &conv = static_cast<const Conv2d &>(net.layer(id));
+        // The central predictor runs ahead of the conv, as in the
+        // accelerator: count dropped nw-inputs from the effective input
+        // mask, compare with the per-kernel thresholds and AND with the
+        // zero index.  The skip engine then computes only neurons that
+        // are neither predicted unaffected nor dropped by the block's
+        // own dropout layer (their values never reach a consumer).
+        const auto &conv = static_cast<const Conv2d &>(layer);
         const BitVolume in_mask = effectiveInputMask(topo, id, masks);
         const CountVolume counts =
             countDroppedNwInputs(conv, in_mask, indicators.of(id));
         BitVolume predicted = predictUnaffected(
             zero_maps.at(id), counts, thresholds, id);
 
-        Tensor &out = outputs[id];
-        for (std::size_t i = 0; i < out.numel(); ++i) {
-            if (predicted.getFlat(i))
-                out.at(i) = 0.0f;
+        BitVolume skip = predicted;
+        const auto dropped = masks.find(net.layer(block->dropout).name());
+        if (!opts.captureConvOutputs && dropped != masks.end() &&
+            droppedAreDead(topo, *block)) {
+            skip.orWith(dropped->second);
         }
+        outputs[id] = conv.forwardMasked(*ins[0], skip);
+
         result.predictedNeurons += predicted.popcount();
         if (opts.captureConvOutputs)
-            result.convOutputs.emplace(id, out);
+            result.convOutputs.emplace(id, outputs[id]);
         result.predicted.emplace(id, std::move(predicted));
     }
 

@@ -3,7 +3,10 @@
  * The prediction-mode forward pass ("PredictInference" of Algorithm 1,
  * and the functional semantics of the Fast-BCNN accelerator): every
  * neuron predicted unaffected is forced to zero without being
- * computed; everything else is computed exactly.
+ * computed; everything else is computed exactly.  Neurons their own
+ * block's dropout drops are not computed either (they read zero): the
+ * network output is bit-identical to computing them and zeroing them
+ * afterwards.
  */
 
 #ifndef FASTBCNN_SKIP_PREDICTIVE_INFERENCE_HPP
@@ -21,9 +24,16 @@ struct PredictiveOptions {
      * current layer"); later blocks execute normally.
      */
     std::size_t upToBlock = static_cast<std::size_t>(-1);
-    /** Record the (post-zeroing) conv outputs per conv node. */
+    /**
+     * Record the (post-zeroing) conv outputs per conv node.  Dropped
+     * neurons are then computed, so the capture holds their values.
+     */
     bool captureConvOutputs = false;
-    /** Record the output of every node (used by the optimizer). */
+    /**
+     * Record the output of every node (used by the shadow audit).  A
+     * block's conv and ReLU outputs hold zero at dropped neurons unless
+     * captureConvOutputs is set; every other node is unaffected.
+     */
     bool captureNodeOutputs = false;
 };
 

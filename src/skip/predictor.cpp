@@ -19,16 +19,17 @@ predictUnaffectedKernel(const BitVolume &zero_map,
                         const ThresholdSet &thresholds, NodeId conv,
                         BitVolume &predicted)
 {
+    const std::size_t plane = counts.height() * counts.width();
+    const std::uint64_t *zero = zero_map.words();
+    const std::uint16_t *n_d = counts.data();
     for (std::size_t m = 0; m < counts.channels(); ++m) {
         const int alpha = thresholds.of(conv, m);
-        for (std::size_t r = 0; r < counts.height(); ++r) {
-            for (std::size_t c = 0; c < counts.width(); ++c) {
-                // Only zero neurons can be predicted unaffected
-                // (the AND with the zero indexer in Section V-C).
-                if (zero_map.get(m, r, c) &&
-                    static_cast<int>(counts.at(m, r, c)) < alpha) {
-                    predicted.set(m, r, c, true);
-                }
+        for (std::size_t z = m * plane; z < (m + 1) * plane; ++z) {
+            // Only zero neurons can be predicted unaffected (the AND
+            // with the zero indexer in Section V-C).
+            if (((zero[z / 64] >> (z % 64)) & 1) != 0 &&
+                static_cast<int>(n_d[z]) < alpha) {
+                predicted.setFlat(z, true);
             }
         }
     }
@@ -37,14 +38,17 @@ predictUnaffectedKernel(const BitVolume &zero_map,
 } // namespace
 
 ZeroMaps
-computeZeroMaps(const BcnnTopology &topo, const Tensor &input)
+computeZeroMaps(const BcnnTopology &topo, const Tensor &input,
+                Tensor *output)
 {
     // Capture every ReLU output of the non-dropout pre-inference.
     CaptureHooks capture(nullptr,
                          [](const std::string &, LayerKind k) {
                              return k == LayerKind::ReLU;
                          });
-    topo.network().forward(input, &capture);
+    Tensor out = topo.network().forward(input, &capture);
+    if (output != nullptr)
+        *output = std::move(out);
 
     ZeroMaps maps;
     for (const ConvBlock &b : topo.blocks()) {

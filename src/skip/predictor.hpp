@@ -23,11 +23,14 @@ using ZeroMaps = std::map<NodeId, BitVolume>;
  * which post-ReLU neurons are zero (the "location[L]" of Algorithm 1
  * line 3).
  *
- * @param topo  analysed BCNN
- * @param input the input image
+ * @param topo   analysed BCNN
+ * @param input  the input image
+ * @param output when non-null, receives the pre-inference network
+ *               output (the same forward pass, not a second one)
  * @return per-conv-block zero maps of shape (M, R, C)
  */
-ZeroMaps computeZeroMaps(const BcnnTopology &topo, const Tensor &input);
+ZeroMaps computeZeroMaps(const BcnnTopology &topo, const Tensor &input,
+                         Tensor *output = nullptr);
 
 /**
  * Produce the prediction bitmap for one conv block.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 
 #include "bayes/hooks.hpp"
@@ -20,6 +21,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/dropout.hpp"
 #include "nn/pooling.hpp"
+#include "simd/simd.hpp"
 
 using namespace fastbcnn;
 
@@ -481,6 +483,89 @@ TEST(GuardedRunner, CleanWorkloadStaysQuiet)
     EXPECT_TRUE(run.value().events.empty());
     EXPECT_EQ(run.value().finalSnapshot.degradedKernels, 0u);
     EXPECT_GT(run.value().audited, 0u);
+}
+
+TEST(GuardedRunner, IdenticalAcrossThreadsAndSimdLevels)
+{
+    // Guarded runs on a net wide enough for every SIMD tail (odd
+    // widths and channel counts, a stride-2 block), with thresholds
+    // aggressive enough that the guard acts: outputs, audit tallies
+    // and guard events must not depend on the lane count or on the
+    // dispatch level, and the pre-inference output is the plain
+    // forward's.
+    Network net("guard-wide", Shape({3, 15, 13}));
+    net.add(std::make_unique<Conv2d>("c1", 3, 9, 3, 1, 1));
+    net.add(std::make_unique<ReLU>("r1"));
+    net.add(std::make_unique<Dropout>("d1", 0.3));
+    net.add(std::make_unique<MaxPool2d>("p1", 2));
+    net.add(std::make_unique<Conv2d>("c2", 9, 11, 3, 1, 1));
+    net.add(std::make_unique<ReLU>("r2"));
+    net.add(std::make_unique<Dropout>("d2", 0.3));
+    net.add(std::make_unique<Conv2d>("c3", 11, 5, 3, 2, 1));
+    net.add(std::make_unique<ReLU>("r3"));
+    net.add(std::make_unique<Dropout>("d3", 0.3));
+    InitOptions init;
+    init.seed = 9;
+    initializeWeights(net, init);
+    BcnnTopology topo(net);
+    IndicatorSet indicators(topo);
+    std::mt19937_64 rng(31);
+    std::normal_distribution<float> g(0.3f, 1.0f);
+    Tensor input(net.inputShape());
+    for (float &v : input.data())
+        v = g(rng);
+
+    GuardOptions gopts = fastGuardOptions(0.02);
+    gopts.decisionInterval = 4;
+    gopts.minAudited = 32;
+    GuardedMcOptions mc;
+    mc.samples = 24;
+    mc.seed = 5;
+
+    const simd::SimdLevel saved = simd::activeLevel();
+    std::vector<GuardedMcResult> runs;
+    for (int l = 0; l < simd::kSimdLevelCount; ++l) {
+        simd::setLevel(static_cast<simd::SimdLevel>(l));
+        for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+            SkipGuard guard(topo, ThresholdSet(topo, 6), gopts);
+            mc.threads = threads;
+            Expected<GuardedMcResult> run = tryRunGuardedPredictive(
+                topo, indicators, guard, input, mc);
+            ASSERT_TRUE(run.hasValue()) << run.error().toString();
+            runs.push_back(std::move(run).value());
+        }
+    }
+    simd::setLevel(saved);
+
+    const GuardedMcResult &ref = runs.front();
+    EXPECT_GT(ref.mispredicted, 0u);
+    EXPECT_FALSE(ref.events.empty());
+    const Tensor plain = net.forward(input, nullptr);
+    ASSERT_TRUE(ref.preOutput.shape() == plain.shape());
+    for (std::size_t i = 0; i < plain.numel(); ++i)
+        ASSERT_EQ(ref.preOutput.at(i), plain.at(i));
+    for (std::size_t r = 1; r < runs.size(); ++r) {
+        const GuardedMcResult &got = runs[r];
+        ASSERT_EQ(got.outputs.size(), ref.outputs.size()) << "run " << r;
+        for (std::size_t t = 0; t < ref.outputs.size(); ++t) {
+            ASSERT_EQ(std::memcmp(got.outputs[t].data().data(),
+                                  ref.outputs[t].data().data(),
+                                  ref.outputs[t].numel() * sizeof(float)),
+                      0)
+                << "run " << r << " sample " << t;
+        }
+        EXPECT_EQ(got.predictedNeurons, ref.predictedNeurons) << r;
+        EXPECT_EQ(got.audited, ref.audited) << "run " << r;
+        EXPECT_EQ(got.mispredicted, ref.mispredicted) << "run " << r;
+        ASSERT_EQ(got.events.size(), ref.events.size()) << "run " << r;
+        for (std::size_t e = 0; e < ref.events.size(); ++e) {
+            EXPECT_EQ(got.events[e].sample, ref.events[e].sample);
+            EXPECT_EQ(got.events[e].conv, ref.events[e].conv);
+            EXPECT_EQ(got.events[e].kernel, ref.events[e].kernel);
+            EXPECT_EQ(got.events[e].kind, ref.events[e].kind);
+            EXPECT_EQ(got.events[e].toAlpha, ref.events[e].toAlpha);
+        }
+    }
 }
 
 TEST(Engine, GuardWiringAndToleranceDerivation)

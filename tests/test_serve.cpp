@@ -521,8 +521,12 @@ TEST(ServeConcurrency, SoakManyProducersFaultsAndMidLoadDrain)
 
     constexpr std::size_t producers = 4;
     constexpr std::size_t perProducer = 24;
+    struct Submitted {
+        RequestHandle handle;
+        bool faulted = false;
+    };
     std::mutex handlesMutex;
-    std::vector<RequestHandle> handles;
+    std::vector<Submitted> handles;
     std::atomic<std::size_t> rejected{0};
 
     std::vector<std::thread> pool;
@@ -535,7 +539,8 @@ TEST(ServeConcurrency, SoakManyProducersFaultsAndMidLoadDrain)
                 req.input = ones(Shape({1, 6, 6}));
                 req.priority = static_cast<Priority>(i % 3);
                 req.mc.seed = p * 1000 + i;
-                if (i % 3 == 0)
+                const bool faulted = i % 3 == 0;
+                if (faulted)
                     req.mc.faults = &killOne;
                 if (i % 5 == 0)
                     req.deadlineMs = 0.05;  // some will be shed
@@ -553,7 +558,7 @@ TEST(ServeConcurrency, SoakManyProducersFaultsAndMidLoadDrain)
                     continue;
                 }
                 const std::lock_guard<std::mutex> lock(handlesMutex);
-                handles.push_back(std::move(handle).value());
+                handles.push_back({std::move(handle).value(), faulted});
             }
         });
     }
@@ -568,13 +573,32 @@ TEST(ServeConcurrency, SoakManyProducersFaultsAndMidLoadDrain)
     // double-completions: a second set_value on any promise would
     // have thrown std::future_error inside the server.
     std::array<std::size_t, kOutcomeCount> byOutcome{};
-    for (RequestHandle &h : handles) {
-        ASSERT_EQ(h.response.wait_for(std::chrono::seconds(30)),
+    for (Submitted &h : handles) {
+        ASSERT_EQ(h.handle.response.wait_for(std::chrono::seconds(30)),
                   std::future_status::ready);
-        InferResponse resp = h.response.get();
+        InferResponse resp = h.handle.response.get();
         ++byOutcome[static_cast<std::size_t>(resp.outcome)];
         if (resp.outcome == Outcome::Ok && resp.degraded()) {
-            EXPECT_EQ(resp.result->census.survived, 2u);
+            // Every lost sample is accounted for: the fault kills
+            // exactly sample 0 of a faulted request (sample 0 always
+            // launches), and any other casualty is a sample the
+            // deadline starved.
+            const DegradationCensus &census = resp.result->census;
+            ASSERT_FALSE(census.failures.empty());
+            std::size_t firstStarved = 0;
+            if (h.faulted) {
+                EXPECT_EQ(census.failures.front().sample, 0u);
+                EXPECT_EQ(census.failures.front().code,
+                          ErrorCode::FaultInjected);
+                firstStarved = 1;
+            }
+            for (std::size_t f = firstStarved; f < census.failures.size();
+                 ++f) {
+                EXPECT_EQ(census.failures[f].code,
+                          ErrorCode::DeadlineExceeded);
+            }
+            EXPECT_EQ(census.survived + census.failures.size(),
+                      census.budget);
         }
     }
     const std::size_t accepted = handles.size();

@@ -98,6 +98,26 @@ bitIdentical(const std::vector<float> &a, const std::vector<float> &b)
                         a.size() * sizeof(float)) == 0);
 }
 
+/**
+ * Bit identity up to NaN payload: IEEE 754 leaves which operand's
+ * payload (and sign) a NaN result carries to the implementation, and
+ * the compiler may commute a scalar add, so a NaN only has to be a NaN.
+ */
+bool
+bitIdenticalOrBothNan(const std::vector<float> &a,
+                      const std::vector<float> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (std::isnan(a[i]) && std::isnan(b[i]))
+            continue;
+        if (std::memcmp(&a[i], &b[i], sizeof(float)) != 0)
+            return false;
+    }
+    return true;
+}
+
 } // namespace
 
 TEST(SimdDispatch, LevelNamesRoundTrip)
@@ -307,43 +327,179 @@ TEST(SimdDispatch, PopcountsAgreeAcrossLevels)
     EXPECT_EQ(a.andPopcount(b), expect_and);
 }
 
-TEST(SimdDispatch, CountKernelPlaneAgreesAcrossLevels)
+namespace {
+
+/** One generated conv geometry of the masked-conv / count sweeps. */
+struct GenShape {
+    std::size_t in_c, out_c, h, w, k, s, p;
+    std::size_t outH() const { return (h + 2 * p - k) / s + 1; }
+    std::size_t outW() const { return (w + 2 * p - k) / s + 1; }
+};
+
+/**
+ * Shapes that hit every SIMD tail: widths 1-17, stride 1/2, padding
+ * 0-2, kernel 1/3/5, channel counts that are not multiples of 8.  A
+ * few fixed wide shapes put planes past one 64-bit word, so the count
+ * kernel's row loop runs its second and third 64-column chunks.
+ */
+std::vector<GenShape>
+generatedShapes()
 {
-    const struct {
-        std::size_t n, h, w, k, s, p;
-        double density; // 0 = no-skip, 1 = all-skip
-    } shapes[] = {
-        {2, 9, 11, 3, 1, 1, 0.5}, {3, 12, 17, 5, 1, 2, 0.3},
-        {2, 10, 10, 3, 2, 1, 0.8}, {1, 6, 6, 1, 1, 0, 0.5},
-        {2, 8, 8, 3, 1, 1, 0.0},  {2, 8, 8, 3, 1, 1, 1.0},
-        {1, 7, 66, 3, 1, 1, 0.6}, // rows crossing word boundaries
+    std::vector<GenShape> shapes = {
+        {1, 3, 7, 66, 3, 1, 1},  {2, 3, 3, 64, 1, 1, 0},
+        {2, 5, 3, 65, 3, 1, 0},  {3, 9, 4, 130, 3, 2, 2},
+        {2, 7, 5, 130, 5, 1, 2}, {1, 2, 2, 129, 1, 2, 0},
     };
+    std::mt19937_64 rng(4242);
+    for (std::size_t w = 1; w <= 17; ++w) {
+        for (std::size_t s : {1u, 2u}) {
+            for (std::size_t p = 0; p <= 2; ++p) {
+                for (std::size_t k : {1u, 3u, 5u}) {
+                    const std::size_t h = 1 + rng() % 9;
+                    if (w + 2 * p < k || h + 2 * p < k)
+                        continue;
+                    const std::size_t in_c = 1 + rng() % 5;
+                    const std::size_t out_c = 1 + rng() % 11;
+                    shapes.push_back({in_c, out_c, h, w, k, s, p});
+                }
+            }
+        }
+    }
+    return shapes;
+}
+
+/** Random floats salted with NaN, +-Inf, denormals and -0.0. */
+std::vector<float>
+adversarialFloats(std::size_t n, std::uint64_t seed)
+{
+    std::vector<float> v = randomFloats(n, seed, 0.1f);
+    const float specials[] = {
+        std::numeric_limits<float>::quiet_NaN(),
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::denorm_min(),
+        -std::numeric_limits<float>::denorm_min(), -0.0f};
+    std::mt19937_64 rng(seed ^ 0x9e3779b97f4a7c15ull);
+    for (float &x : v) {
+        if (rng() % 23 == 0)
+            x = specials[rng() % std::size(specials)];
+    }
+    return v;
+}
+
+} // namespace
+
+TEST(SimdDispatch, ConvMaskedBitIdenticalAcrossLevels)
+{
+    // Every level of the masked conv equals the scalar masked conv,
+    // and the scalar masked conv equals dense convForward with the
+    // skipped outputs overwritten by +0.0f afterwards.
+    const simd::SimdKernels &ref =
+        simd::kernelsFor(simd::SimdLevel::Scalar);
+    std::uint64_t seed = 1001;
+    std::size_t cases = 0;
+    for (const GenShape &sh : generatedShapes()) {
+        const std::size_t out_h = sh.outH(), out_w = sh.outW();
+        const auto in = adversarialFloats(sh.in_c * sh.h * sh.w, seed++);
+        const auto w =
+            randomFloats(sh.out_c * sh.in_c * sh.k * sh.k, seed++, 0.3f);
+        auto bias = randomFloats(sh.out_c, seed++);
+        bias[0] = -0.0f;  // a -0.0 bias must survive untouched taps
+        std::vector<float> pad(
+            simd::convMaskedPadFloats(sh.in_c, sh.h, sh.w, sh.p));
+        std::vector<std::uint32_t> live(
+            simd::convMaskedIndexCount(out_h, out_w));
+        std::vector<float> dense(sh.out_c * out_h * out_w);
+        ref.convForward(in.data(), w.data(), bias.data(), dense.data(),
+                        sh.in_c, sh.out_c, sh.h, sh.w, out_h, out_w, sh.k,
+                        sh.s, sh.p);
+        for (double density : {0.0, 0.3, 0.72, 1.0}) {
+            const BitVolume skip =
+                randomBits(sh.out_c, out_h, out_w, seed++, density);
+            std::vector<float> expect = dense;
+            for (std::size_t i = 0; i < expect.size(); ++i) {
+                if (skip.getFlat(i))
+                    expect[i] = 0.0f;
+            }
+            for (simd::SimdLevel level : availableLevels()) {
+                std::vector<float> got(expect.size(),
+                                       std::numeric_limits<float>::max());
+                simd::kernelsFor(level).convForwardMasked(
+                    in.data(), w.data(), bias.data(), skip.words(),
+                    got.data(), pad.data(), live.data(), sh.in_c,
+                    sh.out_c, sh.h, sh.w, out_h, out_w, sh.k, sh.s, sh.p);
+                ASSERT_TRUE(bitIdenticalOrBothNan(expect, got))
+                    << "masked conv mismatch at level "
+                    << simd::simdLevelName(level) << " " << sh.in_c
+                    << "x" << sh.h << "x" << sh.w << " -> " << sh.out_c
+                    << " k" << sh.k << " s" << sh.s << " p" << sh.p
+                    << " skip density " << density;
+            }
+            ++cases;
+        }
+    }
+    EXPECT_GT(cases, 1000u);
+}
+
+TEST(SimdDispatch, CountNwInputsAgreesAcrossLevels)
+{
     const simd::SimdKernels &ref =
         simd::kernelsFor(simd::SimdLevel::Scalar);
     std::uint64_t seed = 707;
-    for (const auto &sh : shapes) {
-        const std::size_t out_h = (sh.h + 2 * sh.p - sh.k) / sh.s + 1;
-        const std::size_t out_w = (sh.w + 2 * sh.p - sh.k) / sh.s + 1;
-        const BitVolume mask =
-            randomBits(sh.n, sh.h, sh.w, seed++, sh.density);
-        const BitVolume ind =
-            randomBits(sh.n, sh.k, sh.k, seed++, 0.5);
-        std::vector<std::uint16_t> expect(out_h * out_w, 0xabcd);
-        std::vector<std::uint32_t> scratch(out_h * out_w, 0);
-        ref.countKernelPlane(mask.words(), ind.words(), expect.data(),
-                             scratch.data(), sh.n, sh.h, sh.w, out_h,
-                             out_w, sh.k, sh.s, sh.p);
-        for (simd::SimdLevel level : availableLevels()) {
-            std::vector<std::uint16_t> got(out_h * out_w, 0x1234);
-            simd::kernelsFor(level).countKernelPlane(
-                mask.words(), ind.words(), got.data(), scratch.data(),
-                sh.n, sh.h, sh.w, out_h, out_w, sh.k, sh.s, sh.p);
-            EXPECT_EQ(expect, got)
-                << "count mismatch at level "
-                << simd::simdLevelName(level) << " " << sh.h << "x"
-                << sh.w << " k" << sh.k << " s" << sh.s << " p"
-                << sh.p << " density " << sh.density;
+    for (const GenShape &sh : generatedShapes()) {
+        const std::size_t out_h = sh.outH(), out_w = sh.outW();
+        std::vector<BitVolume> ind;
+        std::vector<const std::uint64_t *> ind_words;
+        for (std::size_t m = 0; m < sh.out_c; ++m)
+            ind.push_back(randomBits(sh.in_c, sh.k, sh.k, seed++, 0.5));
+        for (const BitVolume &v : ind)
+            ind_words.push_back(v.words());
+        std::vector<std::uint8_t> scratch(simd::countNwInputsScratchBytes(
+            sh.in_c, sh.h, sh.w, out_h, out_w, sh.k, sh.p));
+        for (double density : {0.0, 0.3, 0.72, 1.0}) {
+            const BitVolume mask =
+                randomBits(sh.in_c, sh.h, sh.w, seed++, density);
+            std::vector<std::uint16_t> expect(sh.out_c * out_h * out_w,
+                                              0xabcd);
+            ref.countNwInputs(mask.words(), ind_words.data(),
+                              expect.data(), scratch.data(), sh.in_c,
+                              sh.out_c, sh.h, sh.w, out_h, out_w, sh.k,
+                              sh.s, sh.p);
+            for (simd::SimdLevel level : availableLevels()) {
+                std::vector<std::uint16_t> got(expect.size(), 0x1234);
+                simd::kernelsFor(level).countNwInputs(
+                    mask.words(), ind_words.data(), got.data(),
+                    scratch.data(), sh.in_c, sh.out_c, sh.h, sh.w, out_h,
+                    out_w, sh.k, sh.s, sh.p);
+                ASSERT_EQ(expect, got)
+                    << "count mismatch at level "
+                    << simd::simdLevelName(level) << " " << sh.in_c
+                    << "x" << sh.h << "x" << sh.w << " k" << sh.k << " s"
+                    << sh.s << " p" << sh.p << " density " << density;
+            }
         }
+    }
+}
+
+TEST(SimdDispatch, CountNwInputsSaturatesAt0xffff)
+{
+    // 7300 channels x 3x3 taps = 65700 > 0xffff dropped nw-inputs in
+    // the single output of a 3x3 plane: every level clamps to exactly
+    // 0xffff.
+    const std::size_t n = 7300, k = 3, p = 0;
+    BitVolume mask(n, k, k);
+    mask.fill(true);
+    BitVolume ind(n, k, k);
+    ind.fill(true);
+    const std::uint64_t *ind_words[] = {ind.words()};
+    std::vector<std::uint8_t> scratch(
+        simd::countNwInputsScratchBytes(n, k, k, 1, 1, k, p));
+    for (simd::SimdLevel level : availableLevels()) {
+        std::uint16_t got = 0;
+        simd::kernelsFor(level).countNwInputs(mask.words(), ind_words,
+                                              &got, scratch.data(), n, 1,
+                                              k, k, 1, 1, k, 1, p);
+        EXPECT_EQ(got, 0xffffu) << simd::simdLevelName(level);
     }
 }
 

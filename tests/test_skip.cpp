@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 #include <sstream>
 
@@ -16,6 +17,7 @@
 #include "nn/concat.hpp"
 #include "nn/dropout.hpp"
 #include "nn/pooling.hpp"
+#include "simd/simd.hpp"
 #include "skip/predictive_inference.hpp"
 #include "skip/threshold_optimizer.hpp"
 
@@ -431,6 +433,173 @@ TEST(PredictiveInference, PredictedNeuronsAreZeroInOutput)
             }
         }
     }
+}
+
+namespace {
+
+/**
+ * Which conv outputs feed something besides the block chain: 0 = a
+ * plain three-block BCNN; 1 = the first conv also feeds a side pool;
+ * 2 = the first ReLU also feeds a side pool.  Widths and channel
+ * counts are odd so every SIMD tail is hit.
+ */
+Network
+branchyBcnn(int variant, std::uint64_t seed)
+{
+    Network net("branchy", Shape({3, 13, 11}));
+    const NodeId c1 = net.add(std::make_unique<Conv2d>("c1", 3, 9, 3, 1, 1),
+                              {Network::inputNode});
+    const NodeId r1 = net.add(std::make_unique<ReLU>("r1"), {c1});
+    const NodeId d1 = net.add(std::make_unique<Dropout>("d1", 0.3), {r1});
+    NodeId next = net.add(std::make_unique<MaxPool2d>("p1", 2), {d1});
+    std::size_t channels = 9;
+    if (variant != 0) {
+        const NodeId side = net.add(std::make_unique<MaxPool2d>("side", 2),
+                                    {variant == 1 ? c1 : r1});
+        next = net.add(std::make_unique<Concat>("cat", 2), {next, side});
+        channels = 18;
+    }
+    net.add(std::make_unique<Conv2d>("c2", channels, 11, 3, 1, 1), {next});
+    net.add(std::make_unique<ReLU>("r2"));
+    net.add(std::make_unique<Dropout>("d2", 0.3));
+    net.add(std::make_unique<Conv2d>("c3", 11, 7, 3, 2, 1));
+    net.add(std::make_unique<ReLU>("r3"));
+    net.add(std::make_unique<Dropout>("d3", 0.3));
+    InitOptions init;
+    init.seed = seed;
+    initializeWeights(net, init);
+    return net;
+}
+
+/**
+ * Plain dense-then-mask reference of predictiveForward: every layer
+ * through its ordinary forward, then predicted neurons and — where
+ * the conv feeds only its ReLU and the ReLU only its Dropout, unless
+ * conv outputs are captured — dropped neurons overwritten with zero.
+ */
+PredictiveResult
+denseThenMask(const BcnnTopology &topo, const IndicatorSet &indicators,
+              const ZeroMaps &zeros, const ThresholdSet &thresholds,
+              const Tensor &input, const MaskSet &masks,
+              const PredictiveOptions &opts)
+{
+    const Network &net = topo.network();
+    ReplayHooks replay(masks);
+    PredictiveResult res;
+    std::vector<Tensor> outputs(net.size());
+    for (NodeId id = 0; id < net.size(); ++id) {
+        std::vector<const Tensor *> ins;
+        for (NodeId producer : net.inputsOf(id))
+            ins.push_back(producer == Network::inputNode
+                              ? &input
+                              : &outputs[producer]);
+        outputs[id] = net.layer(id).forward(ins, &replay);
+        if (net.layer(id).kind() != LayerKind::Conv2d)
+            continue;
+        const ConvBlock &b = topo.blockOfConv(id);
+        if (b.index > opts.upToBlock)
+            continue;
+        const auto &conv = static_cast<const Conv2d &>(net.layer(id));
+        const BitVolume pred = predictUnaffected(
+            zeros.at(id),
+            countDroppedNwInputs(conv, effectiveInputMask(topo, id, masks),
+                                 indicators.of(id)),
+            thresholds, id);
+        const bool dead =
+            topo.consumersOf(id) == std::vector<NodeId>{b.relu} &&
+            topo.consumersOf(b.relu) == std::vector<NodeId>{b.dropout};
+        const BitVolume &dropped = masks.at(net.layer(b.dropout).name());
+        Tensor &out = outputs[id];
+        for (std::size_t i = 0; i < out.numel(); ++i) {
+            if (pred.getFlat(i) ||
+                (dead && !opts.captureConvOutputs && dropped.getFlat(i)))
+                out.at(i) = 0.0f;
+        }
+        res.predictedNeurons += pred.popcount();
+        if (opts.captureConvOutputs)
+            res.convOutputs.emplace(id, out);
+        res.predicted.emplace(id, pred);
+    }
+    res.output = outputs.back();
+    res.nodeOutputs = std::move(outputs);
+    return res;
+}
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.numel() * sizeof(float)) == 0;
+}
+
+} // namespace
+
+TEST(PredictiveInference, MaskedEqualsDenseThenMaskReference)
+{
+    // The skip engine computes only live neurons; a plain dense
+    // forward that zeroes the same neurons afterwards must agree bit
+    // for bit: outputs, every captured node, prediction maps and
+    // counts, across thresholds, scopes, captures, SIMD levels and
+    // networks where a conv or ReLU output has a second consumer (so
+    // dropped neurons must stay computed there).
+    const simd::SimdLevel saved = simd::activeLevel();
+    std::size_t checked = 0, predicted = 0;
+    for (int variant = 0; variant < 3; ++variant) {
+        for (std::uint64_t seed = 0; seed < 12; ++seed) {
+            Network net = branchyBcnn(variant, 100 + seed);
+            BcnnTopology topo(net);
+            IndicatorSet ind(topo);
+            std::mt19937_64 rng(seed);
+            std::normal_distribution<float> g(0.2f, 1.0f);
+            Tensor in(net.inputShape());
+            for (float &v : in.data())
+                v = g(rng);
+            const ZeroMaps zeros = computeZeroMaps(topo, in);
+            const int alphas[] = {0, 4, 12, 1 << 20};
+            const ThresholdSet thr(topo, alphas[seed % 4]);
+            auto brng = makeBrng(BrngKind::Software, 0.3, 7 + seed);
+            const MaskSet masks = sampleMasks(net, *brng);
+
+            PredictiveOptions opts;
+            opts.captureNodeOutputs = true;
+            opts.captureConvOutputs = seed % 3 == 1;
+            opts.upToBlock = seed % 5 == 2 ? 1 : opts.upToBlock;
+            const PredictiveResult want =
+                denseThenMask(topo, ind, zeros, thr, in, masks, opts);
+            for (int l = 0; l < simd::kSimdLevelCount; ++l) {
+                simd::setLevel(static_cast<simd::SimdLevel>(l));
+                const PredictiveResult got = predictiveForward(
+                    topo, ind, zeros, thr, in, masks, opts);
+                const std::string where =
+                    "variant " + std::to_string(variant) + " seed " +
+                    std::to_string(seed) + " level " +
+                    simd::simdLevelName(simd::activeLevel());
+                ASSERT_TRUE(sameBits(got.output, want.output)) << where;
+                ASSERT_EQ(got.predictedNeurons, want.predictedNeurons)
+                    << where;
+                ASSERT_EQ(got.predicted.size(), want.predicted.size())
+                    << where;
+                for (const auto &[id, map] : want.predicted)
+                    ASSERT_TRUE(got.predicted.at(id) == map) << where;
+                ASSERT_EQ(got.nodeOutputs.size(), want.nodeOutputs.size());
+                for (NodeId id = 0; id < net.size(); ++id) {
+                    ASSERT_TRUE(sameBits(got.nodeOutputs[id],
+                                         want.nodeOutputs[id]))
+                        << where << " node " << net.layer(id).name();
+                }
+                ASSERT_EQ(got.convOutputs.size(), want.convOutputs.size());
+                for (const auto &[id, t] : want.convOutputs)
+                    ASSERT_TRUE(sameBits(got.convOutputs.at(id), t))
+                        << where;
+                ++checked;
+            }
+            predicted += want.predictedNeurons;
+        }
+    }
+    simd::setLevel(saved);
+    EXPECT_EQ(checked, 3u * 12u * simd::kSimdLevelCount);
+    EXPECT_GT(predicted, 0u);
 }
 
 TEST(Optimizer, MeetsConfidenceWhenFeasible)
