@@ -34,7 +34,7 @@ medianRunMs(const Network &net, const Tensor &input,
     ms.reserve(static_cast<std::size_t>(reps));
     for (int r = 0; r < reps; ++r) {
         const Clock::time_point t0 = Clock::now();
-        const McResult res = runMcDropout(net, input, opts);
+        const McResult res = tryRunMcDropout(net, input, opts).value();
         const Clock::time_point t1 = Clock::now();
         FASTBCNN_CHECK_EQ(res.outputs.size(), opts.samples);
         ms.push_back(std::chrono::duration<double, std::milli>(

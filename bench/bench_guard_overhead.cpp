@@ -34,7 +34,7 @@ using Clock = std::chrono::steady_clock;
 double
 medianGuardedMs(const BcnnTopology &topo, const IndicatorSet &ind,
                 SkipGuard &guard, const Tensor &input,
-                const GuardedMcOptions &opts, int reps)
+                const McOptions &opts, int reps)
 {
     std::vector<double> ms;
     ms.reserve(static_cast<std::size_t>(reps));
@@ -80,9 +80,9 @@ main()
     oopts.confidence = 0.68;
     const Tensor tune = makeMnistLikeImage(3, 7);
     const ThresholdSet calibrated =
-        optimizeThresholds(topo, ind, {tune}, oopts).thresholds;
+        tryOptimizeThresholds(topo, ind, {tune}, oopts).value().thresholds;
 
-    GuardedMcOptions mc;
+    McOptions mc;
     mc.samples = fast ? 10 : 20;
     mc.dropRate = mopts.dropRate;
 
@@ -136,12 +136,12 @@ main()
     Tensor shifted = makeMnistLikeImage(8, 21);
     for (float &v : shifted.data())
         v = 2.0f * v + 0.5f;
-    GuardedMcOptions driftMc = mc;
+    McOptions driftMc = mc;
     driftMc.seed = 17;
     Expected<GuardedMcResult> drift = tryRunGuardedPredictive(
         topo, ind, guardDrift, shifted, driftMc);
     FASTBCNN_CHECK(drift.hasValue(), "drift run must degrade, not die");
-    const GuardSnapshot after = drift.value().finalSnapshot;
+    const GuardSnapshot after = guardDrift.snapshot();
     std::cout << format("drift demo (stale alphas, shifted input): "
                         "%llu/%llu audited mispredicted, "
                         "%llu backoffs, %llu disables, "

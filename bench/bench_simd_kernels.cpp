@@ -485,7 +485,7 @@ runMcIdentity(const std::vector<simd::SimdLevel> &levels)
         simd::setLevel(level);
         for (std::size_t threads : {std::size_t(1), std::size_t(4)}) {
             opts.threads = threads;
-            const McResult res = runMcDropout(net, in, opts);
+            const McResult res = tryRunMcDropout(net, in, opts).value();
             if (ref_outputs.empty()) {
                 for (const Tensor &t : res.outputs)
                     ref_outputs.emplace_back(t.data().begin(),

@@ -412,7 +412,7 @@ main(int argc, char **argv)
                       << "]: " << guarded.error().message() << "\n";
             return 1;
         }
-        const GuardSnapshot &snap = guarded.value().finalSnapshot;
+        const GuardSnapshot snap = engine.guard()->snapshot();
         std::cout << format(
             "\nSkip guard (audit rate %.3f, tolerance %.3f): "
             "%llu of %llu audited neurons mispredicted\n",

@@ -6,7 +6,7 @@
 namespace fastbcnn {
 
 MaskSet
-sampleMasks(const Network &net, Brng &brng)
+drawMasks(const Network &net, ForwardHooks &hooks)
 {
     MaskSet masks;
     for (NodeId id = 0; id < net.size(); ++id) {
@@ -16,14 +16,18 @@ sampleMasks(const Network &net, Brng &brng)
         // A dropout node's output shape equals the input shape the
         // forward hook sees, so drawing over shapeOf(id) consumes the
         // identical bit count in the identical order.
-        const Shape &shape = net.shapeOf(id);
-        FASTBCNN_CHECK_EQ(shape.rank(), 3u);
-        BitVolume mask(shape.dim(0), shape.dim(1), shape.dim(2));
-        for (std::size_t i = 0; i < mask.size(); ++i)
-            mask.setFlat(i, brng.nextBit());
-        masks.emplace(layer.name(), std::move(mask));
+        if (const BitVolume *mask =
+                hooks.dropoutMask(layer.name(), net.shapeOf(id)))
+            masks.emplace(layer.name(), *mask);
     }
     return masks;
+}
+
+MaskSet
+sampleMasks(const Network &net, Brng &brng)
+{
+    SamplingHooks hooks(brng);
+    return drawMasks(net, hooks);
 }
 
 const BitVolume *

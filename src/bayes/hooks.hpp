@@ -22,14 +22,21 @@ using MaskSet = std::map<std::string, BitVolume>;
 class Network;
 
 /**
- * Draw the full MaskSet of one MC sample directly from @p brng,
- * without running a forward pass: every Dropout layer of @p net, in
- * node order, gets shape.numel() bits in flat CHW order — exactly the
- * stream SamplingHooks would consume during net.forward().  The
- * predictive-only paths (the guarded skip runner) use this to obtain
- * the same per-sample masks as the exact MC runner at zero forward
- * cost, so their sample t is mask-identical to the reference's
- * sample t for the same seed.
+ * Request every Dropout layer's mask of @p net from @p hooks without
+ * running a forward pass, in node order and at the shapes
+ * net.forward() would request them — so a SamplingHooks draws exactly
+ * the bit stream it would consume during the forward.  Layers for
+ * which @p hooks returns nullptr are absent from the result.  Skip
+ * mode draws its per-sample masks through the MC runner's hooks here.
+ */
+MaskSet drawMasks(const Network &net, ForwardHooks &hooks);
+
+/**
+ * Draw the full MaskSet of one MC sample directly from @p brng
+ * (drawMasks() through a SamplingHooks).  Replay and tracing paths use
+ * this to obtain the same per-sample masks as the exact MC runner at
+ * zero forward cost, so their sample t is mask-identical to the
+ * reference's sample t for the same seed.
  */
 MaskSet sampleMasks(const Network &net, Brng &brng);
 
@@ -47,13 +54,15 @@ class SamplingHooks : public ForwardHooks
      * @param brng    dropout-bit source (not owned; must outlive this)
      * @param enabled when false, dropoutMask() returns nullptr (the
      *                non-dropout pre-inference)
+     * @param sample  index t of the MC sample these masks belong to
      */
-    SamplingHooks(Brng &brng, bool enabled = true)
-        : brng_(&brng), enabled_(enabled)
+    SamplingHooks(Brng &brng, bool enabled = true, std::size_t sample = 0)
+        : brng_(&brng), enabled_(enabled), sample_(sample)
     {}
 
     const BitVolume *dropoutMask(const std::string &layer_name,
                                  const Shape &shape) override;
+    std::size_t sample() const override { return sample_; }
 
     /** @return the recorded masks (empty when disabled). */
     const MaskSet &masks() const { return masks_; }
@@ -64,6 +73,7 @@ class SamplingHooks : public ForwardHooks
   private:
     Brng *brng_;
     bool enabled_;
+    std::size_t sample_;
     MaskSet masks_;
 };
 

@@ -53,7 +53,7 @@ runSampleBody(const ForwardTarget &target, const Tensor &input,
                          sampleSeed(opts.seed, t));
     if (opts.faults != nullptr)
         brng = opts.faults->wrapBrng(std::move(brng), t);
-    SamplingHooks sampling(*brng, true);
+    SamplingHooks sampling(*brng, true, t);
     ForwardHooks *hooks = &sampling;
     std::optional<FaultInjectionHooks> injector;
     if (opts.faults != nullptr && !opts.faults->empty()) {
@@ -98,8 +98,10 @@ runGuardedSample(const ForwardTarget &target, const Tensor &input,
     }
 }
 
-} // namespace
-
+/**
+ * Resolve a requested thread count (0 = one per hardware thread) to a
+ * concrete worker count, capped at @p samples.
+ */
 std::size_t
 resolveMcThreads(std::size_t requested, std::size_t samples)
 {
@@ -110,6 +112,8 @@ resolveMcThreads(std::size_t requested, std::size_t samples)
     }
     return n < samples ? n : samples;
 }
+
+} // namespace
 
 Status
 validateMcOptions(const McOptions &opts)
@@ -197,6 +201,11 @@ tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
                       "ForwardTarget '%s' has no forward function",
                       target.name.c_str());
     }
+    if (target.rounds.length > 0 && !target.rounds.onRound) {
+        return errorf(ErrorCode::InvalidArgument,
+                      "ForwardTarget '%s' has a round length but no "
+                      "round callback", target.name.c_str());
+    }
     if (!(input.shape() == target.inputShape)) {
         return errorf(ErrorCode::InvalidArgument,
                       "input shape %s does not match network '%s' "
@@ -256,10 +265,7 @@ tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
                              opts.deadlineMs);
     };
 
-    // Produce samples [lo, hi), serially or on the worker pool.  Both
-    // the adaptive and the fixed-T paths run entirely through here, so
-    // a non-adaptive run is exactly one block [0, effectiveT) — the
-    // pre-existing behaviour, unchanged.
+    // Produce samples [lo, hi), serially or on the worker pool.
     const auto runBlock = [&](std::size_t lo, std::size_t hi) {
         const std::size_t workers =
             resolveMcThreads(opts.threads, hi - lo);
@@ -302,50 +308,70 @@ tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
     // the compaction below only walks [0, launched), so samples the
     // adaptive exit never reached leave no trace in the census.
     std::size_t launched = 0;
-    if (opts.targetCiWidth <= 0.0) {
-        runBlock(0, effectiveT);
-        launched = effectiveT;
-    } else {
-        // Adaptive early exit: run to fixed sample-count checkpoints
-        // and evaluate the CI-width criterion over the survivors so
-        // far.  Checkpoint counts and the criterion are pure functions
-        // of the options and the sample outputs — bit-identical across
-        // thread counts and SIMD levels (see bayes/adaptive.hpp).
+    // Samples already handed to the round observer: [0, observed).
+    std::size_t observed = 0;
+    const auto endRound = [&]() {
+        std::vector<bool> survived;
+        survived.reserve(launched - observed);
+        for (std::size_t t = observed; t < launched; ++t)
+            survived.push_back(slots[t].code == ErrorCode::Ok);
+        target.rounds.onRound(observed, survived);
+        observed = launched;
+    };
+
+    // Adaptive early exit evaluates the CI-width criterion over the
+    // survivors at fixed sample-count checkpoints.  Checkpoint counts
+    // and the criterion are pure functions of the options and the
+    // sample outputs — bit-identical across thread counts and SIMD
+    // levels (see bayes/adaptive.hpp).  Without it the only
+    // "checkpoint" is the end of the run.
+    const bool adaptive = opts.targetCiWidth > 0.0;
+    const std::size_t round = target.rounds.length;
+    std::size_t needed = 0;
+    std::size_t checkpoint = effectiveT;
+    if (adaptive) {
         const std::size_t minFloor =
             opts.minSamples < effectiveT ? opts.minSamples
                                          : effectiveT;
-        const std::size_t needed =
-            firstConvergenceCheckpoint(minFloor, opts.quorum);
-        std::size_t checkpoint =
-            needed < effectiveT ? needed : effectiveT;
-        std::vector<const Tensor *> survivors;
-        for (;;) {
-            runBlock(launched, checkpoint);
-            launched = checkpoint;
-            survivors.clear();
-            for (std::size_t t = 0; t < launched; ++t) {
-                if (slots[t].code == ErrorCode::Ok)
-                    survivors.push_back(&slots[t].output);
-            }
-            // Casualties push the evaluation out: the criterion needs
-            // the same floor in *survivors* that the first checkpoint
-            // guarantees in launches, or a lucky tight pair could
-            // stop a run below its minSamples/quorum floor.
-            if (survivors.size() >= needed) {
-                const double width = predictiveCiWidth(survivors);
-                result.census.ciWidth = width;
-                if (width <= opts.targetCiWidth) {
-                    result.census.converged = true;
-                    result.census.convergedAt = launched;
-                    break;
-                }
-            }
-            if (launched >= effectiveT)
-                break;
-            checkpoint = nextConvergenceCheckpoint(launched,
-                                                   effectiveT);
-        }
+        needed = firstConvergenceCheckpoint(minFloor, opts.quorum);
+        checkpoint = needed < effectiveT ? needed : effectiveT;
     }
+    std::vector<const Tensor *> survivors;
+    // Blocks end at the union of round boundaries and checkpoints, so
+    // a run with neither is exactly one block [0, effectiveT).
+    while (launched < effectiveT) {
+        std::size_t end = checkpoint;
+        if (round > 0 && observed + round < end)
+            end = observed + round;
+        runBlock(launched, end);
+        launched = end;
+        if (round > 0 && launched == observed + round)
+            endRound();
+        if (launched < checkpoint || !adaptive)
+            continue;
+        survivors.clear();
+        for (std::size_t t = 0; t < launched; ++t) {
+            if (slots[t].code == ErrorCode::Ok)
+                survivors.push_back(&slots[t].output);
+        }
+        // Casualties push the evaluation out: the criterion needs the
+        // same floor in *survivors* that the first checkpoint
+        // guarantees in launches, or a lucky tight pair could stop a
+        // run below its minSamples/quorum floor.
+        if (survivors.size() >= needed) {
+            const double width = predictiveCiWidth(survivors);
+            result.census.ciWidth = width;
+            if (width <= opts.targetCiWidth) {
+                result.census.converged = true;
+                result.census.convergedAt = launched;
+                break;
+            }
+        }
+        if (launched < effectiveT)
+            checkpoint = nextConvergenceCheckpoint(launched, effectiveT);
+    }
+    if (round > 0 && observed < launched)
+        endRound();
 
     // Compact survivors and build the census, both in sample order.
     for (std::size_t t = 0; t < launched; ++t) {
@@ -392,17 +418,6 @@ tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
 
     result.summary = summarizeSamples(result.outputs);
     return result;
-}
-
-McResult
-runMcDropout(const Network &net, const Tensor &input,
-             const McOptions &opts)
-{
-    Expected<McResult> result = tryRunMcDropout(net, input, opts);
-    if (!result)
-        fatal("MC dropout failed: %s",
-              result.error().toString().c_str());
-    return std::move(result).value();
 }
 
 } // namespace fastbcnn

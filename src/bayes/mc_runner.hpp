@@ -144,11 +144,31 @@ struct McOptions {
  */
 using ForwardFn = std::function<Tensor(const Tensor &, ForwardHooks *)>;
 
+/**
+ * Optional per-run observer of fixed-length sample rounds.  The runner
+ * ends a block of samples at every multiple of @c length and, on its
+ * own thread, once the round's samples have finished and before any
+ * later sample launches, calls onRound(first, survived): samples
+ * [first, first + survived.size()) are final and survived[i] tells
+ * whether sample first + i survived (false for failed and never
+ * launched ones).  It fires again at run end for a partial last round.
+ * Skip mode's guard folds its audits and re-freezes its thresholds
+ * here (guard/guarded_runner.hpp).
+ */
+struct SampleRounds {
+    std::size_t length = 0;  ///< samples per round; 0 = no observer
+    /** Required when length > 0. */
+    std::function<void(std::size_t first,
+                       const std::vector<bool> &survived)>
+        onRound;
+};
+
 /** The subject of an MC run when driving a ForwardFn directly. */
 struct ForwardTarget {
-    ForwardFn forward;  ///< the forward pass (required, non-empty)
-    std::string name;   ///< model name for error messages
-    Shape inputShape;   ///< validated against the run's input
+    ForwardFn forward;    ///< the forward pass (required, non-empty)
+    std::string name;     ///< model name for error messages
+    Shape inputShape;     ///< validated against the run's input
+    SampleRounds rounds;  ///< optional round observer
 };
 
 /**
@@ -175,15 +195,6 @@ struct McResult {
     /** @return true when fewer than the requested samples survived. */
     bool degraded() const { return census.degraded; }
 };
-
-/**
- * Resolve a requested thread count (0 = one per hardware thread) to a
- * concrete worker count, capped at @p samples.  Shared by the MC
- * runner and the guarded predictive runner so both schedule sample
- * lanes the same way.
- */
-std::size_t resolveMcThreads(std::size_t requested,
-                             std::size_t samples);
 
 /**
  * Construct the requested Brng implementation.  The 64-bit seed is
@@ -215,20 +226,14 @@ std::unique_ptr<Brng> makeBrng(BrngKind kind, double drop_rate,
  * Generalised MC-dropout run over an arbitrary forward pass.  Same
  * semantics, guards and determinism contract as tryRunMcDropout() —
  * that overload is a thin wrapper handing the Network's forward here.
- * The int8 engine hands its QuantizedNetwork mirror instead, so both
- * precisions share one scheduler, guard and census implementation.
+ * The int8 engine hands its QuantizedNetwork mirror instead, and skip
+ * mode a prediction-mode target with a round observer, so every MC
+ * run shares one scheduler, guard and census implementation.  This is
+ * the only code that launches MC sample threads.
  */
 [[nodiscard]] Expected<McResult> tryRunMcDropoutWith(
     const ForwardTarget &target, const Tensor &input,
     const McOptions &opts);
-
-/**
- * Legacy convenience wrapper around tryRunMcDropout(): identical
- * behaviour, but a run-level Error is fatal().  Per-sample
- * degradation still only degrades.
- */
-McResult runMcDropout(const Network &net, const Tensor &input,
-                      const McOptions &opts);
 
 } // namespace fastbcnn
 

@@ -17,9 +17,9 @@
  *
  * Policy (DESIGN.md, "Fault tolerance & error handling"): boundary
  * code returns Error; hot-path invariants stay FASTBCNN_DCHECK;
- * internal bugs stay panic().  Legacy void/value-returning wrappers
- * (loadWeights, runMcDropout, ...) remain and fatal() on error, so
- * CLI-style callers keep their old behaviour.
+ * internal bugs stay panic().  There are no fatal() wrappers around
+ * the try* entry points: callers that cannot recover unwrap with
+ * .value() (which panics on an error) or fatal() themselves.
  */
 
 #ifndef FASTBCNN_COMMON_ERROR_HPP

@@ -46,15 +46,16 @@ FastBcnnEngine::create(Network net, EngineOptions opts)
                                             std::move(opts));
 }
 
-void
+Status
 FastBcnnEngine::calibrateThresholds(
     const std::vector<Tensor> &calibration_inputs)
 {
-    OptimizeResult res = optimizeThresholds(topo_, indicators_,
-                                            calibration_inputs,
-                                            opts_.optimizer);
-    thresholds_ = std::move(res.thresholds);
-    tuneReports_ = std::move(res.reports);
+    Expected<OptimizeResult> res = tryOptimizeThresholds(
+        topo_, indicators_, calibration_inputs, opts_.optimizer);
+    if (!res.hasValue())
+        return std::move(res).takeError();
+    thresholds_ = std::move(res.value().thresholds);
+    tuneReports_ = std::move(res.value().reports);
     if (opts_.guard.enabled) {
         // Re-calibration replaces the guard: old backoff history was
         // measured against the previous thresholds.
@@ -68,18 +69,17 @@ FastBcnnEngine::calibrateThresholds(
         guard_ = std::make_unique<SkipGuard>(topo_, *thresholds_,
                                              gopts);
     }
+    return Status::ok();
 }
 
 void
 FastBcnnEngine::calibrate(const std::vector<Tensor> &calibration_inputs)
 {
-    calibrateThresholds(calibration_inputs);
-    if (opts_.mc.precision == Precision::Int8) {
-        if (Status status = tryQuantize(calibration_inputs);
-            !status.isOk()) {
-            fatal("%s", status.toString().c_str());
-        }
-    }
+    Status status = calibrateThresholds(calibration_inputs);
+    if (status.isOk() && opts_.mc.precision == Precision::Int8)
+        status = tryQuantize(calibration_inputs);
+    if (!status.isOk())
+        fatal("%s", status.toString().c_str());
 }
 
 Status
@@ -101,7 +101,7 @@ FastBcnnEngine::tryCalibrate(
                 net_.inputShape().toString().c_str());
         }
     }
-    calibrateThresholds(calibration_inputs);
+    FASTBCNN_RETURN_IF_ERROR(calibrateThresholds(calibration_inputs));
     if (opts_.mc.precision == Precision::Int8)
         FASTBCNN_RETURN_IF_ERROR(tryQuantize(calibration_inputs));
     return Status::ok();
@@ -272,18 +272,12 @@ FastBcnnEngine::tryReferenceDigest(const Tensor &input,
 Expected<GuardedMcResult>
 FastBcnnEngine::tryGuardedMc(const Tensor &input) const
 {
-    GuardedMcOptions gopts;
-    gopts.samples = opts_.mc.samples;
-    gopts.dropRate = opts_.mc.dropRate;
-    gopts.brng = opts_.mc.brng;
-    gopts.seed = opts_.mc.seed;
-    gopts.threads = opts_.mc.threads;
-    return tryGuardedMc(input, gopts);
+    return tryGuardedMc(input, opts_.mc);
 }
 
 Expected<GuardedMcResult>
 FastBcnnEngine::tryGuardedMc(const Tensor &input,
-                             const GuardedMcOptions &opts) const
+                             const McOptions &opts) const
 {
     if (!calibrated()) {
         return errorf(ErrorCode::InvalidArgument,

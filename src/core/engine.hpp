@@ -187,19 +187,19 @@ class FastBcnnEngine
         std::uint64_t seed) const;
 
     /**
-     * Guarded predictive MC inference (EngineOptions::guard must be
-     * enabled and the engine calibrated): samples run in prediction
-     * mode under the guard's effective thresholds with shadow
-     * auditing; backoff levels persist across calls on the engine's
-     * guard.  The default overload derives GuardedMcOptions from the
-     * engine's McOptions (T, p, BRNG, seed, threads).
+     * Skip-mode MC inference (EngineOptions::guard must be enabled and
+     * the engine calibrated): samples run in prediction mode under the
+     * guard's effective thresholds with shadow auditing, on the MC
+     * runner with the engine's McOptions (quorum, faults, deadline and
+     * adaptive exit included); backoff levels persist across calls on
+     * the engine's guard.  Always float (see tryRunGuardedPredictive).
      */
     [[nodiscard]] Expected<GuardedMcResult> tryGuardedMc(
         const Tensor &input) const;
 
     /** Per-request overload with caller-supplied sampling options. */
     [[nodiscard]] Expected<GuardedMcResult> tryGuardedMc(
-        const Tensor &input, const GuardedMcOptions &opts) const;
+        const Tensor &input, const McOptions &opts) const;
 
     /**
      * @return the engine's skip guard, or nullptr before calibration
@@ -237,7 +237,7 @@ class FastBcnnEngine
 
   private:
     /** Algorithm 1 + guard construction (shared calibration body). */
-    void calibrateThresholds(
+    [[nodiscard]] Status calibrateThresholds(
         const std::vector<Tensor> &calibration_inputs);
 
     Network net_;

@@ -8,8 +8,8 @@
  * hardware lanes, so the interesting failure unit is one sample: a
  * single-event upset flips a weight or activation bit, an LFSR gets
  * stuck, a DMA error corrupts a dropout mask, or a whole lane dies.
- * The plan models exactly those, and the guarded runner
- * (tryRunMcDropout) turns each into a per-sample failure instead of a
+ * The plan models exactly those, and the MC runner
+ * (tryRunMcDropoutWith) turns each into a per-sample failure instead of a
  * process abort — a posterior estimate over the surviving T' samples
  * is still valid (Gal & Ghahramani), just wider.
  *
@@ -94,7 +94,7 @@ struct FaultSpec {
  * The seed only matters for the randomized helpers
  * (killRandomSamples); explicitly added specs are deterministic by
  * construction.  Plans are immutable while a run is in flight — the
- * guarded runner reads them concurrently from worker threads.
+ * MC runner reads them concurrently from worker threads.
  */
 class FaultPlan
 {
@@ -196,6 +196,7 @@ class FaultInjectionHooks : public ForwardHooks
                       const Tensor &out) override;
     void mutateActivation(const std::string &layer_name,
                           LayerKind kind, Tensor &out) override;
+    std::size_t sample() const override { return sample_; }
 
   private:
     const FaultPlan *plan_;

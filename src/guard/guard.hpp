@@ -9,8 +9,10 @@
  * back toward the calibrated value once the rate subsides.
  *
  * Decisions are made at fixed sample-count boundaries (decision
- * rounds) over audits folded in ascending sample order, so a guarded
- * run is bit-identical for every thread count.
+ * rounds) over audits folded in ascending sample order, so a skip-mode
+ * run is bit-identical for every thread count.  The MC runner ends a
+ * block at every round boundary for the guard to fold
+ * (guarded_runner.hpp).
  */
 
 #ifndef FASTBCNN_GUARD_GUARD_HPP
@@ -132,7 +134,7 @@ GuardSnapshot mergeGuardSnapshots(
  *
  * Thread-safe (internal mutex); deterministic given the onSampleAudit
  * call order.  Runners therefore fold audits in ascending sample
- * order at round boundaries — see guarded_runner.cpp.
+ * order at round boundaries — see guarded_runner.hpp.
  */
 class SkipGuard
 {

@@ -1,14 +1,18 @@
 /**
  * @file
- * Guarded predictive MC-dropout: the skip-mode counterpart of the
- * bayes MC runner, with the SkipGuard closed into the loop.  Samples
- * run in fixed decision rounds; within a round every sample uses the
- * same frozen threshold set and its skipped neurons are shadow-audited
- * (audit.hpp); at the round boundary the audits are folded into the
- * guard in ascending sample order and the policy may adjust the
- * thresholds for the next round.  The round structure makes the run —
- * outputs, audits, guard events and final thresholds — bit-identical
- * for every thread count.
+ * Skip mode on the MC runner: the guarded predictive MC-dropout run
+ * is a ForwardTarget of tryRunMcDropoutWith().  Its pre-inference is
+ * computeZeroMaps(); each sample draws its dropout masks through the
+ * runner's hooks, runs predictiveForward() under the round's frozen
+ * thresholds, and shadow-audits its skipped neurons (audit.hpp).  The
+ * guard's decision rounds are the runner's sample rounds: at every
+ * round boundary the runner hands the round back on its own thread,
+ * the audits fold into the SkipGuard in ascending sample order — a
+ * failed or never-launched sample folds an empty audit, so the guard's
+ * cadence never shifts — and the thresholds are re-frozen for the next
+ * round.  Skip runs therefore get the runner's quorum, fault
+ * isolation, deadline, adaptive exit and degradation census, and stay
+ * bit-identical for every thread count and SIMD level.
  */
 
 #ifndef FASTBCNN_GUARD_GUARDED_RUNNER_HPP
@@ -19,47 +23,34 @@
 
 namespace fastbcnn {
 
-/** Options for one guarded predictive MC run. */
-struct GuardedMcOptions {
-    std::size_t samples = 50;      ///< T, the paper's default
-    double dropRate = 0.3;         ///< p, the paper's default
-    BrngKind brng = BrngKind::Lfsr;
-    std::uint64_t seed = 1;        ///< RNG seed (deterministic runs)
-    /**
-     * Worker threads per decision round; 1 = serial, 0 = one per
-     * hardware thread.  Masks come from private per-sample BRNGs and
-     * audits fold in ascending sample order, so the result is
-     * bit-identical for every thread count.
-     */
-    std::size_t threads = 1;
-};
-
 /**
- * Validate @p opts at the API boundary.
- * @return ok, or an InvalidArgument error naming the bad value.
+ * Skip-mode runs take plain McOptions.  The alias survives only
+ * because the benchmark harness (bench/perf) still names it.
  */
-[[nodiscard]] Status validateGuardedMcOptions(
-    const GuardedMcOptions &opts);
+using GuardedMcOptions = McOptions;
 
-/** Outcome of one guarded predictive MC run. */
-struct GuardedMcResult {
-    Tensor preOutput;              ///< non-dropout inference output
-    std::vector<Tensor> outputs;   ///< per-sample predictive outputs
-    UncertaintySummary summary;    ///< Eq. 4 average over samples
+/** Outcome of one guarded predictive MC run: the MC result plus the
+ *  skip tallies of its surviving samples and the guard's decisions. */
+struct GuardedMcResult : McResult {
     std::uint64_t predictedNeurons = 0;  ///< total skipped neurons
     std::uint64_t audited = 0;           ///< shadow-audited neurons
     std::uint64_t mispredicted = 0;      ///< of those, mispredicted
     std::vector<GuardEvent> events;      ///< decisions made this run
-    GuardSnapshot finalSnapshot;         ///< guard state after the run
 };
 
 /**
  * Run a guarded predictive MC-dropout inference over @p guard's
  * effective thresholds.  The guard is shared, long-lived state: its
  * backoff levels persist across calls, which is the point — drift
- * detected on one request protects the next.
+ * detected on one request protects the next.  Read its state after
+ * the run with guard.snapshot().
  *
- * Errors (never aborts): invalid options or input shape mismatch.
+ * Skip mode always runs the float network (there is no quantized
+ * predictiveForward): @p opts.precision is ignored.
+ *
+ * Errors (never aborts): everything tryRunMcDropoutWith() reports —
+ * invalid options, input shape mismatch, non-finite pre-inference,
+ * quorum not met.
  *
  * @param topo       analysed BCNN
  * @param indicators weight-sign indicators

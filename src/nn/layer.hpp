@@ -79,6 +79,13 @@ class ForwardHooks
     {
         (void)layer_name; (void)kind; (void)out;
     }
+
+    /**
+     * Index t of the MC sample this hooks object serves (0 outside an
+     * MC sample).  Forward passes that key per-sample state on t —
+     * skip mode's audit selection hash — read it here.
+     */
+    virtual std::size_t sample() const { return 0; }
 };
 
 /**

@@ -24,7 +24,7 @@
 #include <string>
 
 #include "bayes/mc_runner.hpp"
-#include "guard/guarded_runner.hpp"
+#include "guard/guard.hpp"
 #include "tensor/tensor.hpp"
 
 namespace fastbcnn::serve {
@@ -119,7 +119,7 @@ struct McOverrides {
      * Numeric path override (unset = replica default).  Int8 requires
      * the served model's engines to carry a quantized mirror —
      * admission rejects otherwise (see ModelInfo::int8Available).
-     * Ignored by the guarded-skip path, which is float-only.
+     * Ignored by skip-mode models, which always run float.
      */
     std::optional<Precision> precision;
     /**
@@ -161,15 +161,6 @@ struct InferRequest {
     double deadlineMs = 0.0;
     /** MC-dropout overrides (unset = replica defaults). */
     McOverrides mc;
-    /**
-     * Dispatch through the guarded predictive path (engine
-     * tryGuardedMc) instead of the exact MC reference.  Requires the
-     * model's engines to have EngineOptions::guard enabled (admission
-     * rejects otherwise).  The guarded path honours the samples /
-     * threads / seed overrides but not quorum, faults, or the
-     * deadline — prediction-mode samples are not fault-isolated lanes.
-     */
-    bool useGuardedSkip = false;
     /** Cancellation flag (keep a copy to cancel later). */
     CancellationToken token;
 };
@@ -197,10 +188,14 @@ struct InferResponse {
     std::uint64_t id = 0;
     /** How the request left the server. */
     Outcome outcome = Outcome::Failed;
-    /** The run result (engaged iff outcome == Ok, exact MC path). */
+    /**
+     * The run result (engaged iff outcome == Ok).  A model whose
+     * engines carry a skip guard serves every request in skip mode
+     * (FastBcnnEngine::tryGuardedMc); the result has the same shape.
+     */
     std::optional<McResult> result;
-    /** The guarded-path result (engaged iff Ok via useGuardedSkip). */
-    std::optional<GuardedMcResult> guarded;
+    /** Guard decisions made during a skip-mode run (else empty). */
+    std::vector<GuardEvent> guardEvents;
     /** Why the request was not served (ok iff outcome == Ok). */
     Error error;
     /** Submit-to-dispatch wait in ms. */
@@ -221,8 +216,8 @@ struct InferResponse {
     std::uint64_t modelVersion = 0;
     /**
      * Numeric path the request actually ran on (replica default
-     * merged with any McOverrides::precision; always Float32 on the
-     * guarded-skip path).  Meaningless unless dispatched.
+     * merged with any McOverrides::precision; always Float32 for a
+     * skip-mode model).  Meaningless unless dispatched.
      */
     Precision precision = Precision::Float32;
     /**
@@ -236,7 +231,7 @@ struct InferResponse {
     /**
      * Samples the run actually averaged over (census.survived), i.e.
      * the effective T' after adaptive exit, budget clamps and fault
-     * casualties.  0 when never dispatched or on the guarded path.
+     * casualties.  0 when never dispatched.
      */
     std::size_t effectiveSamples = 0;
 
@@ -250,15 +245,13 @@ struct InferResponse {
     }
 
     /**
-     * @return true when the guarded path backed off or disabled a
+     * @return true when the skip guard backed off or disabled a
      * kernel during this request — the degradation signal the
      * circuit breaker counts as a failure.
      */
     bool guardTripped() const
     {
-        if (!guarded.has_value())
-            return false;
-        for (const GuardEvent &ev : guarded->events) {
+        for (const GuardEvent &ev : guardEvents) {
             if (ev.kind == GuardEventKind::Backoff ||
                 ev.kind == GuardEventKind::Disable) {
                 return true;

@@ -221,14 +221,6 @@ InferenceServer::submit(InferRequest request)
                           request.modelId.c_str());
         }
     }
-    if (request.useGuardedSkip && !info.guardEnabled) {
-        stats_.add("rejected_invalid");
-        return errorf(ErrorCode::InvalidArgument,
-                      "model '%s' is served without a skip guard; "
-                      "useGuardedSkip needs engines with "
-                      "EngineOptions::guard enabled",
-                      request.modelId.c_str());
-    }
 
     // Breaker admission runs last: only requests that would otherwise
     // be accepted consume half-open probe slots.

@@ -24,6 +24,32 @@ EngineWorker::replica(const std::string &model_id) const
     return registry_->acquire(model_id, index_);
 }
 
+namespace {
+
+/**
+ * Run one request on @p engine: in skip mode when the engine carries
+ * a guard (its guard decisions land in @p response), as the exact MC
+ * reference otherwise.  Records the precision the run used.
+ */
+Expected<McResult>
+runRequest(const FastBcnnEngine &engine, const Tensor &input,
+           const McOptions &mc, InferResponse &response)
+{
+    if (engine.guard() == nullptr) {
+        response.precision = mc.precision;
+        return engine.tryMcReference(input, mc);
+    }
+    // Skip mode has no int8 path (tryRunGuardedPredictive).
+    response.precision = Precision::Float32;
+    Expected<GuardedMcResult> run = engine.tryGuardedMc(input, mc);
+    if (!run.hasValue())
+        return std::move(run).takeError();
+    response.guardEvents = std::move(run.value().events);
+    return McResult(std::move(run).value());
+}
+
+} // namespace
+
 McOptions
 EngineWorker::effectiveOptions(const FastBcnnEngine &engine,
                                const PendingRequest &pending,
@@ -113,46 +139,13 @@ EngineWorker::runBatch(std::vector<PendingRequest> &&batch,
         // Brownout rides on top of the merged options: the ladder's
         // quality levers (adaptive exit, sample-budget clamp) degrade
         // the run, never past what the caller explicitly asked for.
-        // The guarded path has no sample census to degrade, so the
-        // ladder leaves it alone.
-        if (brownout_ != nullptr && !pending.request.useGuardedSkip) {
+        if (brownout_ != nullptr) {
             response.brownoutLevel =
                 brownout_->apply(mc, pending.request.priority);
         }
-        // The guarded predictive path is float-only; the exact path
-        // runs whatever the merged options selected.
-        response.precision = pending.request.useGuardedSkip
-                                 ? Precision::Float32
-                                 : mc.precision;
         const ServeClock::time_point begin = ServeClock::now();
-        if (pending.request.useGuardedSkip) {
-            // Guarded predictive path: same sampling knobs, but no
-            // quorum / faults / deadline — prediction-mode samples
-            // are not fault-isolated lanes (see InferRequest).
-            GuardedMcOptions gopts;
-            gopts.samples = mc.samples;
-            gopts.dropRate = mc.dropRate;
-            gopts.brng = mc.brng;
-            gopts.seed = mc.seed;
-            gopts.threads = mc.threads;
-            Expected<GuardedMcResult> run =
-                engine->tryGuardedMc(pending.request.input, gopts);
-            response.serviceMs = elapsedMs(begin, ServeClock::now());
-            if (run.hasValue()) {
-                response.outcome = Outcome::Ok;
-                response.guarded = std::move(run).value();
-            } else {
-                response.outcome = Outcome::Failed;
-                response.error =
-                    std::move(run).takeError().withContext(
-                        format("serving model '%s' (guarded)",
-                               model.c_str()));
-            }
-            complete(std::move(pending), std::move(response));
-            continue;
-        }
-        Expected<McResult> run =
-            engine->tryMcReference(pending.request.input, mc);
+        Expected<McResult> run = runRequest(
+            *engine, pending.request.input, mc, response);
         response.serviceMs = elapsedMs(begin, ServeClock::now());
         if (run.hasValue()) {
             response.outcome = Outcome::Ok;

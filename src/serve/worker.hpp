@@ -17,8 +17,10 @@
  * at dispatch time, merges the request's McOverrides into the
  * replica's default McOptions — converting the *remaining* end-to-end
  * budget into McOptions::deadlineMs so the MC runner stops launching
- * samples when the request's budget runs out — and dispatches through
- * the engine's Expected<T> API.
+ * samples when the request's budget runs out — applies the brownout
+ * ladder, and dispatches through the engine's Expected<T> API: in skip
+ * mode (tryGuardedMc) when the model's engines carry a guard, as the
+ * exact MC reference (tryMcReference) otherwise.
  */
 
 #ifndef FASTBCNN_SERVE_WORKER_HPP

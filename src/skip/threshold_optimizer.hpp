@@ -96,15 +96,6 @@ struct OptimizeResult {
     const OptimizerOptions &opts = {});
 
 /**
- * Legacy convenience wrapper around tryOptimizeThresholds():
- * identical behaviour, but any error is fatal().
- */
-OptimizeResult optimizeThresholds(const BcnnTopology &topo,
-                                  const IndicatorSet &indicators,
-                                  const std::vector<Tensor> &dataset,
-                                  const OptimizerOptions &opts = {});
-
-/**
  * Measure EvaluatePredict (the fraction of neurons of each block whose
  * predictive value matches the true value) for a fixed threshold set —
  * used by tests and the Fig. 12a sweep to verify achieved confidence.

@@ -188,7 +188,7 @@ buildTrace(const BcnnTopology &topo, const IndicatorSet &indicators,
     for (std::size_t t = 0; t < opts.samples; ++t) {
         // Under a guard the sample uses whatever thresholds the guard
         // holds *now* — the trace loop is serial, so this reproduces
-        // the guarded runner's round semantics with interval 1.
+        // skip mode's round semantics with interval 1.
         ThresholdSet guard_thresholds;
         const ThresholdSet *active = &thresholds;
         if (opts.guard != nullptr) {

@@ -155,7 +155,7 @@ struct TraceBundle {
  *
  * @param topo       analysed BCNN
  * @param indicators weight-sign indicators
- * @param thresholds per-kernel α (from optimizeThresholds)
+ * @param thresholds per-kernel α (from tryOptimizeThresholds)
  * @param input      the image
  * @param opts       sampling configuration
  */

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 
@@ -222,7 +223,7 @@ TEST(McRunner, ProducesRequestedSamples)
     McOptions opts;
     opts.samples = 5;
     opts.brng = BrngKind::Software;
-    McResult res = runMcDropout(net, ones(Shape({1, 6, 6})), opts);
+    McResult res = tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts).value();
     EXPECT_EQ(res.outputs.size(), 5u);
     EXPECT_EQ(res.masks.size(), 5u);
     EXPECT_FALSE(res.preOutput.empty());
@@ -234,7 +235,7 @@ TEST(McRunner, SamplesDifferUnderDropout)
     Network net = tinyBcnn(0.5);
     McOptions opts;
     opts.samples = 4;
-    McResult res = runMcDropout(net, ones(Shape({1, 6, 6})), opts);
+    McResult res = tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts).value();
     bool any_diff = false;
     for (std::size_t t = 1; t < res.outputs.size(); ++t)
         any_diff |= !res.outputs[t].allClose(res.outputs[0], 0.0f);
@@ -247,8 +248,8 @@ TEST(McRunner, DeterministicForSeed)
     McOptions opts;
     opts.samples = 3;
     opts.seed = 5;
-    McResult a = runMcDropout(net, ones(Shape({1, 6, 6})), opts);
-    McResult b = runMcDropout(net, ones(Shape({1, 6, 6})), opts);
+    McResult a = tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts).value();
+    McResult b = tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts).value();
     for (std::size_t t = 0; t < 3; ++t)
         EXPECT_TRUE(a.outputs[t].allClose(b.outputs[t], 0.0f));
 }
@@ -258,8 +259,12 @@ TEST(McRunner, ZeroSamplesFatal)
     Network net = tinyBcnn();
     McOptions opts;
     opts.samples = 0;
-    EXPECT_DEATH(runMcDropout(net, ones(Shape({1, 6, 6})), opts),
-                 "at least one");
+    Expected<McResult> res =
+        tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts);
+    ASSERT_FALSE(res.hasValue());
+    EXPECT_EQ(res.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(res.error().toString().find("at least one"),
+              std::string::npos);
 }
 
 TEST(McRunner, MaskRecordingOptional)
@@ -268,8 +273,89 @@ TEST(McRunner, MaskRecordingOptional)
     McOptions opts;
     opts.samples = 2;
     opts.recordMasks = false;
-    McResult res = runMcDropout(net, ones(Shape({1, 6, 6})), opts);
+    McResult res = tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts).value();
     EXPECT_TRUE(res.masks.empty());
+}
+
+TEST(McRunner, RoundObserverSeesEveryLaunchedSampleOnce)
+{
+    // Rounds of 3 over T = 8 with sample 4 killed: the observer sees
+    // [0,3), [3,6) with the casualty flagged, then the partial [6,8)
+    // at run end; with adaptive exit stopping at 5 it sees [0,3) and
+    // the partial [3,5).  Every call runs before later samples launch.
+    Network net = tinyBcnn();
+    FaultPlan plan;
+    FaultSpec kill;
+    kill.kind = FaultKind::SampleKill;
+    kill.sample = 4;
+    plan.add(kill);
+    struct Call {
+        std::size_t first;
+        std::vector<bool> survived;
+        std::size_t launchedBefore;
+    };
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        std::vector<Call> calls;
+        std::atomic<std::size_t> launched{0};
+        ForwardTarget target;
+        target.name = net.name();
+        target.inputShape = net.inputShape();
+        target.forward = [&](const Tensor &in, ForwardHooks *hooks) {
+            if (hooks != nullptr)
+                launched.fetch_add(1);
+            return net.forward(in, hooks);
+        };
+        target.rounds.length = 3;
+        target.rounds.onRound = [&](std::size_t first,
+                                    const std::vector<bool> &survived) {
+            calls.push_back({first, survived, launched.load()});
+        };
+        McOptions opts;
+        opts.samples = 8;
+        opts.threads = threads;
+        opts.faults = &plan;
+        ASSERT_TRUE(tryRunMcDropoutWith(target, ones(Shape({1, 6, 6})),
+                                        opts)
+                        .hasValue());
+        ASSERT_EQ(calls.size(), 3u);
+        EXPECT_EQ(calls[0].first, 0u);
+        EXPECT_EQ(calls[0].survived, std::vector<bool>({true, true, true}));
+        EXPECT_EQ(calls[0].launchedBefore, 3u);
+        EXPECT_EQ(calls[1].first, 3u);
+        EXPECT_EQ(calls[1].survived,
+                  std::vector<bool>({true, false, true}));
+        EXPECT_EQ(calls[1].launchedBefore, 5u);  // sample 4 never ran
+        EXPECT_EQ(calls[2].first, 6u);
+        EXPECT_EQ(calls[2].survived, std::vector<bool>({true, true}));
+
+        calls.clear();
+        launched = 0;
+        opts.faults = nullptr;
+        opts.targetCiWidth = 1e9;  // converge at the first checkpoint
+        opts.minSamples = 5;
+        Expected<McResult> adaptive =
+            tryRunMcDropoutWith(target, ones(Shape({1, 6, 6})), opts);
+        ASSERT_TRUE(adaptive.hasValue());
+        EXPECT_EQ(adaptive.value().census.convergedAt, 5u);
+        ASSERT_EQ(calls.size(), 2u);
+        EXPECT_EQ(calls[0].first, 0u);
+        EXPECT_EQ(calls[0].launchedBefore, 3u);
+        EXPECT_EQ(calls[1].first, 3u);
+        EXPECT_EQ(calls[1].survived, std::vector<bool>({true, true}));
+    }
+
+    // A round length without a callback is a configuration error.
+    ForwardTarget deaf;
+    deaf.name = net.name();
+    deaf.inputShape = net.inputShape();
+    deaf.forward = [&](const Tensor &in, ForwardHooks *hooks) {
+        return net.forward(in, hooks);
+    };
+    deaf.rounds.length = 3;
+    Expected<McResult> bad =
+        tryRunMcDropoutWith(deaf, ones(Shape({1, 6, 6})), McOptions{});
+    ASSERT_FALSE(bad.hasValue());
+    EXPECT_EQ(bad.error().code(), ErrorCode::InvalidArgument);
 }
 
 namespace {

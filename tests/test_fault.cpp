@@ -289,12 +289,12 @@ TEST(Degradation, KilledSamplesDegradeToSurvivors)
     const Tensor in = ones(Shape({1, 6, 6}));
     McOptions opts = baseOptions(8);
 
-    const McResult clean = runMcDropout(net, in, opts);
+    const McResult clean = tryRunMcDropout(net, in, opts).value();
 
     FaultPlan plan(2026);
     plan.killRandomSamples(3, opts.samples);
     opts.faults = &plan;
-    const McResult hurt = runMcDropout(net, in, opts);
+    const McResult hurt = tryRunMcDropout(net, in, opts).value();
 
     EXPECT_TRUE(hurt.degraded());
     EXPECT_EQ(hurt.census.requested, 8u);
@@ -325,7 +325,7 @@ TEST(Degradation, PartialSummaryMatchesIndependentStatistics)
     plan.killRandomSamples(4, opts.samples);
     opts.faults = &plan;
 
-    const McResult res = runMcDropout(net, in, opts);
+    const McResult res = tryRunMcDropout(net, in, opts).value();
     ASSERT_EQ(res.outputs.size(), 6u);
 
     // Recompute the summary from the survivor outputs alone; the
@@ -357,7 +357,7 @@ TEST(Degradation, NaNPoisonedSampleDiesAloneWithNonFiniteCode)
     plan.add(spec);
     opts.faults = &plan;
 
-    const McResult res = runMcDropout(net, in, opts);
+    const McResult res = tryRunMcDropout(net, in, opts).value();
     EXPECT_EQ(res.census.survived, 5u);
     ASSERT_EQ(res.census.failures.size(), 1u);
     EXPECT_EQ(res.census.failures[0].sample, 2u);
@@ -392,7 +392,7 @@ TEST(Degradation, ActivationBitFlipPerturbsOnlyItsSample)
     const Network net = tinyBcnn();
     const Tensor in = ones(Shape({1, 6, 6}));
     McOptions opts = baseOptions(4);
-    const McResult clean = runMcDropout(net, in, opts);
+    const McResult clean = tryRunMcDropout(net, in, opts).value();
 
     FaultPlan plan;
     FaultSpec spec;
@@ -405,7 +405,7 @@ TEST(Degradation, ActivationBitFlipPerturbsOnlyItsSample)
     spec.bit = 22;
     plan.add(spec);
     opts.faults = &plan;
-    const McResult hurt = runMcDropout(net, in, opts);
+    const McResult hurt = tryRunMcDropout(net, in, opts).value();
 
     // The flip perturbs the value but keeps it finite, so the sample
     // survives with a different output; every other sample is
@@ -423,7 +423,7 @@ TEST(Degradation, CorruptedMaskAndStuckBrngPerturbDeterministically)
     const Network net = tinyBcnn();
     const Tensor in = ones(Shape({1, 6, 6}));
     McOptions opts = baseOptions(3);
-    const McResult clean = runMcDropout(net, in, opts);
+    const McResult clean = tryRunMcDropout(net, in, opts).value();
 
     for (FaultKind kind :
          {FaultKind::MaskCorrupt, FaultKind::StuckBrng}) {
@@ -441,8 +441,8 @@ TEST(Degradation, CorruptedMaskAndStuckBrngPerturbDeterministically)
         McOptions faulted = opts;
         faulted.faults = &plan;
 
-        const McResult a = runMcDropout(net, in, faulted);
-        const McResult b = runMcDropout(net, in, faulted);
+        const McResult a = tryRunMcDropout(net, in, faulted).value();
+        const McResult b = tryRunMcDropout(net, in, faulted).value();
         expectBitIdentical(a, b);
         EXPECT_FALSE(a.outputs[0].allClose(clean.outputs[0], 0.0f))
             << faultKindName(kind);
@@ -496,7 +496,7 @@ TEST(Degradation, QuorumFailsWhenTooFewSurvive)
     EXPECT_EQ(ok.value().census.survived, 3u);
 }
 
-TEST(Degradation, LegacyWrapperDiesOnRunLevelError)
+TEST(Degradation, RunLevelErrorNamesQuorum)
 {
     const Network net = tinyBcnn();
     const Tensor in = ones(Shape({1, 6, 6}));
@@ -508,7 +508,10 @@ TEST(Degradation, LegacyWrapperDiesOnRunLevelError)
     spec.sample = 0;
     plan.add(spec);
     opts.faults = &plan;
-    EXPECT_DEATH(runMcDropout(net, in, opts), "quorum");
+    Expected<McResult> res = tryRunMcDropout(net, in, opts);
+    ASSERT_FALSE(res.hasValue());
+    EXPECT_EQ(res.error().code(), ErrorCode::QuorumNotMet);
+    EXPECT_NE(res.error().toString().find("quorum"), std::string::npos);
 }
 
 TEST(Degradation, ZeroSamplesSurvivingAlwaysFails)
@@ -535,7 +538,7 @@ TEST(Degradation, ExpiredDeadlineStillRunsSampleZero)
     McOptions opts = baseOptions(5);
     opts.deadlineMs = 1e-9;  // expires before sample 1 can launch
 
-    const McResult res = runMcDropout(net, in, opts);
+    const McResult res = tryRunMcDropout(net, in, opts).value();
     EXPECT_TRUE(res.degraded());
     EXPECT_GE(res.census.survived, 1u);
     ASSERT_GE(res.census.failures.size(), 1u);
@@ -546,7 +549,7 @@ TEST(Degradation, ExpiredDeadlineStillRunsSampleZero)
     // A generous deadline changes nothing.
     McOptions lax = baseOptions(5);
     lax.deadlineMs = 1e9;
-    EXPECT_FALSE(runMcDropout(net, in, lax).degraded());
+    EXPECT_FALSE(tryRunMcDropout(net, in, lax).value().degraded());
 }
 
 TEST(Degradation, GuardOffMatchesGuardOnWhenClean)
@@ -556,8 +559,8 @@ TEST(Degradation, GuardOffMatchesGuardOnWhenClean)
     McOptions guarded = baseOptions(6);
     McOptions unguarded = baseOptions(6);
     unguarded.sampleGuard = false;
-    expectBitIdentical(runMcDropout(net, in, guarded),
-                       runMcDropout(net, in, unguarded));
+    expectBitIdentical(tryRunMcDropout(net, in, guarded).value(),
+                       tryRunMcDropout(net, in, unguarded).value());
 }
 
 // ---------------------------------------------------------------------
@@ -582,13 +585,13 @@ TEST(ConcurrencyFault, DegradedRunBitIdenticalForAnyThreadCount)
     const std::size_t casualties =
         2 + (plan.sampleKilled(5) ? 0 : 1);
     opts.threads = 1;
-    const McResult serial = runMcDropout(net, in, opts);
+    const McResult serial = tryRunMcDropout(net, in, opts).value();
     EXPECT_TRUE(serial.degraded());
     EXPECT_EQ(serial.census.survived, 8u - casualties);
     for (std::size_t threads : {std::size_t{0}, std::size_t{2},
                                 std::size_t{4}, std::size_t{8}}) {
         opts.threads = threads;
-        expectBitIdentical(serial, runMcDropout(net, in, opts));
+        expectBitIdentical(serial, tryRunMcDropout(net, in, opts).value());
     }
 }
 
@@ -603,7 +606,7 @@ TEST(ConcurrencyFault, SharedPlanAcrossConcurrentCallers)
     opts.threads = 2;
     opts.recordMasks = false;
 
-    const McResult reference = runMcDropout(net, in, opts);
+    const McResult reference = tryRunMcDropout(net, in, opts).value();
 
     // The plan is shared read-only by every worker of every caller.
     constexpr std::size_t callers = 4;
@@ -612,7 +615,7 @@ TEST(ConcurrencyFault, SharedPlanAcrossConcurrentCallers)
     pool.reserve(callers);
     for (std::size_t i = 0; i < callers; ++i) {
         pool.emplace_back([&, i]() {
-            results[i] = runMcDropout(net, in, opts);
+            results[i] = tryRunMcDropout(net, in, opts).value();
         });
     }
     for (std::thread &th : pool)

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <random>
 
 #include "bayes/hooks.hpp"
+#include "common/crc32.hpp"
 #include "common/math_util.hpp"
 #include "core/engine.hpp"
 #include "data/synthetic.hpp"
@@ -19,6 +21,7 @@
 #include "models/zoo.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
+#include "nn/dense.hpp"
 #include "nn/dropout.hpp"
 #include "nn/pooling.hpp"
 #include "simd/simd.hpp"
@@ -327,7 +330,7 @@ TEST(GuardedRunner, RejectsBadOptionsAndShape)
     SkipGuard guard(topo, ThresholdSet(topo, 8),
                     fastGuardOptions(0.1));
 
-    GuardedMcOptions bad;
+    McOptions bad;
     bad.samples = 0;
     Expected<GuardedMcResult> r1 = tryRunGuardedPredictive(
         topo, indicators, guard, randomInput(1), bad);
@@ -358,7 +361,7 @@ TEST(GuardedRunner, DriftRecoveryRegression)
     gopts.minAudited = 32;
     gopts.cooldownRounds = 2;
 
-    GuardedMcOptions mc;
+    McOptions mc;
     mc.samples = 64;
     mc.seed = 17;
     mc.threads = 1;
@@ -379,7 +382,7 @@ TEST(GuardedRunner, DriftRecoveryRegression)
                         : 0;
     }
     EXPECT_GT(backoffs, 0u) << "no backoff on a drifted workload";
-    EXPECT_GT(r1.finalSnapshot.degradedKernels, 0u);
+    EXPECT_GT(guard1.snapshot().degradedKernels, 0u);
 
     // Backed-off thresholds are never more aggressive than the stale
     // calibration.
@@ -420,7 +423,7 @@ TEST(GuardedRunner, DriftRecoveryRegression)
     // Bit-identity: the same run on 4 threads must match sample for
     // sample, event for event, threshold for threshold.
     SkipGuard guard4(topo, stale, gopts);
-    GuardedMcOptions mc4 = mc;
+    McOptions mc4 = mc;
     mc4.threads = 4;
     Expected<GuardedMcResult> run4 = tryRunGuardedPredictive(
         topo, indicators, guard4, input, mc4);
@@ -467,21 +470,21 @@ TEST(GuardedRunner, CleanWorkloadStaysQuiet)
     oopts.confidence = 0.68;
     oopts.samples = 4;
     const OptimizeResult tuned =
-        optimizeThresholds(topo, indicators, dataset, oopts);
+        tryOptimizeThresholds(topo, indicators, dataset, oopts).value();
 
     GuardOptions gopts = fastGuardOptions(0.6);
     gopts.decisionInterval = 8;
     gopts.minAudited = 64;
     SkipGuard guard(topo, tuned.thresholds, gopts);
 
-    GuardedMcOptions mc;
+    McOptions mc;
     mc.samples = 32;
     mc.seed = 3;
     Expected<GuardedMcResult> run = tryRunGuardedPredictive(
         topo, indicators, guard, dataset[0], mc);
     ASSERT_TRUE(run.hasValue()) << run.error().toString();
     EXPECT_TRUE(run.value().events.empty());
-    EXPECT_EQ(run.value().finalSnapshot.degradedKernels, 0u);
+    EXPECT_EQ(guard.snapshot().degradedKernels, 0u);
     EXPECT_GT(run.value().audited, 0u);
 }
 
@@ -518,7 +521,7 @@ TEST(GuardedRunner, IdenticalAcrossThreadsAndSimdLevels)
     GuardOptions gopts = fastGuardOptions(0.02);
     gopts.decisionInterval = 4;
     gopts.minAudited = 32;
-    GuardedMcOptions mc;
+    McOptions mc;
     mc.samples = 24;
     mc.seed = 5;
 
@@ -564,6 +567,331 @@ TEST(GuardedRunner, IdenticalAcrossThreadsAndSimdLevels)
             EXPECT_EQ(got.events[e].kernel, ref.events[e].kernel);
             EXPECT_EQ(got.events[e].kind, ref.events[e].kind);
             EXPECT_EQ(got.events[e].toAlpha, ref.events[e].toAlpha);
+        }
+    }
+}
+
+namespace {
+
+/** CRC32 over everything a guarded run produces, plus the guard's
+ *  effective thresholds after it. */
+std::uint32_t
+guardedRunDigest(const GuardedMcResult &r, const SkipGuard &guard,
+                 std::uint32_t crc)
+{
+    const auto addTensor = [&](const Tensor &t) {
+        crc = crc32(t.data().data(), t.numel() * sizeof(float), crc);
+    };
+    const auto addWord = [&](auto value) {
+        crc = crc32(&value, sizeof value, crc);
+    };
+    addTensor(r.preOutput);
+    for (const Tensor &out : r.outputs)
+        addTensor(out);
+    addWord(r.predictedNeurons);
+    addWord(r.audited);
+    addWord(r.mispredicted);
+    for (const GuardEvent &ev : r.events) {
+        addWord(ev.sample);
+        addWord(ev.conv);
+        addWord(ev.kernel);
+        addWord(static_cast<int>(ev.kind));
+        addWord(ev.fromAlpha);
+        addWord(ev.toAlpha);
+        addWord(ev.mispredictRate);
+        addWord(ev.wilsonLower);
+    }
+    const ThresholdSet thresholds = guard.effectiveThresholds();
+    for (const auto &[conv, alphas] : thresholds.all()) {
+        addWord(conv);
+        for (int alpha : alphas)
+            addWord(alpha);
+    }
+    return crc;
+}
+
+/** The wide net of IdenticalAcrossThreadsAndSimdLevels. */
+Network
+wideBcnn()
+{
+    Network net("guard-wide", Shape({3, 15, 13}));
+    net.add(std::make_unique<Conv2d>("c1", 3, 9, 3, 1, 1));
+    net.add(std::make_unique<ReLU>("r1"));
+    net.add(std::make_unique<Dropout>("d1", 0.3));
+    net.add(std::make_unique<MaxPool2d>("p1", 2));
+    net.add(std::make_unique<Conv2d>("c2", 9, 11, 3, 1, 1));
+    net.add(std::make_unique<ReLU>("r2"));
+    net.add(std::make_unique<Dropout>("d2", 0.3));
+    net.add(std::make_unique<Conv2d>("c3", 11, 5, 3, 2, 1));
+    net.add(std::make_unique<ReLU>("r3"));
+    net.add(std::make_unique<Dropout>("d3", 0.3));
+    InitOptions init;
+    init.seed = 9;
+    initializeWeights(net, init);
+    return net;
+}
+
+} // namespace
+
+TEST(GuardedRunner, MatchesParentDigest)
+{
+    // Pins guarded skip-mode runs bit for bit: pre-inference, every
+    // sample output, the skip/audit tallies, the guard events and the
+    // final thresholds, over two back-to-back requests on one guard
+    // (the second starts mid-cadence: 22 samples, rounds of 4).  The
+    // constants were recorded before skip mode moved onto the MC
+    // runner; every SIMD level and thread count must reproduce them.
+    struct Case {
+        bool wide;
+        std::uint64_t seed;
+        std::uint32_t digest;
+    };
+    const Case cases[] = {
+        {false, 17, 655597434u},
+        {false, 29, 2448624913u},
+        {true, 5, 2659162911u},
+        {true, 11, 595561438u},
+    };
+    const simd::SimdLevel saved = simd::activeLevel();
+    std::size_t events = 0;
+    for (const Case &c : cases) {
+        Network net = c.wide ? wideBcnn() : tinyBcnn(5);
+        BcnnTopology topo(net);
+        IndicatorSet indicators(topo);
+        Tensor input(net.inputShape());
+        std::mt19937_64 rng(c.seed + 100);
+        std::normal_distribution<float> g(0.3f, 1.0f);
+        for (float &v : input.data())
+            v = g(rng);
+
+        GuardOptions gopts = fastGuardOptions(0.02);
+        gopts.audit.rate = 0.5;
+        gopts.decisionInterval = 4;
+        gopts.minAudited = 16;
+        gopts.cooldownRounds = 2;
+        McOptions mc;
+        mc.samples = 22;
+        mc.seed = c.seed;
+
+        for (int l = 0; l < simd::kSimdLevelCount; ++l) {
+            simd::setLevel(static_cast<simd::SimdLevel>(l));
+            for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+                SkipGuard guard(topo, ThresholdSet(topo, 6), gopts);
+                mc.threads = threads;
+                std::uint32_t crc = 0;
+                for (int request = 0; request < 2; ++request) {
+                    Expected<GuardedMcResult> run =
+                        tryRunGuardedPredictive(topo, indicators, guard,
+                                                input, mc);
+                    ASSERT_TRUE(run.hasValue())
+                        << run.error().toString();
+                    crc = guardedRunDigest(run.value(), guard, crc);
+                    events += run.value().events.size();
+                }
+                EXPECT_EQ(crc, c.digest)
+                    << (c.wide ? "wide" : "tiny") << " seed " << c.seed
+                    << " level " << l << " threads " << threads;
+            }
+        }
+    }
+    simd::setLevel(saved);
+    EXPECT_GT(events, 0u) << "the guard never acted: a weak pin";
+}
+
+namespace {
+
+/** Guard options of the drift scenario (DriftRecoveryRegression). */
+GuardOptions
+driftGuardOptions()
+{
+    GuardOptions gopts = fastGuardOptions(0.02);
+    gopts.decisionInterval = 4;
+    gopts.minAudited = 32;
+    gopts.cooldownRounds = 2;
+    return gopts;
+}
+
+/** True when @p a and @p b hold the same shape and bytes. */
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.numel() * sizeof(float)) == 0;
+}
+
+} // namespace
+
+TEST(GuardedRunner, SampleKillDegradesAndKeepsRoundCadence)
+{
+    // A dead lane in skip mode: with sample 0 killed the run degrades
+    // to T - 1 survivors and reports the kill in its census; the
+    // casualty folds an empty audit, so the guard counts every sample
+    // and decides on the clean run's cadence; and the rest of round 0
+    // runs under the same frozen thresholds as in the clean run.  A
+    // quorum above the survivor count fails the run.
+    Network net = tinyBcnn(5);
+    BcnnTopology topo(net);
+    IndicatorSet indicators(topo);
+    const Tensor input = randomInput(21);
+    const GuardOptions gopts = driftGuardOptions();
+    McOptions mc;
+    mc.samples = 16;
+    mc.seed = 17;
+
+    SkipGuard cleanGuard(topo, ThresholdSet(topo, 6), gopts);
+    Expected<GuardedMcResult> clean = tryRunGuardedPredictive(
+        topo, indicators, cleanGuard, input, mc);
+    ASSERT_TRUE(clean.hasValue()) << clean.error().toString();
+
+    FaultPlan plan;
+    FaultSpec kill;
+    kill.kind = FaultKind::SampleKill;
+    kill.sample = 0;
+    plan.add(kill);
+    mc.faults = &plan;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        mc.threads = threads;
+        SkipGuard guard(topo, ThresholdSet(topo, 6), gopts);
+        Expected<GuardedMcResult> run = tryRunGuardedPredictive(
+            topo, indicators, guard, input, mc);
+        ASSERT_TRUE(run.hasValue()) << run.error().toString();
+        const GuardedMcResult &r = run.value();
+        EXPECT_TRUE(r.degraded());
+        EXPECT_EQ(r.census.survived, mc.samples - 1);
+        ASSERT_EQ(r.census.failures.size(), 1u);
+        EXPECT_EQ(r.census.failures[0].sample, 0u);
+        EXPECT_EQ(r.census.failures[0].code, ErrorCode::FaultInjected);
+        EXPECT_EQ(guard.snapshot().samplesSeen,
+                  cleanGuard.snapshot().samplesSeen);
+        for (const GuardEvent &ev : r.events)
+            EXPECT_EQ(ev.sample % gopts.decisionInterval, 0u);
+        for (std::size_t t = 1; t < gopts.decisionInterval; ++t) {
+            EXPECT_TRUE(sameBits(r.outputs[t - 1],
+                                 clean.value().outputs[t]))
+                << "threads " << threads << " sample " << t;
+        }
+    }
+
+    mc.quorum = mc.samples;
+    SkipGuard guard(topo, ThresholdSet(topo, 6), gopts);
+    Expected<GuardedMcResult> starved = tryRunGuardedPredictive(
+        topo, indicators, guard, input, mc);
+    ASSERT_FALSE(starved.hasValue());
+    EXPECT_EQ(starved.error().code(), ErrorCode::QuorumNotMet);
+}
+
+TEST(GuardedRunner, MaskFaultsReachSkipMode)
+{
+    // Skip-mode samples draw their masks through the runner's hooks,
+    // so a corrupted mask or a stuck BRNG on sample 1 changes that
+    // sample alone; the rest of its round runs as in the clean run.
+    Network net = tinyBcnn(5);
+    BcnnTopology topo(net);
+    IndicatorSet indicators(topo);
+    const Tensor input = randomInput(21);
+    const GuardOptions gopts = driftGuardOptions();
+    McOptions mc;
+    mc.samples = 8;
+    mc.seed = 17;
+    SkipGuard cleanGuard(topo, ThresholdSet(topo, 6), gopts);
+    Expected<GuardedMcResult> clean = tryRunGuardedPredictive(
+        topo, indicators, cleanGuard, input, mc);
+    ASSERT_TRUE(clean.hasValue()) << clean.error().toString();
+
+    for (FaultKind kind : {FaultKind::MaskCorrupt, FaultKind::StuckBrng}) {
+        FaultPlan plan;
+        FaultSpec spec;
+        spec.kind = kind;
+        spec.layer = kind == FaultKind::MaskCorrupt ? "d1" : "";
+        spec.sample = 1;
+        spec.element = kAllElements;
+        spec.fromDraw = 0;
+        spec.stuckBit = true;  // every Bernoulli draw says "drop"
+        plan.add(spec);
+        mc.faults = &plan;
+        SkipGuard guard(topo, ThresholdSet(topo, 6), gopts);
+        Expected<GuardedMcResult> run = tryRunGuardedPredictive(
+            topo, indicators, guard, input, mc);
+        ASSERT_TRUE(run.hasValue()) << run.error().toString();
+        const GuardedMcResult &r = run.value();
+        ASSERT_EQ(r.outputs.size(), mc.samples);
+        EXPECT_FALSE(sameBits(r.outputs[1], clean.value().outputs[1]))
+            << faultKindName(kind);
+        for (std::size_t t : {0, 2, 3}) {
+            EXPECT_TRUE(sameBits(r.outputs[t], clean.value().outputs[t]))
+                << faultKindName(kind) << " sample " << t;
+        }
+    }
+}
+
+TEST(GuardedRunner, NonFinitePreInferenceFails)
+{
+    // A NaN bias in the classifier head (after the last ReLU, which
+    // would squash it) poisons the pre-inference: the skip run fails
+    // before any sample launches or folds into the guard.
+    Network net("tail", Shape({1, 8, 8}));
+    net.add(std::make_unique<Conv2d>("c1", 1, 3, 3, 1, 1));
+    net.add(std::make_unique<ReLU>("r1"));
+    net.add(std::make_unique<Dropout>("d1", 0.3));
+    net.add(std::make_unique<MaxPool2d>("p1", 2));
+    net.add(std::make_unique<Flatten>("f"));
+    net.add(std::make_unique<Linear>("fc", 48, 3));
+    InitOptions init;
+    init.seed = 3;
+    initializeWeights(net, init);
+    static_cast<Linear &>(net.layer(net.findNode("fc"))).bias().at(0) =
+        std::numeric_limits<float>::quiet_NaN();
+    BcnnTopology topo(net);
+    IndicatorSet indicators(topo);
+    SkipGuard guard(topo, ThresholdSet(topo, 6), fastGuardOptions(0.1));
+
+    McOptions mc;
+    mc.samples = 4;
+    Expected<GuardedMcResult> run = tryRunGuardedPredictive(
+        topo, indicators, guard, randomInput(1), mc);
+    ASSERT_FALSE(run.hasValue());
+    EXPECT_EQ(run.error().code(), ErrorCode::NonFinite);
+    EXPECT_NE(run.error().message().find("pre-inference"),
+              std::string::npos);
+    EXPECT_EQ(guard.snapshot().samplesSeen, 0u);
+}
+
+TEST(GuardedRunner, AdaptiveRunIsPrefixOfFixedRun)
+{
+    // Rounds and convergence checkpoints both end runner blocks and
+    // thresholds change only at round boundaries, so an adaptive skip
+    // run that stops mid-round (checkpoint 14, rounds of 4) is a
+    // bit-exact prefix of the fixed-T run, each on a fresh guard.
+    Network net = tinyBcnn(5);
+    BcnnTopology topo(net);
+    IndicatorSet indicators(topo);
+    const Tensor input = randomInput(21);
+    const GuardOptions gopts = driftGuardOptions();
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        McOptions mc;
+        mc.samples = 24;
+        mc.seed = 17;
+        mc.threads = threads;
+        SkipGuard fixedGuard(topo, ThresholdSet(topo, 6), gopts);
+        Expected<GuardedMcResult> fixed = tryRunGuardedPredictive(
+            topo, indicators, fixedGuard, input, mc);
+        ASSERT_TRUE(fixed.hasValue()) << fixed.error().toString();
+
+        mc.targetCiWidth = 1e9;  // converge at the first checkpoint
+        mc.minSamples = 14;
+        SkipGuard guard(topo, ThresholdSet(topo, 6), gopts);
+        Expected<GuardedMcResult> adaptive = tryRunGuardedPredictive(
+            topo, indicators, guard, input, mc);
+        ASSERT_TRUE(adaptive.hasValue()) << adaptive.error().toString();
+        const GuardedMcResult &a = adaptive.value();
+        EXPECT_EQ(a.census.convergedAt, 14u);
+        EXPECT_FALSE(a.events.empty()) << "no threshold change to cross";
+        EXPECT_EQ(guard.snapshot().samplesSeen, 14u);
+        ASSERT_EQ(a.outputs.size(), 14u);
+        for (std::size_t t = 0; t < a.outputs.size(); ++t) {
+            EXPECT_TRUE(sameBits(a.outputs[t], fixed.value().outputs[t]))
+                << "threads " << threads << " sample " << t;
         }
     }
 }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <sstream>
 
 #include "models/zoo.hpp"
@@ -32,8 +33,8 @@ TEST(Serialize, RoundTripIsLossless)
     Network b = smallLenet(2);  // different weights, same topology
 
     std::stringstream ss;
-    saveWeights(a, ss);
-    loadWeights(b, ss);
+    ASSERT_TRUE(trySaveWeights(a, ss).isOk());
+    ASSERT_TRUE(tryLoadWeights(b, ss).isOk());
 
     // Every parameterised layer must now match bit for bit.
     for (const char *name : {"c1_conv", "c2_conv", "c3_conv"}) {
@@ -59,30 +60,47 @@ TEST(Serialize, SpecialValuesSurvive)
     conv.weights().at(2) = -3.4e38f; // near float lowest
     Network b = smallLenet(4);
     std::stringstream ss;
-    saveWeights(a, ss);
-    loadWeights(b, ss);
+    ASSERT_TRUE(trySaveWeights(a, ss).isOk());
+    ASSERT_TRUE(tryLoadWeights(b, ss).isOk());
     const auto &cb = static_cast<const Conv2d &>(
         b.layer(b.findNode("c1_conv")));
     EXPECT_EQ(cb.weights().at(1), 1e-38f);
     EXPECT_EQ(cb.weights().at(2), -3.4e38f);
 }
 
+namespace {
+
+/** Assert @p status is a @p code error whose message matches
+ *  @p pattern. */
+void
+expectLoadError(const Status &status, ErrorCode code, const char *pattern)
+{
+    ASSERT_FALSE(status.isOk());
+    EXPECT_EQ(status.code(), code) << status.toString();
+    EXPECT_TRUE(std::regex_search(status.toString(), std::regex(pattern)))
+        << status.toString();
+}
+
+} // namespace
+
 TEST(Serialize, RejectsGarbage)
 {
     Network net = smallLenet(5);
     std::stringstream ss("not-a-weight-file at all");
-    EXPECT_DEATH(loadWeights(net, ss), "not a fastbcnn");
+    expectLoadError(tryLoadWeights(net, ss), ErrorCode::ParseError,
+                    "not a fastbcnn");
 }
 
 TEST(Serialize, RejectsCountMismatch)
 {
     Network full = smallLenet(6);
     std::stringstream ss;
-    saveWeights(full, ss);
+    ASSERT_TRUE(trySaveWeights(full, ss).isOk());
     ModelOptions narrow;
     narrow.widthMultiplier = 0.25;
     Network other = buildLenet5(narrow);
-    EXPECT_DEATH(loadWeights(other, ss), "checkpoint holds");
+    expectLoadError(tryLoadWeights(other, ss), ErrorCode::Mismatch,
+                    "checkpoint holds");
 }
 
 TEST(Serialize, RejectsUnknownLayer)
@@ -91,19 +109,21 @@ TEST(Serialize, RejectsUnknownLayer)
     std::stringstream ss;
     ss << "fastbcnn-weights v1 X\nlayer nonexistent Conv2d 1 1\n"
           "0x1p+0\n0x1p+0\n";
-    EXPECT_DEATH(loadWeights(net, ss), "no layer named");
+    expectLoadError(tryLoadWeights(net, ss), ErrorCode::NotFound,
+                    "no layer named");
 }
 
 TEST(Serialize, TruncatedFileFatal)
 {
     Network a = smallLenet(8);
     std::stringstream ss;
-    saveWeights(a, ss);
+    ASSERT_TRUE(trySaveWeights(a, ss).isOk());
     std::string text = ss.str();
     text.resize(text.size() / 2);
     std::stringstream half(text);
     Network b = smallLenet(9);
-    EXPECT_DEATH(loadWeights(b, half), "truncated|malformed");
+    expectLoadError(tryLoadWeights(b, half), ErrorCode::Truncated,
+                    "truncated");
 }
 
 // ---------------------------------------------------------------------
@@ -120,7 +140,7 @@ goodCheckpoint(std::uint64_t seed)
 {
     Network net = smallLenet(seed);
     std::stringstream ss;
-    saveWeights(net, ss);
+    EXPECT_TRUE(trySaveWeights(net, ss).isOk());
     return ss.str();
 }
 
@@ -270,7 +290,7 @@ TEST(SerializeCorpus, FailedLoadLeavesWeightsUntouched)
 {
     Network net = smallLenet(23);
     std::stringstream before_ss;
-    saveWeights(net, before_ss);
+    ASSERT_TRUE(trySaveWeights(net, before_ss).isOk());
     const std::string before = before_ss.str();
 
     // A checkpoint that validates its first record but dies in the
@@ -285,7 +305,7 @@ TEST(SerializeCorpus, FailedLoadLeavesWeightsUntouched)
     ASSERT_FALSE(s.isOk());
 
     std::stringstream after_ss;
-    saveWeights(net, after_ss);
+    ASSERT_TRUE(trySaveWeights(net, after_ss).isOk());
     EXPECT_EQ(after_ss.str(), before);
 }
 

@@ -888,21 +888,15 @@ TEST(ServeBreaker, GuardedPathServesAndReportsHealth)
     ASSERT_TRUE(server.hasValue()) << server.error().toString();
     InferenceServer &srv = *server.value();
 
-    // useGuardedSkip against a guard-less model is an admission error.
-    InferRequest wrong;
-    wrong.modelId = "plain";
-    wrong.input = ones(Shape({1, 6, 6}));
-    wrong.useGuardedSkip = true;
-    auto bad = srv.submit(std::move(wrong));
-    ASSERT_FALSE(bad.hasValue());
-    EXPECT_EQ(bad.error().code(), ErrorCode::InvalidArgument);
-
+    // Skip mode is a property of the model: every request to the
+    // guarded model runs through its guard, and its result carries the
+    // same census as an exact run.  The plain model stays exact.
     std::vector<RequestHandle> handles;
-    for (int i = 0; i < 4; ++i) {
+    for (const char *model : {"guarded", "guarded", "guarded", "guarded",
+                              "plain"}) {
         InferRequest req;
-        req.modelId = "guarded";
+        req.modelId = model;
         req.input = ones(Shape({1, 6, 6}));
-        req.useGuardedSkip = true;
         auto handle = srv.submit(std::move(req));
         ASSERT_TRUE(handle.hasValue());
         handles.push_back(std::move(handle).value());
@@ -911,9 +905,12 @@ TEST(ServeBreaker, GuardedPathServesAndReportsHealth)
     for (RequestHandle &h : handles) {
         InferResponse response = h.response.get();
         ASSERT_EQ(response.outcome, Outcome::Ok);
-        ASSERT_TRUE(response.guarded.has_value());
-        EXPECT_EQ(response.guarded->outputs.size(), 4u);
-        EXPECT_FALSE(response.result.has_value());
+        ASSERT_TRUE(response.result.has_value());
+        EXPECT_EQ(response.result->outputs.size(), 4u);
+        EXPECT_EQ(response.result->census.survived, 4u);
+        EXPECT_EQ(response.effectiveSamples, 4u);
+        EXPECT_FALSE(response.degraded());
+        EXPECT_EQ(response.precision, Precision::Float32);
     }
 
     const HealthReport report = srv.health();
@@ -924,7 +921,7 @@ TEST(ServeBreaker, GuardedPathServesAndReportsHealth)
     EXPECT_GT(guarded.guard.samplesSeen, 0u);
     EXPECT_GT(guarded.guard.auditedNeurons, 0u);
     EXPECT_FALSE(report.models[1].guardEnabled);
-    EXPECT_EQ(report.ok, 4u);
+    EXPECT_EQ(report.ok, 5u);
 }
 
 TEST(ServeBreaker, GuardTripCountsAsBreakerFailure)
@@ -952,11 +949,11 @@ TEST(ServeBreaker, GuardTripCountsAsBreakerFailure)
         InferRequest req;
         req.modelId = "touchy";
         req.input = ones(Shape({1, 6, 6}));
-        req.useGuardedSkip = true;
         auto handle = srv.submit(std::move(req));
         ASSERT_TRUE(handle.hasValue());
         InferResponse response = handle.value().response.get();
         ASSERT_EQ(response.outcome, Outcome::Ok);
+        ASSERT_TRUE(response.result.has_value());
         tripped += response.guardTripped() ? 1 : 0;
     }
     EXPECT_GE(tripped, 1u) << "guard never tripped on mispredicts";

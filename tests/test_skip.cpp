@@ -610,8 +610,8 @@ TEST(Optimizer, MeetsConfidenceWhenFeasible)
     OptimizerOptions opts;
     opts.samples = 4;
     opts.confidence = 0.6;
-    OptimizeResult res = optimizeThresholds(topo, ind,
-                                            {randomInput(9)}, opts);
+    OptimizeResult res =
+        tryOptimizeThresholds(topo, ind, {randomInput(9)}, opts).value();
     ASSERT_EQ(res.reports.size(), topo.blocks().size());
     for (const BlockTuneReport &r : res.reports)
         EXPECT_GE(r.achievedConfidence, opts.confidence - 1e-9);
@@ -627,8 +627,10 @@ TEST(Optimizer, HigherConfidenceNeverIncreasesAlpha)
     lo.confidence = 0.55;
     hi.confidence = 0.95;
     const Tensor in = randomInput(10);
-    ThresholdSet a = optimizeThresholds(topo, ind, {in}, lo).thresholds;
-    ThresholdSet b = optimizeThresholds(topo, ind, {in}, hi).thresholds;
+    ThresholdSet a =
+        tryOptimizeThresholds(topo, ind, {in}, lo).value().thresholds;
+    ThresholdSet b =
+        tryOptimizeThresholds(topo, ind, {in}, hi).value().thresholds;
     // For the first block the histograms are identical in both runs
     // (no upstream cascade), so a stricter target can only keep or
     // lower each alpha.  Deeper blocks see different cascades, so the
@@ -644,15 +646,21 @@ TEST(Optimizer, InvalidInputsFatal)
     BcnnTopology topo(net);
     IndicatorSet ind(topo);
     OptimizerOptions opts;
-    EXPECT_DEATH(optimizeThresholds(topo, ind, {}, opts),
-                 "at least one");
+    const auto expectInvalid = [&](const std::vector<Tensor> &dataset,
+                                   const char *needle) {
+        Expected<OptimizeResult> res =
+            tryOptimizeThresholds(topo, ind, dataset, opts);
+        ASSERT_FALSE(res.hasValue()) << needle;
+        EXPECT_EQ(res.error().code(), ErrorCode::InvalidArgument);
+        EXPECT_NE(res.error().toString().find(needle), std::string::npos)
+            << res.error().toString();
+    };
+    expectInvalid({}, "at least one");
     opts.confidence = 1.5;
-    EXPECT_DEATH(optimizeThresholds(topo, ind, {randomInput(1)}, opts),
-                 "confidence");
+    expectInvalid({randomInput(1)}, "confidence");
     opts.confidence = 0.68;
     opts.step = 0;
-    EXPECT_DEATH(optimizeThresholds(topo, ind, {randomInput(1)}, opts),
-                 "step");
+    expectInvalid({randomInput(1)}, "step");
 }
 
 TEST(Optimizer, EvaluatePredictionReflectsThresholds)
@@ -715,9 +723,10 @@ TEST(Optimizer, FullConfidenceIsAcceptedAndConservative)
     // relative to the default 0.68 run.
     OptimizerOptions dflt;
     dflt.samples = 4;
-    ThresholdSet loose = optimizeThresholds(topo, ind,
-                                            {randomInput(30)}, dflt)
-                             .thresholds;
+    ThresholdSet loose =
+        tryOptimizeThresholds(topo, ind, {randomInput(30)}, dflt)
+            .value()
+            .thresholds;
     const ConvBlock &blk = topo.blocks()[0];
     for (std::size_t m = 0; m < loose.layer(blk.conv).size(); ++m)
         EXPECT_LE(res.value().thresholds.of(blk.conv, m),
@@ -739,8 +748,8 @@ TEST(Optimizer, AllPositiveKernelKeepsFullThreshold)
     OptimizerOptions opts;
     opts.samples = 4;
     opts.confidence = 0.99;
-    OptimizeResult res = optimizeThresholds(
-        topo, ind, {randomInput(31), randomInput(32)}, opts);
+    OptimizeResult res = tryOptimizeThresholds(
+        topo, ind, {randomInput(31), randomInput(32)}, opts).value();
     const NodeId conv = topo.blocks()[0].conv;
     for (std::size_t m = 0; m < res.thresholds.layer(conv).size(); ++m)
         EXPECT_EQ(res.thresholds.of(conv, m), opts.initialThreshold)
