@@ -55,7 +55,13 @@ main()
     EngineOptions eopts;
     eopts.mc.samples = 40;
     FastBcnnEngine engine(std::move(net), eopts);
-    engine.calibrate({makeMnistLikeImage(2, 13)});
+    const Status calibrated =
+        engine.tryCalibrate({makeMnistLikeImage(2, 13)});
+    if (!calibrated.isOk()) {
+        std::cerr << "calibration failed: " << calibrated.toString()
+                  << "\n";
+        return 1;
+    }
 
     constexpr std::size_t cases = 24;
     struct Case {

@@ -71,7 +71,13 @@ main()
     EngineOptions eopts;
     eopts.mc.samples = 40;
     FastBcnnEngine engine(std::move(net), eopts);
-    engine.calibrate({makeMnistLikeImage(3, 33)});
+    const Status calibrated =
+        engine.tryCalibrate({makeMnistLikeImage(3, 33)});
+    if (!calibrated.isOk()) {
+        std::cerr << "calibration failed: " << calibrated.toString()
+                  << "\n";
+        return 1;
+    }
 
     constexpr std::size_t per_group = 8;
     auto evaluate = [&](const char *group,

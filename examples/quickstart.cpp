@@ -18,7 +18,7 @@
  *                     demo the checkpoint pipeline: atomically save
  *                     the model in that format, reload it into a
  *                     fresh network, and print the integrity audit
- *   --simd {scalar,sse4,avx2}
+ *   --simd {scalar,avx2}
  *                     force a SIMD dispatch level (default: strongest
  *                     the CPU supports; outputs are bit-identical at
  *                     every level)
@@ -103,8 +103,7 @@ parseArgs(int argc, char **argv)
             cli.simdLevel = value();
             simd::SimdLevel parsed;
             if (!simd::simdLevelFromName(cli.simdLevel, parsed)) {
-                std::cerr << "--simd must be 'scalar', 'sse4' or "
-                             "'avx2'\n";
+                std::cerr << "--simd must be 'scalar' or 'avx2'\n";
                 // NOLINTNEXTLINE-FASTBCNN(error-discipline): CLI arg-parse exit
                 std::exit(2);
             }
@@ -126,7 +125,7 @@ parseArgs(int argc, char **argv)
                          "[--deadline-ms D] [--quorum Q] "
                          "[--audit-rate R] "
                          "[--checkpoint-format text|binary] "
-                         "[--simd scalar|sse4|avx2] "
+                         "[--simd scalar|avx2] "
                          "[--precision f32|int8] "
                          "[--target-ci-width W] [--min-samples M] "
                          "[--sample-budget B]\n";
@@ -212,7 +211,7 @@ main(int argc, char **argv)
     eopts.mc.targetCiWidth = cli.targetCiWidth;
     eopts.mc.minSamples = cli.minSamples;
     eopts.mc.sampleBudget = cli.sampleBudget;
-    // int8 makes calibrate() also build the quantized mirror.
+    // int8 makes tryCalibrate() also build the quantized mirror.
     eopts.mc.precision = cli.precision;
     eopts.optimizer.confidence = 0.68;
     if (cli.auditRate > 0.0) {
@@ -240,7 +239,12 @@ main(int argc, char **argv)
     std::vector<Tensor> calib_inputs;
     for (const Example &e : calib.examples)
         calib_inputs.push_back(e.image);
-    engine.calibrate(calib_inputs);
+    const Status calibrated = engine.tryCalibrate(calib_inputs);
+    if (!calibrated.isOk()) {
+        std::cerr << "calibration failed: " << calibrated.toString()
+                  << "\n";
+        return 1;
+    }
     std::cout << "Calibrated " << engine.tuneReports().size()
               << " conv blocks (mean alpha per block:";
     for (const BlockTuneReport &r : engine.tuneReports())

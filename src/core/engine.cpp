@@ -72,16 +72,6 @@ FastBcnnEngine::calibrateThresholds(
     return Status::ok();
 }
 
-void
-FastBcnnEngine::calibrate(const std::vector<Tensor> &calibration_inputs)
-{
-    Status status = calibrateThresholds(calibration_inputs);
-    if (status.isOk() && opts_.mc.precision == Precision::Int8)
-        status = tryQuantize(calibration_inputs);
-    if (!status.isOk())
-        fatal("%s", status.toString().c_str());
-}
-
 Status
 FastBcnnEngine::tryCalibrate(
     const std::vector<Tensor> &calibration_inputs)
@@ -111,7 +101,7 @@ const ThresholdSet &
 FastBcnnEngine::thresholds() const
 {
     if (!thresholds_)
-        fatal("engine is not calibrated; call calibrate() first");
+        fatal("engine is not calibrated; call tryCalibrate() first");
     return *thresholds_;
 }
 
@@ -122,7 +112,9 @@ FastBcnnEngine::trace(const Tensor &input,
     if (!thresholds_) {
         warn("engine not calibrated; self-calibrating on the inference "
              "input (prefer an explicit calibration set)");
-        calibrate({input});
+        const Status status = tryCalibrate({input});
+        if (!status.isOk())
+            fatal("%s", status.toString().c_str());
     }
     TraceOptions topts;
     if (opts) {

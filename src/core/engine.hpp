@@ -34,7 +34,7 @@ struct EngineOptions {
     SimOptions sim;
     /**
      * Runtime skip guardrails (off by default).  When enabled,
-     * calibrate() constructs a SkipGuard over the tuned thresholds; a
+     * tryCalibrate() constructs a SkipGuard over the tuned thresholds; a
      * tolerance of 0 resolves to 1 − p_cf, the mispredict budget the
      * thresholds were calibrated against.
      */
@@ -97,15 +97,10 @@ class FastBcnnEngine
         Network net, EngineOptions opts = {});
 
     /**
-     * Offline stage: run Algorithm 1 on a calibration set.  Must be
-     * called once before infer(); calling infer() first triggers an
-     * automatic single-input self-calibration with a warning.
-     */
-    void calibrate(const std::vector<Tensor> &calibration_inputs);
-
-    /**
-     * Error-returning calibrate(): rejects an empty set or inputs of
-     * the wrong shape instead of terminating.
+     * Offline stage: run Algorithm 1 on a calibration set, rejecting
+     * an empty set or inputs of the wrong shape.  Must be called once
+     * before infer(); calling infer() first triggers an automatic
+     * single-input self-calibration with a warning.
      */
     [[nodiscard]] Status tryCalibrate(
         const std::vector<Tensor> &calibration_inputs);
@@ -116,7 +111,7 @@ class FastBcnnEngine
     /**
      * Build the engine's int8 mirror: calibrate per-layer activation
      * ranges on @p calibration_inputs and quantize the owned network
-     * (src/quant).  Called automatically by calibrate() when
+     * (src/quant).  Called automatically by tryCalibrate() when
      * EngineOptions::mc.precision is Int8; callable directly to add
      * int8 capability to a float-default engine.  On error the engine
      * keeps its previous quantized model (if any).
@@ -217,7 +212,7 @@ class FastBcnnEngine
     TraceBundle trace(const Tensor &input,
                       std::optional<TraceOptions> opts = std::nullopt);
 
-    /** @return the per-kernel thresholds (fatal before calibrate()). */
+    /** @return the per-kernel thresholds (fatal before tryCalibrate()). */
     const ThresholdSet &thresholds() const;
 
     /** @return the analysed topology. */
@@ -246,7 +241,7 @@ class FastBcnnEngine
     IndicatorSet indicators_;
     std::optional<ThresholdSet> thresholds_;
     std::vector<BlockTuneReport> tuneReports_;
-    /** Constructed by calibrate() when EngineOptions::guard.enabled. */
+    /** Constructed by tryCalibrate() when EngineOptions::guard.enabled. */
     std::unique_ptr<SkipGuard> guard_;
     /** Int8 mirror; built by tryQuantize() / tryAdoptQuantRecords(). */
     std::unique_ptr<quant::QuantizedNetwork> quantNet_;

@@ -81,7 +81,10 @@ Workload::Workload(const WorkloadConfig &cfg) : cfg_(cfg)
     calib_inputs.reserve(calib.examples.size());
     for (const Example &e : calib.examples)
         calib_inputs.push_back(e.image);
-    engine_->calibrate(calib_inputs);
+    if (Status status = engine_->tryCalibrate(calib_inputs);
+        !status.isOk()) {
+        fatal("%s", status.toString().c_str());
+    }
 
     TraceOptions topts;
     topts.samples = cfg.samples;

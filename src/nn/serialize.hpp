@@ -13,8 +13,7 @@
  *    little-endian IEEE-754 payload.  The fleet-scale format.
  *
  * Both key records by layer name, so weights survive rebuilds as long
- * as the topology's names match — the property the offline threshold
- * store (Algorithm 1 artefacts) also relies on.
+ * as the topology's names match.
  *
  * Loading is a boundary path: checkpoint streams are untrusted input
  * (truncated files, bit rot, wrong formats), so every loader returns

@@ -1,7 +1,7 @@
 /**
  * @file
- * Runtime dispatch: pick the strongest kernel table the CPU supports
- * (clamped to what was compiled in), honour the FASTBCNN_SIMD
+ * Runtime dispatch: pick the AVX2 table when the CPU supports it and
+ * it was compiled in, else the scalar reference; honour the FASTBCNN_SIMD
  * environment override, and expose thread-safe get/set of the active
  * table.  See simd.hpp for the API contract.
  */
@@ -25,8 +25,6 @@ tableFor(SimdLevel level)
     switch (level) {
     case SimdLevel::Scalar:
         return &detail::scalarTable();
-    case SimdLevel::Sse4:
-        return detail::sse4TableOrNull();
     case SimdLevel::Avx2:
         return detail::avx2TableOrNull();
     }
@@ -41,9 +39,6 @@ cpuSupports(SimdLevel level)
     switch (level) {
     case SimdLevel::Scalar:
         return true;
-    case SimdLevel::Sse4:
-        return __builtin_cpu_supports("sse4.2") &&
-               __builtin_cpu_supports("popcnt");
     case SimdLevel::Avx2:
         return __builtin_cpu_supports("avx2") &&
                __builtin_cpu_supports("popcnt");
@@ -77,7 +72,7 @@ initialLevel()
     SimdLevel requested;
     if (!simdLevelFromName(env, requested)) {
         warn("FASTBCNN_SIMD=%s is not a dispatch level "
-             "(scalar|sse4|avx2); using %s",
+             "(scalar|avx2); using %s",
              env, simdLevelName(level));
         return level;
     }
@@ -161,8 +156,6 @@ simdLevelName(SimdLevel level)
     switch (level) {
     case SimdLevel::Scalar:
         return "scalar";
-    case SimdLevel::Sse4:
-        return "sse4";
     case SimdLevel::Avx2:
         return "avx2";
     }
@@ -174,8 +167,6 @@ simdLevelFromName(std::string_view name, SimdLevel &out)
 {
     if (name == "scalar") {
         out = SimdLevel::Scalar;
-    } else if (name == "sse4") {
-        out = SimdLevel::Sse4;
     } else if (name == "avx2") {
         out = SimdLevel::Avx2;
     } else {

@@ -1,16 +1,16 @@
 /**
  * @file
- * Internal glue of the SIMD kernel layer: per-level table providers
- * (consumed by dispatch.cpp) and the shared scalar reference
- * implementations.
+ * Internal glue of the SIMD kernel layer: the two table providers
+ * (consumed by dispatch.cpp) and the scalar reference implementations
+ * with their helpers.
  *
  * The scalar kernels are inline here — not in kernels_scalar.cpp — so
- * the SSE4 / AVX2 translation units can fall back to them for shapes
- * their vector paths do not cover (e.g. exotic strides, kernels wider
- * than kMaxMaskedKernel) while still being compiled under
- * the same -ffp-contract=off policy.  Falling back never changes
- * results: the scalar kernels ARE the semantics, the vector kernels
- * are bit-identical reimplementations (see simd.hpp).
+ * the AVX2 translation unit can fall back to them for shapes its
+ * vector paths do not cover (e.g. exotic strides, wide masked-conv
+ * kernels) while still being compiled under the same
+ * -ffp-contract=off policy.  Falling back never changes results: the
+ * scalar kernels ARE the semantics, the AVX2 kernels are
+ * bit-identical reimplementations (see simd.hpp).
  */
 
 #ifndef FASTBCNN_SIMD_KERNELS_INTERNAL_HPP
@@ -28,36 +28,14 @@ namespace fastbcnn::simd::detail {
 
 /** @return the scalar reference table (always available). */
 const SimdKernels &scalarTable();
-/** @return the SSE4.2 table, or nullptr when not compiled in. */
-const SimdKernels *sse4TableOrNull();
 /** @return the AVX2 table, or nullptr when not compiled in. */
 const SimdKernels *avx2TableOrNull();
-
-/**
- * Largest kernel size the vector masked-conv paths hold per-tap
- * validity vectors for on the stack; wider kernels (none of the paper
- * models) take the scalar reference.
- */
-inline constexpr std::size_t kMaxMaskedKernel = 16;
 
 /** Read bit @p pos of a packed bit array. */
 FASTBCNN_HOT inline bool
 bitAt(const std::uint64_t *w, std::size_t pos)
 {
     return ((w[pos >> 6] >> (pos & 63)) & 1ull) != 0;
-}
-
-/**
- * Extract 64 bits starting at bit @p pos.  Requires one readable
- * guard word past the last data word (BitVolume over-allocates it).
- */
-FASTBCNN_HOT inline std::uint64_t
-extract64(const std::uint64_t *w, std::size_t pos)
-{
-    const std::size_t wi = pos >> 6;
-    const std::size_t sh = pos & 63;
-    const std::uint64_t lo = w[wi] >> sh;
-    return sh == 0 ? lo : (lo | (w[wi + 1] << (64 - sh)));
 }
 
 // ------------------------------------------------- scalar references
@@ -176,65 +154,6 @@ scalarConvForwardMasked(const float *in_data, const float *w_data,
             }
         }
     }
-}
-
-/**
- * Copy the (in_channels, in_h, in_w) input into @p padded with
- * @p padding zero rows / columns on every side, so the vector
- * masked-conv paths can gather any tap without a bounds check.
- */
-FASTBCNN_HOT inline void
-padConvInput(const float *in_data, float *padded, std::size_t in_channels,
-             std::size_t in_h, std::size_t in_w, std::size_t padding)
-{
-    const std::size_t ph = in_h + 2 * padding;
-    const std::size_t pw = in_w + 2 * padding;
-    for (std::size_t n = 0; n < in_channels; ++n) {
-        float *dst = padded + n * ph * pw;
-        std::fill(dst, dst + padding * pw, 0.0f);
-        for (std::size_t y = 0; y < in_h; ++y) {
-            float *row = dst + (y + padding) * pw;
-            std::fill(row, row + padding, 0.0f);
-            std::copy(in_data + (n * in_h + y) * in_w,
-                      in_data + (n * in_h + y + 1) * in_w, row + padding);
-            std::fill(row + padding + in_w, row + pw, 0.0f);
-        }
-        std::fill(dst + (padding + in_h) * pw, dst + ph * pw, 0.0f);
-    }
-}
-
-/**
- * Compact the live (skip bit 0) positions of output plane @p m into
- * @p live as (r << 16) | c, padding the list to a whole number of
- * @p lanes by repeating the last entry.  @return the live count.
- * Requires out_h, out_w < 65536 (callers gate).
- */
-FASTBCNN_HOT inline std::size_t
-collectLivePositions(const std::uint64_t *skip_words, std::size_t m,
-                     std::size_t out_h, std::size_t out_w,
-                     std::size_t lanes, std::uint32_t *live)
-{
-    const std::size_t plane = out_h * out_w;
-    const std::size_t base = m * plane;
-    std::size_t count = 0;
-    for (std::size_t z0 = 0; z0 < plane; z0 += 64) {
-        const std::size_t span = std::min<std::size_t>(64, plane - z0);
-        std::uint64_t bits = ~extract64(skip_words, base + z0);
-        if (span < 64)
-            bits &= (1ull << span) - 1;
-        while (bits != 0) {
-            const std::size_t z =
-                z0 + static_cast<std::size_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            live[count++] = static_cast<std::uint32_t>(
-                ((z / out_w) << 16) | (z % out_w));
-        }
-    }
-    if (count > 0) {
-        for (std::size_t t = count; t % lanes != 0; ++t)
-            live[t] = live[count - 1];
-    }
-    return count;
 }
 
 /**
@@ -600,130 +519,6 @@ scalarQuantPoolMax(const std::int8_t *in, std::int8_t *out,
             }
         }
     }
-}
-
-// ------------------------------------------- shared byte-plane Eq. 5
-
-/**
- * First half of the vector Eq. 5 count: expand the (in_channels, in_h,
- * in_w) mask bits into a zero-padded byte image, then cut one shifted
- * 0/1 byte plane per (n, i, j) tap out of it — plane (n, i, j) holds
- * mask(n, r*s+i-p, c*s+j-p) at r * out_w + c, 0 for padding taps.
- * Planes start countPlaneStride(out_h, out_w) bytes apart, tails
- * zeroed.  Each kernel's count is then the sum of the planes its
- * indicator bits select (the popcount trick of binarized inference,
- * turned into byte adds).  @return the first plane.
- */
-FASTBCNN_HOT inline const std::uint8_t *
-buildCountPlanes(const std::uint64_t *mask_words, std::uint8_t *scratch,
-                 std::size_t in_channels, std::size_t in_h,
-                 std::size_t in_w, std::size_t out_h, std::size_t out_w,
-                 std::size_t k, std::size_t s, std::size_t p)
-{
-    const std::size_t ph = in_h + 2 * p;
-    const std::size_t pw = in_w + 2 * p;
-    std::uint8_t *image = scratch;
-    std::fill(image, image + in_channels * ph * pw, std::uint8_t{0});
-    for (std::size_t n = 0; n < in_channels; ++n) {
-        for (std::size_t y = 0; y < in_h; ++y) {
-            std::uint8_t *row = image + (n * ph + y + p) * pw + p;
-            const std::size_t bit0 = (n * in_h + y) * in_w;
-            for (std::size_t x0 = 0; x0 < in_w; x0 += 64) {
-                const std::uint64_t bits = extract64(mask_words, bit0 + x0);
-                const std::size_t span = std::min<std::size_t>(64, in_w - x0);
-                for (std::size_t t = 0; t < span; ++t)
-                    row[x0 + t] = static_cast<std::uint8_t>((bits >> t) & 1);
-            }
-        }
-    }
-    const std::size_t stride = countPlaneStride(out_h, out_w);
-    std::uint8_t *planes = image + in_channels * ph * pw;
-    for (std::size_t n = 0; n < in_channels; ++n) {
-        for (std::size_t i = 0; i < k; ++i) {
-            for (std::size_t j = 0; j < k; ++j) {
-                std::uint8_t *plane = planes + ((n * k + i) * k + j) * stride;
-                for (std::size_t r = 0; r < out_h; ++r) {
-                    const std::uint8_t *src =
-                        image + (n * ph + r * s + i) * pw + j;
-                    std::uint8_t *dst = plane + r * out_w;
-                    if (s == 1) {
-                        std::copy(src, src + out_w, dst);
-                    } else {
-                        for (std::size_t c = 0; c < out_w; ++c)
-                            dst[c] = src[c * s];
-                    }
-                }
-                std::fill(plane + out_h * out_w, plane + stride,
-                          std::uint8_t{0});
-            }
-        }
-    }
-    return planes;
-}
-
-/** Word-at-a-time bit-range popcount (masked first/last words). */
-FASTBCNN_HOT inline std::size_t
-popcountBitsWords(const std::uint64_t *w, std::size_t start_bit,
-                  std::size_t n_bits)
-{
-    if (n_bits == 0)
-        return 0;
-    const std::size_t end_bit = start_bit + n_bits;
-    const std::size_t first = start_bit >> 6;
-    const std::size_t last = (end_bit - 1) >> 6;
-    const std::size_t lo_sh = start_bit & 63;
-    const std::size_t hi_used = ((end_bit - 1) & 63) + 1;
-    const std::uint64_t lo_mask = ~0ull << lo_sh;
-    const std::uint64_t hi_mask =
-        hi_used == 64 ? ~0ull : ((1ull << hi_used) - 1);
-    if (first == last) {
-        return static_cast<std::size_t>(
-            std::popcount(w[first] & lo_mask & hi_mask));
-    }
-    std::size_t total =
-        static_cast<std::size_t>(std::popcount(w[first] & lo_mask));
-    for (std::size_t i = first + 1; i < last; ++i)
-        total += static_cast<std::size_t>(std::popcount(w[i]));
-    total += static_cast<std::size_t>(std::popcount(w[last] & hi_mask));
-    return total;
-}
-
-/** Unrolled 4x64-bit whole-array popcount. */
-FASTBCNN_HOT inline std::size_t
-popcountWords4(const std::uint64_t *w, std::size_t n)
-{
-    std::size_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        t0 += static_cast<std::size_t>(std::popcount(w[i]));
-        t1 += static_cast<std::size_t>(std::popcount(w[i + 1]));
-        t2 += static_cast<std::size_t>(std::popcount(w[i + 2]));
-        t3 += static_cast<std::size_t>(std::popcount(w[i + 3]));
-    }
-    for (; i < n; ++i)
-        t0 += static_cast<std::size_t>(std::popcount(w[i]));
-    return t0 + t1 + t2 + t3;
-}
-
-/** Unrolled 4x64-bit AND-popcount over word pairs. */
-FASTBCNN_HOT inline std::size_t
-andPopcountWords4(const std::uint64_t *a, const std::uint64_t *b,
-                  std::size_t n)
-{
-    std::size_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        t0 += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-        t1 += static_cast<std::size_t>(
-            std::popcount(a[i + 1] & b[i + 1]));
-        t2 += static_cast<std::size_t>(
-            std::popcount(a[i + 2] & b[i + 2]));
-        t3 += static_cast<std::size_t>(
-            std::popcount(a[i + 3] & b[i + 3]));
-    }
-    for (; i < n; ++i)
-        t0 += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-    return t0 + t1 + t2 + t3;
 }
 
 } // namespace fastbcnn::simd::detail

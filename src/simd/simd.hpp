@@ -5,13 +5,15 @@
  * One function-pointer table (SimdKernels) holds every FASTBCNN_HOT
  * inner kernel of the library: the float compute side (conv / dense /
  * pooling / ReLU) and the bit-parallel skip-prediction side (word
- * popcounts and the Eq. 5 nw-input counting).  At startup the best
- * table the CPU supports is selected by cpuid (Scalar → SSE4.2 →
- * AVX2), overridable for testing with FASTBCNN_SIMD=scalar|sse4|avx2
- * — the layering follows Stockfish NNUE's USE_AVX2 / kSimdWidth
- * scheme, but resolved at run time instead of build time.
+ * popcounts and the Eq. 5 nw-input counting).  There are two tables:
+ * the Scalar reference, which is the semantics and the only table on
+ * non-x86 and pre-AVX2 CPUs, and AVX2.  At startup cpuid picks AVX2
+ * when the CPU has it (Scalar → AVX2), overridable for testing with
+ * FASTBCNN_SIMD=scalar|avx2 — the layering follows Stockfish NNUE's
+ * USE_AVX2 / kSimdWidth scheme, but resolved at run time instead of
+ * build time.
  *
- * Bit-identity contract: every table produces bit-identical float
+ * Bit-identity contract: the AVX2 table produces bit-identical float
  * outputs and bit-identical skip counts to the Scalar reference table
  * on any input.  Concretely:
  *  - no FMA contraction anywhere (every kernel translation unit is
@@ -22,12 +24,13 @@
  *    across the reduction of one element);
  *  - the one true reduction (dense) is defined lane-strided: 8 partial
  *    double sums over lanes i % 8, reduced in fixed lane order — the
- *    scalar reference computes the same 8 partials, so all levels
+ *    scalar reference computes the same 8 partials, so both levels
  *    agree to the last bit;
  *  - NaN / signed-zero semantics of ReLU and max-pooling are
  *    reproduced with compare + blend rather than native vector max.
- * The SimdDispatch test suite pins all of this by running every
- * compiled level against Scalar on randomized and adversarial shapes.
+ * The SimdDispatch test suite pins all of this by running the
+ * compiled AVX2 level against Scalar on randomized and adversarial
+ * shapes.
  */
 
 #ifndef FASTBCNN_SIMD_SIMD_HPP
@@ -42,12 +45,11 @@ namespace fastbcnn::simd {
 /** Dispatch levels, ordered weakest to strongest. */
 enum class SimdLevel : int {
     Scalar = 0, ///< portable reference kernels (any CPU)
-    Sse4 = 1,   ///< SSE4.2 + POPCNT
-    Avx2 = 2,   ///< AVX2 (8-wide float lanes, 4x64-bit popcount lanes)
+    Avx2 = 1,   ///< AVX2 (8-wide float lanes, 4x64-bit popcount lanes)
 };
 
 /** Number of dispatch levels (for iteration in tests/benches). */
-inline constexpr int kSimdLevelCount = 3;
+inline constexpr int kSimdLevelCount = 2;
 
 /**
  * The dispatch table: one entry per hot kernel.  All pointers are
@@ -274,8 +276,8 @@ SimdLevel activeLevel();
 
 /**
  * @return the strongest level this binary can run here: the cpuid
- * capability clamped to what was compiled in (FASTBCNN_SIMD_SSE4 /
- * FASTBCNN_SIMD_AVX2 CMake options).
+ * capability clamped to what was compiled in (the FASTBCNN_SIMD_AVX2
+ * CMake option).
  */
 SimdLevel detectedLevel();
 
@@ -298,11 +300,11 @@ SimdLevel setLevel(SimdLevel level);
  */
 const SimdKernels &kernelsFor(SimdLevel level);
 
-/** @return "scalar" / "sse4" / "avx2". */
+/** @return "scalar" / "avx2". */
 const char *simdLevelName(SimdLevel level);
 
 /**
- * Parse a level name ("scalar" | "sse4" | "avx2", as accepted by
+ * Parse a level name ("scalar" | "avx2", as accepted by
  * FASTBCNN_SIMD and --simd).  @return false on an unknown name.
  */
 bool simdLevelFromName(std::string_view name, SimdLevel &out);

@@ -8,7 +8,6 @@
 #ifndef FASTBCNN_SKIP_THRESHOLDS_HPP
 #define FASTBCNN_SKIP_THRESHOLDS_HPP
 
-#include <iosfwd>
 #include <map>
 #include <vector>
 
@@ -49,15 +48,6 @@ class ThresholdSet
 
     /** @return the mean threshold across every kernel (diagnostics). */
     double mean() const;
-
-    /**
-     * Serialise as "conv_node m alpha" lines; loadText() reverses it.
-     * This is the artefact of the offline optimization stage.
-     */
-    void saveText(std::ostream &os) const;
-
-    /** Parse the saveText() format; fatal() on malformed input. */
-    static ThresholdSet loadText(std::istream &is);
 
   private:
     std::map<NodeId, std::vector<int>> byConv_;

@@ -922,7 +922,7 @@ TEST(Engine, GuardWiringAndToleranceDerivation)
     std::vector<Tensor> inputs;
     for (const Example &e : calib.examples)
         inputs.push_back(e.image);
-    engine.calibrate(inputs);
+    ASSERT_TRUE(engine.tryCalibrate(inputs).isOk());
 
     ASSERT_NE(engine.guard(), nullptr);
     // tolerance 0 derives the calibrated budget 1 - p_cf.
@@ -947,7 +947,7 @@ TEST(Engine, GuardDisabledPathErrors)
     std::vector<Tensor> inputs;
     for (const Example &e : calib.examples)
         inputs.push_back(e.image);
-    engine.calibrate(inputs);
+    ASSERT_TRUE(engine.tryCalibrate(inputs).isOk());
 
     EXPECT_EQ(engine.guard(), nullptr);
     Expected<GuardedMcResult> run =

@@ -61,7 +61,7 @@ TEST(Engine, InferProducesConsistentResult)
     eopts.mc.samples = 4;
     eopts.optimizer.samples = 2;
     FastBcnnEngine engine(buildLenet5(mopts), eopts);
-    engine.calibrate({makeMnistLikeImage(2, 3)});
+    ASSERT_TRUE(engine.tryCalibrate({makeMnistLikeImage(2, 3)}).isOk());
     EngineResult res = engine.infer(makeMnistLikeImage(4, 5));
 
     EXPECT_EQ(res.census.size(), engine.topology().blocks().size());
@@ -199,8 +199,8 @@ TEST(Engine, BrngKindAffectsMasksNotShape)
     FastBcnnEngine ea(buildLenet5(mopts), lfsr);
     FastBcnnEngine eb(buildLenet5(mopts), sw);
     const Tensor in = makeMnistLikeImage(1, 2);
-    ea.calibrate({in});
-    eb.calibrate({in});
+    ASSERT_TRUE(ea.tryCalibrate({in}).isOk());
+    ASSERT_TRUE(eb.tryCalibrate({in}).isOk());
     TraceBundle ta = ea.trace(in);
     TraceBundle tb = eb.trace(in);
     EXPECT_EQ(ta.trace.blocks.size(), tb.trace.blocks.size());

@@ -1,9 +1,9 @@
 /**
  * @file
  * SimdDispatch: pins the runtime-dispatched kernel layer's central
- * promise — every compiled dispatch level (scalar / SSE4.2 / AVX2)
- * produces bit-identical float outputs and bit-identical skip counts
- * to the scalar reference on any input, including non-multiple-of-
+ * promise — the AVX2 table, when compiled in and supported, produces
+ * bit-identical float outputs and bit-identical skip counts to the
+ * scalar reference on any input, including non-multiple-of-
  * width shapes, padding/stride edges, NaN/signed-zero values and
  * all-skip / no-skip masks.  Also covers the 64-byte storage
  * alignment contract, the FASTBCNN_SIMD level parsing, and (in the
@@ -131,6 +131,8 @@ TEST(SimdDispatch, LevelNamesRoundTrip)
     }
     simd::SimdLevel parsed;
     EXPECT_FALSE(simd::simdLevelFromName("avx512", parsed));
+    // A retired level name is rejected like any unknown one.
+    EXPECT_FALSE(simd::simdLevelFromName("sse4", parsed));
     EXPECT_FALSE(simd::simdLevelFromName("", parsed));
     EXPECT_FALSE(simd::simdLevelFromName("Scalar", parsed));
 }

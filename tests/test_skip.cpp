@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstring>
 #include <random>
-#include <sstream>
 
 #include "models/zoo.hpp"
 #include "nn/activations.hpp"
@@ -261,19 +260,6 @@ TEST(Thresholds, SetGetAndMean)
     EXPECT_FALSE(set.has(9999));
     EXPECT_GT(set.mean(), 5.0);
     EXPECT_DEATH(set.of(9999, 0), "no thresholds");
-}
-
-TEST(Thresholds, TextRoundTrip)
-{
-    Network net = tinyBcnn();
-    BcnnTopology topo(net);
-    ThresholdSet set(topo, 3);
-    set.set(net.findNode("c2"), 2, 17);
-    std::stringstream ss;
-    set.saveText(ss);
-    ThresholdSet loaded = ThresholdSet::loadText(ss);
-    EXPECT_EQ(loaded.of(net.findNode("c2"), 2), 17);
-    EXPECT_EQ(loaded.of(net.findNode("c1"), 0), 3);
 }
 
 TEST(Predictor, ZeroIndexGatesPrediction)
