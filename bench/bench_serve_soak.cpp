@@ -108,9 +108,8 @@ writeZoo()
             init.seed = 11 * version + (id == "zoo-a" ? 0 : 100);
             init.biasShift = 0.0;
             initializeWeights(net, init);
-            const Status saved = trySaveCheckpointFile(
-                net, checkpointPath(id, version),
-                CheckpointFormat::Binary);
+            const Status saved =
+                trySaveCheckpointFile(net, checkpointPath(id, version));
             if (!saved.isOk()) {
                 std::cerr << "cannot write zoo checkpoint: "
                           << saved.toString() << "\n";
@@ -152,10 +151,10 @@ checkpointFactory(std::string id, std::uint64_t version)
 {
     return [id, version]() -> Expected<std::unique_ptr<FastBcnnEngine>> {
         Network net = zooModel(id);
-        Expected<CheckpointFormat> loaded =
+        Status loaded =
             tryLoadCheckpointFile(net, checkpointPath(id, version));
-        if (!loaded.hasValue())
-            return std::move(loaded).takeError();
+        if (!loaded.isOk())
+            return loaded;
         EngineOptions eopts;
         eopts.mc.samples = 4;
         eopts.mc.seed = 17;

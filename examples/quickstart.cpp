@@ -14,10 +14,9 @@
  *   --audit-rate R    shadow-audit fraction of skipped neurons; any
  *                     R > 0 enables the skip guard and prints a
  *                     guard summary after the guarded run
- *   --checkpoint-format {text,binary}
- *                     demo the checkpoint pipeline: atomically save
- *                     the model in that format, reload it into a
- *                     fresh network, and print the integrity audit
+ *   --checkpoint      demo the checkpoint pipeline: atomically save
+ *                     the model, reload it into a fresh network with
+ *                     every CRC verified
  *   --simd {scalar,avx2}
  *                     force a SIMD dispatch level (default: strongest
  *                     the CPU supports; outputs are bit-identical at
@@ -60,7 +59,7 @@ struct CliOptions {
     double deadlineMs = 0.0;  // 0 = no deadline
     std::size_t quorum = 0;   // 0 = any survivor suffices
     double auditRate = 0.0;   // 0 = guard off
-    std::string checkpointFormat;  // empty = skip the demo
+    bool checkpoint = false;  // checkpoint save/reload demo
     std::string simdLevel;    // empty = strongest available
     Precision precision = Precision::Float32;
     double targetCiWidth = 0.0;   // 0 = fixed-T sampling
@@ -90,15 +89,8 @@ parseArgs(int argc, char **argv)
             cli.quorum = std::stoul(value());
         } else if (flag == "--audit-rate") {
             cli.auditRate = std::stod(value());
-        } else if (flag == "--checkpoint-format") {
-            cli.checkpointFormat = value();
-            if (cli.checkpointFormat != "text" &&
-                cli.checkpointFormat != "binary") {
-                std::cerr << "--checkpoint-format must be 'text' or "
-                             "'binary'\n";
-                // NOLINTNEXTLINE-FASTBCNN(error-discipline): CLI arg-parse exit
-                std::exit(2);
-            }
+        } else if (flag == "--checkpoint") {
+            cli.checkpoint = true;
         } else if (flag == "--simd") {
             cli.simdLevel = value();
             simd::SimdLevel parsed;
@@ -124,7 +116,7 @@ parseArgs(int argc, char **argv)
             std::cerr << "usage: quickstart [--threads N] "
                          "[--deadline-ms D] [--quorum Q] "
                          "[--audit-rate R] "
-                         "[--checkpoint-format text|binary] "
+                         "[--checkpoint] "
                          "[--simd scalar|avx2] "
                          "[--precision f32|int8] "
                          "[--target-ci-width W] [--min-samples M] "
@@ -169,35 +161,28 @@ main(int argc, char **argv)
     calibrateSparsity(net, {makeMnistLikeImage(0, 1),
                             makeMnistLikeImage(5, 2)});
 
-    // 1b. With --checkpoint-format: the checkpoint pipeline the
-    //     serving stack uses for hot-swaps.  The save is atomic (temp
-    //     file + fsync + rename), the reload auto-detects the format
-    //     and re-checks every CRC before a single weight is touched.
-    if (!cli.checkpointFormat.empty()) {
-        const CheckpointFormat fmt =
-            cli.checkpointFormat == "binary" ? CheckpointFormat::Binary
-                                             : CheckpointFormat::Text;
-        const std::string path =
-            std::string("quickstart_ckpt.") +
-            (fmt == CheckpointFormat::Binary ? "bin" : "txt");
-        const Status saved = trySaveCheckpointFile(net, path, fmt);
+    // 1b. With --checkpoint: the checkpoint pipeline the serving
+    //     stack uses for hot-swaps.  The save is atomic (temp file +
+    //     fsync + rename), the reload re-checks every CRC before a
+    //     single weight is touched.
+    if (cli.checkpoint) {
+        const std::string path = "quickstart_ckpt.bin";
+        const Status saved = trySaveCheckpointFile(net, path);
         if (!saved.isOk()) {
             std::cerr << "checkpoint save failed: " << saved.toString()
                       << "\n";
             return 1;
         }
         Network reloaded = buildLenet5(mopts);
-        const Expected<CheckpointFormat> loaded =
-            tryLoadCheckpointFile(reloaded, path);
-        if (!loaded.hasValue()) {
+        const Status loaded = tryLoadCheckpointFile(reloaded, path);
+        if (!loaded.isOk()) {
             std::cerr << "checkpoint reload failed: "
-                      << loaded.error().toString() << "\n";
+                      << loaded.toString() << "\n";
             return 1;
         }
         std::cout << format(
-            "Checkpoint round-trip: wrote %s, reloaded as %s format "
-            "with every CRC verified\n", path.c_str(),
-            checkpointFormatName(loaded.value()));
+            "Checkpoint round-trip: wrote %s, reloaded it with every "
+            "CRC verified\n", path.c_str());
         std::remove(path.c_str());
     }
 

@@ -15,57 +15,12 @@ StatGroup::add(const std::string &key, std::uint64_t delta)
     counters_[key] += delta;
 }
 
-void
-StatGroup::set(const std::string &key, double value)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    gauges_[key] = value;
-}
-
 std::uint64_t
 StatGroup::counter(const std::string &key) const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
     auto it = counters_.find(key);
     return it == counters_.end() ? 0 : it->second;
-}
-
-double
-StatGroup::gauge(const std::string &key) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = gauges_.find(key);
-    return it == gauges_.end() ? 0.0 : it->second;
-}
-
-void
-StatGroup::reset()
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    counters_.clear();
-    gauges_.clear();
-}
-
-void
-StatGroup::merge(const StatGroup &other)
-{
-    FASTBCNN_CHECK(&other != this, "StatGroup cannot merge with itself");
-    // Lock both sides deadlock-free (merge(a,b) racing merge(b,a)).
-    const std::scoped_lock lock(mutex_, other.mutex_);
-    for (const auto &[k, v] : other.counters_)
-        counters_[k] += v;
-    for (const auto &[k, v] : other.gauges_)
-        gauges_[k] = v;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[k, v] : counters_)
-        os << name_ << '.' << k << " = " << v << '\n';
-    for (const auto &[k, v] : gauges_)
-        os << name_ << '.' << k << " = " << v << '\n';
 }
 
 LatencyHistogram::LatencyHistogram(const LatencyHistogram &other)

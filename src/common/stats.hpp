@@ -1,8 +1,8 @@
 /**
  * @file
- * A tiny named-counter statistics registry, in the spirit of gem5's
- * stats package.  Simulator components register scalar counters and
- * the harness dumps them grouped by component.
+ * Run-time statistics: the serving layer's named counters
+ * (StatGroup), log-bucketed latency histograms, and the Wilson-bounded
+ * rate estimator the skip guard tracks mispredicts with.
  */
 
 #ifndef FASTBCNN_COMMON_STATS_HPP
@@ -18,40 +18,23 @@
 namespace fastbcnn {
 
 /**
- * A group of named 64-bit counters and double-valued gauges.
+ * A group of named 64-bit counters (the InferenceServer's outcome
+ * tallies).
  *
- * Thread-safe: every member serialises on an internal mutex, so a
- * group can act as a shared sink for the parallel MC-dropout workers
- * (add() from many threads, dump() from the harness).  The cycle-level
- * simulator itself remains single-threaded and pays one uncontended
- * lock per update.
+ * Thread-safe: every member serialises on an internal mutex, so the
+ * server's worker threads can add() while health() reads.
  */
 class StatGroup
 {
   public:
-    /** Construct a group with a dotted-path name, e.g. "fb64.pe0". */
+    /** Construct a group with a dotted-path name, e.g. "serve". */
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
 
     /** Add @p delta to counter @p key (creating it at zero). */
     void add(const std::string &key, std::uint64_t delta = 1);
 
-    /** Set gauge @p key to @p value. */
-    void set(const std::string &key, double value);
-
     /** @return counter value (0 when absent). */
     std::uint64_t counter(const std::string &key) const;
-
-    /** @return gauge value (0.0 when absent). */
-    double gauge(const std::string &key) const;
-
-    /** Reset all counters and gauges to zero. */
-    void reset();
-
-    /** Merge another group's counters into this one (summing). */
-    void merge(const StatGroup &other);
-
-    /** Dump "name.key = value" lines. */
-    void dump(std::ostream &os) const;
 
     /** @return the group's dotted-path name. */
     const std::string &name() const { return name_; }
@@ -60,7 +43,6 @@ class StatGroup
     std::string name_;
     mutable std::mutex mutex_;
     std::map<std::string, std::uint64_t> counters_;
-    std::map<std::string, double> gauges_;
 };
 
 /**

@@ -152,8 +152,6 @@ SkipGuard::onSampleAudit(const SampleAudit &audit)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     ++samplesSeen_;
-    std::uint64_t audited = 0;
-    std::uint64_t mispredicted = 0;
     for (const auto &[conv, tallies] : audit.kernels) {
         auto it = kernels_.find(conv);
         if (it == kernels_.end())
@@ -163,13 +161,8 @@ SkipGuard::onSampleAudit(const SampleAudit &audit)
         for (std::size_t m = 0; m < n; ++m) {
             states[m].roundAudited += tallies[m].audited;
             states[m].roundMispredicted += tallies[m].mispredicted;
-            audited += tallies[m].audited;
-            mispredicted += tallies[m].mispredicted;
         }
     }
-    stats_.add("samples");
-    stats_.add("audited", audited);
-    stats_.add("mispredicted", mispredicted);
     if (samplesSeen_ % opts_.decisionInterval == 0)
         decideLocked();
 }
@@ -190,17 +183,16 @@ SkipGuard::recordEventLocked(KernelState &st, NodeId conv,
     ev.wilsonLower = lower;
     events_.push_back(ev);
     switch (kind) {
-      case GuardEventKind::Backoff: stats_.add("backoffs"); break;
-      case GuardEventKind::Disable: stats_.add("disables"); break;
-      case GuardEventKind::Probe:   stats_.add("probes"); break;
-      case GuardEventKind::Recover: stats_.add("recoveries"); break;
+      case GuardEventKind::Backoff: ++backoffs_; break;
+      case GuardEventKind::Disable: ++disables_; break;
+      case GuardEventKind::Probe:   ++probes_; break;
+      case GuardEventKind::Recover: ++recoveries_; break;
     }
 }
 
 void
 SkipGuard::decideLocked()
 {
-    std::size_t degraded = 0;
     for (auto &[conv, states] : kernels_) {
         for (std::size_t m = 0; m < states.size(); ++m) {
             KernelState &st = states[m];
@@ -217,8 +209,6 @@ SkipGuard::decideLocked()
                 continue;
             if (st.cooldown > 0) {
                 --st.cooldown;
-                if (st.current != st.calibrated)
-                    ++degraded;
                 continue;
             }
 
@@ -279,11 +269,8 @@ SkipGuard::decideLocked()
                 st.cooldown = opts_.cooldownRounds * st.penalty;
                 st.estimator.reset();
             }
-            if (st.current != st.calibrated)
-                ++degraded;
         }
     }
-    stats_.set("degraded_kernels", static_cast<double>(degraded));
 }
 
 GuardSnapshot
@@ -293,10 +280,10 @@ SkipGuard::snapshot() const
     GuardSnapshot snap;
     snap.tolerance = opts_.tolerance;
     snap.samplesSeen = samplesSeen_;
-    snap.backoffs = stats_.counter("backoffs");
-    snap.disables = stats_.counter("disables");
-    snap.probes = stats_.counter("probes");
-    snap.recoveries = stats_.counter("recoveries");
+    snap.backoffs = backoffs_;
+    snap.disables = disables_;
+    snap.probes = probes_;
+    snap.recoveries = recoveries_;
     for (const auto &[conv, states] : kernels_) {
         for (std::size_t m = 0; m < states.size(); ++m) {
             const KernelState &st = states[m];

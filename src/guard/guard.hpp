@@ -170,9 +170,6 @@ class SkipGuard
     /** @return events [first, end) — "what happened since". */
     std::vector<GuardEvent> eventsSince(std::size_t first) const;
 
-    /** @return the guard's counter group (trace/diagnostics sink). */
-    const StatGroup &stats() const { return stats_; }
-
   private:
     /** Mutable per-kernel policy state. */
     struct KernelState {
@@ -200,7 +197,11 @@ class SkipGuard
     std::map<NodeId, std::vector<KernelState>> kernels_;
     std::vector<GuardEvent> events_;
     std::uint64_t samplesSeen_ = 0;
-    StatGroup stats_{"guard"};
+    // Lifetime decision counts by kind, reported by snapshot().
+    std::uint64_t backoffs_ = 0;
+    std::uint64_t disables_ = 0;
+    std::uint64_t probes_ = 0;
+    std::uint64_t recoveries_ = 0;
 };
 
 } // namespace fastbcnn

@@ -1,5 +1,6 @@
 #include "checkpoint.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <istream>
@@ -193,29 +194,6 @@ quantSectionPayload(const QuantRecord &rec)
 
 } // namespace
 
-const char *
-checkpointFormatName(CheckpointFormat format)
-{
-    return format == CheckpointFormat::Binary ? "binary" : "text";
-}
-
-Expected<CheckpointFormat>
-detectCheckpointFormat(const std::string &bytes)
-{
-    if (bytes.size() >= sizeof(kFileMagic) &&
-        std::memcmp(bytes.data(), kFileMagic,
-                    sizeof(kFileMagic)) == 0) {
-        return CheckpointFormat::Binary;
-    }
-    constexpr const char *kTextMagic = "fastbcnn-weights";
-    if (bytes.compare(0, std::strlen(kTextMagic), kTextMagic) == 0)
-        return CheckpointFormat::Text;
-    return errorf(ErrorCode::ParseError,
-                  "not a fastbcnn checkpoint (unrecognised magic in "
-                  "the first %zu bytes)",
-                  std::min<std::size_t>(bytes.size(), 16));
-}
-
 Status
 tryEmitBinaryCheckpoint(const CheckpointImage &image, std::ostream &os)
 {
@@ -294,15 +272,18 @@ Expected<CheckpointImage>
 tryParseBinaryCheckpoint(const std::string &bytes)
 {
     // --- file header -------------------------------------------------
+    // Magic first, over as much of it as the stream holds: a foreign
+    // file is a ParseError at any length, while a prefix of a real
+    // checkpoint is a truncation.
+    if (std::memcmp(bytes.data(), kFileMagic,
+                    std::min(bytes.size(), sizeof(kFileMagic))) != 0) {
+        return errorf(ErrorCode::ParseError,
+                      "not a fastbcnn checkpoint (bad magic)");
+    }
     if (bytes.size() < kHeaderBytes) {
         return errorf(ErrorCode::Truncated,
                       "binary checkpoint is %zu bytes; even the "
                       "header needs %zu", bytes.size(), kHeaderBytes);
-    }
-    if (std::memcmp(bytes.data(), kFileMagic, sizeof(kFileMagic)) !=
-        0) {
-        return errorf(ErrorCode::ParseError,
-                      "not a fastbcnn binary checkpoint (bad magic)");
     }
     if (crc32(bytes.data(), kHeaderBytes - 4) !=
         getU32(bytes.data() + kHeaderBytes - 4)) {
@@ -322,20 +303,23 @@ tryParseBinaryCheckpoint(const std::string &bytes)
     const std::uint32_t modelNameBytes = getU32(bytes.data() + 24);
     const std::uint32_t nameCrc = getU32(bytes.data() + 28);
 
-    const std::uint64_t expectTotal =
-        kHeaderBytes + payloadBytes + kHeaderBytes;
-    if (bytes.size() < expectTotal) {
+    // Compare the file-supplied payload size against what the stream
+    // can hold before adding anything to it: header + payload +
+    // footer computed from a crafted u64 could wrap modulo 2^64.
+    if (bytes.size() < 2 * kHeaderBytes ||
+        payloadBytes > bytes.size() - 2 * kHeaderBytes) {
         return errorf(ErrorCode::Truncated,
                       "binary checkpoint is %zu bytes but its header "
-                      "advertises %llu", bytes.size(),
-                      static_cast<unsigned long long>(expectTotal));
+                      "advertises a %llu-byte payload", bytes.size(),
+                      static_cast<unsigned long long>(payloadBytes));
     }
-    if (bytes.size() > expectTotal) {
+    if (payloadBytes < bytes.size() - 2 * kHeaderBytes) {
         return errorf(ErrorCode::ParseError,
-                      "binary checkpoint carries %zu trailing bytes "
+                      "binary checkpoint carries %llu trailing bytes "
                       "after the footer",
-                      bytes.size() -
-                          static_cast<std::size_t>(expectTotal));
+                      static_cast<unsigned long long>(
+                          bytes.size() - 2 * kHeaderBytes -
+                          payloadBytes));
     }
 
     // --- footer (whole-file integrity before touching sections) ------
@@ -411,6 +395,17 @@ tryParseBinaryCheckpoint(const std::string &bytes)
             return errorf(ErrorCode::Truncated,
                           "section %u payload (%llu bytes) overruns "
                           "the file", s,
+                          static_cast<unsigned long long>(secPayload));
+        }
+        // Every element takes at least one payload byte, so counts
+        // above the payload size are rotted; bounding them first keeps
+        // the size arithmetic below from wrapping.
+        if (weightCount > secPayload || biasCount > secPayload) {
+            return errorf(ErrorCode::ParseError,
+                          "section %u claims %llu+%llu values but "
+                          "only %llu payload bytes", s,
+                          static_cast<unsigned long long>(weightCount),
+                          static_cast<unsigned long long>(biasCount),
                           static_cast<unsigned long long>(secPayload));
         }
         // The advertised element counts must reproduce the payload
@@ -512,34 +507,19 @@ tryLoadWeightsBinary(Network &net, std::istream &is)
     Expected<CheckpointImage> image = tryParseBinaryCheckpoint(is);
     if (!image.hasValue())
         return std::move(image).takeError();
-    FASTBCNN_RETURN_IF_ERROR(
-        tryCommitCheckpointImage(net, image.value()));
-    checkpointStats().add("binary_loads");
-    return Status::ok();
+    return tryCommitCheckpointImage(net, image.value());
 }
 
 Expected<CheckpointAudit>
-tryAuditCheckpoint(const std::string &bytes, CheckpointImage *image)
+tryAuditCheckpoint(const std::string &bytes)
 {
-    Expected<CheckpointFormat> format = detectCheckpointFormat(bytes);
-    if (!format.hasValue())
-        return std::move(format).takeError();
-
-    Expected<CheckpointImage> parsed = [&]() {
-        if (format.value() == CheckpointFormat::Binary)
-            return tryParseBinaryCheckpoint(bytes);
-        std::istringstream is(bytes);
-        return tryParseTextCheckpoint(is);
-    }();
+    Expected<CheckpointImage> parsed = tryParseBinaryCheckpoint(bytes);
     if (!parsed.hasValue()) {
         return std::move(parsed).takeError().withContext(
-            format.value() == CheckpointFormat::Binary
-                ? "auditing binary checkpoint"
-                : "auditing text checkpoint");
+            "auditing checkpoint");
     }
 
     CheckpointAudit audit;
-    audit.format = format.value();
     audit.modelName = parsed.value().modelName;
     audit.sections = parsed.value().records.size();
     audit.quantSections = parsed.value().quantRecords.size();
@@ -548,49 +528,30 @@ tryAuditCheckpoint(const std::string &bytes, CheckpointImage *image)
         audit.totalValues += rec.weights.size() + rec.bias.size();
     for (const QuantRecord &rec : parsed.value().quantRecords)
         audit.totalValues += rec.weights.size() + rec.bias.size();
-    // Text checkpoints without a footer parse fine but carry no CRC;
-    // binary files cannot parse without passing every CRC.
-    audit.crcVerified = audit.format == CheckpointFormat::Binary ||
-                        bytes.rfind("\ncrc32 ") != std::string::npos;
-    if (image != nullptr)
-        *image = std::move(parsed).value();
     return audit;
 }
 
 Status
 trySaveCheckpointFile(const Network &net, const std::string &path,
-                      CheckpointFormat format,
                       const AtomicWriteOptions &write_opts)
 {
-    std::ostringstream os;
-    FASTBCNN_RETURN_IF_ERROR(
-        format == CheckpointFormat::Binary
-            ? trySaveWeightsBinary(net, os)
-            : trySaveWeights(net, os));
-    return tryAtomicWriteFile(path, os.str(), write_opts)
-        .withContext(fastbcnn::format(
-            "saving %s checkpoint of '%s'",
-            checkpointFormatName(format), net.name().c_str()));
+    return trySaveCheckpointImageFile(checkpointImageOf(net), path,
+                                      write_opts);
 }
 
 Status
 trySaveCheckpointImageFile(const CheckpointImage &image,
                            const std::string &path,
-                           CheckpointFormat format,
                            const AtomicWriteOptions &write_opts)
 {
     std::ostringstream os;
-    FASTBCNN_RETURN_IF_ERROR(
-        format == CheckpointFormat::Binary
-            ? tryEmitBinaryCheckpoint(image, os)
-            : tryEmitTextCheckpoint(image, os));
+    FASTBCNN_RETURN_IF_ERROR(tryEmitBinaryCheckpoint(image, os));
     return tryAtomicWriteFile(path, os.str(), write_opts)
-        .withContext(fastbcnn::format(
-            "saving %s checkpoint of '%s'",
-            checkpointFormatName(format), image.modelName.c_str()));
+        .withContext(format("saving checkpoint of '%s'",
+                            image.modelName.c_str()));
 }
 
-Expected<CheckpointFormat>
+Status
 tryLoadCheckpointFile(Network &net, const std::string &path)
 {
     Expected<std::string> bytes = tryReadFile(path);
@@ -598,21 +559,9 @@ tryLoadCheckpointFile(Network &net, const std::string &path)
         return std::move(bytes).takeError().withContext(
             "loading checkpoint file");
     }
-    Expected<CheckpointFormat> format =
-        detectCheckpointFormat(bytes.value());
-    if (!format.hasValue()) {
-        return std::move(format).takeError().withContext(
-            fastbcnn::format("loading '%s'", path.c_str()));
-    }
     std::istringstream is(bytes.value());
-    const Status loaded = format.value() == CheckpointFormat::Binary
-                              ? tryLoadWeightsBinary(net, is)
-                              : tryLoadWeights(net, is);
-    if (!loaded.isOk()) {
-        return Status(loaded).withContext(
-            fastbcnn::format("loading '%s'", path.c_str()));
-    }
-    return format.value();
+    return tryLoadWeightsBinary(net, is).withContext(
+        format("loading '%s'", path.c_str()));
 }
 
 } // namespace fastbcnn

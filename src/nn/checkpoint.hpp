@@ -1,6 +1,9 @@
 /**
  * @file
- * Binary checkpoint format + crash-safe checkpoint files.
+ * The checkpoint format + crash-safe checkpoint files.
+ *
+ * This is the one on-disk encoding of a CheckpointImage
+ * (serialize.hpp): model weights plus any quantized sections.
  *
  * Byte-level layout (all integers little-endian, every region padded
  * to a 64-byte boundary so float payloads are 64-byte-aligned from
@@ -30,8 +33,9 @@
  *                        those bytes, footer CRC32
  *
  * Every length field is validated against the actual stream size
- * before any allocation it implies, so rotted lengths surface as
- * Truncated / ParseError — never as an over-read or a giant alloc.
+ * before any arithmetic, pointer offset or allocation it implies, so
+ * rotted (or crafted) lengths surface as Truncated / ParseError —
+ * never as a wrapped sum, an over-read or a giant alloc.
  * CRC mismatches surface as DataLoss, at the finest granularity that
  * detects them (header, name, section, whole file).
  *
@@ -51,23 +55,7 @@
 
 namespace fastbcnn {
 
-/** The two interchangeable on-disk checkpoint encodings. */
-enum class CheckpointFormat {
-    Text,    ///< hex-float records + "crc32" footer (serialize.hpp)
-    Binary   ///< this header's sectioned binary layout
-};
-
-/** @return a stable lowercase name ("text" / "binary"). */
-const char *checkpointFormatName(CheckpointFormat format);
-
-/**
- * Sniff the encoding of @p bytes from its magic.
- * @return the format, or ParseError when it is neither.
- */
-[[nodiscard]] Expected<CheckpointFormat> detectCheckpointFormat(
-    const std::string &bytes);
-
-/** Serialise @p image in the binary format. */
+/** Serialise @p image as a checkpoint. */
 [[nodiscard]] Status tryEmitBinaryCheckpoint(
     const CheckpointImage &image, std::ostream &os);
 
@@ -84,67 +72,62 @@ const char *checkpointFormatName(CheckpointFormat format);
 [[nodiscard]] Expected<CheckpointImage> tryParseBinaryCheckpoint(
     std::istream &is);
 
-/** Binary analogue of trySaveWeights(). */
+/**
+ * Write every Conv2d / Linear layer's weights and biases of @p net.
+ * @return ok, or IoError when the stream reports failure.
+ */
 [[nodiscard]] Status trySaveWeightsBinary(const Network &net,
                                           std::ostream &os);
 
 /**
- * Binary analogue of tryLoadWeights(): parse, verify, staged
- * all-or-nothing commit into @p net.
+ * Parse, verify and commit a checkpoint into @p net (layers matched
+ * by name).  Every malformed input — wrong magic, truncation, CRC
+ * mismatch, unknown layer names (NotFound), element counts that do
+ * not match the network (Mismatch) — returns an Error, and on any
+ * error the network's weights are left exactly as they were.
  */
 [[nodiscard]] Status tryLoadWeightsBinary(Network &net,
                                           std::istream &is);
 
 /**
  * Result of a structural audit of one checkpoint (fastbcnn_ckpt
- * --verify): what the file claims to hold, with every CRC re-checked.
+ * verify): what the file holds, with every CRC re-checked.
  */
 struct CheckpointAudit {
-    CheckpointFormat format = CheckpointFormat::Text;
     std::string modelName;
     std::size_t sections = 0;       ///< parameterised-layer records
     std::size_t quantSections = 0;  ///< quantized-layer records
     std::size_t totalValues = 0;    ///< weight + bias element count
     std::size_t fileBytes = 0;
-    bool crcVerified = false;       ///< false only for legacy text
 };
 
-/**
- * Parse + CRC-verify @p bytes in whichever format it carries and
- * report what was found.  @p image (optional) receives the parsed
- * records for conversion.
- */
+/** Parse + CRC-verify @p bytes and report what was found. */
 [[nodiscard]] Expected<CheckpointAudit> tryAuditCheckpoint(
-    const std::string &bytes, CheckpointImage *image = nullptr);
+    const std::string &bytes);
 
 /**
- * Atomically write @p net's checkpoint to @p path in @p format.  The
- * write goes through tryAtomicWriteFile(): a crash at any point —
- * including the simulated kills in @p write_opts — leaves the
- * previous file intact.
+ * Atomically write @p net's checkpoint to @p path.  The write goes
+ * through tryAtomicWriteFile(): a crash at any point — including the
+ * simulated kills in @p write_opts — leaves the previous file intact.
  */
 [[nodiscard]] Status trySaveCheckpointFile(
     const Network &net, const std::string &path,
-    CheckpointFormat format,
     const AtomicWriteOptions &write_opts = {});
 
 /**
  * Image overload of trySaveCheckpointFile(): atomically write an
  * already-assembled image — the path that carries quant records
  * (append QuantizedNetwork::records() to checkpointImageOf(net)).
- * Text format refuses images with quant records.
  */
 [[nodiscard]] Status trySaveCheckpointImageFile(
     const CheckpointImage &image, const std::string &path,
-    CheckpointFormat format,
     const AtomicWriteOptions &write_opts = {});
 
 /**
- * Load the checkpoint at @p path into @p net, auto-detecting the
- * format from the file magic.
- * @return the detected format, or the load error.
+ * Load the checkpoint at @p path into @p net (tryLoadWeightsBinary()
+ * semantics; the error carries the path as context).
  */
-[[nodiscard]] Expected<CheckpointFormat> tryLoadCheckpointFile(
+[[nodiscard]] Status tryLoadCheckpointFile(
     Network &net, const std::string &path);
 
 } // namespace fastbcnn

@@ -89,8 +89,8 @@ class Network
 
     /**
      * Find a node by layer name without terminating on a miss — the
-     * error-returning boundary paths (tryLoadWeights, fault targeting)
-     * use this to reject untrusted names gracefully.
+     * error-returning boundary paths (tryCommitCheckpointImage, fault
+     * targeting) use this to reject untrusted names gracefully.
      */
     std::optional<NodeId> tryFindNode(const std::string &layer_name)
         const noexcept;

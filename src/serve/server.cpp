@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "common/table.hpp"
-#include "nn/serialize.hpp"
 
 namespace fastbcnn::serve {
 
@@ -506,8 +505,6 @@ InferenceServer::health() const
     report.shed = stats_.counter("shed");
     report.cancelled = stats_.counter("cancelled");
     report.rejectedBreaker = stats_.counter("rejected_breaker");
-    report.legacyTextLoads =
-        checkpointStats().counter("legacy_text_loads");
 
     const LatencyHistogram &served =
         latency_[static_cast<std::size_t>(Outcome::Ok)];

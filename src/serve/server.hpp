@@ -113,12 +113,6 @@ struct HealthReport {
     std::uint64_t shed = 0;
     std::uint64_t cancelled = 0;
     std::uint64_t rejectedBreaker = 0;
-    /**
-     * Process-wide count of text checkpoints loaded without a CRC
-     * footer (checkpointStats() "legacy_text_loads") — weight files
-     * that predate integrity footers and should be re-saved.
-     */
-    std::uint64_t legacyTextLoads = 0;
     /** Served-request (Outcome::Ok) latency percentiles in ms. */
     double p50Ms = 0.0;
     double p95Ms = 0.0;

@@ -1,20 +1,20 @@
 /**
  * @file
- * Fuzz harness for the checkpoint parsers: arbitrary bytes go through
- * the text loader (tryLoadWeights), the binary loader
- * (tryLoadWeightsBinary) and the format-agnostic auditor
- * (tryAuditCheckpoint).  Every one must return a clean Error — never
- * abort, never trip ASan/UBSan, never partially corrupt the network
- * badly enough to crash a later parse.
+ * Fuzz harness for the checkpoint parser: arbitrary bytes go through
+ * the loader (tryLoadWeightsBinary) and the auditor
+ * (tryAuditCheckpoint).  Both must return a clean Error — never abort,
+ * never throw, never trip ASan/UBSan, never partially corrupt the
+ * network badly enough to crash a later parse.
  *
  * Two build modes (tests/fuzz/CMakeLists.txt):
  *  - libFuzzer: clang -fsanitize=fuzzer,address provides main() and
  *    calls LLVMFuzzerTestOneInput in a coverage-guided loop (the CI
  *    fuzz-smoke job runs this for ~30s).
  *  - standalone (FASTBCNN_FUZZ_STANDALONE): a plain main() replays
- *    every file in the checked-in corpus plus deterministic mutations
- *    of a freshly saved checkpoint, so the harness runs under plain
- *    GCC as a tier-1 regression test and can never rot.
+ *    every file in the checked-in corpus (its .txt seeds are
+ *    wrong-format inputs) plus deterministic mutations of freshly
+ *    saved checkpoints, so the harness runs under plain GCC as a
+ *    tier-1 regression test and can never rot.
  */
 
 #include <cstddef>
@@ -24,7 +24,6 @@
 
 #include "models/zoo.hpp"
 #include "nn/checkpoint.hpp"
-#include "nn/serialize.hpp"
 #include "quant/quantize.hpp"
 
 namespace {
@@ -47,15 +46,7 @@ runOne(const std::uint8_t *data, std::size_t size)
 {
     const std::string bytes(reinterpret_cast<const char *>(data),
                             size);
-    // Every parser sees every input — a binary blob hitting the text
-    // path (and vice versa) is exactly the confusion a bad deploy
-    // produces.  Any Status is fine; crashing is the only failure.
-    {
-        std::istringstream in(bytes);
-        const fastbcnn::Status s =
-            fastbcnn::tryLoadWeights(fuzzNetwork(), in);
-        (void)s;
-    }
+    // Any Status is fine; crashing is the only failure.
     {
         std::istringstream in(bytes);
         const fastbcnn::Status s =
@@ -135,22 +126,19 @@ main(int argc, char **argv)
         ++ran;
     }
 
-    // Deterministic mutations of real checkpoints in BOTH formats:
-    // flip one byte at a stride through the stream so the deep parse
-    // + CRC paths get exercised without any corpus at all.
-    std::ostringstream savedText;
+    // Deterministic mutations of real checkpoints: flip one byte at a
+    // stride through the stream so the deep parse + CRC paths get
+    // exercised without any corpus at all.
     std::ostringstream savedBinary;
-    const fastbcnn::Status st =
-        fastbcnn::trySaveWeights(fuzzNetwork(), savedText);
     const fastbcnn::Status sb =
         fastbcnn::trySaveWeightsBinary(fuzzNetwork(), savedBinary);
-    if (!st.isOk() || !sb.isOk()) {
+    if (!sb.isOk()) {
         std::cerr << "fuzz_checkpoint: cannot save seed checkpoint: "
-                  << (st.isOk() ? sb : st).toString() << "\n";
+                  << sb.toString() << "\n";
         return 2;
     }
 
-    // A quantized binary checkpoint as a third mutation source, so the
+    // A quantized checkpoint as a second mutation source, so the
     // int8 section parser (kind codes 3/4, scale/shift param blocks)
     // gets the same byte-flip + truncation sweep as the float paths.
     std::ostringstream savedQuant;
@@ -194,7 +182,7 @@ main(int argc, char **argv)
     }
 
     for (const std::string &good :
-         {savedText.str(), savedBinary.str(), savedQuant.str()}) {
+         {savedBinary.str(), savedQuant.str()}) {
         replay(good);
         for (std::size_t pos = 0; pos < good.size();
              pos += 1 + good.size() / 64) {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the binary checkpoint format, the crash-safe atomic file
- * writer, and the text <-> binary conversion path.
+ * Tests for the checkpoint format, its parser's bounds checks on
+ * crafted length fields, and the crash-safe atomic file writer.
  *
  * The load-bearing property: a writer killed at ANY byte offset —
  * simulated via AtomicWriteOptions::failAfterBytes — leaves the
@@ -17,6 +17,7 @@
 #include <sstream>
 
 #include "common/atomic_file.hpp"
+#include "common/crc32.hpp"
 #include "models/zoo.hpp"
 #include "nn/checkpoint.hpp"
 
@@ -116,28 +117,6 @@ TEST(BinaryCheckpoint, SpecialFloatValuesSurvive)
     expectSameImage(image, back.value());
 }
 
-TEST(BinaryCheckpoint, TextBinaryTextConversionIsLossless)
-{
-    Network net = tinyModel(ModelKind::LeNet5, 21);
-    const CheckpointImage original = checkpointImageOf(net);
-
-    // text -> image -> binary -> image: the converter's exact path.
-    std::ostringstream text;
-    ASSERT_TRUE(tryEmitTextCheckpoint(original, text).isOk());
-    std::istringstream textIn(text.str());
-    Expected<CheckpointImage> fromText =
-        tryParseTextCheckpoint(textIn);
-    ASSERT_TRUE(fromText.hasValue());
-
-    std::ostringstream binary;
-    ASSERT_TRUE(
-        tryEmitBinaryCheckpoint(fromText.value(), binary).isOk());
-    Expected<CheckpointImage> fromBinary =
-        tryParseBinaryCheckpoint(binary.str());
-    ASSERT_TRUE(fromBinary.hasValue());
-    expectSameImage(original, fromBinary.value());
-}
-
 TEST(BinaryCheckpoint, EverySingleByteFlipIsRejected)
 {
     Network net = tinyModel(ModelKind::LeNet5, 31);
@@ -216,6 +195,123 @@ TEST(BinaryCheckpoint, RejectsUnsupportedVersionAndBadMagic)
     EXPECT_EQ(ErrorCode::DataLoss, v.error().code());
 }
 
+// ---------------------------------------------------------------------
+// Crafted length fields.  Every CRC in these files is valid, so only
+// the parser's bounds checks stand between a hostile u64 and an
+// over-read; both files are also fuzz seeds in
+// tests/fuzz/corpus/checkpoint/.
+// ---------------------------------------------------------------------
+
+namespace {
+
+void
+appendLe(std::string &out, std::uint64_t v, std::size_t bytes)
+{
+    for (std::size_t i = 0; i < bytes; ++i)
+        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+/** Pad @p fields to 60 bytes and append its CRC32 (a sealed header). */
+std::string
+sealed(std::string fields)
+{
+    fields.resize(60, '\0');
+    appendLe(fields, crc32(fields), 4);
+    return fields;
+}
+
+/**
+ * A 100-byte file whose header advertises a payload of 2^64 - 28
+ * bytes, so header + payload + footer wraps to exactly 100.  The
+ * footer the wrapped offset points at (byte 36, inside the header's
+ * padding) is genuine, and the whole-file CRC over the 36 bytes before
+ * it matches; the 1000-byte model name then lies far past the end.
+ */
+std::string
+payloadSizeWrapFile()
+{
+    constexpr std::uint64_t kPayload = ~std::uint64_t{0} - 27;
+    std::string fields("FBCNNCK1", 8);
+    appendLe(fields, 1, 4);         // version
+    appendLe(fields, 0, 4);         // section count
+    appendLe(fields, kPayload, 8);  // payload bytes
+    appendLe(fields, 1000, 4);      // model-name length
+    appendLe(fields, 0, 4);         // model-name CRC
+    fields.resize(36, '\0');
+    fields.append("FBCNNFT1", 8);   // footer magic at the wrapped offset
+    appendLe(fields, 64 + kPayload, 8);  // footer byte count (wraps to 36)
+    appendLe(fields, crc32(fields.data(), 36), 4);
+    std::string file = sealed(fields);
+    file.resize(96, '\0');
+    appendLe(file, crc32(file.data() + 36, 60), 4);  // footer CRC
+    return file;
+}
+
+/**
+ * A well-sealed file with one float section claiming 1000 weights and
+ * 2^62 - 1000 biases: 4 * (weights + biases) wraps to 0, so the claimed
+ * counts reproduce the section's 64-byte payload (the layer name).
+ */
+std::string
+elementCountWrapFile()
+{
+    constexpr std::uint64_t kWeights = 1000;
+    constexpr std::uint64_t kBiases = (std::uint64_t{1} << 62) - kWeights;
+    std::string payload("c1_conv");
+    payload.resize(64, '\0');
+    std::string section;
+    appendLe(section, 1, 4);               // kind: Conv2d
+    appendLe(section, 7, 4);               // layer-name length
+    appendLe(section, kWeights, 8);
+    appendLe(section, kBiases, 8);
+    appendLe(section, payload.size(), 8);  // payload bytes
+    appendLe(section, crc32(payload), 4);
+
+    std::string name("lenet5");
+    name.resize(64, '\0');
+    const std::string body = name + sealed(section) + payload;
+
+    std::string fields("FBCNNCK1", 8);
+    appendLe(fields, 1, 4);            // version
+    appendLe(fields, 1, 4);            // section count
+    appendLe(fields, body.size(), 8);  // payload bytes
+    appendLe(fields, 6, 4);            // model-name length
+    appendLe(fields, crc32(name), 4);
+    std::string file = sealed(fields) + body;
+
+    std::string footer("FBCNNFT1", 8);
+    appendLe(footer, file.size(), 8);
+    appendLe(footer, crc32(file), 4);
+    return file + sealed(footer);
+}
+
+/** Parse @p bytes; a crafted length must be a clean, typed Error. */
+void
+expectCleanRejection(const std::string &bytes)
+{
+    Expected<CheckpointImage> parsed = CheckpointImage{};
+    EXPECT_NO_THROW(parsed = tryParseBinaryCheckpoint(bytes));
+    ASSERT_FALSE(parsed.hasValue());
+    const ErrorCode code = parsed.error().code();
+    EXPECT_TRUE(code == ErrorCode::Truncated ||
+                code == ErrorCode::ParseError)
+        << parsed.error().toString();
+}
+
+} // namespace
+
+TEST(BinaryCheckpoint, PayloadSizeWrapIsRejected)
+{
+    const std::string bytes = payloadSizeWrapFile();
+    ASSERT_EQ(100u, bytes.size());
+    expectCleanRejection(bytes);
+}
+
+TEST(BinaryCheckpoint, ElementCountWrapIsRejected)
+{
+    expectCleanRejection(elementCountWrapFile());
+}
+
 TEST(AtomicFile, WritesAndReadsBack)
 {
     const std::string path = tempPath("atomic_rw");
@@ -245,7 +341,7 @@ TEST(AtomicFile, CrashAtEveryByteLeavesOldOrNew)
 
     // Install v1 as "the previous checkpoint".
     ASSERT_TRUE(
-        trySaveCheckpointFile(v1, path, CheckpointFormat::Binary, {})
+        trySaveCheckpointFile(v1, path, {})
             .isOk());
 
     // Kill the v2 writer at randomized byte offsets (fixed seed: the
@@ -263,8 +359,7 @@ TEST(AtomicFile, CrashAtEveryByteLeavesOldOrNew)
     for (std::size_t offset : offsets) {
         AtomicWriteOptions crash;
         crash.failAfterBytes = offset;
-        const Status died = trySaveCheckpointFile(
-            v2, path, CheckpointFormat::Binary, crash);
+        const Status died = trySaveCheckpointFile(v2, path, crash);
         ASSERT_FALSE(died.isOk()) << "offset " << offset;
         EXPECT_EQ(ErrorCode::IoError, died.code());
 
@@ -281,8 +376,7 @@ TEST(AtomicFile, CrashAtEveryByteLeavesOldOrNew)
     {
         AtomicWriteOptions crash;
         crash.failBeforeRename = true;
-        const Status died = trySaveCheckpointFile(
-            v2, path, CheckpointFormat::Binary, crash);
+        const Status died = trySaveCheckpointFile(v2, path, crash);
         ASSERT_FALSE(died.isOk());
         Expected<std::string> onDisk = tryReadFile(path);
         ASSERT_TRUE(onDisk.hasValue());
@@ -292,7 +386,7 @@ TEST(AtomicFile, CrashAtEveryByteLeavesOldOrNew)
     // An unharmed writer finally lands v2 — the "new" half of
     // old-or-new.
     ASSERT_TRUE(
-        trySaveCheckpointFile(v2, path, CheckpointFormat::Binary, {})
+        trySaveCheckpointFile(v2, path, {})
             .isOk());
     Expected<std::string> onDisk = tryReadFile(path);
     ASSERT_TRUE(onDisk.hasValue());
@@ -303,29 +397,52 @@ TEST(AtomicFile, CrashAtEveryByteLeavesOldOrNew)
 TEST(CheckpointFile, DetectsFormatOnLoad)
 {
     Network net = tinyModel(ModelKind::LeNet5, 51);
-    const std::string textPath = tempPath("load_text");
     const std::string binPath = tempPath("load_binary");
-    ASSERT_TRUE(trySaveCheckpointFile(net, textPath,
-                                      CheckpointFormat::Text, {})
-                    .isOk());
-    ASSERT_TRUE(trySaveCheckpointFile(net, binPath,
-                                      CheckpointFormat::Binary, {})
-                    .isOk());
+    ASSERT_TRUE(trySaveCheckpointFile(net, binPath, {}).isOk());
 
     Network twin = tinyModel(ModelKind::LeNet5, 52);
-    Expected<CheckpointFormat> text =
-        tryLoadCheckpointFile(twin, textPath);
-    ASSERT_TRUE(text.hasValue()) << text.error().toString();
-    EXPECT_EQ(CheckpointFormat::Text, text.value());
-
-    Expected<CheckpointFormat> binary =
-        tryLoadCheckpointFile(twin, binPath);
-    ASSERT_TRUE(binary.hasValue()) << binary.error().toString();
-    EXPECT_EQ(CheckpointFormat::Binary, binary.value());
+    const Status loaded = tryLoadCheckpointFile(twin, binPath);
+    ASSERT_TRUE(loaded.isOk()) << loaded.toString();
     expectSameImage(checkpointImageOf(net), checkpointImageOf(twin));
 
-    std::remove(textPath.c_str());
+    // A file that is no checkpoint at all fails on its magic, and the
+    // error names the path.
+    const std::string junkPath = tempPath("load_junk");
+    ASSERT_TRUE(tryAtomicWriteFile(junkPath, "neither format", {})
+                    .isOk());
+    const Status junk = tryLoadCheckpointFile(twin, junkPath);
+    ASSERT_FALSE(junk.isOk());
+    EXPECT_EQ(ErrorCode::ParseError, junk.code());
+    EXPECT_NE(std::string::npos, junk.toString().find(junkPath));
+    expectSameImage(checkpointImageOf(net), checkpointImageOf(twin));
+
     std::remove(binPath.c_str());
+    std::remove(junkPath.c_str());
+}
+
+TEST(CheckpointFile, TextFileIsRejected)
+{
+    // A hex-float text checkpoint (the encoding older builds wrote)
+    // fails cleanly on its magic, whether loaded or audited, and the
+    // network keeps its weights.
+    const std::string text =
+        "fastbcnn-weights v1 lenet5\nlayer c1_conv Conv2d 1 1\n"
+        "0x1p+0\n0x1p+0\ncrc32 00000000\n";
+    const std::string path = tempPath("text_checkpoint");
+    ASSERT_TRUE(tryAtomicWriteFile(path, text, {}).isOk());
+
+    Network net = tinyModel(ModelKind::LeNet5, 53);
+    const CheckpointImage before = checkpointImageOf(net);
+    const Status loaded = tryLoadCheckpointFile(net, path);
+    ASSERT_FALSE(loaded.isOk());
+    EXPECT_EQ(ErrorCode::ParseError, loaded.code()) << loaded.toString();
+    EXPECT_NE(std::string::npos, loaded.message().find("bad magic"));
+    expectSameImage(before, checkpointImageOf(net));
+
+    Expected<CheckpointAudit> audit = tryAuditCheckpoint(text);
+    ASSERT_FALSE(audit.hasValue());
+    EXPECT_EQ(ErrorCode::ParseError, audit.error().code());
+    std::remove(path.c_str());
 }
 
 TEST(CheckpointFile, AuditReportsBothFormats)
@@ -334,66 +451,15 @@ TEST(CheckpointFile, AuditReportsBothFormats)
     const std::string binBytes = binaryBytesOf(net);
     Expected<CheckpointAudit> bin = tryAuditCheckpoint(binBytes);
     ASSERT_TRUE(bin.hasValue()) << bin.error().toString();
-    EXPECT_EQ(CheckpointFormat::Binary, bin.value().format);
-    EXPECT_TRUE(bin.value().crcVerified);
     EXPECT_EQ(net.name(), bin.value().modelName);
-    EXPECT_GT(bin.value().sections, 0u);
+    EXPECT_EQ(checkpointImageOf(net).records.size(),
+              bin.value().sections);
+    EXPECT_EQ(0u, bin.value().quantSections);
     EXPECT_GT(bin.value().totalValues, 0u);
     EXPECT_EQ(binBytes.size(), bin.value().fileBytes);
-
-    std::ostringstream text;
-    ASSERT_TRUE(trySaveWeights(net, text).isOk());
-    CheckpointImage image;
-    Expected<CheckpointAudit> txt =
-        tryAuditCheckpoint(text.str(), &image);
-    ASSERT_TRUE(txt.hasValue());
-    EXPECT_EQ(CheckpointFormat::Text, txt.value().format);
-    EXPECT_TRUE(txt.value().crcVerified);
-    EXPECT_EQ(bin.value().sections, txt.value().sections);
-    EXPECT_EQ(bin.value().totalValues, txt.value().totalValues);
-    EXPECT_EQ(image.records.size(), txt.value().sections);
 
     Expected<CheckpointAudit> garbage =
         tryAuditCheckpoint("neither format");
     ASSERT_FALSE(garbage.hasValue());
     EXPECT_EQ(ErrorCode::ParseError, garbage.error().code());
-}
-
-TEST(CheckpointStats, LegacyTextLoadIsCounted)
-{
-    Network net = tinyModel(ModelKind::LeNet5, 71);
-    std::ostringstream os;
-    ASSERT_TRUE(trySaveWeights(net, os).isOk());
-    std::string text = os.str();
-
-    // Strip the "crc32 XXXXXXXX" footer line -> a legacy checkpoint.
-    const std::size_t crcAt = text.rfind("crc32 ");
-    ASSERT_NE(std::string::npos, crcAt);
-    text.resize(crcAt);
-
-    const std::uint64_t legacyBefore =
-        checkpointStats().counter("legacy_text_loads");
-    const std::uint64_t loadsBefore =
-        checkpointStats().counter("text_loads");
-    Network twin = tinyModel(ModelKind::LeNet5, 72);
-    std::istringstream is(text);
-    const Status loaded = tryLoadWeights(twin, is);
-    ASSERT_TRUE(loaded.isOk()) << loaded.toString();
-    EXPECT_EQ(legacyBefore + 1,
-              checkpointStats().counter("legacy_text_loads"));
-    EXPECT_EQ(loadsBefore + 1,
-              checkpointStats().counter("text_loads"));
-    expectSameImage(checkpointImageOf(net), checkpointImageOf(twin));
-}
-
-TEST(CheckpointStats, BinaryLoadIsCounted)
-{
-    Network net = tinyModel(ModelKind::LeNet5, 81);
-    const std::string bytes = binaryBytesOf(net);
-    const std::uint64_t before =
-        checkpointStats().counter("binary_loads");
-    Network twin = tinyModel(ModelKind::LeNet5, 82);
-    std::istringstream is(bytes);
-    ASSERT_TRUE(tryLoadWeightsBinary(twin, is).isOk());
-    EXPECT_EQ(before + 1, checkpointStats().counter("binary_loads"));
 }

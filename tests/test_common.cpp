@@ -224,31 +224,8 @@ TEST(StatGroup, CountersAndGauges)
     StatGroup g("pe0");
     g.add("cycles", 10);
     g.add("cycles", 5);
-    g.set("util", 0.5);
     EXPECT_EQ(g.counter("cycles"), 15u);
-    EXPECT_DOUBLE_EQ(g.gauge("util"), 0.5);
     EXPECT_EQ(g.counter("absent"), 0u);
-    EXPECT_DOUBLE_EQ(g.gauge("absent"), 0.0);
-}
-
-TEST(StatGroup, MergeAndReset)
-{
-    StatGroup a("a"), b("b");
-    a.add("x", 1);
-    b.add("x", 2);
-    a.merge(b);
-    EXPECT_EQ(a.counter("x"), 3u);
-    a.reset();
-    EXPECT_EQ(a.counter("x"), 0u);
-}
-
-TEST(StatGroup, Dump)
-{
-    StatGroup g("grp");
-    g.add("n", 7);
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_EQ(os.str(), "grp.n = 7\n");
 }
 
 TEST(Logging, LevelRoundTrip)

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -279,11 +278,10 @@ TEST(ThreadSafeStats, ConcurrentCountersAndGauges)
     std::vector<std::thread> pool;
     pool.reserve(threads);
     for (std::size_t w = 0; w < threads; ++w) {
-        pool.emplace_back([&group, w]() {
+        pool.emplace_back([&group]() {
             for (std::uint64_t i = 0; i < perThread; ++i) {
                 group.add("samples");
                 group.add("bits", 8);
-                group.set("last_worker", static_cast<double>(w));
             }
         });
     }
@@ -291,29 +289,4 @@ TEST(ThreadSafeStats, ConcurrentCountersAndGauges)
         th.join();
     EXPECT_EQ(group.counter("samples"), threads * perThread);
     EXPECT_EQ(group.counter("bits"), threads * perThread * 8);
-    EXPECT_LT(group.gauge("last_worker"), static_cast<double>(threads));
-}
-
-TEST(ThreadSafeStats, ConcurrentMergeAndDump)
-{
-    StatGroup sink("sink");
-    constexpr std::size_t threads = 4;
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w) {
-        pool.emplace_back([&sink]() {
-            StatGroup local("local");
-            for (int i = 0; i < 64; ++i)
-                local.add("events");
-            sink.merge(local);
-            // Reads race benignly against other merges; the lock makes
-            // them well-defined.
-            std::ostringstream os;
-            sink.dump(os);
-            EXPECT_FALSE(os.str().empty());
-        });
-    }
-    for (std::thread &th : pool)
-        th.join();
-    EXPECT_EQ(sink.counter("events"), threads * 64u);
 }

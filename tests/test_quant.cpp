@@ -504,18 +504,6 @@ TEST(BinaryCheckpointQuant, ByteFlipsAreCaughtByCrc)
     }
 }
 
-TEST(BinaryCheckpointQuant, TextFormatRefusesQuantSections)
-{
-    const Network net = quantBcnn();
-    const quant::QuantizedNetwork qnet = mustQuantize(net);
-    CheckpointImage image = checkpointImageOf(net);
-    image.quantRecords = qnet.records();
-    std::ostringstream os;
-    const Status refused = tryEmitTextCheckpoint(image, os);
-    ASSERT_FALSE(refused.isOk());
-    EXPECT_EQ(refused.code(), ErrorCode::InvalidArgument);
-}
-
 TEST(BinaryCheckpointQuant, AuditCountsQuantSections)
 {
     const Network net = quantBcnn();
@@ -528,7 +516,6 @@ TEST(BinaryCheckpointQuant, AuditCountsQuantSections)
     Expected<CheckpointAudit> audit = tryAuditCheckpoint(os.str());
     ASSERT_TRUE(audit.hasValue()) << audit.error().toString();
     EXPECT_EQ(audit.value().quantSections, image.quantRecords.size());
-    EXPECT_TRUE(audit.value().crcVerified);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 /**
  * @file
- * Tests for weight serialisation and model summaries.
+ * Tests for weight save/load through the checkpoint format, the staged
+ * all-or-nothing commit of a CheckpointImage, and model summaries.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <regex>
 #include <sstream>
 
+#include "common/crc32.hpp"
 #include "models/zoo.hpp"
+#include "nn/checkpoint.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/serialize.hpp"
 
@@ -25,6 +30,23 @@ smallLenet(std::uint64_t seed)
     return buildLenet5(opts);
 }
 
+/** Save @p net as checkpoint bytes. */
+std::string
+checkpointBytes(const Network &net)
+{
+    std::ostringstream os;
+    EXPECT_TRUE(trySaveWeightsBinary(net, os).isOk());
+    return os.str();
+}
+
+/** Load checkpoint @p bytes into @p net. */
+Status
+loadBytes(Network &net, const std::string &bytes)
+{
+    std::istringstream is(bytes);
+    return tryLoadWeightsBinary(net, is);
+}
+
 } // namespace
 
 TEST(Serialize, RoundTripIsLossless)
@@ -32,9 +54,7 @@ TEST(Serialize, RoundTripIsLossless)
     Network a = smallLenet(1);
     Network b = smallLenet(2);  // different weights, same topology
 
-    std::stringstream ss;
-    ASSERT_TRUE(trySaveWeights(a, ss).isOk());
-    ASSERT_TRUE(tryLoadWeights(b, ss).isOk());
+    ASSERT_TRUE(loadBytes(b, checkpointBytes(a)).isOk());
 
     // Every parameterised layer must now match bit for bit.
     for (const char *name : {"c1_conv", "c2_conv", "c3_conv"}) {
@@ -59,11 +79,10 @@ TEST(Serialize, SpecialValuesSurvive)
     conv.weights().at(1) = 1e-38f;   // subnormal-adjacent
     conv.weights().at(2) = -3.4e38f; // near float lowest
     Network b = smallLenet(4);
-    std::stringstream ss;
-    ASSERT_TRUE(trySaveWeights(a, ss).isOk());
-    ASSERT_TRUE(tryLoadWeights(b, ss).isOk());
+    ASSERT_TRUE(loadBytes(b, checkpointBytes(a)).isOk());
     const auto &cb = static_cast<const Conv2d &>(
         b.layer(b.findNode("c1_conv")));
+    EXPECT_TRUE(std::signbit(cb.weights().at(0)));
     EXPECT_EQ(cb.weights().at(1), 1e-38f);
     EXPECT_EQ(cb.weights().at(2), -3.4e38f);
 }
@@ -81,90 +100,101 @@ expectLoadError(const Status &status, ErrorCode code, const char *pattern)
         << status.toString();
 }
 
+/** A one-record image naming a layer the LeNet topology lacks. */
+CheckpointImage
+unknownLayerImage()
+{
+    CheckpointImage image;
+    image.modelName = "X";
+    CheckpointRecord rec;
+    rec.name = "nonexistent";
+    rec.weights = {1.0f};
+    rec.bias = {1.0f};
+    image.records.push_back(rec);
+    return image;
+}
+
 } // namespace
 
 TEST(Serialize, RejectsGarbage)
 {
     Network net = smallLenet(5);
-    std::stringstream ss("not-a-weight-file at all");
-    expectLoadError(tryLoadWeights(net, ss), ErrorCode::ParseError,
-                    "not a fastbcnn");
+    expectLoadError(loadBytes(net, "not-a-weight-file at all"),
+                    ErrorCode::ParseError, "not a fastbcnn");
 }
 
 TEST(Serialize, RejectsCountMismatch)
 {
     Network full = smallLenet(6);
-    std::stringstream ss;
-    ASSERT_TRUE(trySaveWeights(full, ss).isOk());
     ModelOptions narrow;
     narrow.widthMultiplier = 0.25;
     Network other = buildLenet5(narrow);
-    expectLoadError(tryLoadWeights(other, ss), ErrorCode::Mismatch,
-                    "checkpoint holds");
+    expectLoadError(loadBytes(other, checkpointBytes(full)),
+                    ErrorCode::Mismatch, "checkpoint holds");
 }
 
 TEST(Serialize, RejectsUnknownLayer)
 {
     Network net = smallLenet(7);
-    std::stringstream ss;
-    ss << "fastbcnn-weights v1 X\nlayer nonexistent Conv2d 1 1\n"
-          "0x1p+0\n0x1p+0\n";
-    expectLoadError(tryLoadWeights(net, ss), ErrorCode::NotFound,
-                    "no layer named");
+    expectLoadError(tryCommitCheckpointImage(net, unknownLayerImage()),
+                    ErrorCode::NotFound, "no layer named");
 }
 
 TEST(Serialize, TruncatedFileFatal)
 {
-    Network a = smallLenet(8);
-    std::stringstream ss;
-    ASSERT_TRUE(trySaveWeights(a, ss).isOk());
-    std::string text = ss.str();
-    text.resize(text.size() / 2);
-    std::stringstream half(text);
+    std::string bytes = checkpointBytes(smallLenet(8));
+    bytes.resize(bytes.size() / 2);
     Network b = smallLenet(9);
-    expectLoadError(tryLoadWeights(b, half), ErrorCode::Truncated,
-                    "truncated");
+    expectLoadError(loadBytes(b, bytes), ErrorCode::Truncated,
+                    "advertises");
 }
 
 // ---------------------------------------------------------------------
 // Corrupt-fixture corpus: every class of damaged stream must come back
-// as a clean Error from tryLoadWeights (no abort, no partial load).
-// The CI fault-smoke job runs these under ASan/UBSan.
+// as a clean Error from tryLoadWeightsBinary (no abort, no partial
+// load).  The CI fault-smoke job runs these under ASan/UBSan.
 // ---------------------------------------------------------------------
 
 namespace {
 
-/** A valid serialized checkpoint to corrupt. */
+constexpr std::size_t kHeaderBytes = 64;
+
+/** A valid checkpoint to corrupt. */
 std::string
 goodCheckpoint(std::uint64_t seed)
 {
-    Network net = smallLenet(seed);
-    std::stringstream ss;
-    EXPECT_TRUE(trySaveWeights(net, ss).isOk());
-    return ss.str();
+    return checkpointBytes(smallLenet(seed));
 }
 
-/** Load @p text into a fresh network and return the error. */
+/** Load @p bytes into a fresh network and return the error. */
 Status
-loadCorrupt(const std::string &text)
+loadCorrupt(const std::string &bytes)
 {
     Network net = smallLenet(99);
-    std::stringstream ss(text);
-    return tryLoadWeights(net, ss);
+    return loadBytes(net, bytes);
+}
+
+void
+storeU32(std::string &bytes, std::size_t at, std::uint32_t v)
+{
+    for (std::size_t i = 0; i < 4; ++i)
+        bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 /**
- * Strip the "crc32 XXXXXXXX" footer so a fixture exercises the parser
- * instead of being caught up front by the integrity check (the
- * parse-level tests target the grammar, not the checksum).
+ * Re-seal the 64-byte header at @p at and the file footer after an
+ * edit, so a fixture reaches the parser's structural checks instead
+ * of being caught up front by a CRC.
  */
-std::string
-stripFooter(std::string text)
+void
+reseal(std::string &bytes, std::size_t at)
 {
-    const std::size_t pos = text.rfind("\ncrc32 ");
-    if (pos != std::string::npos)
-        text.resize(pos + 1);
-    return text;
+    storeU32(bytes, at + kHeaderBytes - 4,
+             crc32(bytes.data() + at, kHeaderBytes - 4));
+    const std::size_t footer = bytes.size() - kHeaderBytes;
+    storeU32(bytes, footer + 16, crc32(bytes.data(), footer));
+    storeU32(bytes, footer + kHeaderBytes - 4,
+             crc32(bytes.data() + footer, kHeaderBytes - 4));
 }
 
 } // namespace
@@ -172,29 +202,28 @@ stripFooter(std::string text)
 TEST(SerializeCorpus, WrongMagicVariants)
 {
     for (const char *fixture :
-         {"", "x", "fastbcnn-weights v2 lenet\n",
-          "fastbcnn-weight v1 lenet\n", "PK\x03\x04 zipfile junk",
-          "\x7f" "ELF not text at all"}) {
+         {"x", "fastbcnn-weights v1 lenet\n", "FBCNNCK2 lenet",
+          "FBCNNFT1 footer first", "PK\x03\x04 zipfile junk",
+          "\x7f" "ELF not a checkpoint at all"}) {
         Status s = loadCorrupt(fixture);
         ASSERT_FALSE(s.isOk()) << '"' << fixture << '"';
         EXPECT_EQ(s.code(), ErrorCode::ParseError) << fixture;
         EXPECT_NE(s.message().find("not a fastbcnn"),
                   std::string::npos);
     }
+    // An empty stream is a checkpoint cut before its first byte.
+    EXPECT_EQ(loadCorrupt("").code(), ErrorCode::Truncated);
 }
 
 TEST(SerializeCorpus, TruncationAtEveryRegion)
 {
     const std::string good = goodCheckpoint(20);
-    // Cut inside the magic, inside the first record line, and inside
-    // the value payload; every cut must produce an error, never a
-    // clean partial load.  (Cutting exactly after the header is NOT
-    // here: a header with zero records is a valid empty checkpoint.)
-    const std::size_t record = good.find("layer");
-    ASSERT_NE(record, std::string::npos);
-    for (std::size_t cut : {std::size_t{4}, record + 3,
-                            good.size() / 3, good.size() / 2,
-                            good.size() - 3}) {
+    // Cut inside the magic, inside the header, inside the first
+    // section header, inside the payload and inside the footer; every
+    // cut must produce an error, never a clean partial load.
+    for (std::size_t cut : {std::size_t{4}, kHeaderBytes - 3,
+                            3 * kHeaderBytes - 3, good.size() / 3,
+                            good.size() / 2, good.size() - 3}) {
         Status s = loadCorrupt(good.substr(0, cut));
         ASSERT_FALSE(s.isOk()) << "cut at " << cut;
         EXPECT_TRUE(s.code() == ErrorCode::ParseError ||
@@ -203,60 +232,49 @@ TEST(SerializeCorpus, TruncationAtEveryRegion)
     }
 }
 
-TEST(SerializeCorpus, BitRotInsideAValueIsParseError)
-{
-    std::string text = stripFooter(goodCheckpoint(21));
-    // Corrupt a hex-float digit in the middle of the payload with a
-    // byte no float literal can contain.
-    const std::size_t payload = text.find("0x", text.find("layer"));
-    ASSERT_NE(payload, std::string::npos);
-    text[payload + 1] = '#';
-    Status s = loadCorrupt(text);
-    ASSERT_FALSE(s.isOk());
-    EXPECT_EQ(s.code(), ErrorCode::ParseError);
-    EXPECT_NE(s.message().find("corrupt value token"),
-              std::string::npos);
-    // Context names the layer whose payload rotted.
-    EXPECT_NE(s.toString().find("layer"), std::string::npos);
-}
-
 TEST(SerializeCorpus, CorruptRecordTagIsParseError)
 {
-    std::string text = stripFooter(goodCheckpoint(22));
-    const std::size_t tag = text.find("layer");
-    ASSERT_NE(tag, std::string::npos);
-    text.replace(tag, 5, "lay3r");
-    Status s = loadCorrupt(text);
+    // A section kind code no layer has, with every CRC re-sealed: the
+    // structural check, not the checksum, must reject it.
+    std::string bytes = goodCheckpoint(22);
+    const std::size_t section = 2 * kHeaderBytes;  // after the name
+    storeU32(bytes, section, 9);
+    reseal(bytes, section);
+    Status s = loadCorrupt(bytes);
     ASSERT_FALSE(s.isOk());
-    EXPECT_EQ(s.code(), ErrorCode::ParseError);
-    EXPECT_NE(s.message().find("malformed"), std::string::npos);
+    EXPECT_EQ(s.code(), ErrorCode::ParseError) << s.toString();
+    EXPECT_NE(s.message().find("kind code 9"), std::string::npos);
 }
 
 TEST(SerializeCorpus, SavedCheckpointCarriesCrcFooter)
 {
-    const std::string text = goodCheckpoint(40);
-    // Footer: "crc32 " + 8 hex digits + newline, at the very end.
-    const std::size_t pos = text.rfind("\ncrc32 ");
-    ASSERT_NE(pos, std::string::npos);
-    EXPECT_EQ(text.size() - pos, 1 + 6 + 8 + 1u);
-    EXPECT_EQ(text.back(), '\n');
+    const std::string bytes = goodCheckpoint(40);
+    // Footer: the last 64 bytes, magic first, then the byte count and
+    // CRC32 of everything before it.
+    ASSERT_GT(bytes.size(), 3 * kHeaderBytes);
+    const std::size_t footer = bytes.size() - kHeaderBytes;
+    EXPECT_EQ(bytes.compare(footer, 8, "FBCNNFT1"), 0);
+    std::uint32_t stored = 0;
+    for (std::size_t i = 0; i < 4; ++i)
+        stored |= static_cast<std::uint32_t>(
+                      static_cast<unsigned char>(bytes[footer + 16 + i]))
+                  << (8 * i);
+    EXPECT_EQ(stored, crc32(bytes.data(), footer));
     // And the checkpoint round-trips through the integrity check.
-    EXPECT_TRUE(loadCorrupt(text).isOk());
+    EXPECT_TRUE(loadCorrupt(bytes).isOk());
 }
 
 TEST(SerializeCorpus, CorruptPayloadIsDataLoss)
 {
     // Bit rot inside the record region with the footer intact: the
-    // integrity check must catch it before the parser runs, even when
-    // the damage would still parse (digit swapped for a digit).
-    std::string text = goodCheckpoint(41);
-    const std::size_t payload = text.find("0x", text.find("layer"));
-    ASSERT_NE(payload, std::string::npos);
-    text[payload + 2] = text[payload + 2] == '1' ? '2' : '1';
-    Status s = loadCorrupt(text);
+    // integrity check must catch it, even though any bit pattern is a
+    // valid float.
+    std::string bytes = goodCheckpoint(41);
+    bytes[bytes.size() / 2] ^= 0x1;
+    Status s = loadCorrupt(bytes);
     ASSERT_FALSE(s.isOk());
     EXPECT_EQ(s.code(), ErrorCode::DataLoss);
-    EXPECT_NE(s.message().find("integrity"), std::string::npos);
+    EXPECT_NE(s.message().find("CRC32"), std::string::npos);
 }
 
 TEST(SerializeCorpus, CorruptFooterIsDataLossOrTruncated)
@@ -264,57 +282,41 @@ TEST(SerializeCorpus, CorruptFooterIsDataLossOrTruncated)
     // A rotted stored CRC reads as DataLoss (mismatch), a half-written
     // footer as Truncated; neither may load.
     std::string rotted = goodCheckpoint(42);
-    const std::size_t hex = rotted.rfind("crc32 ") + 6;
-    rotted[hex] = rotted[hex] == 'f' ? '0' : 'f';
+    rotted[rotted.size() - kHeaderBytes + 16] ^= 0x20;
     Status s1 = loadCorrupt(rotted);
     ASSERT_FALSE(s1.isOk());
     EXPECT_EQ(s1.code(), ErrorCode::DataLoss);
 
     std::string cut = goodCheckpoint(42);
-    cut.resize(cut.size() - 4);  // cut mid-hex
+    cut.resize(cut.size() - 4);  // cut inside the footer
     Status s2 = loadCorrupt(cut);
     ASSERT_FALSE(s2.isOk());
     EXPECT_EQ(s2.code(), ErrorCode::Truncated);
 }
 
-TEST(SerializeCorpus, LegacyFooterlessCheckpointStillLoads)
-{
-    // Pre-footer checkpoints load (with a warning) — the fleet's
-    // existing artefacts must not brick on upgrade.
-    const std::string legacy = stripFooter(goodCheckpoint(43));
-    ASSERT_EQ(legacy.rfind("crc32"), std::string::npos);
-    EXPECT_TRUE(loadCorrupt(legacy).isOk());
-}
-
 TEST(SerializeCorpus, FailedLoadLeavesWeightsUntouched)
 {
     Network net = smallLenet(23);
-    std::stringstream before_ss;
-    ASSERT_TRUE(trySaveWeights(net, before_ss).isOk());
-    const std::string before = before_ss.str();
+    const std::string before = checkpointBytes(net);
 
-    // A checkpoint that validates its first record but dies in the
-    // second must not commit the first (all-or-nothing staging).
-    std::string text = goodCheckpoint(24);
-    const std::size_t second = text.find("layer",
-                                         text.find("layer") + 1);
-    ASSERT_NE(second, std::string::npos);
-    text.resize(second + 3);  // cut inside the second record tag
-    std::stringstream ss(text);
-    Status s = tryLoadWeights(net, ss);
+    // An image whose first record is valid but whose second names an
+    // unknown layer must not commit the first (all-or-nothing).
+    CheckpointImage image = checkpointImageOf(smallLenet(24));
+    ASSERT_GE(image.records.size(), 2u);
+    image.records[1].name = "nonexistent";
+    const Status s = tryCommitCheckpointImage(net, image);
     ASSERT_FALSE(s.isOk());
+    EXPECT_EQ(s.code(), ErrorCode::NotFound);
 
-    std::stringstream after_ss;
-    ASSERT_TRUE(trySaveWeights(net, after_ss).isOk());
-    EXPECT_EQ(after_ss.str(), before);
+    EXPECT_EQ(checkpointBytes(net), before);
 }
 
 TEST(SerializeCorpus, TryLoadReportsMissingLayerWithoutDying)
 {
     Network net = smallLenet(25);
-    std::stringstream ss(
-        "fastbcnn-weights v1 X\nlayer nope Conv2d 1 1\n0x1p+0\n0x1p+0\n");
-    Status s = tryLoadWeights(net, ss);
+    std::ostringstream os;
+    ASSERT_TRUE(tryEmitBinaryCheckpoint(unknownLayerImage(), os).isOk());
+    Status s = loadBytes(net, os.str());
     ASSERT_FALSE(s.isOk());
     EXPECT_EQ(s.code(), ErrorCode::NotFound);
     EXPECT_NE(s.message().find("no layer named"), std::string::npos);
@@ -324,12 +326,15 @@ TEST(SerializeCorpus, RoundTripThroughTryPaths)
 {
     Network a = smallLenet(26);
     Network b = smallLenet(27);
-    std::stringstream ss;
-    ASSERT_TRUE(trySaveWeights(a, ss).isOk());
-    ASSERT_TRUE(tryLoadWeights(b, ss).isOk());
+    const std::string path =
+        testing::TempDir() + "fastbcnn_serialize_round_trip.bin";
+    ASSERT_TRUE(trySaveCheckpointFile(a, path).isOk());
+    const Status loaded = tryLoadCheckpointFile(b, path);
+    ASSERT_TRUE(loaded.isOk()) << loaded.toString();
     Tensor in(Shape({1, 28, 28}));
     in.fill(0.25f);
     EXPECT_TRUE(a.forward(in).allClose(b.forward(in), 0.0f));
+    std::remove(path.c_str());
 }
 
 TEST(Summary, ListsLayersAndTotals)

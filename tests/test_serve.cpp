@@ -23,7 +23,6 @@
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dropout.hpp"
-#include "nn/serialize.hpp"
 #include "serve/server.hpp"
 
 using namespace fastbcnn;
@@ -1379,8 +1378,6 @@ TEST(RegistrySwap, HealthReportsRegistryAndLegacyLoadState)
     EXPECT_EQ(1u, reg.swaps);
     EXPECT_EQ(0u, reg.rollbacks);
     EXPECT_NE(std::string::npos, reg.lastEvent.find("swapped to v1"));
-    EXPECT_EQ(checkpointStats().counter("legacy_text_loads"),
-              report.legacyTextLoads);
     srv.drain();
 }
 

@@ -1,12 +1,6 @@
 /**
  * @file
- * fastbcnn_ckpt — checkpoint converter and integrity auditor.
- *
- *   fastbcnn_ckpt convert <in> <out> [--to text|binary]
- *       Re-encode a checkpoint (default: the other format).  The
- *       output is written atomically (temp file + fsync + rename) and
- *       round-trips bit-exactly: both formats store IEEE-754 floats
- *       losslessly, so text -> binary -> text reproduces every value.
+ * fastbcnn_ckpt — checkpoint integrity auditor.
  *
  *   fastbcnn_ckpt verify <file> [<file>...]
  *       Parse each file, re-checking every CRC and length field, and
@@ -14,11 +8,10 @@
  *       for auditing a checkpoint store.
  *
  * The tool works on CheckpointImages, never building a network, so it
- * converts checkpoints of models this binary has no builder for.
+ * audits checkpoints of models this binary has no builder for.
  */
 
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,9 +26,7 @@ namespace {
 int
 usage(int code)
 {
-    std::cerr <<
-        "usage: fastbcnn_ckpt convert <in> <out> [--to text|binary]\n"
-        "       fastbcnn_ckpt verify <file> [<file>...]\n";
+    std::cerr << "usage: fastbcnn_ckpt verify <file> [<file>...]\n";
     return code;
 }
 
@@ -43,12 +34,10 @@ void
 printAudit(const std::string &path, const CheckpointAudit &audit)
 {
     std::cout << format(
-        "%s: %s checkpoint of model '%s' — %zu sections (%zu quant), "
-        "%zu values, %zu bytes, CRC %s\n", path.c_str(),
-        checkpointFormatName(audit.format), audit.modelName.c_str(),
-        audit.sections + audit.quantSections, audit.quantSections,
-        audit.totalValues, audit.fileBytes,
-        audit.crcVerified ? "verified" : "absent (legacy text)");
+        "%s: checkpoint of model '%s' — %zu sections (%zu quant), "
+        "%zu values, %zu bytes, CRC verified\n", path.c_str(),
+        audit.modelName.c_str(), audit.sections + audit.quantSections,
+        audit.quantSections, audit.totalValues, audit.fileBytes);
 }
 
 int
@@ -81,59 +70,6 @@ runVerify(const std::vector<std::string> &paths)
     return 0;
 }
 
-int
-runConvert(const std::string &in, const std::string &out,
-           const std::string &to)
-{
-    Expected<std::string> bytes = tryReadFile(in);
-    if (!bytes.hasValue()) {
-        std::cerr << in << ": " << bytes.error().toString() << "\n";
-        return 1;
-    }
-    CheckpointImage image;
-    Expected<CheckpointAudit> audit =
-        tryAuditCheckpoint(bytes.value(), &image);
-    if (!audit.hasValue()) {
-        std::cerr << in << ": " << audit.error().toString() << "\n";
-        return 1;
-    }
-
-    CheckpointFormat target;
-    if (to == "text") {
-        target = CheckpointFormat::Text;
-    } else if (to == "binary") {
-        target = CheckpointFormat::Binary;
-    } else if (to.empty()) {
-        // Default: the other format.
-        target = audit.value().format == CheckpointFormat::Binary
-                     ? CheckpointFormat::Text
-                     : CheckpointFormat::Binary;
-    } else {
-        std::cerr << "--to must be 'text' or 'binary', not '" << to
-                  << "'\n";
-        return 2;
-    }
-
-    std::ostringstream os;
-    const Status emitted =
-        target == CheckpointFormat::Binary
-            ? tryEmitBinaryCheckpoint(image, os)
-            : tryEmitTextCheckpoint(image, os);
-    if (!emitted.isOk()) {
-        std::cerr << out << ": " << emitted.toString() << "\n";
-        return 1;
-    }
-    const Status written = tryAtomicWriteFile(out, os.str(), {});
-    if (!written.isOk()) {
-        std::cerr << out << ": " << written.toString() << "\n";
-        return 1;
-    }
-    printAudit(in, audit.value());
-    std::cout << format("wrote %s checkpoint to %s\n",
-                        checkpointFormatName(target), out.c_str());
-    return 0;
-}
-
 } // namespace
 
 int
@@ -145,30 +81,7 @@ main(int argc, char **argv)
     const std::string &command = args[0];
     if (command == "--help" || command == "-h")
         return usage(0);
-
-    if (command == "verify") {
-        if (args.size() < 2)
-            return usage(2);
+    if (command == "verify" && args.size() >= 2)
         return runVerify({args.begin() + 1, args.end()});
-    }
-    if (command == "convert") {
-        std::string in, out, to;
-        for (std::size_t i = 1; i < args.size(); ++i) {
-            if (args[i] == "--to") {
-                if (i + 1 >= args.size())
-                    return usage(2);
-                to = args[++i];
-            } else if (in.empty()) {
-                in = args[i];
-            } else if (out.empty()) {
-                out = args[i];
-            } else {
-                return usage(2);
-            }
-        }
-        if (in.empty() || out.empty())
-            return usage(2);
-        return runConvert(in, out, to);
-    }
     return usage(2);
 }

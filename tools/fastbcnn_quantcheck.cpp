@@ -251,8 +251,8 @@ main(int argc, char **argv)
     if (!opt.savePath.empty()) {
         CheckpointImage image = checkpointImageOf(net);
         image.quantRecords = qnet.records();
-        const Status saved = trySaveCheckpointImageFile(
-            image, opt.savePath, CheckpointFormat::Binary);
+        const Status saved =
+            trySaveCheckpointImageFile(image, opt.savePath);
         if (!saved.isOk()) {
             std::cerr << "fastbcnn_quantcheck: "
                       << saved.toString() << "\n";
