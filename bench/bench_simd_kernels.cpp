@@ -370,6 +370,50 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
                       "convForwardMasked output differs from scalar");
         }
     }
+
+    // Dense conv where the channel-blocked kernel leaves the big-plane
+    // path: late B-VGG16 x0.5 planes (4x4, 2x2), B-LeNet-5 c3 (a 1x1
+    // output, 16 * 25 taps per output), and a stride-2 layer.
+    struct ConvShape {
+        std::size_t in_c, out_c, h, w, k, s, p;
+    };
+    const ConvShape conv_shapes[] = {{256, 256, 4, 4, 3, 1, 1},
+                                     {256, 256, 2, 2, 3, 1, 1},
+                                     {16, 120, 5, 5, 5, 1, 0},
+                                     {32, 64, 32, 32, 3, 2, 1}};
+    std::uint64_t seed = 40;
+    for (const ConvShape &cs : conv_shapes) {
+        const std::size_t oh = (cs.h + 2 * cs.p - cs.k) / cs.s + 1;
+        const std::size_t ow = (cs.w + 2 * cs.p - cs.k) / cs.s + 1;
+        const std::vector<float> x = randomFloats(cs.in_c * cs.h * cs.w,
+                                                  seed++);
+        const std::vector<float> w =
+            randomFloats(cs.out_c * cs.in_c * cs.k * cs.k, seed++, 0.1);
+        const std::vector<float> b = randomFloats(cs.out_c, seed++);
+        std::vector<float> out(cs.out_c * oh * ow, 0.0f);
+        std::vector<float> ref;
+        KernelRow row{"convForward",
+                      format("%zux%zux%zu k%zu s%zu p%zu -> %zu", cs.in_c,
+                             cs.h, cs.w, cs.k, cs.s, cs.p, cs.out_c),
+                      {}};
+        for (simd::SimdLevel level : levels) {
+            const simd::SimdKernels &ks = simd::kernelsFor(level);
+            row.ns[static_cast<int>(level)] = timeNs(
+                [&] {
+                    ks.convForward(x.data(), w.data(), b.data(),
+                                   out.data(), cs.in_c, cs.out_c, cs.h,
+                                   cs.w, oh, ow, cs.k, cs.s, cs.p);
+                },
+                scaledIters(8));
+            if (level == simd::SimdLevel::Scalar)
+                ref = out;
+            else
+                check(sameBytes(out.data(), ref.data(),
+                                out.size() * sizeof(float)),
+                      "convForward output differs from scalar");
+        }
+        rows.push_back(row);
+    }
     return rows;
 }
 

@@ -1,22 +1,24 @@
 /**
  * @file
- * AVX2 dispatch table: 8-wide float kernels with 4-wide/scalar tails
- * and the unrolled 4x64-bit popcount lanes for the bit side.
- * Compiled with -mavx2 -mpopcnt -ffp-contract=off and only when
- * FASTBCNN_SIMD_BUILD_AVX2 is defined (x86 targets with the
- * FASTBCNN_SIMD_AVX2 CMake option on).
+ * AVX2 dispatch table: 8-wide float kernels and the unrolled 4x64-bit
+ * popcount lanes for the bit side.  Compiled with -mavx2 -mpopcnt
+ * -ffp-contract=off and only when FASTBCNN_SIMD_BUILD_AVX2 is defined
+ * (x86 targets with the FASTBCNN_SIMD_AVX2 CMake option on).
  *
  * Bit-identity rules (full contract in simd.hpp): vectorize across
- * output columns only, keep the scalar tap order per output element,
- * use separate mul + add (never fmadd, which would double-round
- * differently), cmp + blendv for max semantics, cmp + and for ReLU
- * semantics, and lane-strided dense doubles (two __m256d registers =
- * the 8 scalar lanes).  Conv column tails narrow to 4-wide SSE and
- * then scalar — same per-element mul + add either way.  Shapes a
- * vector path does not cover (exotic strides, masked-conv kernels
- * wider than kMaxMaskedKernel) call the scalar reference in
- * kernels_internal.hpp.  The padding, live-position and byte-plane
- * helpers at the top of the file serve only this table.
+ * independent outputs only, never across a reduction, and keep the
+ * scalar tap order per output element.  The dense conv puts 8 output
+ * channels in the lanes (one broadcast input feeds all 8); the masked
+ * conv puts 8 live positions of one channel there; pooling and ReLU
+ * vectorize along output columns.  Use separate mul + add (never
+ * fmadd, which would double-round differently), cmp + blendv for max
+ * semantics and skipped taps, cmp + and for ReLU semantics, and
+ * lane-strided dense doubles (two __m256d registers = the 8 scalar
+ * lanes).  Shapes a vector path does not cover (conv kernels wider
+ * than kMaxConvKernel / kMaxMaskedKernel, pooling strides above 2)
+ * call the scalar reference in kernels_internal.hpp.  The padding,
+ * live-position and byte-plane helpers at the top of the file serve
+ * only this table.
  */
 
 #include "simd/kernels_internal.hpp"
@@ -24,6 +26,8 @@
 #if defined(FASTBCNN_SIMD_BUILD_AVX2)
 
 #include <immintrin.h>
+
+#include <utility>
 
 namespace fastbcnn::simd::detail {
 namespace {
@@ -272,6 +276,440 @@ loadEven8(const float *in, std::size_t b)
     return _mm256_castpd_ps(perm);
 }
 
+/** Output channels of one dense-conv block: one per AVX2 lane. */
+inline constexpr std::size_t kConvLanes = 8;
+
+/** Register accumulators of one dense-conv tile. */
+inline constexpr std::size_t kConvAccs = 8;
+
+/**
+ * Packed (tap, block) weight vectors of one chunk, kConvLanes floats
+ * each (16 KiB of stack, L1-resident).  Layers with more taps per
+ * output run in input-channel chunks.
+ */
+inline constexpr std::size_t kConvChunkVecs = 512;
+
+/** Largest plane the one-position tiles run on (late-layer planes). */
+inline constexpr std::size_t kMaxOnePositionPlane = 16;
+
+/**
+ * Largest kernel the blocked conv takes: its K^2 taps fit one chunk
+ * and one tile's per-tap live masks.  Wider kernels (none of the
+ * paper models) take the scalar reference.
+ */
+inline constexpr std::size_t kMaxConvKernel = 22;
+
+/** Which real lanes of one packed tap hold an exactly-zero weight. */
+enum class TapZeros : std::uint8_t { None, Some, All };
+
+/**
+ * One group of B blocks' weights over one input-channel chunk (21.5
+ * KiB of stack in all), with per tap t = (n, i, j): the input offset
+ * n * H * W + i * W + j from a position's first tap, i * K + j, and
+ * the tap's zero-lane class.
+ */
+struct ConvChunk {
+    alignas(32) float w[kConvChunkVecs][kConvLanes];  ///< [tap][block]
+    std::ptrdiff_t tap[kConvChunkVecs];
+    std::uint16_t ij[kConvChunkVecs];
+    TapZeros zeros[kConvChunkVecs];
+};
+
+/** In-register 8x8 float transpose (pure data movement). */
+[[gnu::always_inline]] FASTBCNN_HOT inline void
+transpose8x8(__m256 *r)
+{
+    const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+    const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+    const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+    r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
+    r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
+    r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
+    r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
+    r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
+    r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
+    r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
+    r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
+}
+
+/** Geometry shared by every tile of one dense conv call. */
+struct ConvGeom {
+    const float *in;
+    std::size_t in_h, in_w, in_plane, out_w, out_plane, kernel, stride,
+        padding;
+};
+
+/**
+ * Pack the weights of the @p B blocks of output channels from @p m0
+ * (@p real of them exist) over input channels [n0, n0 + n_count),
+ * eight taps at a time through one transpose.  Pad lanes get weight
+ * 1.0f: nonzero, so they never force a blend, and their accumulators
+ * are never stored.  A tap is All-zero when every real lane is, and
+ * then skipped outright.  @return whether any weight is zero (when
+ * not, the per-tap classes are left unset).
+ */
+template <std::size_t B>
+FASTBCNN_HOT inline bool
+packConvChunk(const ConvGeom &g, const float *w_data, ConvChunk &chunk,
+              std::size_t m0, std::size_t real, std::size_t n0,
+              std::size_t n_count, std::size_t in_channels)
+{
+    const std::size_t kk = g.kernel * g.kernel;
+    const std::size_t taps = n_count * kk;
+    std::size_t t = 0;
+    for (std::size_t n = n0; n < n0 + n_count; ++n) {
+        for (std::size_t i = 0; i < g.kernel; ++i) {
+            for (std::size_t j = 0; j < g.kernel; ++j, ++t) {
+                chunk.ij[t] = static_cast<std::uint16_t>(i * g.kernel + j);
+                chunk.tap[t] = static_cast<std::ptrdiff_t>(
+                    n * g.in_plane + i * g.in_w + j);
+            }
+        }
+    }
+    const __m256 zero = _mm256_setzero_ps();
+    __m256 any_zero = zero;
+    for (std::size_t b = 0; b < B; ++b) {
+        const float *src[kConvLanes];
+        for (std::size_t l = 0; l < kConvLanes; ++l) {
+            const std::size_t m = b * kConvLanes + l;
+            src[l] = m < real ? w_data + ((m0 + m) * in_channels + n0) * kk
+                              : nullptr;
+        }
+        t = 0;
+        for (; t + kConvLanes <= taps; t += kConvLanes) {
+            __m256 v[kConvLanes];
+            for (std::size_t l = 0; l < kConvLanes; ++l) {
+                v[l] = src[l] != nullptr ? _mm256_loadu_ps(src[l] + t)
+                                         : _mm256_set1_ps(1.0f);
+            }
+            transpose8x8(v);
+            for (std::size_t q = 0; q < kConvLanes; ++q) {
+                _mm256_store_ps(chunk.w[(t + q) * B + b], v[q]);
+                any_zero = _mm256_or_ps(
+                    any_zero, _mm256_cmp_ps(v[q], zero, _CMP_EQ_OQ));
+            }
+        }
+        for (; t < taps; ++t) {
+            float *dst = chunk.w[t * B + b];
+            for (std::size_t l = 0; l < kConvLanes; ++l)
+                dst[l] = src[l] != nullptr ? src[l][t] : 1.0f;
+            any_zero = _mm256_or_ps(
+                any_zero,
+                _mm256_cmp_ps(_mm256_load_ps(dst), zero, _CMP_EQ_OQ));
+        }
+    }
+    if (_mm256_movemask_ps(any_zero) == 0)
+        return false;
+    for (t = 0; t < taps; ++t) {
+        bool all = true, some = false;
+        for (std::size_t b = 0; b < B; ++b) {
+            const std::size_t lanes =
+                std::min(kConvLanes, real - std::min(real, b * kConvLanes));
+            const int zero_lanes = _mm256_movemask_ps(_mm256_cmp_ps(
+                _mm256_load_ps(chunk.w[t * B + b]), zero, _CMP_EQ_OQ));
+            all = all && zero_lanes == (1 << lanes) - 1;
+            some = some || zero_lanes != 0;
+        }
+        chunk.zeros[t] = all    ? TapZeros::All
+                         : some ? TapZeros::Some
+                                : TapZeros::None;
+    }
+    return true;
+}
+
+/**
+ * The output positions of one tile.  Per slot: the input index of its
+ * tap (0, 0, 0) in channel 0 (negative when that tap is padding); per
+ * kernel tap i * K + j: the slots it keeps in range.  Slots past the
+ * end of the plane repeat the last position: computed, never stored.
+ */
+struct ConvTilePos {
+    std::ptrdiff_t off[kConvAccs];
+    std::uint8_t live[kMaxConvKernel * kMaxConvKernel];
+    std::size_t count;  ///< real positions
+    bool interior;      ///< every tap of every slot in range
+};
+
+template <std::size_t Q>
+FASTBCNN_HOT inline void
+locateTile(const ConvGeom &g, std::size_t z0, ConvTilePos &t)
+{
+    const auto in_range = [](std::ptrdiff_t v, std::size_t n) {
+        return v >= 0 && v < static_cast<std::ptrdiff_t>(n);
+    };
+    std::uint8_t row_ok[kMaxConvKernel] = {};
+    std::uint8_t col_ok[kMaxConvKernel] = {};
+    t.count = std::min(Q, g.out_plane - z0);
+    std::size_t r = z0 / g.out_w;
+    std::size_t c = z0 % g.out_w;
+    for (std::size_t s = 0; s < Q; ++s) {
+        const std::ptrdiff_t y = static_cast<std::ptrdiff_t>(r * g.stride) -
+                                 static_cast<std::ptrdiff_t>(g.padding);
+        const std::ptrdiff_t x = static_cast<std::ptrdiff_t>(c * g.stride) -
+                                 static_cast<std::ptrdiff_t>(g.padding);
+        t.off[s] = y * static_cast<std::ptrdiff_t>(g.in_w) + x;
+        const auto bit = static_cast<std::uint8_t>(1u << s);
+        for (std::size_t i = 0; i < g.kernel; ++i) {
+            const auto d = static_cast<std::ptrdiff_t>(i);
+            if (in_range(y + d, g.in_h))
+                row_ok[i] |= bit;
+            if (in_range(x + d, g.in_w))
+                col_ok[i] |= bit;
+        }
+        if (s + 1 < t.count && ++c == g.out_w) {
+            c = 0;
+            ++r;
+        }
+    }
+    constexpr std::uint8_t full = (1u << Q) - 1;
+    std::uint8_t all = full;
+    for (std::size_t i = 0; i < g.kernel; ++i) {
+        for (std::size_t j = 0; j < g.kernel; ++j) {
+            const std::uint8_t live = row_ok[i] & col_ok[j];
+            t.live[i * g.kernel + j] = live;
+            all &= live;
+        }
+    }
+    t.interior = all == full;
+}
+
+/*
+ * The tile helpers below are always_inline: the 8 accumulators stay in
+ * registers only when every access to them ends up in one function
+ * with constant indices.
+ */
+
+/** One block's tap at one position: acc + w * x, each zero-weight
+ *  lane kept at acc. */
+template <bool kZeros>
+[[gnu::always_inline]] FASTBCNN_HOT inline __m256
+tapLanes(__m256 acc, const float *w, __m256 x)
+{
+    const __m256 wv = _mm256_load_ps(w);
+    const __m256 sum = _mm256_add_ps(acc, _mm256_mul_ps(wv, x));
+    if constexpr (kZeros) {
+        return _mm256_blendv_ps(
+            sum, acc, _mm256_cmp_ps(wv, _mm256_setzero_ps(), _CMP_EQ_OQ));
+    } else {
+        return sum;
+    }
+}
+
+/** One tap at one position, broadcast to the B blocks' accumulators. */
+template <bool kZeros, std::size_t... Bs>
+[[gnu::always_inline]] FASTBCNN_HOT inline void
+tapPosition(__m256 *acc, const float (*w)[kConvLanes], float x,
+            std::index_sequence<Bs...>)
+{
+    const __m256 xv = _mm256_set1_ps(x);
+    ((acc[Bs] = tapLanes<kZeros>(acc[Bs], w[Bs], xv)), ...);
+}
+
+/** One tap at slot S when it is set in @p live; the slot's input sits
+ *  at in[off[S] + tap] and is read only then. */
+template <std::size_t S, std::size_t B, bool kZeros>
+[[gnu::always_inline]] FASTBCNN_HOT inline void
+tapSlot(__m256 *acc, const float (*w)[kConvLanes], const float *in,
+        const std::ptrdiff_t *off, std::ptrdiff_t tap, unsigned live)
+{
+    if (((live >> S) & 1u) != 0) {
+        tapPosition<kZeros>(acc + S * B, w, in[off[S] + tap],
+                            std::make_index_sequence<B>{});
+    }
+}
+
+/** One tap over the slots set in @p live. */
+template <std::size_t B, bool kZeros, std::size_t... S>
+[[gnu::always_inline]] FASTBCNN_HOT inline void
+tapSlots(__m256 *acc, const float (*w)[kConvLanes], const float *in,
+         const std::ptrdiff_t *off, std::ptrdiff_t tap, unsigned live,
+         std::index_sequence<S...>)
+{
+    (tapSlot<S, B, kZeros>(acc, w, in, off, tap, live), ...);
+}
+
+/**
+ * Run one chunk's taps, in (n, i, j) order, over a tile of Q positions
+ * x B blocks of register accumulators (acc[q * B + b]).  An interior
+ * tile needs no range checks; a border tile skips each out-of-range
+ * tap per position.  Only a chunk with zero weights (kZeros) reads the
+ * per-tap zero classes.
+ */
+template <std::size_t Q, bool kInterior, bool kZeros, std::size_t... A>
+[[gnu::always_inline]] FASTBCNN_HOT inline void
+convTileTaps(const float *in, const ConvChunk &chunk, std::size_t taps,
+             const ConvTilePos &t, __m256 *acc_io,
+             std::index_sequence<A...>)
+{
+    constexpr std::size_t B = kConvAccs / Q;
+    constexpr unsigned full = (1u << Q) - 1;
+    constexpr auto slots = std::make_index_sequence<Q>{};
+    // A local copy indexed only by constants stays in registers.
+    __m256 acc[kConvAccs] = {acc_io[A]...};
+    for (std::size_t ti = 0; ti < taps; ++ti) {
+        const unsigned live = kInterior ? full : t.live[chunk.ij[ti]];
+        const float(*w)[kConvLanes] = chunk.w + ti * B;
+        const std::ptrdiff_t tap = chunk.tap[ti];
+        if constexpr (kZeros) {
+            if (chunk.zeros[ti] == TapZeros::All)
+                continue;
+            if (chunk.zeros[ti] == TapZeros::Some) {
+                tapSlots<B, true>(acc, w, in, t.off, tap, live, slots);
+                continue;
+            }
+        }
+        tapSlots<B, false>(acc, w, in, t.off, tap, live, slots);
+    }
+    ((acc_io[A] = acc[A]), ...);
+}
+
+/** convTileTaps for the tile's range class and the chunk's zeros. */
+template <std::size_t Q>
+[[gnu::always_inline]] FASTBCNN_HOT inline void
+runTile(const float *in, const ConvChunk &chunk, std::size_t taps,
+        bool zeros, const ConvTilePos &t, __m256 *acc)
+{
+    constexpr auto accs = std::make_index_sequence<kConvAccs>{};
+    if (t.interior && !zeros)
+        convTileTaps<Q, true, false>(in, chunk, taps, t, acc, accs);
+    else if (t.interior)
+        convTileTaps<Q, true, true>(in, chunk, taps, t, acc, accs);
+    else if (!zeros)
+        convTileTaps<Q, false, false>(in, chunk, taps, t, acc, accs);
+    else
+        convTileTaps<Q, false, true>(in, chunk, taps, t, acc, accs);
+}
+
+/**
+ * Move a tile's accumulators between registers and the group's output
+ * planes: stored after every chunk, reloaded before every chunk but
+ * the first.  A full 8-position tile goes through one transpose;
+ * otherwise only real positions and lanes are touched.
+ */
+template <std::size_t Q, bool kLoad>
+[[gnu::always_inline]] FASTBCNN_HOT inline void
+moveTile(float *out_group, std::size_t out_plane, std::size_t z0,
+         std::size_t count, std::size_t real, __m256 *acc)
+{
+    constexpr std::size_t B = kConvAccs / Q;
+    if (Q == kConvAccs && count == Q) {
+        if (!kLoad)
+            transpose8x8(acc);
+        for (std::size_t l = 0; l < kConvLanes; ++l) {
+            float *p = out_group + l * out_plane + z0;
+            if (kLoad)
+                acc[l] = l < real ? _mm256_loadu_ps(p) : _mm256_setzero_ps();
+            else if (l < real)
+                _mm256_storeu_ps(p, acc[l]);
+        }
+        if (kLoad)
+            transpose8x8(acc);
+        return;
+    }
+    alignas(32) float v[kConvAccs][kConvLanes] = {};
+    if (!kLoad) {
+        for (std::size_t a = 0; a < kConvAccs; ++a)
+            _mm256_store_ps(v[a], acc[a]);
+    }
+    for (std::size_t m = 0; m < std::min(real, B * kConvLanes); ++m) {
+        for (std::size_t s = 0; s < count; ++s) {
+            float &o = out_group[m * out_plane + z0 + s];
+            float &a = v[s * B + m / kConvLanes][m % kConvLanes];
+            if (kLoad)
+                a = o;
+            else
+                o = a;
+        }
+    }
+    if (kLoad) {
+        for (std::size_t a = 0; a < kConvAccs; ++a)
+            acc[a] = _mm256_load_ps(v[a]);
+    }
+}
+
+/**
+ * The blocked conv with tiles of Q positions x (8 / Q) blocks of 8
+ * output channels (a group), Q = 8 or 1.  One-position tiles keep
+ * their accumulators between chunks in a stack stage instead of the
+ * output (planes of at most kMaxOnePositionPlane positions), so the
+ * spill is 8 vector stores, and write the output once per group.
+ */
+template <std::size_t Q>
+FASTBCNN_HOT void
+convBlocked(const ConvGeom &g, const float *w_data, const float *bias,
+            float *out_data, std::size_t in_channels,
+            std::size_t out_channels)
+{
+    constexpr std::size_t B = kConvAccs / Q;
+    constexpr std::size_t stage_positions =
+        Q == 1 ? kMaxOnePositionPlane : 1;
+    const std::size_t chunk_channels =
+        kConvChunkVecs / (g.kernel * g.kernel * B);
+    ConvChunk chunk;
+    ConvTilePos t;
+    __m256 stage[stage_positions][kConvAccs];
+    for (std::size_t m0 = 0; m0 < out_channels; m0 += B * kConvLanes) {
+        const std::size_t real = out_channels - m0;
+        alignas(32) float b[B][kConvLanes] = {};
+        std::copy_n(bias + m0, std::min(real, B * kConvLanes), b[0]);
+        float *out_group = out_data + m0 * g.out_plane;
+        std::size_t n0 = 0;
+        do {
+            const std::size_t n_count =
+                std::min(chunk_channels, in_channels - n0);
+            const std::size_t taps = n_count * g.kernel * g.kernel;
+            const bool zeros = packConvChunk<B>(g, w_data, chunk, m0, real,
+                                                n0, n_count, in_channels);
+            for (std::size_t z0 = 0; z0 < g.out_plane; z0 += Q) {
+                locateTile<Q>(g, z0, t);
+                __m256 *acc = stage[Q == 1 ? z0 : 0];
+                if (n0 == 0) {
+                    for (std::size_t a = 0; a < kConvAccs; ++a)
+                        acc[a] = _mm256_load_ps(b[a % B]);
+                } else if constexpr (Q != 1) {
+                    moveTile<Q, true>(out_group, g.out_plane, z0, t.count,
+                                      real, acc);
+                }
+                runTile<Q>(g.in, chunk, taps, zeros, t, acc);
+                if constexpr (Q != 1) {
+                    moveTile<Q, false>(out_group, g.out_plane, z0, t.count,
+                                       real, acc);
+                }
+            }
+            n0 += n_count;
+        } while (n0 < in_channels);
+        if constexpr (Q == 1) {
+            for (std::size_t z = 0; z < g.out_plane; ++z)
+                moveTile<Q, false>(out_group, g.out_plane, z, 1, real,
+                                   stage[z]);
+        }
+    }
+}
+
+/*
+ * Dense conv, blocked by output channel (the CPU form of the paper's
+ * feature-map parallelism, Eqs. 6-7): the 8 lanes are 8 output maps,
+ * so one broadcast input value feeds all of them.  A tile keeps 8
+ * register accumulators across the whole (n, i, j) tap loop, so every
+ * plane size and stride runs full-width.  Each neuron sees exactly the
+ * scalar tap sequence: bias, then the (n, i, j) taps in order as
+ * mul + add; a zero-weight lane is blended back to its old
+ * accumulator and an out-of-range tap is skipped per position, never
+ * added as w * 0 (-0.0 + +0.0 is +0.0, and Inf * 0 is NaN).
+ */
 FASTBCNN_HOT void
 avx2ConvForward(const float *in_data, const float *w_data,
                 const float *bias, float *out_data,
@@ -280,83 +718,27 @@ avx2ConvForward(const float *in_data, const float *w_data,
                 std::size_t out_w, std::size_t kernel,
                 std::size_t stride, std::size_t padding)
 {
-    if (stride != 1) {
+    if (kernel > kMaxConvKernel) {
         scalarConvForward(in_data, w_data, bias, out_data, in_channels,
                           out_channels, in_h, in_w, out_h, out_w,
                           kernel, stride, padding);
         return;
     }
-    for (std::size_t m = 0; m < out_channels; ++m) {
-        float *out_plane = out_data + m * out_h * out_w;
-        const float b = bias[m];
-        const __m256 b8 = _mm256_set1_ps(b);
-        std::size_t z = 0;
-        for (; z + 8 <= out_h * out_w; z += 8)
-            _mm256_storeu_ps(out_plane + z, b8);
-        for (; z < out_h * out_w; ++z)
-            out_plane[z] = b;
-        for (std::size_t n = 0; n < in_channels; ++n) {
-            const float *in_plane = in_data + n * in_h * in_w;
-            const float *w_kernel =
-                w_data + (m * in_channels + n) * kernel * kernel;
-            for (std::size_t i = 0; i < kernel; ++i) {
-                for (std::size_t j = 0; j < kernel; ++j) {
-                    const float wv = w_kernel[i * kernel + j];
-                    if (wv == 0.0f)
-                        continue;
-                    const std::ptrdiff_t d =
-                        static_cast<std::ptrdiff_t>(j) -
-                        static_cast<std::ptrdiff_t>(padding);
-                    std::size_t c0, c1;
-                    validRangeS1(d, out_w, in_w, c0, c1);
-                    const __m256 wv8 = _mm256_set1_ps(wv);
-                    const __m128 wv4 = _mm_set1_ps(wv);
-                    for (std::size_t r = 0; r < out_h; ++r) {
-                        const std::ptrdiff_t in_r =
-                            static_cast<std::ptrdiff_t>(r + i) -
-                            static_cast<std::ptrdiff_t>(padding);
-                        if (in_r < 0 ||
-                            in_r >= static_cast<std::ptrdiff_t>(in_h)) {
-                            continue;
-                        }
-                        const float *in_row = in_plane + in_r * in_w;
-                        float *out_row = out_plane + r * out_w;
-                        std::size_t c = c0;
-                        for (; c + 8 <= c1; c += 8) {
-                            const __m256 v = _mm256_loadu_ps(
-                                in_row +
-                                (static_cast<std::ptrdiff_t>(c) + d));
-                            const __m256 o =
-                                _mm256_loadu_ps(out_row + c);
-                            _mm256_storeu_ps(
-                                out_row + c,
-                                _mm256_add_ps(o,
-                                              _mm256_mul_ps(wv8, v)));
-                        }
-                        // Tails narrow to 4-wide + scalar: masked
-                        // 256-bit load/store is microcoded on common
-                        // server cores, and narrow late-layer planes
-                        // (out_w = 4, 2) are all tail.
-                        for (; c + 4 <= c1; c += 4) {
-                            const __m128 v = _mm_loadu_ps(
-                                in_row +
-                                (static_cast<std::ptrdiff_t>(c) + d));
-                            const __m128 o = _mm_loadu_ps(out_row + c);
-                            _mm_storeu_ps(
-                                out_row + c,
-                                _mm_add_ps(o, _mm_mul_ps(wv4, v)));
-                        }
-                        for (; c < c1; ++c) {
-                            out_row[c] +=
-                                wv *
-                                in_row[static_cast<std::ptrdiff_t>(c) +
-                                       d];
-                        }
-                    }
-                }
-            }
-        }
-    }
+    const ConvGeom g{in_data, in_h,  in_w,   in_h * in_w, out_w,
+                     out_h * out_w, kernel, stride, padding};
+    // Small late-layer planes run one position per tile across 8
+    // blocks: no per-position range checks and no repeated slots,
+    // unless that leaves more pad lanes idle than the slots it saves.
+    const std::size_t blocks = (out_channels + kConvLanes - 1) / kConvLanes;
+    const std::size_t one_wide =
+        g.out_plane * ((blocks + kConvAccs - 1) / kConvAccs);
+    const std::size_t eight_wide =
+        (g.out_plane + kConvAccs - 1) / kConvAccs * blocks;
+    if (g.out_plane <= kMaxOnePositionPlane && one_wide <= eight_wide &&
+        kernel * kernel * kConvAccs <= kConvChunkVecs)
+        convBlocked<1>(g, w_data, bias, out_data, in_channels, out_channels);
+    else
+        convBlocked<8>(g, w_data, bias, out_data, in_channels, out_channels);
 }
 
 FASTBCNN_HOT void

@@ -62,7 +62,8 @@ struct SimdKernels {
      * Convolution forward: accumulate bias + sum over (n, i, j) of
      * w(m,n,i,j) * in(n, r*stride+i-padding, c*stride+j-padding) into
      * out(m, r, c), skipping out-of-range (padding) taps and
-     * exactly-zero weights.
+     * exactly-zero weights.  Bit-identical across levels, NaN payloads
+     * excepted (a NaN output is a NaN at every level).
      */
     void (*convForward)(const float *in, const float *w,
                         const float *bias, float *out,

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <random>
 
+#include "common/bitvolume.hpp"
 #include "common/math_util.hpp"
 #include "nn/activations.hpp"
 #include "nn/concat.hpp"
@@ -252,6 +255,45 @@ TEST(Dropout, AppliesMask)
     EXPECT_FLOAT_EQ(out(0, 0, 1), 0.0f);
     EXPECT_FLOAT_EQ(out(0, 1, 0), 0.0f);
     EXPECT_FLOAT_EQ(out(0, 1, 1), 4.0f);
+}
+
+TEST(Dropout, WordAtATimeMatchesPerBitReference)
+{
+    // Sizes around the 64-bit word edges, NaNs on dropped and kept
+    // positions alike: kept values pass through bit for bit, dropped
+    // ones become +0.0f.
+    Dropout drop("d", 0.3);
+    const Shape shapes[] = {Shape({1, 1, 1}),  Shape({1, 1, 63}),
+                            Shape({1, 1, 64}), Shape({1, 1, 65}),
+                            Shape({3, 5, 7}),  Shape({2, 9, 11}),
+                            Shape({4, 16, 16})};
+    std::mt19937_64 rng(77);
+    std::uint64_t seed = 31;
+    for (const Shape &shape : shapes) {
+        for (double density : {0.0, 0.3, 1.0}) {
+            Tensor in = randomTensor(shape, seed++);
+            for (float &v : in.data()) {
+                if (rng() % 5 == 0)
+                    v = std::numeric_limits<float>::quiet_NaN();
+            }
+            BitVolume mask(shape.dim(0), shape.dim(1), shape.dim(2));
+            std::bernoulli_distribution bit(density);
+            for (std::size_t i = 0; i < mask.size(); ++i)
+                mask.setFlat(i, bit(rng));
+            std::vector<float> expect(in.data().begin(), in.data().end());
+            for (std::size_t i = 0; i < expect.size(); ++i) {
+                if (mask.getFlat(i))
+                    expect[i] = 0.0f;
+            }
+            FixedMaskHooks hooks(mask);
+            const Tensor out = drop.forward({&in}, &hooks);
+            ASSERT_EQ(out.numel(), expect.size());
+            EXPECT_EQ(std::memcmp(out.data().data(), expect.data(),
+                                  expect.size() * sizeof(float)),
+                      0)
+                << shape.toString() << " density " << density;
+        }
+    }
 }
 
 TEST(Dropout, InvalidRateFatal)

@@ -24,13 +24,17 @@
 #include <thread>
 #include <vector>
 
+#include "bayes/hooks.hpp"
 #include "common/aligned.hpp"
 #include "common/bitvolume.hpp"
+#include "data/synthetic.hpp"
+#include "models/zoo.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/network.hpp"
 #include "nn/pooling.hpp"
+#include "rng/brng.hpp"
 #include "simd/simd.hpp"
 #include "tensor/tensor.hpp"
 
@@ -154,45 +158,6 @@ TEST(SimdDispatch, ScalarAlwaysAvailableAndSetLevelClamps)
                   static_cast<int>(detected));
     }
     EXPECT_TRUE(simd::levelAvailable(detected));
-}
-
-TEST(SimdDispatch, ConvBitIdenticalAcrossLevels)
-{
-    const struct {
-        std::size_t in_c, out_c, h, w, k, s, p;
-    } shapes[] = {
-        {1, 1, 5, 5, 3, 1, 0},   {3, 4, 11, 13, 3, 1, 1},
-        {2, 3, 9, 17, 5, 1, 2},  {3, 2, 12, 12, 3, 2, 1},
-        {1, 2, 8, 21, 1, 1, 0},  {2, 2, 6, 7, 3, 1, 2},
-    };
-    const simd::SimdKernels &ref =
-        simd::kernelsFor(simd::SimdLevel::Scalar);
-    std::uint64_t seed = 101;
-    for (const auto &sh : shapes) {
-        const std::size_t out_h = (sh.h + 2 * sh.p - sh.k) / sh.s + 1;
-        const std::size_t out_w = (sh.w + 2 * sh.p - sh.k) / sh.s + 1;
-        const auto in = randomFloats(sh.in_c * sh.h * sh.w, seed++);
-        // ~30% exactly-zero weights exercise the skip-zero branch.
-        const auto w = randomFloats(
-            sh.out_c * sh.in_c * sh.k * sh.k, seed++, 0.3f);
-        const auto bias = randomFloats(sh.out_c, seed++);
-        std::vector<float> expect(sh.out_c * out_h * out_w);
-        ref.convForward(in.data(), w.data(), bias.data(),
-                        expect.data(), sh.in_c, sh.out_c, sh.h, sh.w,
-                        out_h, out_w, sh.k, sh.s, sh.p);
-        for (simd::SimdLevel level : availableLevels()) {
-            std::vector<float> got(expect.size(),
-                                   std::numeric_limits<float>::max());
-            simd::kernelsFor(level).convForward(
-                in.data(), w.data(), bias.data(), got.data(), sh.in_c,
-                sh.out_c, sh.h, sh.w, out_h, out_w, sh.k, sh.s, sh.p);
-            EXPECT_TRUE(bitIdentical(expect, got))
-                << "conv mismatch at level "
-                << simd::simdLevelName(level) << " shape " << sh.h
-                << "x" << sh.w << " k" << sh.k << " s" << sh.s << " p"
-                << sh.p;
-        }
-    }
 }
 
 TEST(SimdDispatch, DenseBitIdenticalAcrossLevels)
@@ -370,9 +335,10 @@ generatedShapes()
     return shapes;
 }
 
-/** Random floats salted with NaN, +-Inf, denormals and -0.0. */
+/** Random floats salted with NaN, +-Inf, denormals and -0.0, about
+ *  one special per @p every values. */
 std::vector<float>
-adversarialFloats(std::size_t n, std::uint64_t seed)
+adversarialFloats(std::size_t n, std::uint64_t seed, std::size_t every = 23)
 {
     std::vector<float> v = randomFloats(n, seed, 0.1f);
     const float specials[] = {
@@ -383,13 +349,89 @@ adversarialFloats(std::size_t n, std::uint64_t seed)
         -std::numeric_limits<float>::denorm_min(), -0.0f};
     std::mt19937_64 rng(seed ^ 0x9e3779b97f4a7c15ull);
     for (float &x : v) {
-        if (rng() % 23 == 0)
+        if (rng() % every == 0)
             x = specials[rng() % std::size(specials)];
     }
     return v;
 }
 
 } // namespace
+
+TEST(SimdDispatch, ConvBitIdenticalAcrossLevels)
+{
+    // The vector conv runs 8 output channels per block and 8 output
+    // positions (or 1 position x 8 blocks) per tile, so the sweep
+    // fills, overfills and underfills both: out channels 1/7/8/9/17
+    // over every generated geometry, shapes whose N*K^2 taps overflow
+    // one packed weight chunk, 1x1 outputs, and kernels too wide for a
+    // one-position tile (12) or for the vector path at all (33).
+    const simd::SimdKernels &ref =
+        simd::kernelsFor(simd::SimdLevel::Scalar);
+    const std::size_t out_counts[] = {1, 7, 8, 9, 17};
+    std::vector<GenShape> shapes = {{120, 9, 6, 6, 3, 1, 1},
+                                    {45, 17, 7, 5, 5, 2, 2},
+                                    {120, 17, 3, 3, 3, 1, 0},
+                                    {16, 17, 5, 5, 5, 1, 0},
+                                    {2, 9, 12, 13, 12, 1, 0},
+                                    {1, 2, 33, 34, 33, 1, 0}};
+    std::size_t next = 0;
+    for (GenShape sh : generatedShapes()) {
+        sh.out_c = out_counts[next++ % std::size(out_counts)];
+        shapes.push_back(sh);
+    }
+    const float inf = std::numeric_limits<float>::infinity();
+    std::uint64_t seed = 101;
+    std::size_t cases = 0;
+    for (const GenShape &sh : shapes) {
+        const std::size_t out_h = sh.outH(), out_w = sh.outW();
+        const std::size_t taps = sh.in_c * sh.k * sh.k;
+        // Specials at about one per two outputs' receptive fields, so
+        // most outputs stay finite and still pin the rounding.
+        const auto in = adversarialFloats(sh.in_c * sh.h * sh.w, seed++,
+                                          2 * taps);
+        auto w = randomFloats(sh.out_c * taps, seed++, 0.3f);
+        auto bias = randomFloats(sh.out_c, seed++);
+        bias[0] = -0.0f;  // a -0.0 bias must survive skipped taps
+        // A whole zero lane, and (with a second block) one whole
+        // zero block; the last channel gets an Inf and a NaN weight,
+        // which turn any padding tap added as w * 0 into a NaN.
+        const std::size_t zero_lane = sh.out_c / 2;
+        std::fill_n(w.begin() + zero_lane * taps, taps, 0.0f);
+        if (sh.out_c > 8) {
+            std::fill(w.begin() + 8 * taps,
+                      w.begin() + std::min<std::size_t>(16, sh.out_c) * taps,
+                      0.0f);
+        }
+        float *last = w.data() + (sh.out_c - 1) * taps;
+        last[0] = inf;
+        last[taps - 1] = std::numeric_limits<float>::quiet_NaN();
+        const std::size_t n_out = sh.out_c * out_h * out_w;
+        std::vector<float> expect(n_out);
+        ref.convForward(in.data(), w.data(), bias.data(), expect.data(),
+                        sh.in_c, sh.out_c, sh.h, sh.w, out_h, out_w, sh.k,
+                        sh.s, sh.p);
+        for (simd::SimdLevel level : availableLevels()) {
+            // A guard plane past the end catches stores of pad lanes.
+            std::vector<float> got(n_out + out_h * out_w * 8 + 8,
+                                   std::numeric_limits<float>::max());
+            simd::kernelsFor(level).convForward(
+                in.data(), w.data(), bias.data(), got.data(), sh.in_c,
+                sh.out_c, sh.h, sh.w, out_h, out_w, sh.k, sh.s, sh.p);
+            const bool guard_intact = std::all_of(
+                got.begin() + n_out, got.end(), [](float v) {
+                    return v == std::numeric_limits<float>::max();
+                });
+            got.resize(n_out);
+            ASSERT_TRUE(guard_intact && bitIdenticalOrBothNan(expect, got))
+                << "conv mismatch at level " << simd::simdLevelName(level)
+                << " " << sh.in_c << "x" << sh.h << "x" << sh.w << " -> "
+                << sh.out_c << " k" << sh.k << " s" << sh.s << " p"
+                << sh.p;
+        }
+        ++cases;
+    }
+    EXPECT_GT(cases, 250u);
+}
 
 TEST(SimdDispatch, ConvMaskedBitIdenticalAcrossLevels)
 {
@@ -505,6 +547,24 @@ TEST(SimdDispatch, CountNwInputsSaturatesAt0xffff)
     }
 }
 
+namespace {
+
+/** SamplingHooks that also records every conv output, in order. */
+class ConvRecorder : public SamplingHooks
+{
+  public:
+    using SamplingHooks::SamplingHooks;
+    void onActivation(const std::string &, LayerKind kind,
+                      const Tensor &out) override
+    {
+        if (kind == LayerKind::Conv2d)
+            maps.insert(maps.end(), out.data().begin(), out.data().end());
+    }
+    std::vector<float> maps;
+};
+
+} // namespace
+
 TEST(SimdDispatch, NetworkForwardBitIdenticalAcrossLevels)
 {
     Network net("simd-net", Shape({2, 12, 12}));
@@ -548,6 +608,39 @@ TEST(SimdDispatch, NetworkForwardBitIdenticalAcrossLevels)
         EXPECT_TRUE(bitIdentical(expect, got))
             << "network forward mismatch at level "
             << simd::simdLevelName(level);
+    }
+
+    // The paper models at real channel counts (every conv fills whole
+    // 8-channel blocks, late B-VGG16 planes are 4x4 and 2x2, B-LeNet-5
+    // c3 has a 1x1 output), one MC sample with fixed-seed dropout
+    // masks: every level reproduces every conv map and the logits.
+    ModelOptions vgg;
+    vgg.widthMultiplier = 0.5;
+    const struct {
+        Network net;
+        Tensor input;
+    } models[] = {{buildLenet5(), makeMnistLikeImage(3, 11)},
+                  {buildVgg16(vgg), makeCifarLikeImage(5, 12)}};
+    for (const auto &m : models) {
+        const auto forward = [&m] {
+            LfsrBrng brng(0.3, 0x5eedu);
+            ConvRecorder hooks(brng);
+            const Tensor out = m.net.forward(m.input, &hooks);
+            hooks.maps.insert(hooks.maps.end(), out.data().begin(),
+                              out.data().end());
+            return hooks.maps;
+        };
+        std::vector<float> want;
+        {
+            ScopedLevel force(simd::SimdLevel::Scalar);
+            want = forward();
+        }
+        for (simd::SimdLevel level : availableLevels()) {
+            ScopedLevel force(level);
+            EXPECT_TRUE(bitIdentical(want, forward()))
+                << m.net.name() << " forward mismatch at level "
+                << simd::simdLevelName(level);
+        }
     }
 }
 
