@@ -192,17 +192,6 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
         in_c, in_h, in_w, out_h, out_w, k, pad));
     std::vector<std::uint16_t> cnt_ref;
 
-    // Masked conv at the skip ratios of an early (0.3, dropout only)
-    // and a typical (0.72, dropped + predicted) B-VGG16 block.
-    const double skip_densities[] = {0.3, 0.72};
-    const BitVolume skips[] = {
-        randomBits(out_c, out_h, out_w, 23, skip_densities[0]),
-        randomBits(out_c, out_h, out_w, 24, skip_densities[1])};
-    std::vector<float> masked_pad(
-        simd::convMaskedPadFloats(in_c, in_h, in_w, pad));
-    std::vector<std::uint32_t> masked_live(
-        simd::convMaskedIndexCount(out_h, out_w));
-    std::vector<float> masked_ref[2];
     std::size_t pop_ref = 0, popbits_ref = 0, andpop_ref = 0;
 
     rows.push_back({"convForward",
@@ -223,13 +212,6 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
                     format("%zux%zux%zu k%zu p%zu -> %zu", in_c, in_h,
                            in_w, k, pad, out_c),
                     {}});
-    for (double density : skip_densities) {
-        rows.push_back({"convForwardMasked",
-                        format("%zux%zux%zu k%zu s%zu p%zu -> %zu skip %.2f",
-                               in_c, in_h, in_w, k, stride, pad, out_c,
-                               density),
-                        {}});
-    }
 
     for (simd::SimdLevel level : levels) {
         const simd::SimdKernels &ks = simd::kernelsFor(level);
@@ -351,24 +333,6 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
             check(sameBytes(cnt_out.data(), cnt_ref.data(),
                             cnt_out.size() * sizeof(std::uint16_t)),
                   "countNwInputs output differs from scalar");
-
-        for (std::size_t d = 0; d < 2; ++d) {
-            rows[9 + d].ns[li] = timeNs(
-                [&] {
-                    ks.convForwardMasked(
-                        conv_in.data(), conv_w.data(), conv_b.data(),
-                        skips[d].words(), conv_out.data(),
-                        masked_pad.data(), masked_live.data(), in_c,
-                        out_c, in_h, in_w, out_h, out_w, k, stride, pad);
-                },
-                scaledIters(40));
-            if (is_scalar)
-                masked_ref[d] = conv_out;
-            else
-                check(sameBytes(conv_out.data(), masked_ref[d].data(),
-                                conv_out.size() * sizeof(float)),
-                      "convForwardMasked output differs from scalar");
-        }
     }
 
     // Dense conv where the channel-blocked kernel leaves the big-plane

@@ -13,6 +13,7 @@
 #ifndef FASTBCNN_COMMON_BITVOLUME_HPP
 #define FASTBCNN_COMMON_BITVOLUME_HPP
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
@@ -95,6 +96,23 @@ class BitVolume
      * indicator bit, summed by a counter.
      */
     std::size_t andPopcount(const BitVolume &other) const;
+
+    /**
+     * Call @p f(flat index) for every set bit, in ascending order, a
+     * word at a time (count trailing zeros, then clear the lowest set
+     * bit); bits past size() are zero, so no index reaches size().
+     */
+    template <class F>
+    void forEachSet(F f) const
+    {
+        for (std::size_t w = 0; w < wordCount(); ++w) {
+            for (std::uint64_t bits = words_[w]; bits != 0;
+                 bits &= bits - 1) {
+                f(w * 64 +
+                  static_cast<std::size_t>(std::countr_zero(bits)));
+            }
+        }
+    }
 
     /** Element-wise OR with @p other (shapes must match). */
     void orWith(const BitVolume &other);

@@ -85,31 +85,6 @@ Conv2d::computeNeuron(const Tensor &input, std::size_t m, std::size_t r,
 }
 
 Tensor
-Conv2d::forwardMasked(const Tensor &input, const BitVolume &skip) const
-{
-    const Shape out_shape = outputShape({input.shape()});
-    FASTBCNN_CHECK(skip.channels() == out_shape.dim(0) &&
-                   skip.height() == out_shape.dim(1) &&
-                   skip.width() == out_shape.dim(2),
-                   "skip bitmap / conv output shape mismatch");
-    Tensor out(out_shape);
-    const std::size_t in_h = input.shape().dim(1);
-    const std::size_t in_w = input.shape().dim(2);
-    const std::size_t out_h = out_shape.dim(1);
-    const std::size_t out_w = out_shape.dim(2);
-    std::vector<float> pad(
-        simd::convMaskedPadFloats(inChannels_, in_h, in_w, padding_));
-    std::vector<std::uint32_t> live(
-        simd::convMaskedIndexCount(out_h, out_w));
-    simd::active().convForwardMasked(
-        input.data().data(), weights_.data().data(), bias_.data().data(),
-        skip.words(), out.data().data(), pad.data(), live.data(),
-        inChannels_, outChannels_, in_h, in_w, out_h, out_w, kernelSize_,
-        stride_, padding_);
-    return out;
-}
-
-Tensor
 Conv2d::forward(const std::vector<const Tensor *> &inputs,
                 ForwardHooks *hooks) const
 {

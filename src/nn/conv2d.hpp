@@ -40,19 +40,12 @@ class Conv2d : public Layer
                    ForwardHooks *hooks) const override;
 
     /**
-     * Forward with neuron skipping (the PE skip engine): outputs whose
-     * bit is set in @p skip, an (M, R, C) bitmap of the output shape,
-     * are not computed and read +0.0f; every other output is
-     * bit-identical to forward()'s.
-     */
-    Tensor forwardMasked(const Tensor &input, const BitVolume &skip) const;
-
-    /**
      * Compute a single output neuron (m, r, c) for @p input: bias,
      * then every in-range (n, i, j) tap in order.  Unlike forward() it
-     * does not skip zero weights.  This is the unit of work the PE
-     * skip engine elides; the shadow audit re-computes skipped neurons
-     * with it, and tests verify skip-correctness neuron by neuron.
+     * does not skip zero weights.  This is the unit of work the
+     * accelerator's skip engine elides (predictiveForward() computes it
+     * densely and zeroes it); the shadow audit re-computes predicted
+     * neurons with it, and tests verify predictions neuron by neuron.
      */
     float computeNeuron(const Tensor &input, std::size_t m,
                         std::size_t r, std::size_t c) const;

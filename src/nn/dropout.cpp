@@ -1,8 +1,5 @@
 #include "dropout.hpp"
 
-#include <bit>
-#include <cstdint>
-
 #include "common/check.hpp"
 
 namespace fastbcnn {
@@ -42,15 +39,8 @@ Dropout::forward(const std::vector<const Tensor *> &inputs,
                        mask->height() == in.shape().dim(1) &&
                        mask->width() == in.shape().dim(2),
                        "dropout mask shape mismatch");
-        // Visit only the set (dropped) bits, a word at a time; bits
-        // past size() are zero (BitVolume::words()).
         float *o = out.data().data();
-        const std::uint64_t *words = mask->words();
-        for (std::size_t w = 0; w < mask->wordCount(); ++w) {
-            for (std::uint64_t bits = words[w]; bits != 0; bits &= bits - 1)
-                o[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))] =
-                    0.0f;
-        }
+        mask->forEachSet([o](std::size_t i) { o[i] = 0.0f; });
     }
     if (hooks)
         hooks->onActivation(name(), kind(), out);

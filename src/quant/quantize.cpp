@@ -581,10 +581,8 @@ QuantizedNetwork::run(const Tensor &input, ForwardHooks *hooks,
                         mask->height() == n.outShape.dim(1) &&
                         mask->width() == n.outShape.dim(2),
                     "dropout mask shape mismatch");
-                for (std::size_t i = 0; i < cur.size(); ++i) {
-                    if (mask->getFlat(i))
-                        cur[i] = 0;
-                }
+                std::int8_t *q = cur.data();
+                mask->forEachSet([q](std::size_t i) { q[i] = 0; });
             }
             break;
         }

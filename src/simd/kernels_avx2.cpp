@@ -7,18 +7,16 @@
  *
  * Bit-identity rules (full contract in simd.hpp): vectorize across
  * independent outputs only, never across a reduction, and keep the
- * scalar tap order per output element.  The dense conv puts 8 output
- * channels in the lanes (one broadcast input feeds all 8); the masked
- * conv puts 8 live positions of one channel there; pooling and ReLU
- * vectorize along output columns.  Use separate mul + add (never
+ * scalar tap order per output element.  The conv puts 8 output
+ * channels in the lanes (one broadcast input feeds all 8); pooling and
+ * ReLU vectorize along output columns.  Use separate mul + add (never
  * fmadd, which would double-round differently), cmp + blendv for max
  * semantics and skipped taps, cmp + and for ReLU semantics, and
  * lane-strided dense doubles (two __m256d registers = the 8 scalar
  * lanes).  Shapes a vector path does not cover (conv kernels wider
- * than kMaxConvKernel / kMaxMaskedKernel, pooling strides above 2)
- * call the scalar reference in kernels_internal.hpp.  The padding,
- * live-position and byte-plane helpers at the top of the file serve
- * only this table.
+ * than kMaxConvKernel, pooling strides above 2) call the scalar
+ * reference in kernels_internal.hpp.  The bit-window and byte-plane
+ * helpers at the top of the file serve only this table.
  */
 
 #include "simd/kernels_internal.hpp"
@@ -33,13 +31,6 @@ namespace fastbcnn::simd::detail {
 namespace {
 
 /**
- * Largest kernel size the vector masked-conv paths hold per-tap
- * validity vectors for on the stack; wider kernels (none of the paper
- * models) take the scalar reference.
- */
-inline constexpr std::size_t kMaxMaskedKernel = 16;
-
-/**
  * Extract 64 bits starting at bit @p pos.  Requires one readable
  * guard word past the last data word (BitVolume over-allocates it).
  */
@@ -50,65 +41,6 @@ extract64(const std::uint64_t *w, std::size_t pos)
     const std::size_t sh = pos & 63;
     const std::uint64_t lo = w[wi] >> sh;
     return sh == 0 ? lo : (lo | (w[wi + 1] << (64 - sh)));
-}
-
-/**
- * Copy the (in_channels, in_h, in_w) input into @p padded with
- * @p padding zero rows / columns on every side, so the vector
- * masked-conv paths can gather any tap without a bounds check.
- */
-FASTBCNN_HOT inline void
-padConvInput(const float *in_data, float *padded, std::size_t in_channels,
-             std::size_t in_h, std::size_t in_w, std::size_t padding)
-{
-    const std::size_t ph = in_h + 2 * padding;
-    const std::size_t pw = in_w + 2 * padding;
-    for (std::size_t n = 0; n < in_channels; ++n) {
-        float *dst = padded + n * ph * pw;
-        std::fill(dst, dst + padding * pw, 0.0f);
-        for (std::size_t y = 0; y < in_h; ++y) {
-            float *row = dst + (y + padding) * pw;
-            std::fill(row, row + padding, 0.0f);
-            std::copy(in_data + (n * in_h + y) * in_w,
-                      in_data + (n * in_h + y + 1) * in_w, row + padding);
-            std::fill(row + padding + in_w, row + pw, 0.0f);
-        }
-        std::fill(dst + (padding + in_h) * pw, dst + ph * pw, 0.0f);
-    }
-}
-
-/**
- * Compact the live (skip bit 0) positions of output plane @p m into
- * @p live as (r << 16) | c, padding the list to a whole number of
- * @p lanes by repeating the last entry.  @return the live count.
- * Requires out_h, out_w < 65536 (callers gate).
- */
-FASTBCNN_HOT inline std::size_t
-collectLivePositions(const std::uint64_t *skip_words, std::size_t m,
-                     std::size_t out_h, std::size_t out_w,
-                     std::size_t lanes, std::uint32_t *live)
-{
-    const std::size_t plane = out_h * out_w;
-    const std::size_t base = m * plane;
-    std::size_t count = 0;
-    for (std::size_t z0 = 0; z0 < plane; z0 += 64) {
-        const std::size_t span = std::min<std::size_t>(64, plane - z0);
-        std::uint64_t bits = ~extract64(skip_words, base + z0);
-        if (span < 64)
-            bits &= (1ull << span) - 1;
-        while (bits != 0) {
-            const std::size_t z =
-                z0 + static_cast<std::size_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            live[count++] = static_cast<std::uint32_t>(
-                ((z / out_w) << 16) | (z % out_w));
-        }
-    }
-    if (count > 0) {
-        for (std::size_t t = count; t % lanes != 0; ++t)
-            live[t] = live[count - 1];
-    }
-    return count;
 }
 
 /**
@@ -986,135 +918,6 @@ avx2AndPopcountWords(const std::uint64_t *a, const std::uint64_t *b,
     return andPopcountWords4(a, b, n);
 }
 
-/** Geometry shared by every vector of one masked conv call. */
-struct MaskedGeom {
-    const float *pad;  ///< zero-padded input copy
-    std::size_t in_channels, kernel, pw, plane, out_w;
-    __m256i lo, hi_r, hi_c, stride, pwv;
-};
-
-/**
- * Eight live positions of one output channel: a register accumulator
- * across the whole (n, i, j) tap loop, taps gathered from the
- * zero-padded input, padding taps blended out.  Stores the first
- * @p n_store lanes (the rest repeat the last live position).
- */
-FASTBCNN_HOT inline void
-avx2MaskedVector(const MaskedGeom &g, const float *w_m, float bias,
-                 const std::uint32_t *live, std::size_t n_store,
-                 float *out_plane)
-{
-    const __m256i rc =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(live));
-    const __m256i y0 =
-        _mm256_mullo_epi32(_mm256_srli_epi32(rc, 16), g.stride);
-    const __m256i x0 = _mm256_mullo_epi32(
-        _mm256_and_si256(rc, _mm256_set1_epi32(0xffff)), g.stride);
-    const __m256i offs =
-        _mm256_add_epi32(_mm256_mullo_epi32(y0, g.pwv), x0);
-    __m256 row_ok[kMaxMaskedKernel];
-    __m256 col_ok[kMaxMaskedKernel];
-    int all = 0xff;
-    for (std::size_t t = 0; t < g.kernel; ++t) {
-        const __m256i tv = _mm256_set1_epi32(static_cast<int>(t));
-        const __m256i y = _mm256_add_epi32(y0, tv);
-        const __m256i x = _mm256_add_epi32(x0, tv);
-        row_ok[t] = _mm256_castsi256_ps(_mm256_and_si256(
-            _mm256_cmpgt_epi32(y, g.lo), _mm256_cmpgt_epi32(g.hi_r, y)));
-        col_ok[t] = _mm256_castsi256_ps(_mm256_and_si256(
-            _mm256_cmpgt_epi32(x, g.lo), _mm256_cmpgt_epi32(g.hi_c, x)));
-        all &= _mm256_movemask_ps(row_ok[t]) &
-               _mm256_movemask_ps(col_ok[t]);
-    }
-    __m256 acc = _mm256_set1_ps(bias);
-    const std::size_t kk = g.kernel * g.kernel;
-    for (std::size_t n = 0; n < g.in_channels; ++n) {
-        const float *pn = g.pad + n * g.plane;
-        const float *wk = w_m + n * kk;
-        for (std::size_t i = 0; i < g.kernel; ++i) {
-            const float *pr = pn + i * g.pw;
-            for (std::size_t j = 0; j < g.kernel; ++j) {
-                const float wv = wk[i * g.kernel + j];
-                if (wv == 0.0f)
-                    continue;
-                const __m256 x = _mm256_i32gather_ps(pr + j, offs, 4);
-                const __m256 sum =
-                    _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(wv), x));
-                acc = all == 0xff
-                          ? sum
-                          : _mm256_blendv_ps(
-                                acc, sum,
-                                _mm256_and_ps(row_ok[i], col_ok[j]));
-            }
-        }
-    }
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, acc);
-    for (std::size_t l = 0; l < n_store; ++l) {
-        const std::uint32_t u = live[l];
-        out_plane[(u >> 16) * g.out_w + (u & 0xffff)] = lanes[l];
-    }
-}
-
-/*
- * Masked conv (the skip engine): per output channel the live positions
- * are compacted and run eight per vector, so a skipped neuron costs
- * nothing but its bit.  Each vector keeps its accumulator in a
- * register across the whole (n, i, j) tap loop and gathers its taps
- * from a zero-padded copy of the input; taps that fall in the padding
- * are blended out, so the accumulator sees exactly the scalar tap
- * sequence (a padding tap must not even add w * 0: -0.0 + +0.0 is
- * +0.0, and Inf * 0 is NaN).
- */
-FASTBCNN_HOT void
-avx2ConvForwardMasked(const float *in_data, const float *w_data,
-                      const float *bias, const std::uint64_t *skip_words,
-                      float *out_data, float *pad_scratch,
-                      std::uint32_t *index_scratch,
-                      std::size_t in_channels, std::size_t out_channels,
-                      std::size_t in_h, std::size_t in_w,
-                      std::size_t out_h, std::size_t out_w,
-                      std::size_t kernel, std::size_t stride,
-                      std::size_t padding)
-{
-    if (kernel > kMaxMaskedKernel || out_h >= 65536 || out_w >= 65536) {
-        scalarConvForwardMasked(in_data, w_data, bias, skip_words,
-                                out_data, pad_scratch, index_scratch,
-                                in_channels, out_channels, in_h, in_w,
-                                out_h, out_w, kernel, stride, padding);
-        return;
-    }
-    padConvInput(in_data, pad_scratch, in_channels, in_h, in_w, padding);
-    const auto i32 = [](std::size_t v) {
-        return _mm256_set1_epi32(static_cast<int>(v));
-    };
-    MaskedGeom g;
-    g.pad = pad_scratch;
-    g.in_channels = in_channels;
-    g.kernel = kernel;
-    g.pw = in_w + 2 * padding;
-    g.plane = (in_h + 2 * padding) * g.pw;
-    g.out_w = out_w;
-    // Padded coordinate y is a real row iff p - 1 < y < in_h + p.
-    g.lo = _mm256_set1_epi32(static_cast<int>(padding) - 1);
-    g.hi_r = i32(in_h + padding);
-    g.hi_c = i32(in_w + padding);
-    g.stride = i32(stride);
-    g.pwv = i32(g.pw);
-    for (std::size_t m = 0; m < out_channels; ++m) {
-        float *out_plane = out_data + m * out_h * out_w;
-        std::fill(out_plane, out_plane + out_h * out_w, 0.0f);
-        const std::size_t live = collectLivePositions(
-            skip_words, m, out_h, out_w, 8, index_scratch);
-        const float *w_m = w_data + m * in_channels * kernel * kernel;
-        for (std::size_t v = 0; v < live; v += 8) {
-            avx2MaskedVector(g, w_m, bias[m], index_scratch + v,
-                             std::min<std::size_t>(8, live - v),
-                             out_plane);
-        }
-    }
-}
-
 /**
  * Sum the indicator-selected byte planes over @p kRegs x 16 output
  * positions starting at @p base, in saturating u16 lanes (exactly
@@ -1542,8 +1345,7 @@ avx2TableOrNull()
         &avx2PoolMax,           &avx2PoolAvg,
         &avx2Relu,              &avx2PopcountWords,
         &avx2PopcountBits,      &avx2AndPopcountWords,
-        &avx2ConvForwardMasked, &avx2CountNwInputs,
-        &avx2QuantConvForward,
+        &avx2CountNwInputs,     &avx2QuantConvForward,
         &avx2QuantDenseAccum,   &avx2QuantRelu,
         &avx2QuantPoolMax,
     };

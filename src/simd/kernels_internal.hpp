@@ -6,8 +6,8 @@
  *
  * The scalar kernels are inline here — not in kernels_scalar.cpp — so
  * the AVX2 translation unit can fall back to them for shapes its
- * vector paths do not cover (e.g. exotic strides, wide masked-conv
- * kernels) while still being compiled under the same
+ * vector paths do not cover (e.g. wide conv kernels, pooling strides
+ * above 2) while still being compiled under the same
  * -ffp-contract=off policy.  Falling back never changes results: the
  * scalar kernels ARE the semantics, the AVX2 kernels are
  * bit-identical reimplementations (see simd.hpp).
@@ -87,70 +87,6 @@ scalarConvForward(const float *in_data, const float *w_data,
                         }
                     }
                 }
-            }
-        }
-    }
-}
-
-/**
- * Scalar masked conv forward: per output, convForward's exact tap
- * order (bias, then n, i, j; zero weights and out-of-range taps
- * skipped) for live positions, +0.0f at skipped ones.  The scratch
- * buffers are unused at this level.
- */
-FASTBCNN_HOT inline void
-scalarConvForwardMasked(const float *in_data, const float *w_data,
-                        const float *bias,
-                        const std::uint64_t *skip_words, float *out_data,
-                        float *pad_scratch, std::uint32_t *index_scratch,
-                        std::size_t in_channels,
-                        std::size_t out_channels, std::size_t in_h,
-                        std::size_t in_w, std::size_t out_h,
-                        std::size_t out_w, std::size_t kernel,
-                        std::size_t stride, std::size_t padding)
-{
-    (void)pad_scratch;
-    (void)index_scratch;
-    for (std::size_t m = 0; m < out_channels; ++m) {
-        for (std::size_t r = 0; r < out_h; ++r) {
-            for (std::size_t c = 0; c < out_w; ++c) {
-                const std::size_t flat = (m * out_h + r) * out_w + c;
-                if (bitAt(skip_words, flat)) {
-                    out_data[flat] = 0.0f;
-                    continue;
-                }
-                float acc = bias[m];
-                for (std::size_t n = 0; n < in_channels; ++n) {
-                    const float *in_plane = in_data + n * in_h * in_w;
-                    const float *w_kernel =
-                        w_data + (m * in_channels + n) * kernel * kernel;
-                    for (std::size_t i = 0; i < kernel; ++i) {
-                        const std::ptrdiff_t in_r =
-                            static_cast<std::ptrdiff_t>(r * stride + i) -
-                            static_cast<std::ptrdiff_t>(padding);
-                        if (in_r < 0 ||
-                            in_r >= static_cast<std::ptrdiff_t>(in_h)) {
-                            continue;
-                        }
-                        const float *in_row = in_plane + in_r * in_w;
-                        for (std::size_t j = 0; j < kernel; ++j) {
-                            const float wv = w_kernel[i * kernel + j];
-                            if (wv == 0.0f)
-                                continue;
-                            const std::ptrdiff_t in_c =
-                                static_cast<std::ptrdiff_t>(
-                                    c * stride + j) -
-                                static_cast<std::ptrdiff_t>(padding);
-                            if (in_c < 0 ||
-                                in_c >=
-                                    static_cast<std::ptrdiff_t>(in_w)) {
-                                continue;
-                            }
-                            acc += wv * in_row[in_c];
-                        }
-                    }
-                }
-                out_data[flat] = acc;
             }
         }
     }

@@ -17,8 +17,7 @@ scalarTable()
         &scalarPoolMax,           &scalarPoolAvg,
         &scalarRelu,              &scalarPopcountWords,
         &scalarPopcountBits,      &scalarAndPopcountWords,
-        &scalarConvForwardMasked, &scalarCountNwInputs,
-        &scalarQuantConvForward,
+        &scalarCountNwInputs,     &scalarQuantConvForward,
         &scalarQuantDenseAccum,   &scalarQuantRelu,
         &scalarQuantPoolMax,
     };

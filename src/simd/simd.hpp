@@ -124,31 +124,6 @@ struct SimdKernels {
                                     std::size_t n);
 
     /**
-     * Masked convolution forward (the skip engine): @p skip_words is a
-     * packed (out_channels, out_h, out_w) bitmap in flat row-major
-     * order with a guard word past the end.  Outputs whose bit is set
-     * are not computed and read +0.0f; every other output is computed
-     * exactly as convForward computes it — bias, then the (n, i, j)
-     * taps in order, skipping exactly-zero weights and out-of-range
-     * taps — so live outputs are bit-identical to convForward's
-     * (NaN payloads excepted: a NaN output is a NaN at every level).
-     * @p pad_scratch (convMaskedPadFloats entries) and
-     * @p index_scratch (convMaskedIndexCount entries) are
-     * caller-provided working storage, contents undefined before and
-     * after.
-     */
-    void (*convForwardMasked)(const float *in, const float *w,
-                              const float *bias,
-                              const std::uint64_t *skip_words,
-                              float *out, float *pad_scratch,
-                              std::uint32_t *index_scratch,
-                              std::size_t in_channels,
-                              std::size_t out_channels, std::size_t in_h,
-                              std::size_t in_w, std::size_t out_h,
-                              std::size_t out_w, std::size_t kernel,
-                              std::size_t stride, std::size_t padding);
-
-    /**
      * Eq. 5 counting for a whole conv layer: for every output kernel
      * m, slide its (in_channels, k, k) indicator volume
      * @p ind_words[m] over the (in_channels, in_h, in_w) dropout-mask
@@ -227,23 +202,6 @@ struct SimdKernels {
                          std::size_t out_w, std::size_t k, std::size_t s,
                          std::size_t p, std::int8_t init);
 };
-
-/** Floats of pad_scratch convForwardMasked needs: a zero-padded copy
- *  of the input. */
-inline std::size_t
-convMaskedPadFloats(std::size_t in_channels, std::size_t in_h,
-                    std::size_t in_w, std::size_t padding)
-{
-    return in_channels * (in_h + 2 * padding) * (in_w + 2 * padding);
-}
-
-/** Entries of index_scratch convForwardMasked needs: one output
- *  plane's live positions, rounded up to whole 8-lane vectors. */
-inline std::size_t
-convMaskedIndexCount(std::size_t out_h, std::size_t out_w)
-{
-    return (out_h * out_w + 7) / 8 * 8;
-}
 
 /** Bytes between consecutive tap planes of the countNwInputs scratch:
  *  one byte per output position, rounded up to 16-byte vectors. */

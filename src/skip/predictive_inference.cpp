@@ -2,24 +2,6 @@
 
 namespace fastbcnn {
 
-namespace {
-
-/**
- * Whether a block's dropped neurons may be skipped too: only when the
- * conv feeds nothing but its ReLU and the ReLU nothing but its
- * Dropout, so no consumer can observe a dropped neuron's value.
- */
-bool
-droppedAreDead(const BcnnTopology &topo, const ConvBlock &block)
-{
-    const std::vector<NodeId> &conv_out = topo.consumersOf(block.conv);
-    const std::vector<NodeId> &relu_out = topo.consumersOf(block.relu);
-    return conv_out.size() == 1 && conv_out[0] == block.relu &&
-           relu_out.size() == 1 && relu_out[0] == block.dropout;
-}
-
-} // namespace
-
 PredictiveResult
 predictiveForward(const BcnnTopology &topo,
                   const IndicatorSet &indicators,
@@ -41,38 +23,28 @@ predictiveForward(const BcnnTopology &topo,
                               ? &input : &outputs[producer]);
         }
         const Layer &layer = net.layer(id);
-        const ConvBlock *block = layer.kind() == LayerKind::Conv2d
-                                     ? &topo.blockOfConv(id)
-                                     : nullptr;
-        if (block == nullptr || block->index > opts.upToBlock) {
-            outputs[id] = layer.forward(ins, &replay);
+        outputs[id] = layer.forward(ins, &replay);
+        if (layer.kind() != LayerKind::Conv2d ||
+            topo.blockOfConv(id).index > opts.upToBlock) {
             continue;
         }
 
-        // The central predictor runs ahead of the conv, as in the
-        // accelerator: count dropped nw-inputs from the effective input
-        // mask, compare with the per-kernel thresholds and AND with the
-        // zero index.  The skip engine then computes only neurons that
-        // are neither predicted unaffected nor dropped by the block's
-        // own dropout layer (their values never reach a consumer).
+        // The central predictor (Eq. 5): count dropped nw-inputs from
+        // the effective input mask, compare with the per-kernel
+        // thresholds and AND with the zero index.  Predicted neurons
+        // read +0.0f, as the accelerator's skip engine leaves them.
+        // The block's dropped neurons stay computed; its Dropout zeroes
+        // them.
         const auto &conv = static_cast<const Conv2d &>(layer);
         const BitVolume in_mask = effectiveInputMask(topo, id, masks);
         const CountVolume counts =
             countDroppedNwInputs(conv, in_mask, indicators.of(id));
         BitVolume predicted = predictUnaffected(
             zero_maps.at(id), counts, thresholds, id);
-
-        BitVolume skip = predicted;
-        const auto dropped = masks.find(net.layer(block->dropout).name());
-        if (!opts.captureConvOutputs && dropped != masks.end() &&
-            droppedAreDead(topo, *block)) {
-            skip.orWith(dropped->second);
-        }
-        outputs[id] = conv.forwardMasked(*ins[0], skip);
+        float *out = outputs[id].data().data();
+        predicted.forEachSet([out](std::size_t i) { out[i] = 0.0f; });
 
         result.predictedNeurons += predicted.popcount();
-        if (opts.captureConvOutputs)
-            result.convOutputs.emplace(id, outputs[id]);
         result.predicted.emplace(id, std::move(predicted));
     }
 

@@ -2,11 +2,11 @@
  * @file
  * The prediction-mode forward pass ("PredictInference" of Algorithm 1,
  * and the functional semantics of the Fast-BCNN accelerator): every
- * neuron predicted unaffected is forced to zero without being
- * computed; everything else is computed exactly.  Neurons their own
- * block's dropout drops are not computed either (they read zero): the
- * network output is bit-identical to computing them and zeroing them
- * afterwards.
+ * neuron predicted unaffected reads zero, everything else is computed
+ * exactly.  On the CPU each in-scope conv runs densely and the
+ * predicted neurons are zeroed afterwards, so the result equals the
+ * MC-dropout sample with those units also zeroed; the work the skip
+ * engine would save is modelled by the cycle simulator, not here.
  */
 
 #ifndef FASTBCNN_SKIP_PREDICTIVE_INFERENCE_HPP
@@ -25,14 +25,10 @@ struct PredictiveOptions {
      */
     std::size_t upToBlock = static_cast<std::size_t>(-1);
     /**
-     * Record the (post-zeroing) conv outputs per conv node.  Dropped
-     * neurons are then computed, so the capture holds their values.
-     */
-    bool captureConvOutputs = false;
-    /**
-     * Record the output of every node (used by the shadow audit).  A
-     * block's conv and ReLU outputs hold zero at dropped neurons unless
-     * captureConvOutputs is set; every other node is unaffected.
+     * Record the output of every node (used by the shadow audit and
+     * evaluatePrediction).  A conv output holds zero at its predicted
+     * neurons and the dense value everywhere else, dropped neurons
+     * included; the block's Dropout output zeroes those.
      */
     bool captureNodeOutputs = false;
 };
@@ -41,7 +37,6 @@ struct PredictiveOptions {
 struct PredictiveResult {
     Tensor output;                         ///< final network output
     std::map<NodeId, BitVolume> predicted; ///< per-conv predicted maps
-    std::map<NodeId, Tensor> convOutputs;  ///< when captureConvOutputs
     std::vector<Tensor> nodeOutputs;       ///< when captureNodeOutputs
     std::uint64_t predictedNeurons = 0;    ///< total predicted count
 };

@@ -239,11 +239,8 @@ tryOptimizeThresholds(const BcnnTopology &topo,
             const BitVolume predicted = predictUnaffected(
                 zero_maps[st.inputIdx].at(id), counts,
                 result.thresholds, id);
-            Tensor &out = st.cascOutputs[id];
-            for (std::size_t i = 0; i < out.numel(); ++i) {
-                if (predicted.getFlat(i))
-                    out.at(i) = 0.0f;
-            }
+            float *out = st.cascOutputs[id].data().data();
+            predicted.forEachSet([out](std::size_t i) { out[i] = 0.0f; });
         }
     }
     // Blocks that cannot reach p_cf even with prediction disabled are
@@ -287,7 +284,7 @@ evaluatePrediction(const BcnnTopology &topo,
             const MaskSet masks = hooks.takeMasks();
 
             PredictiveOptions popts;
-            popts.captureConvOutputs = true;
+            popts.captureNodeOutputs = true;
             const PredictiveResult pres = predictiveForward(
                 topo, indicators, zeros, thresholds, input, masks,
                 popts);
@@ -295,7 +292,7 @@ evaluatePrediction(const BcnnTopology &topo,
             for (const ConvBlock &b : topo.blocks()) {
                 const Tensor &o_true = capture.activation(
                     net.layer(b.conv).name());
-                const Tensor &o_pred = pres.convOutputs.at(b.conv);
+                const Tensor &o_pred = pres.nodeOutputs[b.conv];
                 for (std::size_t i = 0; i < o_true.numel(); ++i) {
                     const float tv = std::max(o_true.at(i), 0.0f);
                     const float pv = std::max(o_pred.at(i), 0.0f);

@@ -8,6 +8,7 @@
 
 #include <random>
 #include <sstream>
+#include <vector>
 
 #include "common/bitvolume.hpp"
 #include "common/math_util.hpp"
@@ -132,6 +133,35 @@ TEST(BitVolume, OrWith)
     EXPECT_EQ(a.popcount(), 2u);
     EXPECT_TRUE(a.getFlat(0));
     EXPECT_TRUE(a.getFlat(7));
+}
+
+TEST(BitVolume, ForEachSetVisitsEachSetBitOnce)
+{
+    // Sizes that end mid-word, so the padding bits past size() are
+    // part of the last word the visitor reads.
+    std::mt19937_64 rng(17);
+    for (std::size_t n = 1; n <= 200; ++n) {
+        if (n % 64 == 0)
+            continue;
+        for (double density : {0.0, 0.3, 1.0}) {
+            BitVolume v(1, 1, n);
+            if (density == 1.0) {
+                v.fill(true);
+            } else {
+                std::bernoulli_distribution bit(density);
+                for (std::size_t i = 0; i < n; ++i)
+                    v.setFlat(i, bit(rng));
+            }
+            std::vector<std::size_t> visited;
+            v.forEachSet([&](std::size_t i) { visited.push_back(i); });
+            std::vector<std::size_t> want;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (v.getFlat(i))
+                    want.push_back(i);
+            }
+            ASSERT_EQ(visited, want) << "n " << n << " density " << density;
+        }
+    }
 }
 
 TEST(BitVolume, Equality)

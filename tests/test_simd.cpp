@@ -5,7 +5,7 @@
  * bit-identical float outputs and bit-identical skip counts to the
  * scalar reference on any input, including non-multiple-of-
  * width shapes, padding/stride edges, NaN/signed-zero values and
- * all-skip / no-skip masks.  Also covers the 64-byte storage
+ * empty / full dropout masks.  Also covers the 64-byte storage
  * alignment contract, the FASTBCNN_SIMD level parsing, and (in the
  * SimdDispatchConcurrency suite, picked up by the TSan CI regex)
  * thread-safety of level swaps against concurrent kernel callers.
@@ -296,7 +296,7 @@ TEST(SimdDispatch, PopcountsAgreeAcrossLevels)
 
 namespace {
 
-/** One generated conv geometry of the masked-conv / count sweeps. */
+/** One generated conv geometry of the conv / count sweeps. */
 struct GenShape {
     std::size_t in_c, out_c, h, w, k, s, p;
     std::size_t outH() const { return (h + 2 * p - k) / s + 1; }
@@ -431,58 +431,6 @@ TEST(SimdDispatch, ConvBitIdenticalAcrossLevels)
         ++cases;
     }
     EXPECT_GT(cases, 250u);
-}
-
-TEST(SimdDispatch, ConvMaskedBitIdenticalAcrossLevels)
-{
-    // Every level of the masked conv equals the scalar masked conv,
-    // and the scalar masked conv equals dense convForward with the
-    // skipped outputs overwritten by +0.0f afterwards.
-    const simd::SimdKernels &ref =
-        simd::kernelsFor(simd::SimdLevel::Scalar);
-    std::uint64_t seed = 1001;
-    std::size_t cases = 0;
-    for (const GenShape &sh : generatedShapes()) {
-        const std::size_t out_h = sh.outH(), out_w = sh.outW();
-        const auto in = adversarialFloats(sh.in_c * sh.h * sh.w, seed++);
-        const auto w =
-            randomFloats(sh.out_c * sh.in_c * sh.k * sh.k, seed++, 0.3f);
-        auto bias = randomFloats(sh.out_c, seed++);
-        bias[0] = -0.0f;  // a -0.0 bias must survive untouched taps
-        std::vector<float> pad(
-            simd::convMaskedPadFloats(sh.in_c, sh.h, sh.w, sh.p));
-        std::vector<std::uint32_t> live(
-            simd::convMaskedIndexCount(out_h, out_w));
-        std::vector<float> dense(sh.out_c * out_h * out_w);
-        ref.convForward(in.data(), w.data(), bias.data(), dense.data(),
-                        sh.in_c, sh.out_c, sh.h, sh.w, out_h, out_w, sh.k,
-                        sh.s, sh.p);
-        for (double density : {0.0, 0.3, 0.72, 1.0}) {
-            const BitVolume skip =
-                randomBits(sh.out_c, out_h, out_w, seed++, density);
-            std::vector<float> expect = dense;
-            for (std::size_t i = 0; i < expect.size(); ++i) {
-                if (skip.getFlat(i))
-                    expect[i] = 0.0f;
-            }
-            for (simd::SimdLevel level : availableLevels()) {
-                std::vector<float> got(expect.size(),
-                                       std::numeric_limits<float>::max());
-                simd::kernelsFor(level).convForwardMasked(
-                    in.data(), w.data(), bias.data(), skip.words(),
-                    got.data(), pad.data(), live.data(), sh.in_c,
-                    sh.out_c, sh.h, sh.w, out_h, out_w, sh.k, sh.s, sh.p);
-                ASSERT_TRUE(bitIdenticalOrBothNan(expect, got))
-                    << "masked conv mismatch at level "
-                    << simd::simdLevelName(level) << " " << sh.in_c
-                    << "x" << sh.h << "x" << sh.w << " -> " << sh.out_c
-                    << " k" << sh.k << " s" << sh.s << " p" << sh.p
-                    << " skip density " << density;
-            }
-            ++cases;
-        }
-    }
-    EXPECT_GT(cases, 1000u);
 }
 
 TEST(SimdDispatch, CountNwInputsAgreesAcrossLevels)

@@ -330,7 +330,8 @@ TEST(PredictiveInference, AlphaZeroIsExact)
 {
     // The key functional invariant: with every threshold at 0 nothing
     // is predicted, so the prediction-mode forward equals the exact
-    // replayed inference bit for bit.
+    // replayed inference bit for bit, at every node (dropped neurons
+    // included: they are zeroed by the Dropout, not at the conv).
     Network net = tinyBcnn();
     BcnnTopology topo(net);
     IndicatorSet ind(topo);
@@ -340,13 +341,22 @@ TEST(PredictiveInference, AlphaZeroIsExact)
 
     SoftwareBrng brng(0.3, 21);
     SamplingHooks sample(brng);
-    Tensor exact = net.forward(in, &sample);
+    CaptureHooks capture(&sample);
+    Tensor exact = net.forward(in, &capture);
     MaskSet masks = sample.takeMasks();
 
+    PredictiveOptions opts;
+    opts.captureNodeOutputs = true;
     PredictiveResult res = predictiveForward(topo, ind, zeros, thr, in,
-                                             masks);
+                                             masks, opts);
     EXPECT_EQ(res.predictedNeurons, 0u);
     EXPECT_TRUE(res.output.allClose(exact, 0.0f));
+    for (NodeId id = 0; id < net.size(); ++id) {
+        const std::string &name = net.layer(id).name();
+        EXPECT_TRUE(res.nodeOutputs[id].allClose(capture.activation(name),
+                                                 0.0f))
+            << name;
+    }
 }
 
 TEST(PredictiveInference, HugeAlphaPredictsAllZeroIndexed)
@@ -407,11 +417,11 @@ TEST(PredictiveInference, PredictedNeuronsAreZeroInOutput)
     MaskSet masks = sample.takeMasks();
 
     PredictiveOptions opts;
-    opts.captureConvOutputs = true;
+    opts.captureNodeOutputs = true;
     PredictiveResult res = predictiveForward(topo, ind, zeros, thr, in,
                                              masks, opts);
     for (const ConvBlock &b : topo.blocks()) {
-        const Tensor &out = res.convOutputs.at(b.conv);
+        const Tensor &out = res.nodeOutputs[b.conv];
         const BitVolume &pred = res.predicted.at(b.conv);
         for (std::size_t i = 0; i < out.numel(); ++i) {
             if (pred.getFlat(i)) {
@@ -458,56 +468,72 @@ branchyBcnn(int variant, std::uint64_t seed)
 }
 
 /**
- * Plain dense-then-mask reference of predictiveForward: every layer
- * through its ordinary forward, then predicted neurons and — where
- * the conv feeds only its ReLU and the ReLU only its Dropout, unless
- * conv outputs are captured — dropped neurons overwritten with zero.
+ * Replays a MaskSet through Network::forward, overwrites the given
+ * predicted bits of each conv output with zero before any consumer
+ * reads it, and records every node's final output.
+ */
+class PredictedZeroHooks : public ReplayHooks
+{
+  public:
+    PredictedZeroHooks(const Network &net, const MaskSet &masks,
+                       const std::map<NodeId, BitVolume> &predicted)
+        : ReplayHooks(masks), net_(&net), predicted_(&predicted),
+          outputs_(net.size())
+    {}
+
+    void mutateActivation(const std::string &layer_name, LayerKind kind,
+                          Tensor &out) override
+    {
+        const NodeId id = net_->findNode(layer_name);
+        const auto it = predicted_->find(id);
+        if (kind == LayerKind::Conv2d && it != predicted_->end()) {
+            for (std::size_t i = 0; i < out.numel(); ++i) {
+                if (it->second.getFlat(i))
+                    out.at(i) = 0.0f;
+            }
+        }
+        outputs_[id] = out;
+    }
+
+    std::vector<Tensor> takeOutputs() { return std::move(outputs_); }
+
+  private:
+    const Network *net_;
+    const std::map<NodeId, BitVolume> *predicted_;
+    std::vector<Tensor> outputs_;
+};
+
+/**
+ * Reference of predictiveForward: Eq. 5 for every conv in scope (it
+ * reads only masks, zero maps and thresholds), then the ordinary
+ * replayed forward with those predicted bits zeroed at each conv.
  */
 PredictiveResult
-denseThenMask(const BcnnTopology &topo, const IndicatorSet &indicators,
-              const ZeroMaps &zeros, const ThresholdSet &thresholds,
-              const Tensor &input, const MaskSet &masks,
-              const PredictiveOptions &opts)
+replayWithPredictedZeroed(const BcnnTopology &topo,
+                          const IndicatorSet &indicators,
+                          const ZeroMaps &zeros,
+                          const ThresholdSet &thresholds,
+                          const Tensor &input, const MaskSet &masks,
+                          std::size_t up_to_block)
 {
     const Network &net = topo.network();
-    ReplayHooks replay(masks);
     PredictiveResult res;
-    std::vector<Tensor> outputs(net.size());
-    for (NodeId id = 0; id < net.size(); ++id) {
-        std::vector<const Tensor *> ins;
-        for (NodeId producer : net.inputsOf(id))
-            ins.push_back(producer == Network::inputNode
-                              ? &input
-                              : &outputs[producer]);
-        outputs[id] = net.layer(id).forward(ins, &replay);
-        if (net.layer(id).kind() != LayerKind::Conv2d)
+    for (const ConvBlock &b : topo.blocks()) {
+        if (b.index > up_to_block)
             continue;
-        const ConvBlock &b = topo.blockOfConv(id);
-        if (b.index > opts.upToBlock)
-            continue;
-        const auto &conv = static_cast<const Conv2d &>(net.layer(id));
-        const BitVolume pred = predictUnaffected(
-            zeros.at(id),
-            countDroppedNwInputs(conv, effectiveInputMask(topo, id, masks),
-                                 indicators.of(id)),
-            thresholds, id);
-        const bool dead =
-            topo.consumersOf(id) == std::vector<NodeId>{b.relu} &&
-            topo.consumersOf(b.relu) == std::vector<NodeId>{b.dropout};
-        const BitVolume &dropped = masks.at(net.layer(b.dropout).name());
-        Tensor &out = outputs[id];
-        for (std::size_t i = 0; i < out.numel(); ++i) {
-            if (pred.getFlat(i) ||
-                (dead && !opts.captureConvOutputs && dropped.getFlat(i)))
-                out.at(i) = 0.0f;
-        }
+        const auto &conv = static_cast<const Conv2d &>(net.layer(b.conv));
+        BitVolume pred = predictUnaffected(
+            zeros.at(b.conv),
+            countDroppedNwInputs(conv,
+                                 effectiveInputMask(topo, b.conv, masks),
+                                 indicators.of(b.conv)),
+            thresholds, b.conv);
         res.predictedNeurons += pred.popcount();
-        if (opts.captureConvOutputs)
-            res.convOutputs.emplace(id, out);
-        res.predicted.emplace(id, pred);
+        res.predicted.emplace(b.conv, std::move(pred));
     }
-    res.output = outputs.back();
-    res.nodeOutputs = std::move(outputs);
+    PredictedZeroHooks hooks(net, masks, res.predicted);
+    res.output = net.forward(input, &hooks);
+    res.nodeOutputs = hooks.takeOutputs();
     return res;
 }
 
@@ -521,14 +547,15 @@ sameBits(const Tensor &a, const Tensor &b)
 
 } // namespace
 
-TEST(PredictiveInference, MaskedEqualsDenseThenMaskReference)
+TEST(PredictiveInference, EqualsReplayedForwardWithPredictedZeroed)
 {
-    // The skip engine computes only live neurons; a plain dense
-    // forward that zeroes the same neurons afterwards must agree bit
-    // for bit: outputs, every captured node, prediction maps and
-    // counts, across thresholds, scopes, captures, SIMD levels and
-    // networks where a conv or ReLU output has a second consumer (so
-    // dropped neurons must stay computed there).
+    // Skip mode is the MC-dropout sample with the predicted neurons
+    // also zeroed: the ordinary replayed forward that zeroes them at
+    // each in-scope conv must agree bit for bit — outputs, every
+    // captured node (dropped neurons keep their dense conv and ReLU
+    // values; the Dropout zeroes them), prediction maps and counts —
+    // across thresholds, scopes, SIMD levels and networks where a
+    // conv or ReLU output has a second consumer.
     const simd::SimdLevel saved = simd::activeLevel();
     std::size_t checked = 0, predicted = 0;
     for (int variant = 0; variant < 3; ++variant) {
@@ -549,10 +576,9 @@ TEST(PredictiveInference, MaskedEqualsDenseThenMaskReference)
 
             PredictiveOptions opts;
             opts.captureNodeOutputs = true;
-            opts.captureConvOutputs = seed % 3 == 1;
             opts.upToBlock = seed % 5 == 2 ? 1 : opts.upToBlock;
-            const PredictiveResult want =
-                denseThenMask(topo, ind, zeros, thr, in, masks, opts);
+            const PredictiveResult want = replayWithPredictedZeroed(
+                topo, ind, zeros, thr, in, masks, opts.upToBlock);
             for (int l = 0; l < simd::kSimdLevelCount; ++l) {
                 simd::setLevel(static_cast<simd::SimdLevel>(l));
                 const PredictiveResult got = predictiveForward(
@@ -574,10 +600,6 @@ TEST(PredictiveInference, MaskedEqualsDenseThenMaskReference)
                                          want.nodeOutputs[id]))
                         << where << " node " << net.layer(id).name();
                 }
-                ASSERT_EQ(got.convOutputs.size(), want.convOutputs.size());
-                for (const auto &[id, t] : want.convOutputs)
-                    ASSERT_TRUE(sameBits(got.convOutputs.at(id), t))
-                        << where;
                 ++checked;
             }
             predicted += want.predictedNeurons;
