@@ -34,8 +34,6 @@ const BitVolume *
 SamplingHooks::dropoutMask(const std::string &layer_name,
                            const Shape &shape)
 {
-    if (!enabled_)
-        return nullptr;
     FASTBCNN_CHECK_EQ(shape.rank(), 3u);
     BitVolume mask(shape.dim(0), shape.dim(1), shape.dim(2));
     for (std::size_t i = 0; i < mask.size(); ++i)

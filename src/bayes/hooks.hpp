@@ -33,10 +33,12 @@ MaskSet drawMasks(const Network &net, ForwardHooks &hooks);
 
 /**
  * Draw the full MaskSet of one MC sample directly from @p brng
- * (drawMasks() through a SamplingHooks).  Replay and tracing paths use
- * this to obtain the same per-sample masks as the exact MC runner at
- * zero forward cost, so their sample t is mask-identical to the
- * reference's sample t for the same seed.
+ * (drawMasks() through a SamplingHooks), at zero forward cost.  Over
+ * makeBrng(kind, p, sampleSeed(seed, t)) it yields exactly the
+ * fault-free MC runner's sample t masks; the bench skip replay and
+ * tests use it that way.  buildTrace() and the threshold optimizer do
+ * not: they draw every sample from one BRNG stream, so their sample t
+ * is not the runner's sample t.
  */
 MaskSet sampleMasks(const Network &net, Brng &brng);
 
@@ -51,20 +53,18 @@ class SamplingHooks : public ForwardHooks
 {
   public:
     /**
-     * @param brng    dropout-bit source (not owned; must outlive this)
-     * @param enabled when false, dropoutMask() returns nullptr (the
-     *                non-dropout pre-inference)
-     * @param sample  index t of the MC sample these masks belong to
+     * @param brng   dropout-bit source (not owned; must outlive this)
+     * @param sample index t of the MC sample these masks belong to
      */
-    SamplingHooks(Brng &brng, bool enabled = true, std::size_t sample = 0)
-        : brng_(&brng), enabled_(enabled), sample_(sample)
+    explicit SamplingHooks(Brng &brng, std::size_t sample = 0)
+        : brng_(&brng), sample_(sample)
     {}
 
     const BitVolume *dropoutMask(const std::string &layer_name,
                                  const Shape &shape) override;
     std::size_t sample() const override { return sample_; }
 
-    /** @return the recorded masks (empty when disabled). */
+    /** @return the recorded masks. */
     const MaskSet &masks() const { return masks_; }
 
     /** Move the recorded masks out (resets internal state). */
@@ -72,7 +72,6 @@ class SamplingHooks : public ForwardHooks
 
   private:
     Brng *brng_;
-    bool enabled_;
     std::size_t sample_;
     MaskSet masks_;
 };

@@ -21,9 +21,9 @@ using Clock = std::chrono::steady_clock;
 
 /**
  * @return the flat index of the first non-finite element, or npos.
- * Runs over every sample output inside the MC sample loop when the
- * sample guard is on (FASTBCNN_HOT — lint rule R3 keeps allocation,
- * locks, I/O and logging out of it).
+ * Runs over every sample output inside the MC sample loop
+ * (FASTBCNN_HOT — lint rule R3 keeps allocation, locks, I/O and
+ * logging out of it).
  */
 FASTBCNN_HOT std::size_t
 firstNonFinite(const Tensor &t)
@@ -44,27 +44,6 @@ struct SampleSlot {
     std::string reason;
 };
 
-/** Run sample @p t (unguarded body shared by both paths). */
-void
-runSampleBody(const ForwardTarget &target, const Tensor &input,
-              const McOptions &opts, std::size_t t, SampleSlot &slot)
-{
-    auto brng = makeBrng(opts.brng, opts.dropRate,
-                         sampleSeed(opts.seed, t));
-    if (opts.faults != nullptr)
-        brng = opts.faults->wrapBrng(std::move(brng), t);
-    SamplingHooks sampling(*brng, true, t);
-    ForwardHooks *hooks = &sampling;
-    std::optional<FaultInjectionHooks> injector;
-    if (opts.faults != nullptr && !opts.faults->empty()) {
-        injector.emplace(*opts.faults, t, &sampling);
-        hooks = &*injector;
-    }
-    slot.output = target.forward(input, hooks);
-    if (opts.recordMasks)
-        slot.masks = sampling.takeMasks();
-}
-
 /** Run sample @p t under the isolation guard, recording its fate. */
 void
 runGuardedSample(const ForwardTarget &target, const Tensor &input,
@@ -76,12 +55,21 @@ runGuardedSample(const ForwardTarget &target, const Tensor &input,
         slot.reason = "injected sample failure (SampleKill)";
         return;
     }
-    if (!opts.sampleGuard) {
-        runSampleBody(target, input, opts, t, slot);
-        return;
-    }
     try {
-        runSampleBody(target, input, opts, t, slot);
+        auto brng = makeBrng(opts.brng, opts.dropRate,
+                             sampleSeed(opts.seed, t));
+        if (opts.faults != nullptr)
+            brng = opts.faults->wrapBrng(std::move(brng), t);
+        SamplingHooks sampling(*brng, t);
+        ForwardHooks *hooks = &sampling;
+        std::optional<FaultInjectionHooks> injector;
+        if (opts.faults != nullptr && !opts.faults->empty()) {
+            injector.emplace(*opts.faults, t, &sampling);
+            hooks = &*injector;
+        }
+        slot.output = target.forward(input, hooks);
+        if (opts.recordMasks)
+            slot.masks = sampling.takeMasks();
         const std::size_t bad = firstNonFinite(slot.output);
         if (bad != static_cast<std::size_t>(-1)) {
             slot.code = ErrorCode::NonFinite;
@@ -191,9 +179,9 @@ tryRunMcDropout(const Network &net, const Tensor &input,
     return tryRunMcDropoutWith(target, input, opts);
 }
 
-Expected<McResult>
-tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
-                    const McOptions &opts)
+Status
+validateMcRun(const ForwardTarget &target, const Tensor &input,
+              const McOptions &opts)
 {
     FASTBCNN_RETURN_IF_ERROR(validateMcOptions(opts));
     if (!target.forward) {
@@ -213,6 +201,14 @@ tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
                       target.name.c_str(),
                       target.inputShape.toString().c_str());
     }
+    return Status::ok();
+}
+
+Expected<McResult>
+tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
+                    const McOptions &opts)
+{
+    FASTBCNN_RETURN_IF_ERROR(validateMcRun(target, input, opts));
 
     // Deadline support is the one sanctioned wall-clock read in the
     // MC path: it gates *whether* later samples launch, never what any
@@ -226,20 +222,6 @@ tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
                         opts.deadlineMs));
 
     McResult result;
-
-    // Pre-inference: dropout off.  Its zero-neuron positions seed the
-    // unaffected-neuron machinery downstream.  A non-finite output
-    // here is a whole-run failure — every sample shares these
-    // weights, so no quorum of samples could be healthy.
-    result.preOutput = target.forward(input, nullptr);
-    if (opts.sampleGuard) {
-        const std::size_t bad = firstNonFinite(result.preOutput);
-        if (bad != static_cast<std::size_t>(-1)) {
-            return errorf(ErrorCode::NonFinite,
-                          "pre-inference output non-finite at element "
-                          "%zu (poisoned weights?)", bad);
-        }
-    }
 
     // The effective sample budget: the brownout clamp trades samples
     // in [budget, requested) away administratively — they are never
@@ -395,16 +377,25 @@ tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
     const std::size_t quorum =
         opts.quorum > 0 ? opts.quorum : std::size_t{1};
     if (result.census.survived < quorum) {
-        // A quorum starved by the deadline is a deadline failure: the
-        // samples were healthy, the budget simply ran out before
-        // enough of them could launch.  Callers (the serving layer)
-        // key retry/shed policy off this distinction.
+        // No survivor and every casualty non-finite fails the model
+        // itself: the samples share their weights, so none could be
+        // healthy.  A quorum starved by the deadline is a deadline
+        // failure: the samples were healthy, the budget simply ran out
+        // before enough of them could launch.  Callers (the serving
+        // layer) key retry/shed policy off these distinctions.
+        bool allNonFinite = result.census.survived == 0;
         bool deadlineStarved = false;
         for (const SampleFailure &f : result.census.failures) {
-            if (f.code == ErrorCode::DeadlineExceeded) {
-                deadlineStarved = true;
-                break;
-            }
+            allNonFinite = allNonFinite && f.code == ErrorCode::NonFinite;
+            deadlineStarved = deadlineStarved ||
+                              f.code == ErrorCode::DeadlineExceeded;
+        }
+        if (allNonFinite) {
+            return errorf(ErrorCode::NonFinite,
+                          "every one of %zu launched MC samples was "
+                          "non-finite (poisoned weights?); first: %s",
+                          result.census.failures.size(),
+                          result.census.failures[0].reason.c_str());
         }
         return errorf(deadlineStarved ? ErrorCode::DeadlineExceeded
                                       : ErrorCode::QuorumNotMet,

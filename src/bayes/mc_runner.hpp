@@ -1,9 +1,10 @@
 /**
  * @file
  * Monte-Carlo dropout inference driver (Section II-B): T stochastic
- * forward passes over one input plus one non-dropout pre-inference,
- * producing the averaged prediction, uncertainty statistics, and the
- * recorded masks / activations the tracing layer consumes.
+ * forward passes over one input and nothing else, producing the
+ * averaged prediction, uncertainty statistics and the recorded masks.
+ * Only skip mode needs a non-dropout pre-inference (for its zero
+ * maps); it runs that itself (guard/guarded_runner.hpp).
  *
  * The runner is fault-isolating: every sample executes under a guard
  * that catches injected faults (FaultPlan), natural non-finite
@@ -57,24 +58,14 @@ struct McOptions {
     std::size_t threads = 1;
 
     /**
-     * Per-sample fault isolation.  When on, each sample runs under a
-     * guard that converts injected faults, non-finite outputs and
-     * thrown exceptions into per-sample failures recorded in
-     * McResult::census; the run degrades to the survivors instead of
-     * dying.  When off the runner behaves exactly like the unguarded
-     * PR 1 path (no output scanning, no catch) — the fault-overhead
-     * bench compares the two.
-     */
-    bool sampleGuard = true;
-
-    /**
      * Minimum surviving samples T' for the run to count as usable;
      * fewer survivors fail the whole run with ErrorCode::QuorumNotMet
-     * — or ErrorCode::DeadlineExceeded when the quorum was starved by
-     * the deadline stopping launches (the samples themselves were
-     * healthy; the budget ran out).  0 means "any", but at least one
-     * survivor is always required (an average over zero samples is
-     * meaningless).
+     * — or ErrorCode::NonFinite when none survived and every casualty
+     * was non-finite (poisoned weights), or ErrorCode::DeadlineExceeded
+     * when the quorum was starved by the deadline stopping launches
+     * (the samples themselves were healthy; the budget ran out).  0
+     * means "any", but at least one survivor is always required (an
+     * average over zero samples is meaningless).
      */
     std::size_t quorum = 0;
 
@@ -137,10 +128,13 @@ struct McOptions {
 };
 
 /**
- * A forward pass the MC runner can drive: the float Network, its int8
+ * One MC sample's forward pass: the float Network, its int8
  * QuantizedNetwork mirror, or anything else that maps (input, hooks)
- * to an output tensor.  Must be thread-safe for concurrent calls —
- * every MC sample may run on a different worker.
+ * to an output tensor.  The runner calls it exactly once per launched
+ * sample t, always with non-null hooks that supply sample t's dropout
+ * masks and report t through ForwardHooks::sample().  Must be
+ * thread-safe for concurrent calls — every MC sample may run on a
+ * different worker.
  */
 using ForwardFn = std::function<Tensor(const Tensor &, ForwardHooks *)>;
 
@@ -177,9 +171,17 @@ struct ForwardTarget {
  */
 [[nodiscard]] Status validateMcOptions(const McOptions &opts);
 
+/**
+ * Validate @p opts, @p target and @p input's shape, as
+ * tryRunMcDropoutWith() does first.
+ * @return ok, or an InvalidArgument error naming the bad value.
+ */
+[[nodiscard]] Status validateMcRun(const ForwardTarget &target,
+                                   const Tensor &input,
+                                   const McOptions &opts);
+
 /** The outcome of one MC-dropout run. */
 struct McResult {
-    Tensor preOutput;              ///< non-dropout inference output
     /**
      * Surviving per-sample outputs in ascending sample order.  With
      * no failures this is exactly the T requested samples; after
@@ -206,13 +208,13 @@ std::unique_ptr<Brng> makeBrng(BrngKind kind, double drop_rate,
                                std::uint64_t seed);
 
 /**
- * Run a complete MC-dropout inference: one pre-inference with dropout
- * off, then @p opts.samples stochastic samples, serially or on
- * @p opts.threads workers (deterministic either way; see McOptions).
+ * Run a complete MC-dropout inference: @p opts.samples stochastic
+ * samples, serially or on @p opts.threads workers (deterministic
+ * either way; see McOptions), each under the per-sample guard.
  *
- * Errors (never aborts): invalid options, input shape mismatch,
- * non-finite pre-inference output, or fewer survivors than the
- * quorum.  Per-sample failures degrade the result instead (see
+ * Errors (never aborts): invalid options, input shape mismatch, or
+ * fewer survivors than the quorum (see McOptions::quorum for the
+ * code).  Per-sample failures degrade the result instead (see
  * McResult::census).
  *
  * @param net   a BCNN (dropout after every conv; see BcnnTopology)

@@ -1,8 +1,10 @@
 /**
  * @file
  * Skip mode on the MC runner: the guarded predictive MC-dropout run
- * is a ForwardTarget of tryRunMcDropoutWith().  Its pre-inference is
- * computeZeroMaps(); each sample draws its dropout masks through the
+ * is a ForwardTarget of tryRunMcDropoutWith().  Only skip mode needs
+ * the non-dropout pre-inference, so it runs it itself
+ * (computeZeroMaps()) before the runner starts, and its deadline
+ * covers that pass.  Each sample draws its dropout masks through the
  * runner's hooks, runs predictiveForward() under the round's frozen
  * thresholds, and shadow-audits its skipped neurons (audit.hpp).  The
  * guard's decision rounds are the runner's sample rounds: at every
@@ -48,9 +50,10 @@ struct GuardedMcResult : McResult {
  * Skip mode always runs the float network (there is no quantized
  * predictiveForward): @p opts.precision is ignored.
  *
- * Errors (never aborts): everything tryRunMcDropoutWith() reports —
- * invalid options, input shape mismatch, non-finite pre-inference,
- * quorum not met.
+ * Errors (never aborts): invalid options, input shape mismatch, a
+ * non-finite pre-inference output (ErrorCode::NonFinite, before any
+ * sample launches), and every run-level error tryRunMcDropoutWith()
+ * reports.
  *
  * @param topo       analysed BCNN
  * @param indicators weight-sign indicators

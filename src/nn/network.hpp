@@ -64,6 +64,15 @@ class Network
     Tensor forward(const Tensor &input, ForwardHooks *hooks = nullptr)
         const;
 
+    /**
+     * One step of forward() without its mutateActivation() call: run
+     * node @p id's layer on its producers' entries of @p outputs (or
+     * @p input).  Callers that keep every node's output step with it.
+     */
+    Tensor forwardNode(NodeId id, const Tensor &input,
+                       const std::vector<Tensor> &outputs,
+                       ForwardHooks *hooks = nullptr) const;
+
     /** @return the model name. */
     const std::string &name() const { return name_; }
     /** @return declared input shape (CHW). */

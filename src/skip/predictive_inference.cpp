@@ -16,14 +16,8 @@ predictiveForward(const BcnnTopology &topo,
     std::vector<Tensor> outputs(net.size());
 
     for (NodeId id = 0; id < net.size(); ++id) {
-        std::vector<const Tensor *> ins;
-        ins.reserve(net.inputsOf(id).size());
-        for (NodeId producer : net.inputsOf(id)) {
-            ins.push_back(producer == Network::inputNode
-                              ? &input : &outputs[producer]);
-        }
+        outputs[id] = net.forwardNode(id, input, outputs, &replay);
         const Layer &layer = net.layer(id);
-        outputs[id] = layer.forward(ins, &replay);
         if (layer.kind() != LayerKind::Conv2d ||
             topo.blockOfConv(id).index > opts.upToBlock) {
             continue;

@@ -19,20 +19,6 @@ struct SampleState {
     std::vector<Tensor> cascOutputs;  ///< prediction-mode cascade
 };
 
-/** Evaluate one node given a per-node output vector and hooks. */
-Tensor
-evalNode(const Network &net, NodeId id, const Tensor &input,
-         const std::vector<Tensor> &outputs, ForwardHooks *hooks)
-{
-    std::vector<const Tensor *> ins;
-    ins.reserve(net.inputsOf(id).size());
-    for (NodeId producer : net.inputsOf(id)) {
-        ins.push_back(producer == Network::inputNode
-                          ? &input : &outputs[producer]);
-    }
-    return net.layer(id).forward(ins, hooks);
-}
-
 } // namespace
 
 Status
@@ -109,10 +95,10 @@ tryOptimizeThresholds(const BcnnTopology &topo,
             SampleState st;
             st.inputIdx = d;
             st.trueOutputs.resize(net.size());
-            SamplingHooks hooks(*brng, true);
+            SamplingHooks hooks(*brng);
             for (NodeId id = 0; id < net.size(); ++id) {
-                st.trueOutputs[id] = evalNode(net, id, dataset[d],
-                                              st.trueOutputs, &hooks);
+                st.trueOutputs[id] = net.forwardNode(
+                    id, dataset[d], st.trueOutputs, &hooks);
             }
             st.masks = hooks.takeMasks();
             st.cascOutputs.resize(net.size());
@@ -130,8 +116,8 @@ tryOptimizeThresholds(const BcnnTopology &topo,
     for (NodeId id = 0; id < net.size(); ++id) {
         for (SampleState &st : states) {
             ReplayHooks replay(st.masks);
-            st.cascOutputs[id] = evalNode(net, id, dataset[st.inputIdx],
-                                          st.cascOutputs, &replay);
+            st.cascOutputs[id] = net.forwardNode(
+                id, dataset[st.inputIdx], st.cascOutputs, &replay);
         }
         if (net.layer(id).kind() != LayerKind::Conv2d)
             continue;
@@ -275,7 +261,7 @@ evaluatePrediction(const BcnnTopology &topo,
         const ZeroMaps zeros = computeZeroMaps(topo, input);
         for (std::size_t t = 0; t < opts.samples; ++t) {
             // Exact pass (records masks) then the predictive cascade.
-            SamplingHooks hooks(*brng, true);
+            SamplingHooks hooks(*brng);
             CaptureHooks capture(&hooks,
                                  [](const std::string &, LayerKind k) {
                                      return k == LayerKind::Conv2d;

@@ -55,18 +55,10 @@ ones(const Shape &s)
 
 } // namespace
 
-TEST(SamplingHooks, DisabledReturnsNull)
-{
-    SoftwareBrng brng(0.3);
-    SamplingHooks hooks(brng, false);
-    EXPECT_EQ(hooks.dropoutMask("d", Shape({1, 2, 2})), nullptr);
-    EXPECT_TRUE(hooks.masks().empty());
-}
-
 TEST(SamplingHooks, GeneratesAndRecords)
 {
     SoftwareBrng brng(0.5, 7);
-    SamplingHooks hooks(brng, true);
+    SamplingHooks hooks(brng);
     const BitVolume *m = hooks.dropoutMask("d", Shape({2, 4, 4}));
     ASSERT_NE(m, nullptr);
     EXPECT_EQ(m->size(), 32u);
@@ -226,8 +218,6 @@ TEST(McRunner, ProducesRequestedSamples)
     McResult res = tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts).value();
     EXPECT_EQ(res.outputs.size(), 5u);
     EXPECT_EQ(res.masks.size(), 5u);
-    EXPECT_FALSE(res.preOutput.empty());
-    EXPECT_TRUE(res.summary.mean.shape() == res.preOutput.shape());
 }
 
 TEST(McRunner, SamplesDifferUnderDropout)
@@ -283,6 +273,8 @@ TEST(McRunner, RoundObserverSeesEveryLaunchedSampleOnce)
     // [0,3), [3,6) with the casualty flagged, then the partial [6,8)
     // at run end; with adaptive exit stopping at 5 it sees [0,3) and
     // the partial [3,5).  Every call runs before later samples launch.
+    // The forward runs exactly once per launched sample, always with
+    // that sample's hooks: the runner has no dropout-off pass.
     Network net = tinyBcnn();
     FaultPlan plan;
     FaultSpec kill;
@@ -297,13 +289,29 @@ TEST(McRunner, RoundObserverSeesEveryLaunchedSampleOnce)
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         std::vector<Call> calls;
         std::atomic<std::size_t> launched{0};
+        std::atomic<std::size_t> nullHooks{0};
+        std::vector<std::atomic<std::size_t>> runs(8);
         ForwardTarget target;
         target.name = net.name();
         target.inputShape = net.inputShape();
         target.forward = [&](const Tensor &in, ForwardHooks *hooks) {
-            if (hooks != nullptr)
+            if (hooks == nullptr) {
+                nullHooks.fetch_add(1);
+            } else {
                 launched.fetch_add(1);
+                runs.at(hooks->sample()).fetch_add(1);
+            }
             return net.forward(in, hooks);
+        };
+        const auto expectRunsOnce = [&](std::size_t launchedCount,
+                                        std::size_t killed) {
+            EXPECT_EQ(nullHooks.load(), 0u) << "threads " << threads;
+            for (std::size_t t = 0; t < runs.size(); ++t) {
+                const bool ran = t < launchedCount && t != killed;
+                EXPECT_EQ(runs[t].load(), ran ? 1u : 0u)
+                    << "threads " << threads << " sample " << t;
+                runs[t] = 0;
+            }
         };
         target.rounds.length = 3;
         target.rounds.onRound = [&](std::size_t first,
@@ -327,6 +335,7 @@ TEST(McRunner, RoundObserverSeesEveryLaunchedSampleOnce)
         EXPECT_EQ(calls[1].launchedBefore, 5u);  // sample 4 never ran
         EXPECT_EQ(calls[2].first, 6u);
         EXPECT_EQ(calls[2].survived, std::vector<bool>({true, true}));
+        expectRunsOnce(8, 4);
 
         calls.clear();
         launched = 0;
@@ -342,6 +351,7 @@ TEST(McRunner, RoundObserverSeesEveryLaunchedSampleOnce)
         EXPECT_EQ(calls[0].launchedBefore, 3u);
         EXPECT_EQ(calls[1].first, 3u);
         EXPECT_EQ(calls[1].survived, std::vector<bool>({true, true}));
+        expectRunsOnce(5, runs.size());
     }
 
     // A round length without a callback is a configuration error.

@@ -135,7 +135,7 @@ TEST(ParallelMc, DistinctSeedsYieldDistinctMaskStreams)
         std::vector<BitVolume> streams;
         for (std::uint64_t seed : seeds) {
             auto brng = makeBrng(kind, 0.5, seed);
-            SamplingHooks hooks(*brng, true);
+            SamplingHooks hooks(*brng);
             streams.push_back(*hooks.dropoutMask("d", shape));
         }
         for (std::size_t i = 0; i < streams.size(); ++i) {
