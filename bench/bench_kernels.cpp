@@ -112,17 +112,6 @@ BM_SoftwareBrng(benchmark::State &state)
 }
 BENCHMARK(BM_SoftwareBrng);
 
-void
-BM_BitVolumeAndPopcount(benchmark::State &state)
-{
-    BitVolume a = randomMask(64, 32, 32, 6);
-    BitVolume b = randomMask(64, 32, 32, 7);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(a.andPopcount(b));
-    }
-}
-BENCHMARK(BM_BitVolumeAndPopcount);
-
 } // namespace
 
 BENCHMARK_MAIN();

@@ -179,7 +179,6 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
     std::vector<float> relu_ref;
 
     const BitVolume bits = randomBits(32, 128, 128, 19, 0.3);
-    const BitVolume bits2 = randomBits(32, 128, 128, 20, 0.3);
     const BitVolume cnt_mask = randomBits(in_c, in_h, in_w, 21, 0.3);
     std::vector<BitVolume> cnt_ind;
     std::vector<const std::uint64_t *> cnt_ind_words;
@@ -192,7 +191,7 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
         in_c, in_h, in_w, out_h, out_w, k, pad));
     std::vector<std::uint16_t> cnt_ref;
 
-    std::size_t pop_ref = 0, popbits_ref = 0, andpop_ref = 0;
+    std::size_t pop_ref = 0;
 
     rows.push_back({"convForward",
                     format("%zux%zux%zu k%zu s%zu p%zu -> %zu", in_c,
@@ -204,10 +203,6 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
     rows.push_back({"relu", format("%zu elems", relu_n), {}});
     rows.push_back({"popcountWords", format("%zu words", bits.wordCount()),
                     {}});
-    rows.push_back({"popcountBits",
-                    format("%zu bits @ 13", bits.size() - 40), {}});
-    rows.push_back({"andPopcountWords",
-                    format("%zu word pairs", bits.wordCount()), {}});
     rows.push_back({"countNwInputs",
                     format("%zux%zux%zu k%zu p%zu -> %zu", in_c, in_h,
                            in_w, k, pad, out_c),
@@ -293,33 +288,7 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
         else
             check(pop == pop_ref, "popcountWords differs from scalar");
 
-        std::size_t popbits = 0;
         rows[6].ns[li] = timeNs(
-            [&] {
-                popbits =
-                    ks.popcountBits(bits.words(), 13, bits.size() - 40);
-            },
-            scaledIters(2000));
-        if (is_scalar)
-            popbits_ref = popbits;
-        else
-            check(popbits == popbits_ref,
-                  "popcountBits differs from scalar");
-
-        std::size_t andpop = 0;
-        rows[7].ns[li] = timeNs(
-            [&] {
-                andpop = ks.andPopcountWords(bits.words(), bits2.words(),
-                                             bits.wordCount());
-            },
-            scaledIters(2000));
-        if (is_scalar)
-            andpop_ref = andpop;
-        else
-            check(andpop == andpop_ref,
-                  "andPopcountWords differs from scalar");
-
-        rows[8].ns[li] = timeNs(
             [&] {
                 ks.countNwInputs(cnt_mask.words(), cnt_ind_words.data(),
                                  cnt_out.data(), cnt_scratch.data(), in_c,

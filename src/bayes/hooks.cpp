@@ -58,39 +58,4 @@ ReplayHooks::dropoutMask(const std::string &layer_name,
     return &it->second;
 }
 
-const BitVolume *
-CaptureHooks::dropoutMask(const std::string &layer_name,
-                          const Shape &shape)
-{
-    return inner_ ? inner_->dropoutMask(layer_name, shape) : nullptr;
-}
-
-void
-CaptureHooks::onActivation(const std::string &layer_name, LayerKind kind,
-                           const Tensor &out)
-{
-    if (inner_)
-        inner_->onActivation(layer_name, kind, out);
-    if (!filter_ || filter_(layer_name, kind))
-        activations_.insert_or_assign(layer_name, out);
-}
-
-void
-CaptureHooks::mutateActivation(const std::string &layer_name,
-                               LayerKind kind, Tensor &out)
-{
-    if (inner_)
-        inner_->mutateActivation(layer_name, kind, out);
-}
-
-const Tensor &
-CaptureHooks::activation(const std::string &layer_name) const
-{
-    auto it = activations_.find(layer_name);
-    if (it == activations_.end())
-        fatal("no captured activation for layer '%s'",
-              layer_name.c_str());
-    return it->second;
-}
-
 } // namespace fastbcnn

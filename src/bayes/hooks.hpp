@@ -1,13 +1,12 @@
 /**
  * @file
  * ForwardHooks implementations for BCNN inference: mask sampling from
- * a BRNG, mask replay from a recorded set, and activation capture.
+ * a BRNG and mask replay from a recorded set.
  */
 
 #ifndef FASTBCNN_BAYES_HOOKS_HPP
 #define FASTBCNN_BAYES_HOOKS_HPP
 
-#include <functional>
 #include <map>
 #include <string>
 
@@ -88,47 +87,6 @@ class ReplayHooks : public ForwardHooks
 
   private:
     const MaskSet *masks_;
-};
-
-/**
- * Decorator adding activation capture to any inner hooks object.
- * The filter decides which layers to record (nullptr records all).
- */
-class CaptureHooks : public ForwardHooks
-{
-  public:
-    using Filter = std::function<bool(const std::string &, LayerKind)>;
-
-    /**
-     * @param inner  delegate for dropout masks (may be nullptr: no
-     *               dropout)
-     * @param filter which activations to keep (nullptr keeps all)
-     */
-    explicit CaptureHooks(ForwardHooks *inner = nullptr,
-                          Filter filter = nullptr)
-        : inner_(inner), filter_(std::move(filter))
-    {}
-
-    const BitVolume *dropoutMask(const std::string &layer_name,
-                                 const Shape &shape) override;
-    void onActivation(const std::string &layer_name, LayerKind kind,
-                      const Tensor &out) override;
-    void mutateActivation(const std::string &layer_name, LayerKind kind,
-                          Tensor &out) override;
-
-    /** @return captured activations keyed by layer name. */
-    const std::map<std::string, Tensor> &activations() const
-    {
-        return activations_;
-    }
-
-    /** @return one captured activation; fatal() when absent. */
-    const Tensor &activation(const std::string &layer_name) const;
-
-  private:
-    ForwardHooks *inner_;
-    Filter filter_;
-    std::map<std::string, Tensor> activations_;
 };
 
 } // namespace fastbcnn

@@ -1,17 +1,18 @@
 #include "topology.hpp"
 
-#include "common/check.hpp"
+#include "common/logging.hpp"
 #include "nn/dropout.hpp"
 
 namespace fastbcnn {
 
 BcnnTopology::BcnnTopology(const Network &net)
-    : net_(&net), consumers_(net.size())
+    : net_(&net)
 {
+    std::vector<std::vector<NodeId>> consumers(net.size());
     for (NodeId id = 0; id < net.size(); ++id) {
         for (NodeId producer : net.inputsOf(id)) {
             if (producer != Network::inputNode)
-                consumers_[producer].push_back(id);
+                consumers[producer].push_back(id);
         }
     }
 
@@ -21,7 +22,7 @@ BcnnTopology::BcnnTopology(const Network &net)
         // Find the ReLU fed by this conv, then the Dropout fed by the
         // ReLU.  The BCNN construction guarantees a unique such chain.
         NodeId relu = Network::inputNode;
-        for (NodeId c : consumers_[id]) {
+        for (NodeId c : consumers[id]) {
             if (net.layer(c).kind() == LayerKind::ReLU) {
                 relu = c;
                 break;
@@ -32,7 +33,7 @@ BcnnTopology::BcnnTopology(const Network &net)
                   "by a ReLU", net.layer(id).name().c_str());
         }
         NodeId dropout = Network::inputNode;
-        for (NodeId c : consumers_[relu]) {
+        for (NodeId c : consumers[relu]) {
             if (net.layer(c).kind() == LayerKind::Dropout) {
                 dropout = c;
                 break;
@@ -58,23 +59,6 @@ BcnnTopology::blockOfConv(NodeId conv) const
             return b;
     }
     fatal("node %zu is not a conv block", conv);
-}
-
-const ConvBlock &
-BcnnTopology::blockOfDropout(const std::string &name) const
-{
-    for (const ConvBlock &b : blocks_) {
-        if (net_->layer(b.dropout).name() == name)
-            return b;
-    }
-    fatal("no conv block with dropout layer '%s'", name.c_str());
-}
-
-const std::vector<NodeId> &
-BcnnTopology::consumersOf(NodeId id) const
-{
-    FASTBCNN_CHECK(id < consumers_.size(), "node id out of range");
-    return consumers_[id];
 }
 
 } // namespace fastbcnn

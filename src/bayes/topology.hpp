@@ -51,16 +51,9 @@ class BcnnTopology
     /** @return the block whose conv node is @p conv; fatal if absent. */
     const ConvBlock &blockOfConv(NodeId conv) const;
 
-    /** @return the block whose dropout layer has @p name. */
-    const ConvBlock &blockOfDropout(const std::string &name) const;
-
-    /** @return consumers of node @p id (nodes listing it as input). */
-    const std::vector<NodeId> &consumersOf(NodeId id) const;
-
   private:
     const Network *net_;
     std::vector<ConvBlock> blocks_;
-    std::vector<std::vector<NodeId>> consumers_;  // per node id
 };
 
 } // namespace fastbcnn

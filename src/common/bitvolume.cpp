@@ -52,16 +52,6 @@ BitVolume::popcount() const
     return simd::active().popcountWords(words_.data(), wordCount());
 }
 
-std::size_t
-BitVolume::popcountChannel(std::size_t c) const
-{
-    FASTBCNN_CHECK(c < channels_, "channel out of range");
-    // Channels are not word-aligned; the dispatched kernel masks the
-    // partial first/last words and counts whole words in between.
-    return simd::active().popcountBits(
-        words_.data(), c * height_ * width_, height_ * width_);
-}
-
 void
 BitVolume::clear()
 {
@@ -79,18 +69,6 @@ BitVolume::fill(bool value)
         if (used != 0)
             words_[wordCount() - 1] &= (1ull << used) - 1;
     }
-}
-
-std::size_t
-BitVolume::andPopcount(const BitVolume &other) const
-{
-    FASTBCNN_DCHECK_EQ(wordCount(), other.wordCount());
-    FASTBCNN_DCHECK(channels_ == other.channels_ &&
-                    height_ == other.height_ && width_ == other.width_,
-                    "BitVolume shape mismatch in andPopcount");
-    return simd::active().andPopcountWords(words_.data(),
-                                           other.words_.data(),
-                                           wordCount());
 }
 
 void

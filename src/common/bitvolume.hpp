@@ -69,9 +69,6 @@ class BitVolume
     /** @return number of set bits in the whole volume. */
     std::size_t popcount() const;
 
-    /** @return number of set bits in channel @p c. */
-    std::size_t popcountChannel(std::size_t c) const;
-
     /** @return number of 64-bit words backing size() bits. */
     std::size_t wordCount() const { return (size() + 63) / 64; }
 
@@ -88,14 +85,6 @@ class BitVolume
 
     /** Set every bit to @p value, keeping the shape. */
     void fill(bool value);
-
-    /**
-     * Count the set bits shared with @p other (bitwise-AND popcount).
-     * Shapes must match.  This is exactly what one "counting lane"
-     * accumulates over a convolution window: AND of dropout bit and
-     * indicator bit, summed by a counter.
-     */
-    std::size_t andPopcount(const BitVolume &other) const;
 
     /**
      * Call @p f(flat index) for every set bit, in ascending order, a

@@ -107,15 +107,9 @@ FastBcnnEngine::thresholds() const
 
 TraceBundle
 FastBcnnEngine::trace(const Tensor &input,
-                      std::optional<TraceOptions> opts)
+                      std::optional<TraceOptions> opts) const
 {
-    if (!thresholds_) {
-        warn("engine not calibrated; self-calibrating on the inference "
-             "input (prefer an explicit calibration set)");
-        const Status status = tryCalibrate({input});
-        if (!status.isOk())
-            fatal("%s", status.toString().c_str());
-    }
+    const ThresholdSet &alphas = thresholds();
     TraceOptions topts;
     if (opts) {
         topts = *opts;
@@ -124,16 +118,12 @@ FastBcnnEngine::trace(const Tensor &input,
         topts.dropRate = opts_.mc.dropRate;
         topts.brng = opts_.mc.brng;
         topts.seed = opts_.mc.seed;
-        // Default traces run under the engine's guard (when enabled)
-        // so drift observed while tracing feeds the backoff policy;
-        // explicit TraceOptions choose their own guard (or none).
-        topts.guard = guard_.get();
     }
-    return buildTrace(topo_, indicators_, *thresholds_, input, topts);
+    return buildTrace(topo_, indicators_, alphas, input, topts);
 }
 
 EngineResult
-FastBcnnEngine::infer(const Tensor &input)
+FastBcnnEngine::infer(const Tensor &input) const
 {
     TraceBundle bundle = trace(input);
 
@@ -154,7 +144,7 @@ FastBcnnEngine::infer(const Tensor &input)
 }
 
 Expected<EngineResult>
-FastBcnnEngine::tryInfer(const Tensor &input)
+FastBcnnEngine::tryInfer(const Tensor &input) const
 {
     if (!(input.shape() == net_.inputShape())) {
         return errorf(ErrorCode::InvalidArgument,

@@ -34,9 +34,10 @@ struct EngineOptions {
     SimOptions sim;
     /**
      * Runtime skip guardrails (off by default).  When enabled,
-     * tryCalibrate() constructs a SkipGuard over the tuned thresholds; a
-     * tolerance of 0 resolves to 1 − p_cf, the mispredict budget the
-     * thresholds were calibrated against.
+     * tryCalibrate() constructs a SkipGuard over the tuned thresholds,
+     * which skip mode (tryGuardedMc()) drives; a tolerance of 0
+     * resolves to 1 − p_cf, the mispredict budget the thresholds were
+     * calibrated against.
      */
     GuardOptions guard;
 };
@@ -99,8 +100,8 @@ class FastBcnnEngine
     /**
      * Offline stage: run Algorithm 1 on a calibration set, rejecting
      * an empty set or inputs of the wrong shape.  Must be called once
-     * before infer(); calling infer() first triggers an automatic
-     * single-input self-calibration with a warning.
+     * before trace() / infer(), which die on an uncalibrated engine
+     * (tryInfer() returns InvalidArgument instead).
      */
     [[nodiscard]] Status tryCalibrate(
         const std::vector<Tensor> &calibration_inputs);
@@ -137,15 +138,21 @@ class FastBcnnEngine
         return quantNet_.get();
     }
 
-    /** Run the full pipeline on one input. */
-    EngineResult infer(const Tensor &input);
+    /**
+     * Run the full pipeline on one input: trace() with the engine's
+     * McOptions sampling, then census and simulation.  Repeatable —
+     * equal inputs give equal results, whatever ran before; the skip
+     * guard is neither read nor fed (tryGuardedMc() is skip mode).
+     * Dies on an uncalibrated engine.
+     */
+    EngineResult infer(const Tensor &input) const;
 
     /**
      * Error-returning infer(): rejects a wrong-shape input and an
-     * uncalibrated engine (no silent self-calibration) instead of
-     * warning / terminating.
+     * uncalibrated engine instead of terminating.
      */
-    [[nodiscard]] Expected<EngineResult> tryInfer(const Tensor &input);
+    [[nodiscard]] Expected<EngineResult> tryInfer(
+        const Tensor &input) const;
 
     /**
      * Fault-isolating exact MC-dropout reference on the owned
@@ -205,12 +212,15 @@ class FastBcnnEngine
     const SkipGuard *guard() const { return guard_.get(); }
 
     /**
-     * Build (and return) the raw trace bundle of one input — the
-     * benches use this to evaluate many accelerator configurations on
-     * one captured workload.
+     * Build (and return) the raw trace bundle of one input under the
+     * calibrated thresholds — the benches use this to evaluate many
+     * accelerator configurations on one captured workload.  Without
+     * @p opts the engine's McOptions (T, p, BRNG, seed) set the
+     * sampling.  Dies on an uncalibrated engine.
      */
     TraceBundle trace(const Tensor &input,
-                      std::optional<TraceOptions> opts = std::nullopt);
+                      std::optional<TraceOptions> opts =
+                          std::nullopt) const;
 
     /** @return the per-kernel thresholds (fatal before tryCalibrate()). */
     const ThresholdSet &thresholds() const;

@@ -99,17 +99,6 @@ Workload::Workload(const WorkloadConfig &cfg) : cfg_(cfg)
         bundles_.push_back(engine_->trace(e.image, topts));
 }
 
-std::vector<SimReport>
-Workload::simulateAll(
-    const std::function<SimReport(const InferenceTrace &)> &fn) const
-{
-    std::vector<SimReport> reports;
-    reports.reserve(bundles_.size());
-    for (const TraceBundle &b : bundles_)
-        reports.push_back(fn(b.trace));
-    return reports;
-}
-
 double
 Workload::argmaxDisagreement() const
 {

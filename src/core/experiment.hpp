@@ -8,7 +8,6 @@
 #ifndef FASTBCNN_CORE_EXPERIMENT_HPP
 #define FASTBCNN_CORE_EXPERIMENT_HPP
 
-#include <functional>
 #include <memory>
 
 #include "data/synthetic.hpp"
@@ -73,14 +72,6 @@ class Workload
 
     /** @return cached trace bundles, one per evaluation input. */
     const std::vector<TraceBundle> &bundles() const { return bundles_; }
-
-    /**
-     * Run a timing model over every cached trace.
-     * @param fn maps one trace to one report
-     */
-    std::vector<SimReport>
-    simulateAll(const std::function<SimReport(const InferenceTrace &)>
-                    &fn) const;
 
     /**
      * Fraction of evaluation inputs whose Fast-BCNN argmax differs

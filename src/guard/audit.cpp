@@ -5,6 +5,13 @@
 
 namespace fastbcnn {
 
+namespace {
+
+/** Selection-hash seed (decoupled from the dropout seed). */
+constexpr std::uint64_t kAuditSeed = 0x5eed;
+
+} // namespace
+
 std::uint64_t
 SampleAudit::audited() const
 {
@@ -83,7 +90,7 @@ auditPredictedNeurons(const BcnnTopology &topo, const Tensor &input,
         for (std::size_t flat = 0; flat < pred.size(); ++flat) {
             if (!pred.getFlat(flat))
                 continue;
-            if (!auditSelected(opts.seed, b.conv, sample, flat,
+            if (!auditSelected(kAuditSeed, b.conv, sample, flat,
                                opts.rate)) {
                 continue;
             }

@@ -33,8 +33,6 @@ struct AuditOptions {
      * budget (see bench_guard_overhead).
      */
     double rate = 0.02;
-    /** Selection-hash seed (decoupled from the dropout seed). */
-    std::uint64_t seed = 0x5eed;
 };
 
 /** Audit tallies for one kernel of one conv block. */
@@ -79,7 +77,7 @@ bool auditSelected(std::uint64_t seed, NodeId conv, std::size_t sample,
  * @param node_outputs per-node outputs of the predictive pass
  *                     (PredictiveOptions::captureNodeOutputs)
  * @param predicted    per-conv predicted maps (PredictiveResult)
- * @param opts         audit rate and seed
+ * @param opts         audit rate
  * @param sample       the MC sample index t (selection-hash input)
  */
 SampleAudit auditPredictedNeurons(

@@ -10,6 +10,18 @@ namespace {
 
 /** Cooldown-penalty ceiling: escalation stops doubling here. */
 constexpr std::size_t kPenaltyCeiling = 64;
+/** Cooldown multiplier applied per repeated backoff (capped). */
+constexpr std::size_t kCooldownGrowth = 2;
+/** Normal quantile of the Wilson intervals (1.96 ~ 95 %). */
+constexpr double kWilsonZ = 1.96;
+/** EWMA weight of the newest round in the rate estimators. */
+constexpr double kEwmaAlpha = 0.2;
+/**
+ * Recovery requires the Wilson upper bound below tolerance ×
+ * kRecoverFraction — strictly harder than the trip condition, so the
+ * policy cannot oscillate on a borderline rate.
+ */
+constexpr double kRecoverFraction = 0.5;
 
 } // namespace
 
@@ -34,25 +46,6 @@ validateGuardOptions(const GuardOptions &opts)
         return errorf(ErrorCode::InvalidArgument,
                       "GuardOptions::minAudited must be >= 1 (a rate "
                       "over zero trials is meaningless)");
-    }
-    if (!(opts.wilsonZ > 0.0)) {
-        return errorf(ErrorCode::InvalidArgument,
-                      "GuardOptions::wilsonZ %g must be positive",
-                      opts.wilsonZ);
-    }
-    if (!(opts.ewmaAlpha > 0.0 && opts.ewmaAlpha <= 1.0)) {
-        return errorf(ErrorCode::InvalidArgument,
-                      "GuardOptions::ewmaAlpha %g outside (0, 1]",
-                      opts.ewmaAlpha);
-    }
-    if (opts.cooldownGrowth == 0) {
-        return errorf(ErrorCode::InvalidArgument,
-                      "GuardOptions::cooldownGrowth must be >= 1");
-    }
-    if (!(opts.recoverFraction > 0.0 && opts.recoverFraction <= 1.0)) {
-        return errorf(ErrorCode::InvalidArgument,
-                      "GuardOptions::recoverFraction %g outside (0, 1]",
-                      opts.recoverFraction);
     }
     return Status::ok();
 }
@@ -108,9 +101,9 @@ mergeGuardSnapshots(const std::vector<GuardSnapshot> &parts)
                                static_cast<double>(k.audited);
         }
         k.wilsonLower = wilsonLowerBound(k.mispredicted, k.audited,
-                                         1.96);
+                                         kWilsonZ);
         k.wilsonUpper = wilsonUpperBound(k.mispredicted, k.audited,
-                                         1.96);
+                                         kWilsonZ);
         if (!k.healthy)
             ++merged.degradedKernels;
         merged.kernels.push_back(k);
@@ -134,7 +127,7 @@ SkipGuard::SkipGuard(const BcnnTopology &topo, ThresholdSet calibrated,
         for (std::size_t m = 0; m < alphas.size(); ++m) {
             states[m].calibrated = alphas[m];
             states[m].current = alphas[m];
-            states[m].estimator = RateEstimator(opts_.ewmaAlpha);
+            states[m].estimator = RateEstimator(kEwmaAlpha);
         }
         kernels_.emplace(b.conv, std::move(states));
     }
@@ -215,9 +208,9 @@ SkipGuard::decideLocked()
             const bool confident =
                 st.estimator.trials() >= opts_.minAudited;
             const double lower =
-                st.estimator.lowerBound(opts_.wilsonZ);
+                st.estimator.lowerBound(kWilsonZ);
             const double upper =
-                st.estimator.upperBound(opts_.wilsonZ);
+                st.estimator.upperBound(kWilsonZ);
             const int from = st.current;
 
             if (st.current > 0 && confident &&
@@ -233,13 +226,11 @@ SkipGuard::decideLocked()
                                       : GuardEventKind::Backoff,
                                   from, lower);
                 st.cooldown = opts_.cooldownRounds * st.penalty;
-                st.penalty = std::min(st.penalty *
-                                          opts_.cooldownGrowth,
+                st.penalty = std::min(st.penalty * kCooldownGrowth,
                                       kPenaltyCeiling);
                 st.estimator.reset();
             } else if (st.current > 0 && st.level > 0 && confident &&
-                       upper < opts_.tolerance *
-                                   opts_.recoverFraction) {
+                       upper < opts_.tolerance * kRecoverFraction) {
                 // Confidently well under tolerance (hysteresis gap):
                 // probe one step back toward the calibrated alpha.
                 --st.level;
@@ -303,9 +294,9 @@ SkipGuard::snapshot() const
             }
             status.ewmaRate = st.estimator.ewma();
             status.wilsonLower =
-                st.estimator.lowerBound(opts_.wilsonZ);
+                st.estimator.lowerBound(kWilsonZ);
             status.wilsonUpper =
-                st.estimator.upperBound(opts_.wilsonZ);
+                st.estimator.upperBound(kWilsonZ);
             status.healthy = st.current == st.calibrated;
             if (!status.healthy)
                 ++snap.degradedKernels;

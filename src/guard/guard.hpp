@@ -43,20 +43,11 @@ struct GuardOptions {
     std::size_t decisionInterval = 8;
     /** Minimum audited neurons before a kernel's rate is trusted. */
     std::uint64_t minAudited = 64;
-    /** Normal quantile for the Wilson interval (1.96 ~ 95 %). */
-    double wilsonZ = 1.96;
-    /** EWMA weight of the newest round in the rate estimators. */
-    double ewmaAlpha = 0.2;
-    /** Rounds a kernel must hold after any α change (hysteresis). */
-    std::size_t cooldownRounds = 4;
-    /** Cooldown multiplier applied per repeated backoff (capped). */
-    std::size_t cooldownGrowth = 2;
     /**
-     * Recovery requires the Wilson upper bound below tolerance ×
-     * recoverFraction — strictly harder than the trip condition, so
-     * the policy cannot oscillate on a borderline rate.
+     * Rounds a kernel must hold after any α change (hysteresis); each
+     * repeated backoff doubles the hold, up to 64×.
      */
-    double recoverFraction = 0.5;
+    std::size_t cooldownRounds = 4;
 };
 
 /**

@@ -41,8 +41,8 @@ const char *layerKindName(LayerKind kind);
  * Hooks threaded through Network::forward().
  *
  * Dropout layers request masks here, so RNG policy (LFSR vs software,
- * recording vs replay) lives with the caller; activation capture is
- * how the trace module observes intermediate feature maps.
+ * recording vs replay) lives with the caller; onActivation() lets an
+ * observer (int8 range calibration) see intermediate feature maps.
  */
 class ForwardHooks
 {

@@ -4,6 +4,30 @@
 
 namespace fastbcnn::serve {
 
+McOptions
+applyOverrides(McOptions mc, const McOverrides &over)
+{
+    if (over.samples.has_value())
+        mc.samples = *over.samples;
+    if (over.quorum.has_value())
+        mc.quorum = *over.quorum;
+    if (over.threads.has_value())
+        mc.threads = *over.threads;
+    if (over.seed.has_value())
+        mc.seed = *over.seed;
+    if (over.precision.has_value())
+        mc.precision = *over.precision;
+    if (over.targetCiWidth.has_value())
+        mc.targetCiWidth = *over.targetCiWidth;
+    if (over.minSamples.has_value())
+        mc.minSamples = *over.minSamples;
+    if (over.sampleBudget.has_value())
+        mc.sampleBudget = *over.sampleBudget;
+    if (over.faults != nullptr)
+        mc.faults = over.faults;
+    return mc;
+}
+
 const char *
 priorityName(Priority priority)
 {

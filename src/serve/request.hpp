@@ -144,6 +144,13 @@ struct McOverrides {
     const FaultPlan *faults = nullptr;
 };
 
+/**
+ * @return @p mc with every set field of @p over (and a non-null fault
+ * plan) written over it.  Admission validates this merge; the worker
+ * applies it at dispatch, then adds the remaining-deadline budget.
+ */
+McOptions applyOverrides(McOptions mc, const McOverrides &over);
+
 /** One inference request. */
 struct InferRequest {
     /** Which served model to run (must match a ModelSpec id). */

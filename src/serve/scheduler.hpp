@@ -8,11 +8,12 @@
  * dispatch (load shedding: completing it now with Outcome::Shed is
  * strictly better than burning a replica on an answer nobody is
  * waiting for), and then fills a micro-batch with up to maxBatch - 1
- * more queued requests of the *same model*.  Batching by model is
- * what makes the amortization work: every request in the batch runs
- * on one already-calibrated engine replica, so the predictor
- * thresholds and pre-inference machinery are resolved once per batch
- * instead of once per request.
+ * more queued requests of the *same model*.  A batch shares one
+ * registry acquire, so every request in it runs on one pinned model
+ * version; each request still runs its own pre-inference and samples.
+ * Batching also drains the queue a batch at a time, and the brownout
+ * controller reads that queue's depth; maxBatch = 1 measured no better
+ * under overload (DESIGN.md §10).
  */
 
 #ifndef FASTBCNN_SERVE_SCHEDULER_HPP

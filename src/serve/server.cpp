@@ -186,24 +186,8 @@ InferenceServer::submit(InferRequest request)
         // immediate submit error instead of a deferred Failed
         // response.  The deadline merge is dispatch-time state and is
         // validated by construction (remainingMs() >= 0).
-        McOptions merged = info.mcDefaults;
-        const McOverrides &over = request.mc;
-        if (over.samples.has_value())
-            merged.samples = *over.samples;
-        if (over.quorum.has_value())
-            merged.quorum = *over.quorum;
-        if (over.threads.has_value())
-            merged.threads = *over.threads;
-        if (over.seed.has_value())
-            merged.seed = *over.seed;
-        if (over.precision.has_value())
-            merged.precision = *over.precision;
-        if (over.targetCiWidth.has_value())
-            merged.targetCiWidth = *over.targetCiWidth;
-        if (over.minSamples.has_value())
-            merged.minSamples = *over.minSamples;
-        if (over.sampleBudget.has_value())
-            merged.sampleBudget = *over.sampleBudget;
+        const McOptions merged =
+            applyOverrides(info.mcDefaults, request.mc);
         Status valid = validateMcOptions(merged);
         if (!valid.isOk()) {
             stats_.add("rejected_invalid");

@@ -48,33 +48,18 @@ runRequest(const FastBcnnEngine &engine, const Tensor &input,
     return McResult(std::move(run).value());
 }
 
-} // namespace
-
+/**
+ * Merge @p pending's overrides into @p engine's default McOptions at
+ * dispatch time @p now, converting the remaining end-to-end budget
+ * into McOptions::deadlineMs.
+ */
 McOptions
-EngineWorker::effectiveOptions(const FastBcnnEngine &engine,
-                               const PendingRequest &pending,
-                               ServeClock::time_point now)
+effectiveOptions(const FastBcnnEngine &engine,
+                 const PendingRequest &pending,
+                 ServeClock::time_point now)
 {
-    McOptions mc = engine.options().mc;
-    const McOverrides &over = pending.request.mc;
-    if (over.samples.has_value())
-        mc.samples = *over.samples;
-    if (over.quorum.has_value())
-        mc.quorum = *over.quorum;
-    if (over.threads.has_value())
-        mc.threads = *over.threads;
-    if (over.seed.has_value())
-        mc.seed = *over.seed;
-    if (over.precision.has_value())
-        mc.precision = *over.precision;
-    if (over.targetCiWidth.has_value())
-        mc.targetCiWidth = *over.targetCiWidth;
-    if (over.minSamples.has_value())
-        mc.minSamples = *over.minSamples;
-    if (over.sampleBudget.has_value())
-        mc.sampleBudget = *over.sampleBudget;
-    if (over.faults != nullptr)
-        mc.faults = over.faults;
+    McOptions mc = applyOverrides(engine.options().mc,
+                                  pending.request.mc);
     if (pending.hasDeadline) {
         // Hand the MC runner only what is left of the end-to-end
         // budget, tightened further by any replica-level deadline.
@@ -85,6 +70,8 @@ EngineWorker::effectiveOptions(const FastBcnnEngine &engine,
     }
     return mc;
 }
+
+} // namespace
 
 void
 EngineWorker::runBatch(std::vector<PendingRequest> &&batch,

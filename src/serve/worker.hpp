@@ -78,15 +78,6 @@ class EngineWorker
     /** @return the worker id. */
     std::size_t index() const { return index_; }
 
-    /**
-     * Merge @p pending's overrides into @p engine's default McOptions
-     * at dispatch time @p now (remaining-deadline conversion included).
-     * Exposed for tests.
-     */
-    static McOptions effectiveOptions(const FastBcnnEngine &engine,
-                                      const PendingRequest &pending,
-                                      ServeClock::time_point now);
-
   private:
     std::size_t index_;
     const ModelRegistry *registry_;

@@ -100,33 +100,6 @@ buildCountPlanes(const std::uint64_t *mask_words, std::uint8_t *scratch,
     return planes;
 }
 
-/** Word-at-a-time bit-range popcount (masked first/last words). */
-FASTBCNN_HOT inline std::size_t
-popcountBitsWords(const std::uint64_t *w, std::size_t start_bit,
-                  std::size_t n_bits)
-{
-    if (n_bits == 0)
-        return 0;
-    const std::size_t end_bit = start_bit + n_bits;
-    const std::size_t first = start_bit >> 6;
-    const std::size_t last = (end_bit - 1) >> 6;
-    const std::size_t lo_sh = start_bit & 63;
-    const std::size_t hi_used = ((end_bit - 1) & 63) + 1;
-    const std::uint64_t lo_mask = ~0ull << lo_sh;
-    const std::uint64_t hi_mask =
-        hi_used == 64 ? ~0ull : ((1ull << hi_used) - 1);
-    if (first == last) {
-        return static_cast<std::size_t>(
-            std::popcount(w[first] & lo_mask & hi_mask));
-    }
-    std::size_t total =
-        static_cast<std::size_t>(std::popcount(w[first] & lo_mask));
-    for (std::size_t i = first + 1; i < last; ++i)
-        total += static_cast<std::size_t>(std::popcount(w[i]));
-    total += static_cast<std::size_t>(std::popcount(w[last] & hi_mask));
-    return total;
-}
-
 /** Unrolled 4x64-bit whole-array popcount. */
 FASTBCNN_HOT inline std::size_t
 popcountWords4(const std::uint64_t *w, std::size_t n)
@@ -141,27 +114,6 @@ popcountWords4(const std::uint64_t *w, std::size_t n)
     }
     for (; i < n; ++i)
         t0 += static_cast<std::size_t>(std::popcount(w[i]));
-    return t0 + t1 + t2 + t3;
-}
-
-/** Unrolled 4x64-bit AND-popcount over word pairs. */
-FASTBCNN_HOT inline std::size_t
-andPopcountWords4(const std::uint64_t *a, const std::uint64_t *b,
-                  std::size_t n)
-{
-    std::size_t t0 = 0, t1 = 0, t2 = 0, t3 = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        t0 += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-        t1 += static_cast<std::size_t>(
-            std::popcount(a[i + 1] & b[i + 1]));
-        t2 += static_cast<std::size_t>(
-            std::popcount(a[i + 2] & b[i + 2]));
-        t3 += static_cast<std::size_t>(
-            std::popcount(a[i + 3] & b[i + 3]));
-    }
-    for (; i < n; ++i)
-        t0 += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
     return t0 + t1 + t2 + t3;
 }
 
@@ -904,20 +856,6 @@ avx2PopcountWords(const std::uint64_t *w, std::size_t n)
     return popcountWords4(w, n);
 }
 
-FASTBCNN_HOT std::size_t
-avx2PopcountBits(const std::uint64_t *w, std::size_t start_bit,
-                 std::size_t n_bits)
-{
-    return popcountBitsWords(w, start_bit, n_bits);
-}
-
-FASTBCNN_HOT std::size_t
-avx2AndPopcountWords(const std::uint64_t *a, const std::uint64_t *b,
-                     std::size_t n)
-{
-    return andPopcountWords4(a, b, n);
-}
-
 /**
  * Sum the indicator-selected byte planes over @p kRegs x 16 output
  * positions starting at @p base, in saturating u16 lanes (exactly
@@ -1344,7 +1282,6 @@ avx2TableOrNull()
         &avx2ConvForward,       &avx2DenseForward,
         &avx2PoolMax,           &avx2PoolAvg,
         &avx2Relu,              &avx2PopcountWords,
-        &avx2PopcountBits,      &avx2AndPopcountWords,
         &avx2CountNwInputs,     &avx2QuantConvForward,
         &avx2QuantDenseAccum,   &avx2QuantRelu,
         &avx2QuantPoolMax,

@@ -225,28 +225,6 @@ scalarPopcountWords(const std::uint64_t *w, std::size_t n)
     return total;
 }
 
-/** Scalar bit-range popcount (bit-by-bit, the historical walk). */
-FASTBCNN_HOT inline std::size_t
-scalarPopcountBits(const std::uint64_t *w, std::size_t start_bit,
-                   std::size_t n_bits)
-{
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < n_bits; ++i)
-        total += bitAt(w, start_bit + i) ? 1 : 0;
-    return total;
-}
-
-/** Scalar AND-popcount over word pairs. */
-FASTBCNN_HOT inline std::size_t
-scalarAndPopcountWords(const std::uint64_t *a, const std::uint64_t *b,
-                       std::size_t n)
-{
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-    return total;
-}
-
 /**
  * Scalar Eq. 5 counting: bit by bit over the raw words for every
  * kernel and output position, clamped once at the end.  @p scratch is

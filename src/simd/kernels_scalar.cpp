@@ -16,7 +16,6 @@ scalarTable()
         &scalarConvForward,       &scalarDenseForward,
         &scalarPoolMax,           &scalarPoolAvg,
         &scalarRelu,              &scalarPopcountWords,
-        &scalarPopcountBits,      &scalarAndPopcountWords,
         &scalarCountNwInputs,     &scalarQuantConvForward,
         &scalarQuantDenseAccum,   &scalarQuantRelu,
         &scalarQuantPoolMax,

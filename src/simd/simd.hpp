@@ -110,20 +110,6 @@ struct SimdKernels {
     std::size_t (*popcountWords)(const std::uint64_t *w, std::size_t n);
 
     /**
-     * Set bits in the bit range [start_bit, start_bit + n_bits) of a
-     * packed bit array.  The array must extend one guard word past the
-     * last addressed word (BitVolume guarantees this).
-     */
-    std::size_t (*popcountBits)(const std::uint64_t *w,
-                                std::size_t start_bit,
-                                std::size_t n_bits);
-
-    /** Total set bits of a[i] & b[i] across @p n word pairs. */
-    std::size_t (*andPopcountWords)(const std::uint64_t *a,
-                                    const std::uint64_t *b,
-                                    std::size_t n);
-
-    /**
      * Eq. 5 counting for a whole conv layer: for every output kernel
      * m, slide its (in_channels, k, k) indicator volume
      * @p ind_words[m] over the (in_channels, in_h, in_w) dropout-mask

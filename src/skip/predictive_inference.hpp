@@ -7,6 +7,11 @@
  * predicted neurons are zeroed afterwards, so the result equals the
  * MC-dropout sample with those units also zeroed; the work the skip
  * engine would save is modelled by the cycle simulator, not here.
+ *
+ * Callers pass the thresholds to use: the threshold optimizer and
+ * buildTrace() a fixed set, and skip mode (tryRunGuardedPredictive)
+ * its SkipGuard's effective set, with the shadow audit reading the
+ * captured node outputs.
  */
 
 #ifndef FASTBCNN_SKIP_PREDICTIVE_INFERENCE_HPP
@@ -25,8 +30,8 @@ struct PredictiveOptions {
      */
     std::size_t upToBlock = static_cast<std::size_t>(-1);
     /**
-     * Record the output of every node (used by the shadow audit and
-     * evaluatePrediction).  A conv output holds zero at its predicted
+     * Record the output of every node (read by the shadow audit,
+     * auditPredictedNeurons).  A conv output holds zero at its predicted
      * neurons and the dense value everywhere else, dropped neurons
      * included; the block's Dropout output zeroes those.
      */

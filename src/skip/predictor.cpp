@@ -1,6 +1,5 @@
 #include "predictor.hpp"
 
-#include "bayes/hooks.hpp"
 #include "common/check.hpp"
 
 namespace fastbcnn {
@@ -41,25 +40,30 @@ ZeroMaps
 computeZeroMaps(const BcnnTopology &topo, const Tensor &input,
                 Tensor *output)
 {
-    // Capture every ReLU output of the non-dropout pre-inference.
-    CaptureHooks capture(nullptr,
-                         [](const std::string &, LayerKind k) {
-                             return k == LayerKind::ReLU;
-                         });
-    Tensor out = topo.network().forward(input, &capture);
-    if (output != nullptr)
-        *output = std::move(out);
+    // The non-dropout pre-inference, node by node (no hooks: every
+    // Dropout passes its input through), keeping each node's output so
+    // the blocks' ReLU outputs are read by node id.
+    const Network &net = topo.network();
+    if (!(input.shape() == net.inputShape())) {
+        fatal("network '%s': input shape %s does not match declared %s",
+              net.name().c_str(), input.shape().toString().c_str(),
+              net.inputShape().toString().c_str());
+    }
+    std::vector<Tensor> node_out(net.size());
+    for (NodeId id = 0; id < net.size(); ++id)
+        node_out[id] = net.forwardNode(id, input, node_out, nullptr);
 
     ZeroMaps maps;
     for (const ConvBlock &b : topo.blocks()) {
-        const Tensor &relu_out =
-            capture.activation(topo.network().layer(b.relu).name());
+        const Tensor &relu_out = node_out[b.relu];
         const Shape &s = relu_out.shape();
         BitVolume zero(s.dim(0), s.dim(1), s.dim(2));
         for (std::size_t i = 0; i < relu_out.numel(); ++i)
             zero.setFlat(i, relu_out.at(i) == 0.0f);
         maps.emplace(b.conv, std::move(zero));
     }
+    if (output != nullptr)
+        *output = std::move(node_out.back());
     return maps;
 }
 

@@ -243,61 +243,4 @@ tryOptimizeThresholds(const BcnnTopology &topo,
     return result;
 }
 
-std::map<NodeId, double>
-evaluatePrediction(const BcnnTopology &topo,
-                   const IndicatorSet &indicators,
-                   const ThresholdSet &thresholds,
-                   const std::vector<Tensor> &dataset,
-                   const OptimizerOptions &opts)
-{
-    if (dataset.empty())
-        fatal("evaluatePrediction needs at least one input");
-    const Network &net = topo.network();
-    auto brng = makeBrng(opts.brng, opts.dropRate, opts.seed);
-
-    std::map<NodeId, std::uint64_t> correct;
-    std::map<NodeId, std::uint64_t> total;
-    for (const Tensor &input : dataset) {
-        const ZeroMaps zeros = computeZeroMaps(topo, input);
-        for (std::size_t t = 0; t < opts.samples; ++t) {
-            // Exact pass (records masks) then the predictive cascade.
-            SamplingHooks hooks(*brng);
-            CaptureHooks capture(&hooks,
-                                 [](const std::string &, LayerKind k) {
-                                     return k == LayerKind::Conv2d;
-                                 });
-            net.forward(input, &capture);
-            const MaskSet masks = hooks.takeMasks();
-
-            PredictiveOptions popts;
-            popts.captureNodeOutputs = true;
-            const PredictiveResult pres = predictiveForward(
-                topo, indicators, zeros, thresholds, input, masks,
-                popts);
-
-            for (const ConvBlock &b : topo.blocks()) {
-                const Tensor &o_true = capture.activation(
-                    net.layer(b.conv).name());
-                const Tensor &o_pred = pres.nodeOutputs[b.conv];
-                for (std::size_t i = 0; i < o_true.numel(); ++i) {
-                    const float tv = std::max(o_true.at(i), 0.0f);
-                    const float pv = std::max(o_pred.at(i), 0.0f);
-                    const bool ok =
-                        opts.metric == PredictMetric::PatternMatch
-                            ? (pv == 0.0f) == (tv == 0.0f)
-                            : nearlyEqual(pv, tv, opts.tolerance);
-                    correct[b.conv] += ok ? 1 : 0;
-                    total[b.conv] += 1;
-                }
-            }
-        }
-    }
-    std::map<NodeId, double> fractions;
-    for (const auto &[id, c] : correct) {
-        fractions[id] = static_cast<double>(c) /
-                        static_cast<double>(total[id]);
-    }
-    return fractions;
-}
-
 } // namespace fastbcnn

@@ -95,19 +95,6 @@ struct OptimizeResult {
     const std::vector<Tensor> &dataset,
     const OptimizerOptions &opts = {});
 
-/**
- * Measure EvaluatePredict (the fraction of neurons of each block whose
- * predictive value matches the true value) for a fixed threshold set —
- * used by tests and the Fig. 12a sweep to verify achieved confidence.
- *
- * @return per-block correct fraction, averaged over samples, keyed by
- *         conv node.
- */
-std::map<NodeId, double> evaluatePrediction(
-    const BcnnTopology &topo, const IndicatorSet &indicators,
-    const ThresholdSet &thresholds, const std::vector<Tensor> &dataset,
-    const OptimizerOptions &opts);
-
 } // namespace fastbcnn
 
 #endif // FASTBCNN_SKIP_THRESHOLD_OPTIMIZER_HPP

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/math_util.hpp"
-#include "guard/guard.hpp"
 
 namespace fastbcnn {
 
@@ -172,16 +171,6 @@ buildTrace(const BcnnTopology &topo, const IndicatorSet &indicators,
     exact_outputs.reserve(opts.samples);
 
     for (std::size_t t = 0; t < opts.samples; ++t) {
-        // Under a guard the sample uses whatever thresholds the guard
-        // holds *now* — the trace loop is serial, so this reproduces
-        // skip mode's round semantics with interval 1.
-        ThresholdSet guard_thresholds;
-        const ThresholdSet *active = &thresholds;
-        if (opts.guard != nullptr) {
-            guard_thresholds = opts.guard->effectiveThresholds();
-            active = &guard_thresholds;
-        }
-
         // Exact sample inference, node by node, keeping activations.
         std::vector<Tensor> node_out(net.size());
         SamplingHooks hooks(*brng);
@@ -215,7 +204,7 @@ buildTrace(const BcnnTopology &topo, const IndicatorSet &indicators,
             const CountVolume counts = countDroppedNwInputs(
                 conv, in_mask, indicators.of(b.conv));
             const BitVolume predicted = predictUnaffected(
-                zero_maps.at(b.conv), counts, *active, b.conv);
+                zero_maps.at(b.conv), counts, thresholds, b.conv);
 
             const Tensor &o_true = node_out[b.conv];
             const BitVolume &zeros = zero_maps.at(b.conv);
@@ -253,23 +242,10 @@ buildTrace(const BcnnTopology &topo, const IndicatorSet &indicators,
 
         if (opts.captureFunctional) {
             exact_outputs.push_back(node_out.back());
-            PredictiveOptions popts;
-            popts.captureNodeOutputs =
-                opts.guard != nullptr &&
-                opts.guard->options().audit.rate > 0.0;
-            const PredictiveResult pres = predictiveForward(
-                topo, indicators, zero_maps, *active, input, masks,
-                popts);
-            if (opts.guard != nullptr) {
-                opts.guard->onSampleAudit(
-                    popts.captureNodeOutputs
-                        ? auditPredictedNeurons(
-                              topo, input, pres.nodeOutputs,
-                              pres.predicted,
-                              opts.guard->options().audit, t)
-                        : SampleAudit{t, {}});
-            }
-            fb_outputs.push_back(pres.output);
+            fb_outputs.push_back(
+                predictiveForward(topo, indicators, zero_maps,
+                                  thresholds, input, masks)
+                    .output);
         }
     }
 

@@ -22,8 +22,6 @@
 
 namespace fastbcnn {
 
-class SkipGuard;
-
 /** The T_n values the Cnvlutin work sums are precomputed for. */
 inline constexpr std::array<std::size_t, 4> traceTnValues{4, 8, 16, 32};
 
@@ -131,17 +129,6 @@ struct TraceOptions {
     /** Also run the predictive cascade to capture functional outputs
      *  (needed for accuracy; ~2x slower to build). */
     bool captureFunctional = true;
-    /**
-     * Optional skip guard (not owned; may be nullptr).  When set, each
-     * sample's census and predictive cascade use the guard's *current*
-     * effective thresholds instead of the fixed @ref buildTrace
-     * thresholds, and — when captureFunctional is also on — the
-     * predictive pass is shadow-audited and folded into the guard, so
-     * a trace doubles as a guarded run.  Without captureFunctional the
-     * guard only supplies thresholds (there is no predictive cascade
-     * to audit).
-     */
-    SkipGuard *guard = nullptr;
 };
 
 /** The trace plus the functional outcome of one input. */
@@ -151,7 +138,11 @@ struct TraceBundle {
 };
 
 /**
- * Build the trace of one input under a fixed threshold set.
+ * Build the trace of one input under a fixed threshold set.  Every
+ * sample's census and predictive cascade use @p thresholds as given:
+ * a trace never reads or feeds a SkipGuard (only the skip-mode runner,
+ * tryRunGuardedPredictive, does), so equal inputs and options give
+ * equal traces.
  *
  * @param topo       analysed BCNN
  * @param indicators weight-sign indicators

@@ -100,27 +100,6 @@ TEST(ReplayHooks, ReproducesForwardExactly)
     EXPECT_TRUE(a.allClose(b, 0.0f));
 }
 
-TEST(CaptureHooks, FiltersByKind)
-{
-    Network net = tinyBcnn();
-    CaptureHooks capture(nullptr,
-                         [](const std::string &, LayerKind k) {
-                             return k == LayerKind::Conv2d;
-                         });
-    net.forward(ones(Shape({1, 6, 6})), &capture);
-    EXPECT_EQ(capture.activations().size(), 2u);
-    EXPECT_NO_FATAL_FAILURE(capture.activation("c1"));
-    EXPECT_DEATH(capture.activation("r1"), "no captured");
-}
-
-TEST(CaptureHooks, DelegatesMasks)
-{
-    SoftwareBrng brng(0.5, 3);
-    SamplingHooks inner(brng);
-    CaptureHooks capture(&inner);
-    EXPECT_NE(capture.dropoutMask("d", Shape({1, 2, 2})), nullptr);
-}
-
 TEST(Uncertainty, EntropyUniformAndDelta)
 {
     Tensor uniform(Shape({4}), {0.25f, 0.25f, 0.25f, 0.25f});
@@ -178,10 +157,9 @@ TEST(Topology, BlockLookups)
 {
     Network net = tinyBcnn();
     BcnnTopology topo(net);
-    const ConvBlock &b = topo.blockOfDropout("d2");
-    EXPECT_EQ(net.layer(b.conv).name(), "c2");
+    const ConvBlock &b = topo.blocks()[1];
     EXPECT_EQ(&topo.blockOfConv(b.conv), &b);
-    EXPECT_DEATH(topo.blockOfDropout("nope"), "no conv block");
+    EXPECT_DEATH(topo.blockOfConv(b.dropout), "not a conv block");
 }
 
 TEST(Topology, PlainCnnFatal)
@@ -198,15 +176,6 @@ TEST(Topology, ConvWithoutReluFatal)
     net.add(std::make_unique<Conv2d>("c", 1, 2, 3));
     net.add(std::make_unique<Dropout>("d", 0.3));
     EXPECT_DEATH(BcnnTopology{net}, "ReLU");
-}
-
-TEST(Topology, ConsumersComputed)
-{
-    Network net = tinyBcnn();
-    BcnnTopology topo(net);
-    const NodeId c1 = net.findNode("c1");
-    ASSERT_EQ(topo.consumersOf(c1).size(), 1u);
-    EXPECT_EQ(net.layer(topo.consumersOf(c1)[0]).name(), "r1");
 }
 
 TEST(McRunner, ProducesRequestedSamples)

@@ -103,27 +103,6 @@ TEST(BitVolume, FillRespectsPadding)
     EXPECT_EQ(v.popcount(), 0u);
 }
 
-TEST(BitVolume, PopcountChannel)
-{
-    BitVolume v(2, 2, 2);
-    v.set(0, 0, 0, true);
-    v.set(1, 1, 1, true);
-    v.set(1, 0, 1, true);
-    EXPECT_EQ(v.popcountChannel(0), 1u);
-    EXPECT_EQ(v.popcountChannel(1), 2u);
-}
-
-TEST(BitVolume, AndPopcount)
-{
-    BitVolume a(1, 2, 64), b(1, 2, 64);
-    for (std::size_t i = 0; i < 128; i += 2)
-        a.setFlat(i, true);
-    for (std::size_t i = 0; i < 128; i += 3)
-        b.setFlat(i, true);
-    // Multiples of 6 in [0, 128): 22 values.
-    EXPECT_EQ(a.andPopcount(b), 22u);
-}
-
 TEST(BitVolume, OrWith)
 {
     BitVolume a(1, 1, 8), b(1, 1, 8);

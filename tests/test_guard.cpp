@@ -69,8 +69,6 @@ fastGuardOptions(double tolerance)
     opts.decisionInterval = 1;
     opts.minAudited = 10;
     opts.cooldownRounds = 1;
-    opts.cooldownGrowth = 2;
-    opts.recoverFraction = 0.5;
     return opts;
 }
 

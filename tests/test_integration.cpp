@@ -39,18 +39,68 @@ sharedWorkload()
 
 TEST(Engine, SelfCalibratesWithWarning)
 {
+    // The engine never calibrates on an inference input: trace() and
+    // infer() die on an uncalibrated engine, tryInfer() errors.
     ModelOptions mopts;
     mopts.widthMultiplier = 0.5;
     EngineOptions eopts;
     eopts.mc.samples = 2;
     eopts.optimizer.samples = 2;
     FastBcnnEngine engine(buildLenet5(mopts), eopts);
+    const Tensor input = makeMnistLikeImage(0, 1);
     EXPECT_FALSE(engine.calibrated());
     EXPECT_DEATH((void)engine.thresholds(), "not calibrated");
-    engine.trace(makeMnistLikeImage(0, 1));
-    EXPECT_TRUE(engine.calibrated());
-    EXPECT_EQ(engine.tuneReports().size(),
-              engine.topology().blocks().size());
+    EXPECT_DEATH((void)engine.trace(input), "not calibrated");
+    EXPECT_DEATH((void)engine.infer(input), "not calibrated");
+    Expected<EngineResult> res = engine.tryInfer(input);
+    ASSERT_FALSE(res.hasValue());
+    EXPECT_EQ(res.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_FALSE(engine.calibrated());
+}
+
+TEST(Engine, InferIsRepeatableUnderGuard)
+{
+    // infer() traces under the calibrated thresholds and leaves the
+    // skip guard alone, so a guard-enabled engine answers the same
+    // input the same way however many calls it has served.
+    ModelOptions mopts;
+    mopts.widthMultiplier = 0.5;
+    EngineOptions eopts;
+    eopts.mc.samples = 8;
+    eopts.optimizer.samples = 2;
+    eopts.optimizer.initialThreshold = 8;
+    // A guard that would back α off at the first mispredict, had it
+    // been fed (α <= 8 makes every halving change the prediction).
+    eopts.guard.enabled = true;
+    eopts.guard.audit.rate = 1.0;
+    eopts.guard.tolerance = 1e-3;
+    eopts.guard.decisionInterval = 1;
+    eopts.guard.minAudited = 1;
+    eopts.guard.cooldownRounds = 1;
+    FastBcnnEngine engine(buildLenet5(mopts), eopts);
+    ASSERT_TRUE(engine.tryCalibrate({makeMnistLikeImage(2, 3)}).isOk());
+    ASSERT_NE(engine.guard(), nullptr);
+
+    const Tensor input = makeMnistLikeImage(4, 5);
+    const EngineResult a = engine.infer(input);
+    const EngineResult b = engine.infer(input);
+    EXPECT_TRUE(a.prediction.mean.allClose(b.prediction.mean, 0.0f));
+    EXPECT_TRUE(
+        a.exactReference.mean.allClose(b.exactReference.mean, 0.0f));
+    ASSERT_EQ(a.census.size(), b.census.size());
+    for (std::size_t i = 0; i < a.census.size(); ++i) {
+        EXPECT_EQ(a.census[i].predictedRatio, b.census[i].predictedRatio);
+        EXPECT_EQ(a.census[i].skipRatio, b.census[i].skipRatio);
+        EXPECT_EQ(a.census[i].predictionAccuracy,
+                  b.census[i].predictionAccuracy);
+        EXPECT_EQ(a.census[i].unaffectedRatio,
+                  b.census[i].unaffectedRatio);
+    }
+    EXPECT_EQ(a.speedup, b.speedup);
+
+    const GuardSnapshot snap = engine.guard()->snapshot();
+    EXPECT_EQ(snap.samplesSeen, 0u);
+    EXPECT_EQ(snap.auditedNeurons, 0u);
 }
 
 TEST(Engine, InferProducesConsistentResult)

@@ -151,14 +151,11 @@ TEST(Sparsity, CalibrationHitsTarget)
     // Measure the post-ReLU zero ratio on the probe inputs.
     BcnnTopology topo(net);
     for (const Tensor &probe : probes) {
-        CaptureHooks capture(nullptr,
-                             [](const std::string &, LayerKind k) {
-                                 return k == LayerKind::ReLU;
-                             });
-        net.forward(probe, &capture);
+        std::vector<Tensor> out(net.size());
+        for (NodeId id = 0; id < net.size(); ++id)
+            out[id] = net.forwardNode(id, probe, out, nullptr);
         for (const ConvBlock &b : topo.blocks()) {
-            const Tensor &relu = capture.activation(
-                net.layer(b.relu).name());
+            const Tensor &relu = out[b.relu];
             if (relu.numel() < 200)
                 continue;  // tiny planes have coarse quantiles
             const double zero =

@@ -260,38 +260,18 @@ TEST(SimdDispatch, ReluBitIdenticalIncludingNanAndSignedZero)
 TEST(SimdDispatch, PopcountsAgreeAcrossLevels)
 {
     const BitVolume a = randomBits(3, 9, 21, 505, 0.4);
-    const BitVolume b = randomBits(3, 9, 21, 606, 0.7);
     const simd::SimdKernels &ref =
         simd::kernelsFor(simd::SimdLevel::Scalar);
     const std::size_t words = a.wordCount();
     const std::size_t expect_total =
         ref.popcountWords(a.words(), words);
-    const std::size_t expect_and =
-        ref.andPopcountWords(a.words(), b.words(), words);
-    // Channel ranges start at arbitrary (word-misaligned) bit offsets.
-    const std::size_t plane = a.height() * a.width();
     for (simd::SimdLevel level : availableLevels()) {
-        const simd::SimdKernels &k = simd::kernelsFor(level);
-        EXPECT_EQ(k.popcountWords(a.words(), words), expect_total)
+        EXPECT_EQ(simd::kernelsFor(level).popcountWords(a.words(), words),
+                  expect_total)
             << simd::simdLevelName(level);
-        EXPECT_EQ(k.andPopcountWords(a.words(), b.words(), words),
-                  expect_and)
-            << simd::simdLevelName(level);
-        for (std::size_t c = 0; c < a.channels(); ++c) {
-            EXPECT_EQ(k.popcountBits(a.words(), c * plane, plane),
-                      ref.popcountBits(a.words(), c * plane, plane))
-                << simd::simdLevelName(level) << " channel " << c;
-        }
-        // Zero-length and sub-word ranges.
-        EXPECT_EQ(k.popcountBits(a.words(), 7, 0), 0u);
-        EXPECT_EQ(k.popcountBits(a.words(), 3, 5),
-                  ref.popcountBits(a.words(), 3, 5));
-        EXPECT_EQ(k.popcountBits(a.words(), 60, 10),
-                  ref.popcountBits(a.words(), 60, 10));
     }
-    // The methods themselves dispatch through the active table.
+    // The method itself dispatches through the active table.
     EXPECT_EQ(a.popcount(), expect_total);
-    EXPECT_EQ(a.andPopcount(b), expect_and);
 }
 
 namespace {
@@ -623,20 +603,6 @@ TEST(SimdAlignment, BitVolumeStorageIs64ByteAlignedWithGuardWord)
         EXPECT_EQ(v.popcount(), bits);
     }
 }
-
-#if FASTBCNN_ENABLE_DCHECKS
-TEST(SimdDispatchDeathTest, AndPopcountMismatchedShapesDie)
-{
-    // Different word counts trip the word-count DCHECK_EQ.
-    const BitVolume a(1, 1, 65);
-    const BitVolume b(1, 1, 64);
-    EXPECT_DEATH((void)a.andPopcount(b), "wordCount");
-    // Same word count but different shapes trip the shape DCHECK.
-    const BitVolume c(1, 2, 32);
-    const BitVolume d(2, 1, 32);
-    EXPECT_DEATH((void)c.andPopcount(d), "shape mismatch");
-}
-#endif
 
 TEST(SimdDispatchConcurrency, LevelSwapsAreSafeAgainstKernelCallers)
 {

@@ -306,20 +306,42 @@ TEST(Predictor, ActualUnaffected)
     EXPECT_FALSE(u.get(0, 0, 1));  // flipped positive: affected
 }
 
+namespace {
+
+/** Records every ReLU output of a Network::forward pass by name. */
+class ReluRecorder : public ForwardHooks
+{
+  public:
+    const BitVolume *dropoutMask(const std::string &,
+                                 const Shape &) override
+    {
+        return nullptr;
+    }
+
+    void onActivation(const std::string &layer_name, LayerKind kind,
+                      const Tensor &out) override
+    {
+        if (kind == LayerKind::ReLU)
+            relu.insert_or_assign(layer_name, out);
+    }
+
+    std::map<std::string, Tensor> relu;
+};
+
+} // namespace
+
 TEST(Predictor, ZeroMapsMatchPreInference)
 {
+    // The ReLU outputs are read through Network::forward, independent
+    // of the node-stepping pass computeZeroMaps takes.
     Network net = tinyBcnn();
     BcnnTopology topo(net);
     Tensor in = randomInput(2);
     ZeroMaps maps = computeZeroMaps(topo, in);
-    CaptureHooks capture(nullptr,
-                         [](const std::string &, LayerKind k) {
-                             return k == LayerKind::ReLU;
-                         });
-    net.forward(in, &capture);
+    ReluRecorder recorder;
+    net.forward(in, &recorder);
     for (const ConvBlock &b : topo.blocks()) {
-        const Tensor &relu = capture.activation(
-            net.layer(b.relu).name());
+        const Tensor &relu = recorder.relu.at(net.layer(b.relu).name());
         const BitVolume &zeros = maps.at(b.conv);
         for (std::size_t i = 0; i < relu.numel(); ++i)
             ASSERT_EQ(zeros.getFlat(i), relu.at(i) == 0.0f);
@@ -341,8 +363,9 @@ TEST(PredictiveInference, AlphaZeroIsExact)
 
     SoftwareBrng brng(0.3, 21);
     SamplingHooks sample(brng);
-    CaptureHooks capture(&sample);
-    Tensor exact = net.forward(in, &capture);
+    std::vector<Tensor> exact(net.size());
+    for (NodeId id = 0; id < net.size(); ++id)
+        exact[id] = net.forwardNode(id, in, exact, &sample);
     MaskSet masks = sample.takeMasks();
 
     PredictiveOptions opts;
@@ -350,12 +373,10 @@ TEST(PredictiveInference, AlphaZeroIsExact)
     PredictiveResult res = predictiveForward(topo, ind, zeros, thr, in,
                                              masks, opts);
     EXPECT_EQ(res.predictedNeurons, 0u);
-    EXPECT_TRUE(res.output.allClose(exact, 0.0f));
+    EXPECT_TRUE(res.output.allClose(exact.back(), 0.0f));
     for (NodeId id = 0; id < net.size(); ++id) {
-        const std::string &name = net.layer(id).name();
-        EXPECT_TRUE(res.nodeOutputs[id].allClose(capture.activation(name),
-                                                 0.0f))
-            << name;
+        EXPECT_TRUE(res.nodeOutputs[id].allClose(exact[id], 0.0f))
+            << net.layer(id).name();
     }
 }
 
@@ -669,31 +690,6 @@ TEST(Optimizer, InvalidInputsFatal)
     opts.confidence = 0.68;
     opts.step = 0;
     expectInvalid({randomInput(1)}, "step");
-}
-
-TEST(Optimizer, EvaluatePredictionReflectsThresholds)
-{
-    Network net = tinyBcnn();
-    BcnnTopology topo(net);
-    IndicatorSet ind(topo);
-    OptimizerOptions opts;
-    opts.samples = 3;
-    const std::vector<Tensor> data{randomInput(11)};
-    // alpha = 0: nothing predicted, everything matches exactly.
-    const auto perfect = evaluatePrediction(topo, ind,
-                                            ThresholdSet(topo, 0),
-                                            data, opts);
-    for (const auto &[id, frac] : perfect)
-        EXPECT_DOUBLE_EQ(frac, 1.0);
-    // Huge alpha: mispredictions possible, fractions stay in [0, 1].
-    const auto loose = evaluatePrediction(topo, ind,
-                                          ThresholdSet(topo, 1 << 20),
-                                          data, opts);
-    for (const auto &[id, frac] : loose) {
-        EXPECT_GE(frac, 0.0);
-        EXPECT_LE(frac, 1.0);
-        EXPECT_LE(frac, perfect.at(id) + 1e-12);
-    }
 }
 
 TEST(Optimizer, EmptyTuningSetIsRecoverableError)
