@@ -47,8 +47,9 @@ BM_Conv2dForward(benchmark::State &state)
 {
     const auto channels = static_cast<std::size_t>(state.range(0));
     Conv2d conv("c", channels, channels, 3, 1, 1);
-    Tensor w = randomTensor(conv.weights().shape(), 1);
-    conv.weights() = w;
+    const Tensor w = randomTensor(
+        Shape({channels, channels, 3, 3}), 1);
+    conv.setWeights(w.data());
     Tensor in = randomTensor(Shape({channels, 16, 16}), 2);
     for (auto _ : state) {
         Tensor out = conv.forward({&in}, nullptr);
@@ -65,8 +66,9 @@ BM_CountDroppedNwInputs(benchmark::State &state)
 {
     const auto channels = static_cast<std::size_t>(state.range(0));
     Conv2d conv("c", channels, channels, 3, 1, 1);
-    Tensor w = randomTensor(conv.weights().shape(), 3);
-    conv.weights() = w;
+    const Tensor w = randomTensor(
+        Shape({channels, channels, 3, 3}), 3);
+    conv.setWeights(w.data());
     LayerIndicators ind(conv);
     BitVolume mask = randomMask(channels, 16, 16, 4);
     for (auto _ : state) {

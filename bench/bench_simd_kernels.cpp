@@ -137,6 +137,32 @@ scaledIters(std::size_t base)
     return base;
 }
 
+/** One conv layer's one-off weight pack (level-independent): the
+ *  set-up cost that buys the per-call packedConvForward rows. */
+struct PackRow {
+    std::string shape;
+    double ms = 0.0;
+};
+
+/** Conv shapes timed by both sections, with their pack costs. */
+std::vector<PackRow> packRows;
+
+/** Pack @p w as an M x N x K x K layer, recording the time under
+ *  @p shape.  @return the packed weights. */
+simd::ConvWeights
+timedPack(const std::string &shape, std::size_t out_c, std::size_t in_c,
+          std::size_t k, const std::vector<float> &w)
+{
+    volatile float sink = 0.0f;
+    const double ns = timeNs(
+        [&] {
+            sink = simd::ConvWeights(out_c, in_c, k, w.data()).data()[0];
+        },
+        scaledIters(8));
+    packRows.push_back({shape, ns / 1e6});
+    return simd::ConvWeights(out_c, in_c, k, w.data());
+}
+
 // ---------------------------------------------------------------- //
 // Per-kernel microbenchmarks                                       //
 // ---------------------------------------------------------------- //
@@ -193,10 +219,12 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
 
     std::size_t pop_ref = 0;
 
-    rows.push_back({"convForward",
+    rows.push_back({"packedConvForward",
                     format("%zux%zux%zu k%zu s%zu p%zu -> %zu", in_c,
                            in_h, in_w, k, stride, pad, out_c),
                     {}});
+    const simd::ConvWeights conv_packed =
+        timedPack(rows.back().shape, out_c, in_c, k, conv_w);
     rows.push_back({"denseForward", format("%zu x %zu", out_f, in_f), {}});
     rows.push_back({"poolMax", format("%zux%zux%zu k2 s2", pc, ph, pw), {}});
     rows.push_back({"poolAvg", format("%zux%zux%zu k2 s2", pc, ph, pw), {}});
@@ -215,10 +243,9 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
 
         rows[0].ns[li] = timeNs(
             [&] {
-                ks.convForward(conv_in.data(), conv_w.data(),
-                               conv_b.data(), conv_out.data(), in_c,
-                               out_c, in_h, in_w, out_h, out_w, k,
-                               stride, pad);
+                ks.packedConvForward(conv_in.data(), conv_packed,
+                                     conv_b.data(), conv_out.data(), in_h,
+                                     in_w, out_h, out_w, stride, pad);
             },
             scaledIters(40));
         if (is_scalar)
@@ -226,7 +253,7 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
         else
             check(sameBytes(conv_out.data(), conv_ref.data(),
                             conv_out.size() * sizeof(float)),
-                  "convForward output differs from scalar");
+                  "packedConvForward output differs from scalar");
 
         rows[1].ns[li] = timeNs(
             [&] {
@@ -325,17 +352,19 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
         const std::vector<float> b = randomFloats(cs.out_c, seed++);
         std::vector<float> out(cs.out_c * oh * ow, 0.0f);
         std::vector<float> ref;
-        KernelRow row{"convForward",
+        KernelRow row{"packedConvForward",
                       format("%zux%zux%zu k%zu s%zu p%zu -> %zu", cs.in_c,
                              cs.h, cs.w, cs.k, cs.s, cs.p, cs.out_c),
                       {}};
+        const simd::ConvWeights packed =
+            timedPack(row.shape, cs.out_c, cs.in_c, cs.k, w);
         for (simd::SimdLevel level : levels) {
             const simd::SimdKernels &ks = simd::kernelsFor(level);
             row.ns[static_cast<int>(level)] = timeNs(
                 [&] {
-                    ks.convForward(x.data(), w.data(), b.data(),
-                                   out.data(), cs.in_c, cs.out_c, cs.h,
-                                   cs.w, oh, ow, cs.k, cs.s, cs.p);
+                    ks.packedConvForward(x.data(), packed, b.data(),
+                                         out.data(), cs.h, cs.w, oh, ow,
+                                         cs.s, cs.p);
                 },
                 scaledIters(8));
             if (level == simd::SimdLevel::Scalar)
@@ -343,7 +372,7 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
             else
                 check(sameBytes(out.data(), ref.data(),
                                 out.size() * sizeof(float)),
-                      "convForward output differs from scalar");
+                      "packedConvForward output differs from scalar");
         }
         rows.push_back(row);
     }
@@ -515,6 +544,12 @@ writeJson(const std::vector<simd::SimdLevel> &levels,
                  << (i + 1 == levels.size() ? "" : ", ");
         json << "}}" << (r + 1 == rows.size() ? "\n" : ",\n");
     }
+    json << "  ],\n  \"conv_pack\": [\n";
+    for (std::size_t r = 0; r < packRows.size(); ++r) {
+        json << "    {\"shape\": \"" << packRows[r].shape
+             << "\", \"pack_ms\": " << format("%.4f", packRows[r].ms)
+             << "}" << (r + 1 == packRows.size() ? "\n" : ",\n");
+    }
     const double best_ms = e2e.ms[static_cast<int>(levels.back())];
     json << "  ],\n  \"end_to_end\": {\"model\": \"" << e2e.model
          << "\", "
@@ -578,6 +613,12 @@ main()
                   speed(simd::SimdLevel::Avx2)});
     }
     t.print(std::cout);
+
+    std::cout << "\nconv weight packing (once per layer, at set-up):\n";
+    Table tp({"shape", "pack ms"});
+    for (const PackRow &row : packRows)
+        tp.addRow({row.shape, format("%.4f", row.ms)});
+    tp.print(std::cout);
 
     const EndToEnd e2e = runEndToEnd(levels, benchScale());
     std::cout << "\nend-to-end predictiveForward (" << e2e.model << ", "

@@ -21,17 +21,28 @@ flipBit(float &slot, unsigned bit)
     slot = std::bit_cast<float>(word);
 }
 
-/** @return the parameter tensor of @p layer, or nullptr. */
-Tensor *
-weightsOf(Layer &layer)
+/**
+ * Flip bit @p bit of weight (@p element mod the layer's weight count)
+ * of @p layer.  @return false when the layer has no weights.
+ */
+bool
+flipWeight(Layer &layer, std::size_t element, unsigned bit)
 {
     switch (layer.kind()) {
-      case LayerKind::Conv2d:
-        return &static_cast<Conv2d &>(layer).weights();
-      case LayerKind::Linear:
-        return &static_cast<Linear &>(layer).weights();
+      case LayerKind::Conv2d: {
+        auto &conv = static_cast<Conv2d &>(layer);
+        conv.flipWeightBit(element % conv.weights().size(), bit);
+        return true;
+      }
+      case LayerKind::Linear: {
+        Tensor &w = static_cast<Linear &>(layer).weights();
+        if (w.numel() == 0)
+            return false;
+        flipBit(w.at(element % w.numel()), bit);
+        return true;
+      }
       default:
-        return nullptr;
+        return false;
     }
 }
 
@@ -207,14 +218,11 @@ applyWeightFaults(Network &net, const FaultPlan &plan)
                           "weight fault targets unknown layer '%s'",
                           spec.layer.c_str());
         }
-        Tensor *weights = weightsOf(net.layer(*id));
-        if (weights == nullptr || weights->numel() == 0) {
+        if (!flipWeight(net.layer(*id), spec.element, spec.bit)) {
             return errorf(ErrorCode::InvalidArgument,
                           "weight fault targets layer '%s' which has "
                           "no parameters", spec.layer.c_str());
         }
-        flipBit(weights->at(spec.element % weights->numel()),
-                spec.bit);
         ++flips;
     }
     return flips;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <vector>
 
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -25,8 +26,10 @@ initializeWeights(Network &net, const InitOptions &opts)
                 static_cast<double>(conv.kernelSize());
             const double sigma_w =
                 opts.weightScale * std::sqrt(2.0 / fan_in);
-            for (float &w : conv.weights().data())
-                w = static_cast<float>(sigma_w * gauss(engine));
+            std::vector<float> w(conv.weights().size());
+            for (float &v : w)
+                v = static_cast<float>(sigma_w * gauss(engine));
+            conv.setWeights(w);
             // Pre-activation std for unit-variance inputs is roughly
             // sqrt(fan_in)·σ_w; shift the bias by a fraction of it so
             // post-ReLU sparsity lands in the calibrated band.

@@ -1,9 +1,10 @@
 #include "conv2d.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "common/check.hpp"
-#include "simd/simd.hpp"
 
 namespace fastbcnn {
 
@@ -13,8 +14,7 @@ Conv2d::Conv2d(std::string name, std::size_t in_channels,
     : Layer(std::move(name)), inChannels_(in_channels),
       outChannels_(out_channels), kernelSize_(kernel_size),
       stride_(stride), padding_(padding),
-      weights_(Shape({out_channels, in_channels, kernel_size,
-                      kernel_size})),
+      weights_(out_channels, in_channels, kernel_size),
       bias_(Shape({out_channels}))
 {
     if (in_channels == 0 || out_channels == 0 || kernel_size == 0 ||
@@ -68,20 +68,37 @@ Conv2d::computeNeuron(const Tensor &input, std::size_t m, std::size_t r,
     const Idx j0 = std::max<Idx>(0, -x0);
     const Idx i1 = std::min<Idx>(k, static_cast<Idx>(h) - y0);
     const Idx j1 = std::min<Idx>(k, static_cast<Idx>(w) - x0);
+    // Channel m's weights lie one packed lane apart per tap.
+    constexpr Idx lanes = simd::ConvWeights::kLanes;
     const float *in = input.data().data();
-    const float *wm =
-        weights_.data().data() + m * inChannels_ * kernelSize_ * kernelSize_;
+    const float *wm = weights_.channel(m);
     float acc = bias_.data()[m];
     for (std::size_t n = 0; n < inChannels_; ++n) {
-        const float *wk = wm + static_cast<Idx>(n) * k * k;
+        const float *wk = wm + static_cast<Idx>(n) * k * k * lanes;
         const float *plane = in + n * h * w;
         for (Idx i = i0; i < i1; ++i) {
             const float *row = plane + (y0 + i) * static_cast<Idx>(w);
             for (Idx j = j0; j < j1; ++j)
-                acc += wk[i * k + j] * row[x0 + j];
+                acc += wk[(i * k + j) * lanes] * row[x0 + j];
         }
     }
     return acc;
+}
+
+void
+Conv2d::setWeights(std::span<const float> mckk)
+{
+    FASTBCNN_CHECK_EQ(mckk.size(), weights_.size());
+    weights_.assign(mckk.data());
+}
+
+void
+Conv2d::flipWeightBit(std::size_t index, unsigned bit)
+{
+    FASTBCNN_CHECK_LT(index, weights_.size());
+    const auto word = std::bit_cast<std::uint32_t>(weights_.at(index)) ^
+                      (1u << (bit & 31u));
+    weights_.set(index, std::bit_cast<float>(word));
 }
 
 Tensor
@@ -101,12 +118,10 @@ Conv2d::forward(const std::vector<const Tensor *> &inputs,
     // Hot loops live in the dispatched SIMD kernel layer (the checked
     // per-neuron path is computeNeuron(), kept as the reference; every
     // dispatch level accumulates taps in its exact order).
-    simd::active().convForward(input.data().data(),
-                               weights_.data().data(),
-                               bias_.data().data(), out.data().data(),
-                               inChannels_, outChannels_, in_h, in_w,
-                               out_h, out_w, kernelSize_, stride_,
-                               padding_);
+    simd::active().packedConvForward(input.data().data(), weights_,
+                                     bias_.data().data(),
+                                     out.data().data(), in_h, in_w, out_h,
+                                     out_w, stride_, padding_);
     if (hooks)
         hooks->onActivation(name(), kind(), out);
     return out;

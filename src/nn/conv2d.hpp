@@ -6,7 +6,10 @@
 #ifndef FASTBCNN_NN_CONV2D_HPP
 #define FASTBCNN_NN_CONV2D_HPP
 
+#include <span>
+
 #include "layer.hpp"
+#include "simd/simd.hpp"
 
 namespace fastbcnn {
 
@@ -16,7 +19,10 @@ namespace fastbcnn {
  * Weights are MCKK (output channel, input channel, kernel row, kernel
  * column) plus one bias per output channel; square kernels, symmetric
  * zero padding, uniform stride — the configurations used by LeNet-5,
- * VGG16 and GoogLeNet.
+ * VGG16 and GoogLeNet.  The layer keeps one copy of its weights,
+ * already packed in the conv kernels' blocked layout
+ * (simd::ConvWeights): setWeights() and flipWeightBit() pack, and
+ * forward() only reads.
  */
 class Conv2d : public Layer
 {
@@ -61,10 +67,20 @@ class Conv2d : public Layer
     /** @return symmetric zero padding. */
     std::size_t padding() const { return padding_; }
 
-    /** @return mutable MCKK weight tensor. */
-    Tensor &weights() { return weights_; }
-    /** @return MCKK weight tensor. */
-    const Tensor &weights() const { return weights_; }
+    /**
+     * Replace every weight with @p mckk (weights().size() floats, MCKK
+     * order) and pack them.  Not safe against concurrent forward()
+     * calls on this layer.
+     */
+    void setWeights(std::span<const float> mckk);
+    /**
+     * Flip bit @p bit (mod 32) of the weight at flat MCKK index
+     * @p index, packed form included: a single-event upset.
+     */
+    void flipWeightBit(std::size_t index, unsigned bit);
+    /** @return the packed weights, read-only: w(m, n, i, j) through
+     *  operator(), MCKK order through at() and mckk(). */
+    const simd::ConvWeights &weights() const { return weights_; }
     /** @return mutable per-output-channel bias vector. */
     Tensor &bias() { return bias_; }
     /** @return per-output-channel bias vector. */
@@ -76,7 +92,7 @@ class Conv2d : public Layer
     std::size_t kernelSize_;
     std::size_t stride_;
     std::size_t padding_;
-    Tensor weights_;  ///< MCKK
+    simd::ConvWeights weights_;
     Tensor bias_;     ///< M
 };
 

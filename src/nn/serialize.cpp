@@ -13,10 +13,20 @@ namespace fastbcnn {
 
 namespace {
 
-/** Parameter tensors of a layer, or nullptrs when it has none. */
+/**
+ * Parameters of a layer, or nullptrs when it has none.  A Linear's
+ * weights are a tensor; a Conv2d's are packed, so they are read and
+ * written through the layer in MCKK order.
+ */
 struct ParamRefs {
-    Tensor *weights = nullptr;
+    Conv2d *conv = nullptr;
+    Tensor *weights = nullptr;  ///< Linear only
     Tensor *bias = nullptr;
+
+    std::size_t weightCount() const
+    {
+        return conv ? conv->weights().size() : weights->numel();
+    }
 };
 
 ParamRefs
@@ -25,11 +35,11 @@ paramsOf(Layer &layer)
     switch (layer.kind()) {
       case LayerKind::Conv2d: {
         auto &conv = static_cast<Conv2d &>(layer);
-        return {&conv.weights(), &conv.bias()};
+        return {&conv, nullptr, &conv.bias()};
       }
       case LayerKind::Linear: {
         auto &fc = static_cast<Linear &>(layer);
-        return {&fc.weights(), &fc.bias()};
+        return {nullptr, &fc.weights(), &fc.bias()};
       }
       default:
         return {};
@@ -46,13 +56,17 @@ checkpointImageOf(const Network &net)
     for (NodeId id = 0; id < net.size(); ++id) {
         // paramsOf needs mutable access; snapshotting only reads.
         ParamRefs p = paramsOf(const_cast<Layer &>(net.layer(id)));
-        if (!p.weights)
+        if (!p.bias)
             continue;
         CheckpointRecord rec;
         rec.name = net.layer(id).name();
         rec.kind = net.layer(id).kind();
-        rec.weights.assign(p.weights->data().begin(),
-                           p.weights->data().end());
+        if (p.conv) {
+            rec.weights = p.conv->weights().mckk();
+        } else {
+            rec.weights.assign(p.weights->data().begin(),
+                               p.weights->data().end());
+        }
         rec.bias.assign(p.bias->data().begin(), p.bias->data().end());
         image.records.push_back(std::move(rec));
     }
@@ -74,19 +88,19 @@ tryCommitCheckpointImage(Network &net, const CheckpointImage &image)
                           net.name().c_str(), rec.name.c_str());
         }
         ParamRefs p = paramsOf(net.layer(*id));
-        if (!p.weights) {
+        if (!p.bias) {
             return errorf(ErrorCode::Mismatch,
                           "layer '%.64s' in weight file has no "
                           "parameters in the network",
                           rec.name.c_str());
         }
-        if (p.weights->numel() != rec.weights.size() ||
+        if (p.weightCount() != rec.weights.size() ||
             p.bias->numel() != rec.bias.size()) {
             return errorf(ErrorCode::Mismatch,
                           "layer '%.64s': checkpoint holds %zu/%zu "
                           "values but the network needs %zu/%zu",
                           rec.name.c_str(), rec.weights.size(),
-                          rec.bias.size(), p.weights->numel(),
+                          rec.bias.size(), p.weightCount(),
                           p.bias->numel());
         }
         nodes.push_back(*id);
@@ -97,8 +111,12 @@ tryCommitCheckpointImage(Network &net, const CheckpointImage &image)
     for (std::size_t i = 0; i < image.records.size(); ++i) {
         const CheckpointRecord &rec = image.records[i];
         ParamRefs p = paramsOf(net.layer(nodes[i]));
-        std::copy(rec.weights.begin(), rec.weights.end(),
-                  p.weights->data().begin());
+        if (p.conv) {
+            p.conv->setWeights(rec.weights);
+        } else {
+            std::copy(rec.weights.begin(), rec.weights.end(),
+                      p.weights->data().begin());
+        }
         std::copy(rec.bias.begin(), rec.bias.end(),
                   p.bias->data().begin());
     }
@@ -113,7 +131,7 @@ printSummary(const Network &net, std::ostream &os)
     for (NodeId id = 0; id < net.size(); ++id) {
         ParamRefs p = paramsOf(const_cast<Layer &>(net.layer(id)));
         const std::uint64_t params =
-            p.weights ? p.weights->numel() + p.bias->numel() : 0;
+            p.bias ? p.weightCount() + p.bias->numel() : 0;
         total_params += params;
         t.addRow({format("%zu", id), net.layer(id).name(),
                   layerKindName(net.layer(id).kind()),

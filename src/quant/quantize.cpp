@@ -81,7 +81,7 @@ paramCounts(const Network &net, const QuantNode &n, std::size_t &w_count,
 {
     if (n.kind == LayerKind::Conv2d) {
         const auto &c = static_cast<const Conv2d &>(net.layer(n.id));
-        w_count = c.weights().numel();
+        w_count = c.weights().size();
         b_count = c.bias().numel();
         taps = c.inChannels() * c.kernelSize() * c.kernelSize();
     } else {
@@ -284,12 +284,13 @@ QuantizedNetwork::build(const Network &net,
         }
         const float s_out_target = scaleFromMaxAbs(it->second);
 
-        const Tensor *w = nullptr;
+        const simd::ConvWeights *cw = nullptr;  // a conv's, packed
+        const Tensor *w = nullptr;               // a Linear's
         const Tensor *b = nullptr;
         std::size_t taps = 0;
         if (n.kind == LayerKind::Conv2d) {
             const auto &c = static_cast<const Conv2d &>(net.layer(n.id));
-            w = &c.weights();
+            cw = &c.weights();
             b = &c.bias();
             taps = c.inChannels() * c.kernelSize() * c.kernelSize();
         } else {
@@ -298,7 +299,14 @@ QuantizedNetwork::build(const Network &net,
             b = &l.bias();
             taps = l.inFeatures();
         }
-        const float w_max = w->maxAbs();
+        // Weight i in MCKK (or row-major) order, read in place.
+        const std::size_t w_count = cw ? cw->size() : w->numel();
+        const auto weight = [&](std::size_t i) {
+            return cw ? cw->at(i) : w->at(i);
+        };
+        float w_max = 0.0f;
+        for (std::size_t i = 0; i < w_count; ++i)
+            w_max = std::max(w_max, std::fabs(weight(i)));
         if (!std::isfinite(w_max) || !allFinite(*b)) {
             return errorf(ErrorCode::InvalidArgument,
                           "layer '%s' has non-finite parameters",
@@ -322,9 +330,9 @@ QuantizedNetwork::build(const Network &net,
              std::exp2(static_cast<double>(sh))));
         n.outScale = chainOutScale(n.inScale, n.wScale, n.shift);
 
-        n.weights.resize(w->numel());
-        for (std::size_t i = 0; i < w->numel(); ++i)
-            n.weights[i] = quantizeValue(w->at(i), n.wScale);
+        n.weights.resize(w_count);
+        for (std::size_t i = 0; i < w_count; ++i)
+            n.weights[i] = quantizeValue(weight(i), n.wScale);
 
         const double b_scale = static_cast<double>(n.inScale) *
                                static_cast<double>(n.wScale);

@@ -97,6 +97,20 @@ activeLevelSlot()
 
 } // namespace
 
+void
+SimdKernels::convForward(const float *in, const float *w,
+                         const float *bias, float *out,
+                         std::size_t in_channels,
+                         std::size_t out_channels, std::size_t in_h,
+                         std::size_t in_w, std::size_t out_h,
+                         std::size_t out_w, std::size_t kernel,
+                         std::size_t stride, std::size_t padding) const
+{
+    const ConvWeights packed(out_channels, in_channels, kernel, w);
+    packedConvForward(in, packed, bias, out, in_h, in_w, out_h, out_w,
+                      stride, padding);
+}
+
 const SimdKernels &
 active()
 {

@@ -8,7 +8,8 @@
  * Bit-identity rules (full contract in simd.hpp): vectorize across
  * independent outputs only, never across a reduction, and keep the
  * scalar tap order per output element.  The conv puts 8 output
- * channels in the lanes (one broadcast input feeds all 8); pooling and
+ * channels in the lanes (one broadcast input feeds all 8) and reads
+ * their weights as packed by ConvWeights; pooling and
  * ReLU vectorize along output columns.  Use separate mul + add (never
  * fmadd, which would double-round differently), cmp + blendv for max
  * semantics and skipped taps, cmp + and for ReLU semantics, and
@@ -161,15 +162,15 @@ loadEven8(const float *in, std::size_t b)
 }
 
 /** Output channels of one dense-conv block: one per AVX2 lane. */
-inline constexpr std::size_t kConvLanes = 8;
+inline constexpr std::size_t kConvLanes = ConvWeights::kLanes;
 
 /** Register accumulators of one dense-conv tile. */
 inline constexpr std::size_t kConvAccs = 8;
 
 /**
- * Packed (tap, block) weight vectors of one chunk, kConvLanes floats
- * each (16 KiB of stack, L1-resident).  Layers with more taps per
- * output run in input-channel chunks.
+ * Tap vectors (taps x blocks of a tile) per input-channel chunk:
+ * 16 KiB of packed weights, reused from L1 across every tile of the
+ * plane.  Layers with more taps per output run in several chunks.
  */
 inline constexpr std::size_t kConvChunkVecs = 512;
 
@@ -183,20 +184,29 @@ inline constexpr std::size_t kMaxOnePositionPlane = 16;
  */
 inline constexpr std::size_t kMaxConvKernel = 22;
 
-/** Which real lanes of one packed tap hold an exactly-zero weight. */
-enum class TapZeros : std::uint8_t { None, Some, All };
+/**
+ * The taps of one input-channel chunk, built once per call (they
+ * depend on the input geometry, and every chunk starts on a channel
+ * boundary, so all chunks share them).  Per tap t = (n, i, j) from
+ * the chunk's first channel: the input offset n * H * W + i * W + j
+ * from a position's first tap, and i * K + j.
+ */
+struct ConvTaps {
+    std::ptrdiff_t off[kConvChunkVecs];
+    std::uint16_t ij[kConvChunkVecs];
+};
 
 /**
- * One group of B blocks' weights over one input-channel chunk (21.5
- * KiB of stack in all), with per tap t = (n, i, j): the input offset
- * n * H * W + i * W + j from a position's first tap, i * K + j, and
- * the tap's zero-lane class.
+ * What one tile group reads of the packed weights in one chunk: tap
+ * ti of block b at w + b * block_stride + ti * kConvLanes, and the
+ * tap's zero class across the group's blocks (zeros is null when no
+ * weight of the chunk is zero).
  */
 struct ConvChunk {
-    alignas(32) float w[kConvChunkVecs][kConvLanes];  ///< [tap][block]
-    std::ptrdiff_t tap[kConvChunkVecs];
-    std::uint16_t ij[kConvChunkVecs];
-    TapZeros zeros[kConvChunkVecs];
+    const float *w;
+    std::size_t block_stride;
+    const TapZeros *zeros;
+    std::size_t taps;
 };
 
 /** In-register 8x8 float transpose (pure data movement). */
@@ -237,81 +247,38 @@ struct ConvGeom {
 };
 
 /**
- * Pack the weights of the @p B blocks of output channels from @p m0
- * (@p real of them exist) over input channels [n0, n0 + n_count),
- * eight taps at a time through one transpose.  Pad lanes get weight
- * 1.0f: nonzero, so they never force a blend, and their accumulators
- * are never stored.  A tap is All-zero when every real lane is, and
- * then skipped outright.  @return whether any weight is zero (when
- * not, the per-tap classes are left unset).
+ * Zero classes of taps [t0, t0 + taps) across the B blocks from @p b0:
+ * All when the tap is All in every block, Some when any block has a
+ * zero lane.  One block reads the layer's table in place; a group is
+ * combined into @p buf.  @return null when no tap has a zero weight.
  */
 template <std::size_t B>
-FASTBCNN_HOT inline bool
-packConvChunk(const ConvGeom &g, const float *w_data, ConvChunk &chunk,
-              std::size_t m0, std::size_t real, std::size_t n0,
-              std::size_t n_count, std::size_t in_channels)
+FASTBCNN_HOT inline const TapZeros *
+chunkZeros(const ConvWeights &w, std::size_t b0, std::size_t t0,
+           std::size_t taps, TapZeros *buf)
 {
-    const std::size_t kk = g.kernel * g.kernel;
-    const std::size_t taps = n_count * kk;
-    std::size_t t = 0;
-    for (std::size_t n = n0; n < n0 + n_count; ++n) {
-        for (std::size_t i = 0; i < g.kernel; ++i) {
-            for (std::size_t j = 0; j < g.kernel; ++j, ++t) {
-                chunk.ij[t] = static_cast<std::uint16_t>(i * g.kernel + j);
-                chunk.tap[t] = static_cast<std::ptrdiff_t>(
-                    n * g.in_plane + i * g.in_w + j);
-            }
-        }
+    if (w.zeros() == nullptr)
+        return nullptr;
+    const TapZeros *z = w.zeros() + b0 * w.taps() + t0;
+    bool any = false;
+    if constexpr (B == 1) {
+        for (std::size_t t = 0; t < taps; ++t)
+            any = any || z[t] != TapZeros::None;
+        return any ? z : nullptr;
     }
-    const __m256 zero = _mm256_setzero_ps();
-    __m256 any_zero = zero;
-    for (std::size_t b = 0; b < B; ++b) {
-        const float *src[kConvLanes];
-        for (std::size_t l = 0; l < kConvLanes; ++l) {
-            const std::size_t m = b * kConvLanes + l;
-            src[l] = m < real ? w_data + ((m0 + m) * in_channels + n0) * kk
-                              : nullptr;
-        }
-        t = 0;
-        for (; t + kConvLanes <= taps; t += kConvLanes) {
-            __m256 v[kConvLanes];
-            for (std::size_t l = 0; l < kConvLanes; ++l) {
-                v[l] = src[l] != nullptr ? _mm256_loadu_ps(src[l] + t)
-                                         : _mm256_set1_ps(1.0f);
-            }
-            transpose8x8(v);
-            for (std::size_t q = 0; q < kConvLanes; ++q) {
-                _mm256_store_ps(chunk.w[(t + q) * B + b], v[q]);
-                any_zero = _mm256_or_ps(
-                    any_zero, _mm256_cmp_ps(v[q], zero, _CMP_EQ_OQ));
-            }
-        }
-        for (; t < taps; ++t) {
-            float *dst = chunk.w[t * B + b];
-            for (std::size_t l = 0; l < kConvLanes; ++l)
-                dst[l] = src[l] != nullptr ? src[l][t] : 1.0f;
-            any_zero = _mm256_or_ps(
-                any_zero,
-                _mm256_cmp_ps(_mm256_load_ps(dst), zero, _CMP_EQ_OQ));
-        }
-    }
-    if (_mm256_movemask_ps(any_zero) == 0)
-        return false;
-    for (t = 0; t < taps; ++t) {
+    for (std::size_t t = 0; t < taps; ++t) {
         bool all = true, some = false;
         for (std::size_t b = 0; b < B; ++b) {
-            const std::size_t lanes =
-                std::min(kConvLanes, real - std::min(real, b * kConvLanes));
-            const int zero_lanes = _mm256_movemask_ps(_mm256_cmp_ps(
-                _mm256_load_ps(chunk.w[t * B + b]), zero, _CMP_EQ_OQ));
-            all = all && zero_lanes == (1 << lanes) - 1;
-            some = some || zero_lanes != 0;
+            const TapZeros c = z[b * w.taps() + t];
+            all = all && c == TapZeros::All;
+            some = some || c != TapZeros::None;
         }
-        chunk.zeros[t] = all    ? TapZeros::All
-                         : some ? TapZeros::Some
-                                : TapZeros::None;
+        buf[t] = all    ? TapZeros::All
+                 : some ? TapZeros::Some
+                        : TapZeros::None;
+        any = any || some;
     }
-    return true;
+    return any ? buf : nullptr;
 }
 
 /**
@@ -392,25 +359,26 @@ tapLanes(__m256 acc, const float *w, __m256 x)
     }
 }
 
-/** One tap at one position, broadcast to the B blocks' accumulators. */
+/** One tap at one position, broadcast to the B blocks' accumulators;
+ *  block b's weights sit at w + b * stride. */
 template <bool kZeros, std::size_t... Bs>
 [[gnu::always_inline]] FASTBCNN_HOT inline void
-tapPosition(__m256 *acc, const float (*w)[kConvLanes], float x,
+tapPosition(__m256 *acc, const float *w, std::size_t stride, float x,
             std::index_sequence<Bs...>)
 {
     const __m256 xv = _mm256_set1_ps(x);
-    ((acc[Bs] = tapLanes<kZeros>(acc[Bs], w[Bs], xv)), ...);
+    ((acc[Bs] = tapLanes<kZeros>(acc[Bs], w + Bs * stride, xv)), ...);
 }
 
 /** One tap at slot S when it is set in @p live; the slot's input sits
  *  at in[off[S] + tap] and is read only then. */
 template <std::size_t S, std::size_t B, bool kZeros>
 [[gnu::always_inline]] FASTBCNN_HOT inline void
-tapSlot(__m256 *acc, const float (*w)[kConvLanes], const float *in,
+tapSlot(__m256 *acc, const float *w, std::size_t stride, const float *in,
         const std::ptrdiff_t *off, std::ptrdiff_t tap, unsigned live)
 {
     if (((live >> S) & 1u) != 0) {
-        tapPosition<kZeros>(acc + S * B, w, in[off[S] + tap],
+        tapPosition<kZeros>(acc + S * B, w, stride, in[off[S] + tap],
                             std::make_index_sequence<B>{});
     }
 }
@@ -418,11 +386,11 @@ tapSlot(__m256 *acc, const float (*w)[kConvLanes], const float *in,
 /** One tap over the slots set in @p live. */
 template <std::size_t B, bool kZeros, std::size_t... S>
 [[gnu::always_inline]] FASTBCNN_HOT inline void
-tapSlots(__m256 *acc, const float (*w)[kConvLanes], const float *in,
+tapSlots(__m256 *acc, const float *w, std::size_t stride, const float *in,
          const std::ptrdiff_t *off, std::ptrdiff_t tap, unsigned live,
          std::index_sequence<S...>)
 {
-    (tapSlot<S, B, kZeros>(acc, w, in, off, tap, live), ...);
+    (tapSlot<S, B, kZeros>(acc, w, stride, in, off, tap, live), ...);
 }
 
 /**
@@ -434,7 +402,7 @@ tapSlots(__m256 *acc, const float (*w)[kConvLanes], const float *in,
  */
 template <std::size_t Q, bool kInterior, bool kZeros, std::size_t... A>
 [[gnu::always_inline]] FASTBCNN_HOT inline void
-convTileTaps(const float *in, const ConvChunk &chunk, std::size_t taps,
+convTileTaps(const float *in, const ConvChunk &chunk, const ConvTaps &taps,
              const ConvTilePos &t, __m256 *acc_io,
              std::index_sequence<A...>)
 {
@@ -443,19 +411,21 @@ convTileTaps(const float *in, const ConvChunk &chunk, std::size_t taps,
     constexpr auto slots = std::make_index_sequence<Q>{};
     // A local copy indexed only by constants stays in registers.
     __m256 acc[kConvAccs] = {acc_io[A]...};
-    for (std::size_t ti = 0; ti < taps; ++ti) {
-        const unsigned live = kInterior ? full : t.live[chunk.ij[ti]];
-        const float(*w)[kConvLanes] = chunk.w + ti * B;
-        const std::ptrdiff_t tap = chunk.tap[ti];
+    const std::size_t stride = chunk.block_stride;
+    for (std::size_t ti = 0; ti < chunk.taps; ++ti) {
+        const unsigned live = kInterior ? full : t.live[taps.ij[ti]];
+        const float *w = chunk.w + ti * kConvLanes;
+        const std::ptrdiff_t tap = taps.off[ti];
         if constexpr (kZeros) {
             if (chunk.zeros[ti] == TapZeros::All)
                 continue;
             if (chunk.zeros[ti] == TapZeros::Some) {
-                tapSlots<B, true>(acc, w, in, t.off, tap, live, slots);
+                tapSlots<B, true>(acc, w, stride, in, t.off, tap, live,
+                                  slots);
                 continue;
             }
         }
-        tapSlots<B, false>(acc, w, in, t.off, tap, live, slots);
+        tapSlots<B, false>(acc, w, stride, in, t.off, tap, live, slots);
     }
     ((acc_io[A] = acc[A]), ...);
 }
@@ -463,10 +433,11 @@ convTileTaps(const float *in, const ConvChunk &chunk, std::size_t taps,
 /** convTileTaps for the tile's range class and the chunk's zeros. */
 template <std::size_t Q>
 [[gnu::always_inline]] FASTBCNN_HOT inline void
-runTile(const float *in, const ConvChunk &chunk, std::size_t taps,
-        bool zeros, const ConvTilePos &t, __m256 *acc)
+runTile(const float *in, const ConvChunk &chunk, const ConvTaps &taps,
+        const ConvTilePos &t, __m256 *acc)
 {
     constexpr auto accs = std::make_index_sequence<kConvAccs>{};
+    const bool zeros = chunk.zeros != nullptr;
     if (t.interior && !zeros)
         convTileTaps<Q, true, false>(in, chunk, taps, t, acc, accs);
     else if (t.interior)
@@ -526,27 +497,46 @@ moveTile(float *out_group, std::size_t out_plane, std::size_t z0,
 
 /**
  * The blocked conv with tiles of Q positions x (8 / Q) blocks of 8
- * output channels (a group), Q = 8 or 1.  One-position tiles keep
- * their accumulators between chunks in a stack stage instead of the
- * output (planes of at most kMaxOnePositionPlane positions), so the
- * spill is 8 vector stores, and write the output once per group.
+ * output channels (a group), Q = 8 or 1, over the packed weights as
+ * they lie.  One-position tiles need at least 8 blocks: a last group
+ * that would run past the final block slides back to end on it,
+ * recomputing (bit for bit) blocks the previous group stored.  They
+ * keep their accumulators between chunks in a stack stage instead of
+ * the output (planes of at most kMaxOnePositionPlane positions), so
+ * the spill is 8 vector stores, and write the output once per group.
  */
 template <std::size_t Q>
 FASTBCNN_HOT void
-convBlocked(const ConvGeom &g, const float *w_data, const float *bias,
-            float *out_data, std::size_t in_channels,
-            std::size_t out_channels)
+convBlocked(const ConvGeom &g, const ConvWeights &w, const float *bias,
+            float *out_data)
 {
     constexpr std::size_t B = kConvAccs / Q;
     constexpr std::size_t stage_positions =
         Q == 1 ? kMaxOnePositionPlane : 1;
+    const std::size_t kk = g.kernel * g.kernel;
+    const std::size_t in_channels = w.inChannels();
     const std::size_t chunk_channels =
-        kConvChunkVecs / (g.kernel * g.kernel * B);
-    ConvChunk chunk;
+        std::min(in_channels, kConvChunkVecs / (kk * B));
+    ConvTaps taps;
+    std::size_t tap = 0;
+    for (std::size_t n = 0; n < chunk_channels; ++n) {
+        for (std::size_t i = 0; i < g.kernel; ++i) {
+            for (std::size_t j = 0; j < g.kernel; ++j, ++tap) {
+                taps.ij[tap] = static_cast<std::uint16_t>(i * g.kernel + j);
+                taps.off[tap] = static_cast<std::ptrdiff_t>(
+                    n * g.in_plane + i * g.in_w + j);
+            }
+        }
+    }
+    TapZeros zeros[B == 1 ? 1 : kConvChunkVecs / B];
     ConvTilePos t;
     __m256 stage[stage_positions][kConvAccs];
-    for (std::size_t m0 = 0; m0 < out_channels; m0 += B * kConvLanes) {
-        const std::size_t real = out_channels - m0;
+    const std::size_t blocks = w.blocks();
+    const std::size_t block_stride = w.taps() * kConvLanes;
+    for (std::size_t g0 = 0; g0 < blocks; g0 += B) {
+        const std::size_t b0 = std::min(g0, blocks - B);
+        const std::size_t m0 = b0 * kConvLanes;
+        const std::size_t real = w.outChannels() - m0;
         alignas(32) float b[B][kConvLanes] = {};
         std::copy_n(bias + m0, std::min(real, B * kConvLanes), b[0]);
         float *out_group = out_data + m0 * g.out_plane;
@@ -554,9 +544,13 @@ convBlocked(const ConvGeom &g, const float *w_data, const float *bias,
         do {
             const std::size_t n_count =
                 std::min(chunk_channels, in_channels - n0);
-            const std::size_t taps = n_count * g.kernel * g.kernel;
-            const bool zeros = packConvChunk<B>(g, w_data, chunk, m0, real,
-                                                n0, n_count, in_channels);
+            const std::size_t t0 = n0 * kk;
+            const ConvChunk chunk{
+                w.data() + b0 * block_stride + t0 * kConvLanes,
+                block_stride,
+                chunkZeros<B>(w, b0, t0, n_count * kk, zeros),
+                n_count * kk};
+            const float *in = g.in + n0 * g.in_plane;
             for (std::size_t z0 = 0; z0 < g.out_plane; z0 += Q) {
                 locateTile<Q>(g, z0, t);
                 __m256 *acc = stage[Q == 1 ? z0 : 0];
@@ -567,7 +561,7 @@ convBlocked(const ConvGeom &g, const float *w_data, const float *bias,
                     moveTile<Q, true>(out_group, g.out_plane, z0, t.count,
                                       real, acc);
                 }
-                runTile<Q>(g.in, chunk, taps, zeros, t, acc);
+                runTile<Q>(in, chunk, taps, t, acc);
                 if constexpr (Q != 1) {
                     moveTile<Q, false>(out_group, g.out_plane, z0, t.count,
                                        real, acc);
@@ -586,43 +580,43 @@ convBlocked(const ConvGeom &g, const float *w_data, const float *bias,
 /*
  * Dense conv, blocked by output channel (the CPU form of the paper's
  * feature-map parallelism, Eqs. 6-7): the 8 lanes are 8 output maps,
- * so one broadcast input value feeds all of them.  A tile keeps 8
- * register accumulators across the whole (n, i, j) tap loop, so every
- * plane size and stride runs full-width.  Each neuron sees exactly the
- * scalar tap sequence: bias, then the (n, i, j) taps in order as
- * mul + add; a zero-weight lane is blended back to its old
+ * so one broadcast input value feeds all of them, and the packed
+ * weights already hold each block's taps as 8-lane vectors.  A tile
+ * keeps 8 register accumulators across the whole (n, i, j) tap loop,
+ * so every plane size and stride runs full-width.  Each neuron sees
+ * exactly the scalar tap sequence: bias, then the (n, i, j) taps in
+ * order as mul + add; a zero-weight lane is blended back to its old
  * accumulator and an out-of-range tap is skipped per position, never
  * added as w * 0 (-0.0 + +0.0 is +0.0, and Inf * 0 is NaN).
  */
 FASTBCNN_HOT void
-avx2ConvForward(const float *in_data, const float *w_data,
-                const float *bias, float *out_data,
-                std::size_t in_channels, std::size_t out_channels,
-                std::size_t in_h, std::size_t in_w, std::size_t out_h,
-                std::size_t out_w, std::size_t kernel,
+avx2ConvForward(const float *in_data, const ConvWeights &w,
+                const float *bias, float *out_data, std::size_t in_h,
+                std::size_t in_w, std::size_t out_h, std::size_t out_w,
                 std::size_t stride, std::size_t padding)
 {
+    const std::size_t kernel = w.kernel();
     if (kernel > kMaxConvKernel) {
-        scalarConvForward(in_data, w_data, bias, out_data, in_channels,
-                          out_channels, in_h, in_w, out_h, out_w,
-                          kernel, stride, padding);
+        scalarConvForward(in_data, w, bias, out_data, in_h, in_w, out_h,
+                          out_w, stride, padding);
         return;
     }
     const ConvGeom g{in_data, in_h,  in_w,   in_h * in_w, out_w,
                      out_h * out_w, kernel, stride, padding};
     // Small late-layer planes run one position per tile across 8
     // blocks: no per-position range checks and no repeated slots,
-    // unless that leaves more pad lanes idle than the slots it saves.
-    const std::size_t blocks = (out_channels + kConvLanes - 1) / kConvLanes;
+    // unless that leaves more blocks idle than the slots it saves.
+    const std::size_t blocks = w.blocks();
     const std::size_t one_wide =
         g.out_plane * ((blocks + kConvAccs - 1) / kConvAccs);
     const std::size_t eight_wide =
         (g.out_plane + kConvAccs - 1) / kConvAccs * blocks;
-    if (g.out_plane <= kMaxOnePositionPlane && one_wide <= eight_wide &&
+    if (g.out_plane <= kMaxOnePositionPlane && blocks >= kConvAccs &&
+        one_wide <= eight_wide &&
         kernel * kernel * kConvAccs <= kConvChunkVecs)
-        convBlocked<1>(g, w_data, bias, out_data, in_channels, out_channels);
+        convBlocked<1>(g, w, bias, out_data);
     else
-        convBlocked<8>(g, w_data, bias, out_data, in_channels, out_channels);
+        convBlocked<8>(g, w, bias, out_data);
 }
 
 FASTBCNN_HOT void

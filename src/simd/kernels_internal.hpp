@@ -40,16 +40,17 @@ bitAt(const std::uint64_t *w, std::size_t pos)
 
 // ------------------------------------------------- scalar references
 
-/** Scalar conv forward (the historical convForwardKernel, verbatim). */
+/** Scalar conv forward (the historical convForwardKernel, reading
+ *  each weight through its channel's packed stride). */
 FASTBCNN_HOT inline void
-scalarConvForward(const float *in_data, const float *w_data,
-                  const float *bias, float *out_data,
-                  std::size_t in_channels, std::size_t out_channels,
-                  std::size_t in_h, std::size_t in_w, std::size_t out_h,
-                  std::size_t out_w, std::size_t kernel,
+scalarConvForward(const float *in_data, const ConvWeights &w,
+                  const float *bias, float *out_data, std::size_t in_h,
+                  std::size_t in_w, std::size_t out_h, std::size_t out_w,
                   std::size_t stride, std::size_t padding)
 {
-    for (std::size_t m = 0; m < out_channels; ++m) {
+    const std::size_t in_channels = w.inChannels();
+    const std::size_t kernel = w.kernel();
+    for (std::size_t m = 0; m < w.outChannels(); ++m) {
         float *out_plane = out_data + m * out_h * out_w;
         const float b = bias[m];
         for (std::size_t i = 0; i < out_h * out_w; ++i)
@@ -57,10 +58,11 @@ scalarConvForward(const float *in_data, const float *w_data,
         for (std::size_t n = 0; n < in_channels; ++n) {
             const float *in_plane = in_data + n * in_h * in_w;
             const float *w_kernel =
-                w_data + (m * in_channels + n) * kernel * kernel;
+                w.channel(m) + n * kernel * kernel * ConvWeights::kLanes;
             for (std::size_t i = 0; i < kernel; ++i) {
                 for (std::size_t j = 0; j < kernel; ++j) {
-                    const float wv = w_kernel[i * kernel + j];
+                    const float wv =
+                        w_kernel[(i * kernel + j) * ConvWeights::kLanes];
                     if (wv == 0.0f)
                         continue;
                     for (std::size_t r = 0; r < out_h; ++r) {

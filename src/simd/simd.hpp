@@ -39,6 +39,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
+#include <vector>
+
+#include "common/aligned.hpp"
 
 namespace fastbcnn::simd {
 
@@ -51,6 +54,97 @@ enum class SimdLevel : int {
 /** Number of dispatch levels (for iteration in tests/benches). */
 inline constexpr int kSimdLevelCount = 2;
 
+/** Exactly-zero weights among the real lanes of one packed tap. */
+enum class TapZeros : std::uint8_t { None, Some, All };
+
+/**
+ * A conv layer's weights in the one layout every conv level reads,
+ * packed once when the layer's weights are set.
+ *
+ * Layout: output channels in blocks of kLanes = 8, one AVX2 lane per
+ * channel; block b holds one kLanes-float vector per tap t = (n * K
+ * + i) * K + j, in tap order: w(m, n, i, j) sits at
+ * data()[(m / 8 * taps() + t) * 8 + m % 8], i.e. [M/8][N][K][K][8].
+ * Lanes past the last output channel hold 1.0f: nonzero, so they
+ * never count as zero weights, and no kernel stores them.  Storage
+ * starts on a cache line, so every tap vector is 32-byte aligned.
+ *
+ * Zero classes: per (block, tap), whether none, some or all of the
+ * block's real lanes hold an exactly-zero weight (+0.0 or -0.0).
+ * They are kept only while some weight is zero (zeros() is null
+ * otherwise), so a dense layer carries nothing beside its weights.
+ * set() refreshes the one class it touches.
+ */
+class ConvWeights
+{
+  public:
+    /** Output channels per block: one AVX2 lane each. */
+    static constexpr std::size_t kLanes = 8;
+
+    /** All-zero weights of an M x N x K x K layer. */
+    ConvWeights(std::size_t out_channels, std::size_t in_channels,
+                std::size_t kernel);
+    /** Pack @p mckk: M * N * K * K floats, MCKK order. */
+    ConvWeights(std::size_t out_channels, std::size_t in_channels,
+                std::size_t kernel, const float *mckk);
+
+    /** Repack from @p mckk (size() floats, MCKK order). */
+    void assign(const float *mckk);
+    /** @return the weight at flat MCKK index @p index. */
+    float at(std::size_t index) const { return w_[slot(index)]; }
+    /** @return w(m, n, i, j). */
+    float operator()(std::size_t m, std::size_t n, std::size_t i,
+                     std::size_t j) const
+    {
+        return at(((m * in_ + n) * kernel_ + i) * kernel_ + j);
+    }
+    /** Set the weight at flat MCKK index @p index. */
+    void set(std::size_t index, float value);
+    /** @return a copy of every weight in MCKK order. */
+    std::vector<float> mckk() const;
+
+    std::size_t outChannels() const { return out_; }
+    std::size_t inChannels() const { return in_; }
+    std::size_t kernel() const { return kernel_; }
+    /** @return N * K * K, the taps per output channel. */
+    std::size_t taps() const { return in_ * kernel_ * kernel_; }
+    /** @return M * N * K * K, the number of real weights. */
+    std::size_t size() const { return out_ * taps(); }
+    /** @return ceil(M / 8), the number of lane blocks. */
+    std::size_t blocks() const { return (out_ + kLanes - 1) / kLanes; }
+    /** @return channel @p m's weight for tap 0; its tap t sits
+     *  t * kLanes floats further on. */
+    const float *channel(std::size_t m) const { return w_.data() + lane(m); }
+    /** @return the packed vectors, blocks() * taps() * kLanes floats. */
+    const float *data() const { return w_.data(); }
+    /** @return the [block][tap] zero classes, or null when no weight
+     *  is zero. */
+    const TapZeros *zeros() const
+    {
+        return zeros_.empty() ? nullptr : zeros_.data();
+    }
+
+  private:
+    /** @return the offset of channel @p m's tap 0. */
+    std::size_t lane(std::size_t m) const
+    {
+        return m / kLanes * taps() * kLanes + m % kLanes;
+    }
+    /** @return the offset of flat MCKK index @p index. */
+    std::size_t slot(std::size_t index) const
+    {
+        return lane(index / taps()) + index % taps() * kLanes;
+    }
+    TapZeros classOf(std::size_t block, std::size_t tap) const;
+    void classify();
+
+    std::size_t out_ = 0;
+    std::size_t in_ = 0;
+    std::size_t kernel_ = 0;
+    AlignedVector<float> w_;
+    std::vector<TapZeros> zeros_;
+};
+
 /**
  * The dispatch table: one entry per hot kernel.  All pointers are
  * always non-null.  Buffer contracts match the historical in-layer
@@ -59,19 +153,24 @@ inline constexpr int kSimdLevelCount = 2;
  */
 struct SimdKernels {
     /**
-     * Convolution forward: accumulate bias + sum over (n, i, j) of
-     * w(m,n,i,j) * in(n, r*stride+i-padding, c*stride+j-padding) into
-     * out(m, r, c), skipping out-of-range (padding) taps and
-     * exactly-zero weights.  Bit-identical across levels, NaN payloads
-     * excepted (a NaN output is a NaN at every level).
+     * Convolution forward over packed weights: accumulate bias + sum
+     * over (n, i, j) of w(m,n,i,j) * in(n, r*stride+i-padding,
+     * c*stride+j-padding) into out(m, r, c), skipping out-of-range
+     * (padding) taps and exactly-zero weights.  Bit-identical across
+     * levels, NaN payloads excepted (a NaN output is a NaN at every
+     * level).  @p w is in the ConvWeights layout, [M/8][N][K][K][8
+     * lanes] with 1.0f pad lanes, and gives M, N and K: the AVX2
+     * level loads its tap vectors as they lie and reads the
+     * per-(block, tap) zero classes, the scalar level reads each
+     * w(m, n, i, j) 8 floats per tap apart.  Nothing is packed here,
+     * and @p w is only read, so one ConvWeights may serve any number
+     * of concurrent calls at any level.
      */
-    void (*convForward)(const float *in, const float *w,
-                        const float *bias, float *out,
-                        std::size_t in_channels, std::size_t out_channels,
-                        std::size_t in_h, std::size_t in_w,
-                        std::size_t out_h, std::size_t out_w,
-                        std::size_t kernel, std::size_t stride,
-                        std::size_t padding);
+    void (*packedConvForward)(const float *in, const ConvWeights &w,
+                              const float *bias, float *out,
+                              std::size_t in_h, std::size_t in_w,
+                              std::size_t out_h, std::size_t out_w,
+                              std::size_t stride, std::size_t padding);
 
     /**
      * Dense (row-major matrix-vector) forward with the lane-strided
@@ -187,6 +286,18 @@ struct SimdKernels {
                          std::size_t in_w, std::size_t out_h,
                          std::size_t out_w, std::size_t k, std::size_t s,
                          std::size_t p, std::int8_t init);
+
+    /**
+     * packedConvForward over loose MCKK weights @p w: packs them into
+     * a temporary ConvWeights on every call first.  For one-off
+     * probes only; a layer packs once and calls packedConvForward.
+     */
+    void convForward(const float *in, const float *w, const float *bias,
+                     float *out, std::size_t in_channels,
+                     std::size_t out_channels, std::size_t in_h,
+                     std::size_t in_w, std::size_t out_h,
+                     std::size_t out_w, std::size_t kernel,
+                     std::size_t stride, std::size_t padding) const;
 };
 
 /** Bytes between consecutive tap planes of the countNwInputs scratch:

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <thread>
@@ -28,6 +29,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/dropout.hpp"
 #include "sim/report.hpp"
+#include "simd/simd.hpp"
 
 using namespace fastbcnn;
 
@@ -191,6 +193,87 @@ TEST(WeightFaults, FlipChangesValueAndDoubleFlipRestores)
     Expected<std::size_t> again = applyWeightFaults(net, plan);
     ASSERT_TRUE(again.hasValue());
     EXPECT_EQ(conv.weights().at(0), before);  // XOR is an involution
+}
+
+TEST(WeightFaults, FlipInsideAllZeroTapRefreshesThePack)
+{
+    // Tap (n = 1, i = 1, j = 1) holds +0.0 in all 8 channels of the
+    // first packed block, so its zero class says "skip the whole tap".
+    // Flipping bit 30 of channel 3's +0.0 makes it 2.0: a stale class
+    // would still skip it and lose 2.0 * x at every position.
+    Network net("zero-tap", Shape({2, 6, 6}));
+    net.add(std::make_unique<Conv2d>("c1", 2, 9, 3, 1, 1));
+    InitOptions init;
+    init.seed = 5;
+    initializeWeights(net, init);
+    auto &conv = static_cast<Conv2d &>(net.layer(net.findNode("c1")));
+    const std::size_t taps = 2 * 3 * 3;
+    const std::size_t tap = (1 * 3 + 1) * 3 + 1;
+    std::vector<float> w = conv.weights().mckk();
+    for (std::size_t m = 0; m < 8; ++m)
+        w[m * taps + tap] = 0.0f;
+    conv.setWeights(w);
+    Tensor in(Shape({2, 6, 6}));
+    for (std::size_t i = 0; i < in.numel(); ++i)
+        in.at(i) = 0.25f * static_cast<float>(i % 7) - 0.6f;
+
+    // The conv output at every compiled-in level; each must match the
+    // scalar level byte for byte, and computeNeuron() neuron for
+    // neuron.
+    const auto forwardChecked = [&] {
+        const simd::SimdLevel saved = simd::activeLevel();
+        std::vector<float> ref;
+        for (int l = 0; l < simd::kSimdLevelCount; ++l) {
+            const auto level = static_cast<simd::SimdLevel>(l);
+            if (!simd::levelAvailable(level))
+                continue;
+            simd::setLevel(level);
+            const Tensor out = conv.forward({&in}, nullptr);
+            const std::vector<float> got(out.data().begin(),
+                                         out.data().end());
+            if (ref.empty())
+                ref = got;
+            EXPECT_EQ(std::memcmp(ref.data(), got.data(),
+                                  ref.size() * sizeof(float)),
+                      0)
+                << simd::simdLevelName(level);
+        }
+        simd::setLevel(saved);
+        for (std::size_t m = 0; m < 9; ++m) {
+            for (std::size_t r = 0; r < 6; ++r) {
+                for (std::size_t c = 0; c < 6; ++c) {
+                    const float neuron = conv.computeNeuron(in, m, r, c);
+                    EXPECT_EQ(std::memcmp(&neuron,
+                                          &ref[(m * 6 + r) * 6 + c],
+                                          sizeof(float)),
+                              0)
+                        << m << "," << r << "," << c;
+                }
+            }
+        }
+        return ref;
+    };
+    const std::vector<float> before = forwardChecked();
+
+    FaultPlan plan;
+    FaultSpec spec;
+    spec.kind = FaultKind::WeightBitFlip;
+    spec.layer = "c1";
+    spec.element = 3 * taps + tap;
+    spec.bit = 30;
+    plan.add(spec);
+    ASSERT_EQ(applyWeightFaults(net, plan).value(), 1u);
+    EXPECT_EQ(conv.weights()(3, 1, 1, 1), 2.0f);
+    const std::vector<float> flipped = forwardChecked();
+    EXPECT_NE(std::memcmp(before.data(), flipped.data(),
+                          before.size() * sizeof(float)),
+              0);
+
+    ASSERT_EQ(applyWeightFaults(net, plan).value(), 1u);
+    const std::vector<float> restored = forwardChecked();
+    EXPECT_EQ(std::memcmp(before.data(), restored.data(),
+                          before.size() * sizeof(float)),
+              0);
 }
 
 TEST(WeightFaults, UnknownLayerIsError)
@@ -466,7 +549,9 @@ TEST(Degradation, PoisonedWeightsFailTheWholeRun)
     initializeWeights(net, init);
     auto &conv =
         static_cast<Conv2d &>(net.layer(net.findNode("c2")));
-    conv.weights().at(0) = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> w = conv.weights().mckk();
+    w[0] = std::numeric_limits<float>::quiet_NaN();
+    conv.setWeights(w);
 
     // Every sample shares the poisoned weights, so every sample is
     // non-finite and the run fails as NonFinite, not QuorumNotMet.

@@ -43,8 +43,10 @@ randomizeConv(Conv2d &conv, std::uint64_t seed)
 {
     std::mt19937_64 rng(seed);
     std::normal_distribution<float> g(0.0f, 0.5f);
-    for (float &w : conv.weights().data())
-        w = g(rng);
+    std::vector<float> w(conv.weights().size());
+    for (float &v : w)
+        v = g(rng);
+    conv.setWeights(w);
     for (float &b : conv.bias().data())
         b = g(rng);
 }
@@ -54,7 +56,7 @@ randomizeConv(Conv2d &conv, std::uint64_t seed)
 TEST(Conv2d, IdentityKernel)
 {
     Conv2d conv("c", 1, 1, 1);
-    conv.weights()(0, 0, 0, 0) = 1.0f;
+    conv.setWeights(std::vector<float>{1.0f});
     Tensor in = randomTensor(Shape({1, 3, 3}), 1);
     Tensor out = conv.forward({&in}, nullptr);
     EXPECT_TRUE(out.allClose(in));
@@ -65,7 +67,7 @@ TEST(Conv2d, HandComputed3x3)
     // 1 input channel, 1 output channel, all-ones 3x3 kernel over a
     // 3x3 input of 1..9 with no padding: single output = 45 + bias.
     Conv2d conv("c", 1, 1, 3);
-    conv.weights().fill(1.0f);
+    conv.setWeights(std::vector<float>(9, 1.0f));
     conv.bias()(0) = 0.5f;
     Tensor in(Shape({1, 3, 3}),
               {1, 2, 3, 4, 5, 6, 7, 8, 9});

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <utility>
 #include <regex>
 #include <sstream>
 
@@ -62,7 +65,7 @@ TEST(Serialize, RoundTripIsLossless)
             a.layer(a.findNode(name)));
         const auto &cb = static_cast<const Conv2d &>(
             b.layer(b.findNode(name)));
-        EXPECT_TRUE(ca.weights().allClose(cb.weights(), 0.0f)) << name;
+        EXPECT_EQ(ca.weights().mckk(), cb.weights().mckk()) << name;
         EXPECT_TRUE(ca.bias().allClose(cb.bias(), 0.0f)) << name;
     }
     // And so must forward outputs.
@@ -75,9 +78,11 @@ TEST(Serialize, SpecialValuesSurvive)
 {
     Network a = smallLenet(3);
     auto &conv = static_cast<Conv2d &>(a.layer(a.findNode("c1_conv")));
-    conv.weights().at(0) = -0.0f;
-    conv.weights().at(1) = 1e-38f;   // subnormal-adjacent
-    conv.weights().at(2) = -3.4e38f; // near float lowest
+    std::vector<float> w = conv.weights().mckk();
+    w[0] = -0.0f;
+    w[1] = 1e-38f;   // subnormal-adjacent
+    w[2] = -3.4e38f; // near float lowest
+    conv.setWeights(w);
     Network b = smallLenet(4);
     ASSERT_TRUE(loadBytes(b, checkpointBytes(a)).isOk());
     const auto &cb = static_cast<const Conv2d &>(
@@ -85,6 +90,44 @@ TEST(Serialize, SpecialValuesSurvive)
     EXPECT_TRUE(std::signbit(cb.weights().at(0)));
     EXPECT_EQ(cb.weights().at(1), 1e-38f);
     EXPECT_EQ(cb.weights().at(2), -3.4e38f);
+}
+
+TEST(Serialize, PackedConvCommitsAndExportsExactBytes)
+{
+    // A conv's weights live packed in 8-channel blocks, and the
+    // checkpoint path unpacks them: committing an image and reading
+    // it back must return the same bytes, for signed zeros, NaN
+    // payloads, denormals and infinities, and for an output-channel
+    // count (11) that leaves pad lanes in the last block.
+    Network net("adversarial", Shape({3, 5, 5}));
+    net.add(std::make_unique<Conv2d>("c1", 3, 11, 3, 1, 1));
+    CheckpointImage image = checkpointImageOf(net);
+    ASSERT_EQ(image.records.size(), 1u);
+    const std::uint32_t specials[] = {
+        0x00000000u, 0x80000000u,  // +0.0, -0.0
+        0x7fc00123u, 0xffc00042u,  // quiet NaNs with payloads
+        0x7f800001u,               // signalling NaN
+        0x00000001u, 0x807fffffu,  // denormals
+        0x7f800000u, 0xff800000u,  // infinities
+        0x3f800000u, 0xc0490fdbu}; // 1.0, -pi
+    for (std::vector<float> *v :
+         {&image.records[0].weights, &image.records[0].bias}) {
+        for (std::size_t i = 0; i < v->size(); ++i) {
+            (*v)[i] = std::bit_cast<float>(
+                specials[(i * 7 + i / 13) % std::size(specials)]);
+        }
+    }
+    ASSERT_TRUE(tryCommitCheckpointImage(net, image).isOk());
+    const CheckpointImage back = checkpointImageOf(net);
+    ASSERT_EQ(back.records.size(), 1u);
+    for (const auto &[a, b] :
+         {std::pair{&image.records[0].weights, &back.records[0].weights},
+          std::pair{&image.records[0].bias, &back.records[0].bias}}) {
+        ASSERT_EQ(a->size(), b->size());
+        EXPECT_EQ(std::memcmp(a->data(), b->data(),
+                              a->size() * sizeof(float)),
+                  0);
+    }
 }
 
 namespace {

@@ -8,7 +8,8 @@
  * empty / full dropout masks.  Also covers the 64-byte storage
  * alignment contract, the FASTBCNN_SIMD level parsing, and (in the
  * SimdDispatchConcurrency suite, picked up by the TSan CI regex)
- * thread-safety of level swaps against concurrent kernel callers.
+ * thread-safety of level swaps against concurrent kernel callers and
+ * of one packed conv layer shared by concurrent callers.
  */
 
 #include <gtest/gtest.h>
@@ -343,12 +344,18 @@ TEST(SimdDispatch, ConvBitIdenticalAcrossLevels)
     // positions (or 1 position x 8 blocks) per tile, so the sweep
     // fills, overfills and underfills both: out channels 1/7/8/9/17
     // over every generated geometry, shapes whose N*K^2 taps overflow
-    // one packed weight chunk, 1x1 outputs, and kernels too wide for a
-    // one-position tile (12) or for the vector path at all (33).
+    // one weight chunk, 1x1 outputs, one-position tiles whose last
+    // group slides back over the previous one (120 channels = 15
+    // blocks), and kernels too wide for a one-position tile (12) or
+    // for the vector path at all (33).  The weights are packed once;
+    // every level runs twice on the same packed form, which calls
+    // must only read.
     const simd::SimdKernels &ref =
         simd::kernelsFor(simd::SimdLevel::Scalar);
     const std::size_t out_counts[] = {1, 7, 8, 9, 17};
     std::vector<GenShape> shapes = {{120, 9, 6, 6, 3, 1, 1},
+                                    {16, 120, 5, 5, 5, 1, 0},
+                                    {24, 72, 3, 3, 3, 1, 1},
                                     {45, 17, 7, 5, 5, 2, 2},
                                     {120, 17, 3, 3, 3, 1, 0},
                                     {16, 17, 5, 5, 5, 1, 0},
@@ -385,28 +392,39 @@ TEST(SimdDispatch, ConvBitIdenticalAcrossLevels)
         float *last = w.data() + (sh.out_c - 1) * taps;
         last[0] = inf;
         last[taps - 1] = std::numeric_limits<float>::quiet_NaN();
+        const simd::ConvWeights packed(sh.out_c, sh.in_c, sh.k, w.data());
         const std::size_t n_out = sh.out_c * out_h * out_w;
         std::vector<float> expect(n_out);
-        ref.convForward(in.data(), w.data(), bias.data(), expect.data(),
-                        sh.in_c, sh.out_c, sh.h, sh.w, out_h, out_w, sh.k,
-                        sh.s, sh.p);
+        ref.packedConvForward(in.data(), packed, bias.data(),
+                              expect.data(), sh.h, sh.w, out_h, out_w,
+                              sh.s, sh.p);
         for (simd::SimdLevel level : availableLevels()) {
-            // A guard plane past the end catches stores of pad lanes.
-            std::vector<float> got(n_out + out_h * out_w * 8 + 8,
-                                   std::numeric_limits<float>::max());
-            simd::kernelsFor(level).convForward(
-                in.data(), w.data(), bias.data(), got.data(), sh.in_c,
-                sh.out_c, sh.h, sh.w, out_h, out_w, sh.k, sh.s, sh.p);
-            const bool guard_intact = std::all_of(
-                got.begin() + n_out, got.end(), [](float v) {
-                    return v == std::numeric_limits<float>::max();
-                });
-            got.resize(n_out);
-            ASSERT_TRUE(guard_intact && bitIdenticalOrBothNan(expect, got))
-                << "conv mismatch at level " << simd::simdLevelName(level)
-                << " " << sh.in_c << "x" << sh.h << "x" << sh.w << " -> "
-                << sh.out_c << " k" << sh.k << " s" << sh.s << " p"
-                << sh.p;
+            std::vector<float> first;
+            for (int call = 0; call < 2; ++call) {
+                // A guard plane past the end catches stores of pad
+                // lanes.
+                std::vector<float> got(n_out + out_h * out_w * 8 + 8,
+                                       std::numeric_limits<float>::max());
+                simd::kernelsFor(level).packedConvForward(
+                    in.data(), packed, bias.data(), got.data(), sh.h, sh.w,
+                    out_h, out_w, sh.s, sh.p);
+                const bool guard_intact = std::all_of(
+                    got.begin() + n_out, got.end(), [](float v) {
+                        return v == std::numeric_limits<float>::max();
+                    });
+                got.resize(n_out);
+                ASSERT_TRUE(guard_intact &&
+                            bitIdenticalOrBothNan(expect, got))
+                    << "conv mismatch at level "
+                    << simd::simdLevelName(level) << " call " << call
+                    << " " << sh.in_c << "x" << sh.h << "x" << sh.w
+                    << " -> " << sh.out_c << " k" << sh.k << " s" << sh.s
+                    << " p" << sh.p;
+                if (call == 0)
+                    first = got;
+                else
+                    ASSERT_TRUE(bitIdentical(first, got));
+            }
         }
         ++cases;
     }
@@ -508,9 +526,7 @@ TEST(SimdDispatch, NetworkForwardBitIdenticalAcrossLevels)
     for (const char *name : {"c1", "c2"}) {
         auto &conv =
             dynamic_cast<Conv2d &>(net.layer(net.findNode(name)));
-        const auto w =
-            randomFloats(conv.weights().numel(), seed++, 0.25f);
-        std::copy(w.begin(), w.end(), conv.weights().data().begin());
+        conv.setWeights(randomFloats(conv.weights().size(), seed++, 0.25f));
         const auto b = randomFloats(conv.bias().numel(), seed++);
         std::copy(b.begin(), b.end(), conv.bias().data().begin());
     }
@@ -647,5 +663,52 @@ TEST(SimdDispatchConcurrency, LevelSwapsAreSafeAgainstKernelCallers)
     for (std::thread &worker : workers)
         worker.join();
     simd::setLevel(saved);
+    EXPECT_FALSE(mismatch.load());
+}
+
+TEST(SimdDispatchConcurrency, ThreadsShareOnePackedConv)
+{
+    // One packed layer serves concurrent calls at every level: a call
+    // only reads the packed weights and zero classes.  A 4x4 plane
+    // runs one-position tiles, a 12x12 plane eight-position tiles;
+    // the zero weights make every call read the zero classes.
+    const std::size_t in_c = 32, out_c = 64, k = 3;
+    const simd::ConvWeights packed(
+        out_c, in_c, k,
+        randomFloats(out_c * in_c * k * k, 914, 0.1f).data());
+    const auto bias = randomFloats(out_c, 915);
+    struct Case {
+        std::size_t hw;
+        std::vector<float> in, expect;
+    };
+    std::vector<Case> cases;
+    for (std::size_t hw : {4u, 12u}) {
+        Case c{hw, randomFloats(in_c * hw * hw, 916 + hw),
+               std::vector<float>(out_c * hw * hw)};
+        simd::kernelsFor(simd::SimdLevel::Scalar)
+            .packedConvForward(c.in.data(), packed, bias.data(),
+                               c.expect.data(), hw, hw, hw, hw, 1, 1);
+        cases.push_back(std::move(c));
+    }
+    const auto levels = availableLevels();
+    std::atomic<bool> mismatch{false};
+    std::vector<std::thread> workers;
+    workers.reserve(4);
+    for (int t = 0; t < 4; ++t) {
+        workers.emplace_back([&, t] {
+            for (int iter = 0; iter < 50; ++iter) {
+                const Case &c = cases[(iter + t) % cases.size()];
+                std::vector<float> got(c.expect.size());
+                simd::kernelsFor(levels[(iter / 2 + t) % levels.size()])
+                    .packedConvForward(c.in.data(), packed, bias.data(),
+                                       got.data(), c.hw, c.hw, c.hw, c.hw,
+                                       1, 1);
+                if (!bitIdentical(c.expect, got))
+                    mismatch.store(true);
+            }
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
     EXPECT_FALSE(mismatch.load());
 }

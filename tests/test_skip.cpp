@@ -69,9 +69,10 @@ randomMask(std::size_t c, std::size_t h, std::size_t w,
 TEST(Indicator, MatchesWeightSigns)
 {
     Conv2d conv("c", 2, 2, 3);
-    conv.weights().fill(1.0f);
-    conv.weights()(1, 0, 1, 2) = -0.5f;
-    conv.weights()(1, 1, 0, 0) = 0.0f;  // w <= 0 counts as negative
+    std::vector<float> w(conv.weights().size(), 1.0f);
+    w[((1 * 2 + 0) * 3 + 1) * 3 + 2] = -0.5f;
+    w[((1 * 2 + 1) * 3 + 0) * 3 + 0] = 0.0f;  // w <= 0 counts as negative
+    conv.setWeights(w);
     LayerIndicators ind(conv);
     EXPECT_EQ(ind.kernels(), 2u);
     EXPECT_EQ(ind.negativeCount(0), 0u);
@@ -201,8 +202,10 @@ TEST(NwCounter, MatchesBruteForce)
         const std::size_t pad = rng() % 2;
         Conv2d conv("c", n, m, k, 1, pad);
         std::normal_distribution<float> g(0.0f, 1.0f);
-        for (float &w : conv.weights().data())
-            w = g(rng);
+        std::vector<float> weights(conv.weights().size());
+        for (float &v : weights)
+            v = g(rng);
+        conv.setWeights(weights);
         const std::size_t h = 5, w = 6;
         BitVolume mask = randomMask(n, h, w, seed * 7 + 1, 0.4);
         LayerIndicators ind(conv);
@@ -745,8 +748,10 @@ TEST(Optimizer, AllPositiveKernelKeepsFullThreshold)
     // Algorithm 1 never needs to back its alpha off from Th.
     Network net = tinyBcnn(8);
     auto &c1 = static_cast<Conv2d &>(net.layer(net.findNode("c1")));
-    for (float &w : c1.weights().data())
-        w = std::abs(w) + 0.01f;
+    std::vector<float> w = c1.weights().mckk();
+    for (float &v : w)
+        v = std::abs(v) + 0.01f;
+    c1.setWeights(w);
     BcnnTopology topo(net);
     IndicatorSet ind(topo);
     OptimizerOptions opts;
