@@ -390,9 +390,10 @@ main(int argc, char **argv)
     }
 
     // 6. With --audit-rate, re-run through the guarded predictive
-    //    path: a shadow audit re-computes a sample of the skipped
-    //    neurons and the guard backs a kernel's alpha off when its
-    //    mispredict rate confidently exceeds the calibrated budget.
+    //    path: a shadow audit checks a sample of the skipped neurons
+    //    against their dense values and the guard backs a kernel's
+    //    alpha off when its mispredict rate confidently exceeds the
+    //    calibrated budget.
     if (cli.auditRate > 0.0) {
         Expected<GuardedMcResult> guarded = engine.tryGuardedMc(input);
         if (!guarded.hasValue()) {

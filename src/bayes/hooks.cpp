@@ -58,4 +58,12 @@ ReplayHooks::dropoutMask(const std::string &layer_name,
     return &it->second;
 }
 
+void
+ReplayHooks::mutateActivation(const std::string &layer_name,
+                              LayerKind kind, Tensor &out)
+{
+    if (inner_)
+        inner_->mutateActivation(layer_name, kind, out);
+}
+
 } // namespace fastbcnn

@@ -75,18 +75,33 @@ class SamplingHooks : public ForwardHooks
     MaskSet masks_;
 };
 
-/** Replays a fixed MaskSet (deterministic re-execution of a sample). */
+/**
+ * Replays a fixed MaskSet (deterministic re-execution of a sample),
+ * optionally passing every node's output on to another hooks object's
+ * mutateActivation() — skip mode replays its masks this way while the
+ * run's fault plan still reaches its activations.
+ */
 class ReplayHooks : public ForwardHooks
 {
   public:
-    /** @param masks recorded masks; must outlive this object. */
-    explicit ReplayHooks(const MaskSet &masks) : masks_(&masks) {}
+    /**
+     * @param masks recorded masks; must outlive this object
+     * @param inner hooks whose mutateActivation() sees every output
+     *              (may be null; not owned)
+     */
+    explicit ReplayHooks(const MaskSet &masks,
+                         ForwardHooks *inner = nullptr)
+        : masks_(&masks), inner_(inner)
+    {}
 
     const BitVolume *dropoutMask(const std::string &layer_name,
                                  const Shape &shape) override;
+    void mutateActivation(const std::string &layer_name, LayerKind kind,
+                          Tensor &out) override;
 
   private:
     const MaskSet *masks_;
+    ForwardHooks *inner_;
 };
 
 } // namespace fastbcnn

@@ -25,10 +25,9 @@ FastBcnnEngine::FastBcnnEngine(Network net, EngineOptions opts)
 {
     if (Status status = validateEngineOptions(opts_); !status.isOk())
         fatal("%s", status.toString().c_str());
-    // Keep the optimizer's sampling consistent with inference unless
-    // the caller configured it explicitly.
-    if (opts_.optimizer.dropRate != opts_.mc.dropRate)
-        opts_.optimizer.dropRate = opts_.mc.dropRate;
+    // Algorithm 1 always tunes at the inference drop rate: any
+    // optimizer.dropRate the caller set is overwritten.
+    opts_.optimizer.dropRate = opts_.mc.dropRate;
 }
 
 Expected<std::unique_ptr<FastBcnnEngine>>

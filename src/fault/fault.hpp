@@ -17,7 +17,11 @@
  *  - weights:  applyWeightFaults() flips bits in stored parameters
  *              (whole-run faults; applied once, before inference)
  *  - activations: FaultInjectionHooks::mutateActivation() flips bits
- *              or poisons values with NaN/Inf inside the forward pass
+ *              or poisons values with NaN/Inf after every node of the
+ *              float forward pass (skip mode's predictiveForward()
+ *              included).  The int8 path has no float activations to
+ *              fault: it never calls the hook, so these specs leave an
+ *              int8 run untouched.
  *  - dropout masks: FaultInjectionHooks::dropoutMask() corrupts the
  *              mask a SamplingHooks delegate produced
  *  - BRNG:     StuckBrng pins the Bernoulli stream to a constant from

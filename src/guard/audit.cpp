@@ -1,6 +1,5 @@
 #include "audit.hpp"
 
-#include "common/check.hpp"
 #include "common/math_util.hpp"
 
 namespace fastbcnn {
@@ -53,9 +52,7 @@ auditSelected(std::uint64_t seed, NodeId conv, std::size_t sample,
 }
 
 SampleAudit
-auditPredictedNeurons(const BcnnTopology &topo, const Tensor &input,
-                      const std::vector<Tensor> &node_outputs,
-                      const std::map<NodeId, BitVolume> &predicted,
+auditPredictedNeurons(const PredictiveResult &pres,
                       const AuditOptions &opts, std::size_t sample)
 {
     SampleAudit audit;
@@ -63,47 +60,19 @@ auditPredictedNeurons(const BcnnTopology &topo, const Tensor &input,
     if (opts.rate <= 0.0)
         return audit;
 
-    const Network &net = topo.network();
-    FASTBCNN_CHECK(node_outputs.size() == net.size(),
-                   "auditPredictedNeurons needs the full node-output "
-                   "capture (PredictiveOptions::captureNodeOutputs)");
-
-    for (const ConvBlock &b : topo.blocks()) {
-        const auto it = predicted.find(b.conv);
-        if (it == predicted.end())
-            continue;
-        const BitVolume &pred = it->second;
-        const auto &conv =
-            static_cast<const Conv2d &>(net.layer(b.conv));
-        const std::vector<NodeId> &producers = net.inputsOf(b.conv);
-        FASTBCNN_CHECK_EQ(producers.size(), std::size_t{1});
-        const Tensor &conv_in = producers[0] == Network::inputNode
-                                    ? input
-                                    : node_outputs[producers[0]];
-
-        const std::size_t plane =
-            b.outShape.dim(1) * b.outShape.dim(2);
-        const std::size_t width = b.outShape.dim(2);
-        std::vector<KernelAudit> &kernels = audit.kernels[b.conv];
-        kernels.resize(conv.outChannels());
-
-        for (std::size_t flat = 0; flat < pred.size(); ++flat) {
-            if (!pred.getFlat(flat))
-                continue;
-            if (!auditSelected(kAuditSeed, b.conv, sample, flat,
-                               opts.rate)) {
-                continue;
-            }
+    for (const auto &[conv, pred] : pres.predicted) {
+        const BitVolume &missed = pres.mispredicted.at(conv);
+        const std::size_t plane = pred.height() * pred.width();
+        std::vector<KernelAudit> &kernels = audit.kernels[conv];
+        kernels.resize(pred.channels());
+        pred.forEachSet([&](std::size_t flat) {
+            if (!auditSelected(kAuditSeed, conv, sample, flat, opts.rate))
+                return;
             KernelAudit &k = kernels[flat / plane];
             ++k.audited;
-            const std::size_t rem = flat % plane;
-            // Mispredict <=> positive pre-activation: the exact
-            // cascade would have produced a live neuron here.
-            if (conv.computeNeuron(conv_in, flat / plane, rem / width,
-                                   rem % width) > 0.0f) {
+            if (missed.getFlat(flat))
                 ++k.mispredicted;
-            }
-        }
+        });
     }
     return audit;
 }

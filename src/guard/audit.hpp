@@ -2,11 +2,11 @@
  * @file
  * Shadow auditing of skip predictions: during predictive inference a
  * deterministic sampler selects a configurable fraction of the
- * *skipped* (predicted-unaffected) neurons and re-computes them
- * exactly from the cascade's conv input.  A re-computed neuron whose
- * pre-activation is positive was mispredicted — the skip engine forced
- * a live neuron to zero.  Per-kernel audit tallies feed the SkipGuard
- * mispredict-rate estimators (guard.hpp).
+ * *skipped* (predicted-unaffected) neurons and checks each against
+ * the dense value predictiveForward()'s conv computed for it before
+ * the zeroing.  A neuron whose value was positive was mispredicted —
+ * the skip engine forced a live neuron to zero.  Per-kernel audit
+ * tallies feed the SkipGuard mispredict-rate estimators (guard.hpp).
  *
  * Selection is a pure hash of (seed, conv, sample, flat index): the
  * same neurons are audited regardless of thread count or evaluation
@@ -27,17 +27,17 @@ namespace fastbcnn {
 /** Shadow-audit configuration. */
 struct AuditOptions {
     /**
-     * Fraction of predicted (skipped) neurons to re-compute, in
-     * [0, 1].  0 disables auditing; 1 audits every skipped neuron.
-     * The default keeps the clean-path overhead well under the 3 %
-     * budget (see bench_guard_overhead).
+     * Fraction of predicted (skipped) neurons to audit, in [0, 1].
+     * 0 disables auditing; 1 audits every skipped neuron.  The
+     * default keeps the clean-path overhead well under the 3 % budget
+     * (see bench_guard_overhead).
      */
     double rate = 0.02;
 };
 
 /** Audit tallies for one kernel of one conv block. */
 struct KernelAudit {
-    std::uint64_t audited = 0;       ///< skipped neurons re-computed
+    std::uint64_t audited = 0;       ///< skipped neurons audited
     std::uint64_t mispredicted = 0;  ///< of those, actually positive
 };
 
@@ -63,28 +63,27 @@ bool auditSelected(std::uint64_t seed, NodeId conv, std::size_t sample,
                    std::size_t flat, double rate);
 
 /**
- * Audit one predictive sample: re-compute the selected fraction of
- * each block's predicted neurons from the cascade's conv input and
- * classify true-skip vs mispredict.
+ * Audit one predictive sample: classify the selected fraction of each
+ * conv's predicted neurons as true skip or mispredict by reading the
+ * sample's PredictiveResult::mispredicted record.
  *
  * Mispredict is defined against the *cascaded* computation — the conv
  * input already reflects upstream zeroing — matching the optimizer's
  * correctness notion (a predicted neuron is correct exactly when its
- * true value is zero, i.e. pre-activation <= 0).
+ * true value is zero, i.e. pre-activation <= 0).  The dense conv sums
+ * the same taps in the same order as Conv2d::computeNeuron(), except
+ * that it skips exactly-zero weights; that changes the sign test only
+ * when a non-finite input sits under a zero weight, and then the
+ * audit follows the value the sample actually used.
  *
- * @param topo         analysed BCNN
- * @param input        the network input
- * @param node_outputs per-node outputs of the predictive pass
- *                     (PredictiveOptions::captureNodeOutputs)
- * @param predicted    per-conv predicted maps (PredictiveResult)
- * @param opts         audit rate
- * @param sample       the MC sample index t (selection-hash input)
+ * @param pres   the sample's predictive pass (predicted and
+ *               mispredicted maps)
+ * @param opts   audit rate
+ * @param sample the MC sample index t (selection-hash input)
  */
-SampleAudit auditPredictedNeurons(
-    const BcnnTopology &topo, const Tensor &input,
-    const std::vector<Tensor> &node_outputs,
-    const std::map<NodeId, BitVolume> &predicted,
-    const AuditOptions &opts, std::size_t sample);
+SampleAudit auditPredictedNeurons(const PredictiveResult &pres,
+                                  const AuditOptions &opts,
+                                  std::size_t sample);
 
 } // namespace fastbcnn
 

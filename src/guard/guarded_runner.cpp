@@ -32,19 +32,14 @@ tryRunGuardedPredictive(const BcnnTopology &topo,
     target.inputShape = net.inputShape();
     target.forward = [&](const Tensor &in, ForwardHooks *hooks) {
         // The bit stream sampleMasks() draws, with any mask or BRNG
-        // fault of the run's plan applied.
+        // fault of the run's plan applied; its activation faults reach
+        // every node through the same hooks.
         const MaskSet masks = drawMasks(net, *hooks);
-        PredictiveOptions popts;
-        popts.captureNodeOutputs = audit.rate > 0.0;
         PredictiveResult pres = predictiveForward(
-            topo, indicators, zeroMaps, thresholds, in, masks, popts);
+            topo, indicators, zeroMaps, thresholds, in, masks, hooks);
         const std::size_t t = hooks->sample();
         predicted[t] = pres.predictedNeurons;
-        audits[t] = audit.rate > 0.0
-                        ? auditPredictedNeurons(topo, in,
-                                                pres.nodeOutputs,
-                                                pres.predicted, audit, t)
-                        : SampleAudit{t, {}};
+        audits[t] = auditPredictedNeurons(pres, audit, t);
         return std::move(pres.output);
     };
     target.rounds.length = guard.options().decisionInterval;

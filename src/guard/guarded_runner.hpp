@@ -6,10 +6,12 @@
  * (computeZeroMaps()) before the runner starts, and its deadline
  * covers that pass.  Each sample draws its dropout masks through the
  * runner's hooks, runs predictiveForward() under the round's frozen
- * thresholds, and shadow-audits its skipped neurons (audit.hpp).  The
- * guard's decision rounds are the runner's sample rounds: at every
- * round boundary the runner hands the round back on its own thread,
- * the audits fold into the SkipGuard in ascending sample order — a
+ * thresholds with the same hooks seeing every node's output
+ * (activation faults), and shadow-audits its skipped neurons against
+ * the pass's own dense conv values (audit.hpp).  The guard's decision
+ * rounds are the runner's sample rounds: at every round boundary the
+ * runner hands the round back on its own thread, the audits fold
+ * into the SkipGuard in ascending sample order — a
  * failed or never-launched sample folds an empty audit, so the guard's
  * cadence never shifts — and the thresholds are re-frozen for the next
  * round.  Skip runs therefore get the runner's quorum, fault

@@ -50,8 +50,9 @@ class Conv2d : public Layer
      * then every in-range (n, i, j) tap in order.  Unlike forward() it
      * does not skip zero weights.  This is the unit of work the
      * accelerator's skip engine elides (predictiveForward() computes it
-     * densely and zeroes it); the shadow audit re-computes predicted
-     * neurons with it, and tests verify predictions neuron by neuron.
+     * densely and zeroes it).  No library path calls it: it is the
+     * independent per-neuron reference that tests check forward(),
+     * the SIMD levels and the shadow audit's mispredict record against.
      */
     float computeNeuron(const Tensor &input, std::size_t m,
                         std::size_t r, std::size_t c) const;

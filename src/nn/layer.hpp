@@ -67,9 +67,12 @@ class ForwardHooks
 
     /**
      * Mutate the output of node @p layer_name in place before any
-     * downstream layer consumes it.  Called by Network::forward()
-     * after the layer finishes (so the faulted value also reaches the
-     * network output when the layer is last).  Default: no-op.  The
+     * downstream layer consumes it.  Called by Network::forwardNode()
+     * — every step of Network::forward() and of skip mode's
+     * predictiveForward() — after the layer finishes (so the faulted
+     * value also reaches the network output when the layer is last).
+     * The int8 forward has no float activations and never calls it.
+     * Default: no-op.  The
      * fault-injection layer (src/fault) uses this to model datapath
      * bit-flips and NaN/Inf poisoning; the mutated tensor is what the
      * rest of the forward pass — and the MC sample guard — sees.

@@ -78,13 +78,8 @@ Network::forward(const Tensor &input, ForwardHooks *hooks) const
     }
     FASTBCNN_CHECK(!nodes_.empty(), "forward on empty network");
     std::vector<Tensor> outputs(nodes_.size());
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
         outputs[i] = forwardNode(i, input, outputs, hooks);
-        if (hooks) {
-            hooks->mutateActivation(nodes_[i].layer->name(),
-                                    nodes_[i].layer->kind(), outputs[i]);
-        }
-    }
     return std::move(outputs.back());
 }
 
@@ -99,7 +94,10 @@ Network::forwardNode(NodeId id, const Tensor &input,
     ins.reserve(node.inputs.size());
     for (NodeId producer : node.inputs)
         ins.push_back(producer == inputNode ? &input : &outputs[producer]);
-    return node.layer->forward(ins, hooks);
+    Tensor out = node.layer->forward(ins, hooks);
+    if (hooks)
+        hooks->mutateActivation(node.layer->name(), node.layer->kind(), out);
+    return out;
 }
 
 const Layer &

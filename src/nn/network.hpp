@@ -65,9 +65,10 @@ class Network
         const;
 
     /**
-     * One step of forward() without its mutateActivation() call: run
-     * node @p id's layer on its producers' entries of @p outputs (or
-     * @p input).  Callers that keep every node's output step with it.
+     * One step of forward(): run node @p id's layer on its producers'
+     * entries of @p outputs (or @p input), then pass the result through
+     * @p hooks->mutateActivation().  Callers that keep every node's
+     * output step with it.
      */
     Tensor forwardNode(NodeId id, const Tensor &input,
                        const std::vector<Tensor> &outputs,

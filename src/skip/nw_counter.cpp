@@ -1,6 +1,5 @@
 #include "nw_counter.hpp"
 
-#include <algorithm>
 #include <vector>
 
 #include "common/check.hpp"
@@ -36,15 +35,6 @@ CountVolume::atFlat(std::size_t i) const
 {
     FASTBCNN_CHECK_LT(i, data_.size());
     return data_[i];
-}
-
-std::uint16_t
-CountVolume::maxValue() const
-{
-    std::uint16_t m = 0;
-    for (std::uint16_t v : data_)
-        m = std::max(m, v);
-    return m;
 }
 
 CountVolume

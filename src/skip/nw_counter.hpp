@@ -50,9 +50,6 @@ class CountVolume
     /** @return the flat counters (const). */
     const std::uint16_t *data() const { return data_.data(); }
 
-    /** @return the largest counter value (0 for empty). */
-    std::uint16_t maxValue() const;
-
   private:
     std::size_t channels_ = 0;
     std::size_t height_ = 0;

@@ -3,15 +3,19 @@
  * The prediction-mode forward pass ("PredictInference" of Algorithm 1,
  * and the functional semantics of the Fast-BCNN accelerator): every
  * neuron predicted unaffected reads zero, everything else is computed
- * exactly.  On the CPU each in-scope conv runs densely and the
- * predicted neurons are zeroed afterwards, so the result equals the
- * MC-dropout sample with those units also zeroed; the work the skip
- * engine would save is modelled by the cycle simulator, not here.
+ * exactly.  On the CPU each conv runs densely and the predicted
+ * neurons are zeroed afterwards, so the result equals the MC-dropout
+ * sample with those units also zeroed; the work the skip engine would
+ * save is modelled by the cycle simulator, not here.
+ *
+ * Because the dense conv has just computed the value each predicted
+ * neuron would have had, the pass also records which of them were
+ * mispredicted (positive before the zeroing); the shadow audit
+ * (auditPredictedNeurons) samples that record instead of recomputing.
  *
  * Callers pass the thresholds to use: the threshold optimizer and
  * buildTrace() a fixed set, and skip mode (tryRunGuardedPredictive)
- * its SkipGuard's effective set, with the shadow audit reading the
- * captured node outputs.
+ * its SkipGuard's effective set.
  */
 
 #ifndef FASTBCNN_SKIP_PREDICTIVE_INFERENCE_HPP
@@ -21,28 +25,15 @@
 
 namespace fastbcnn {
 
-/** Options for a predictive forward pass. */
-struct PredictiveOptions {
-    /**
-     * Apply prediction only to blocks with index <= up_to_block
-     * (Algorithm 1 runs prediction mode "from the first layer to the
-     * current layer"); later blocks execute normally.
-     */
-    std::size_t upToBlock = static_cast<std::size_t>(-1);
-    /**
-     * Record the output of every node (read by the shadow audit,
-     * auditPredictedNeurons).  A conv output holds zero at its predicted
-     * neurons and the dense value everywhere else, dropped neurons
-     * included; the block's Dropout output zeroes those.
-     */
-    bool captureNodeOutputs = false;
-};
-
 /** Outcome of a predictive forward pass. */
 struct PredictiveResult {
     Tensor output;                         ///< final network output
     std::map<NodeId, BitVolume> predicted; ///< per-conv predicted maps
-    std::vector<Tensor> nodeOutputs;       ///< when captureNodeOutputs
+    /**
+     * Per-conv mispredicted maps: the predicted neurons whose dense
+     * conv value was positive (mispredicted(), read before zeroing).
+     */
+    std::map<NodeId, BitVolume> mispredicted;
     std::uint64_t predictedNeurons = 0;    ///< total predicted count
 };
 
@@ -55,7 +46,12 @@ struct PredictiveResult {
  * @param thresholds per-kernel α values
  * @param input      the input image
  * @param masks      this sample's recorded dropout masks
- * @param opts       scope / capture options
+ * @param hooks      optional run hooks: every node's output passes
+ *                   through their mutateActivation() (activation
+ *                   faults); masks come from @p masks alone.  A conv's
+ *                   output is passed before its predicted neurons are
+ *                   zeroed, so a fault on a skipped neuron is
+ *                   overwritten, as the skip engine never computes it.
  */
 PredictiveResult predictiveForward(const BcnnTopology &topo,
                                    const IndicatorSet &indicators,
@@ -63,7 +59,7 @@ PredictiveResult predictiveForward(const BcnnTopology &topo,
                                    const ThresholdSet &thresholds,
                                    const Tensor &input,
                                    const MaskSet &masks,
-                                   const PredictiveOptions &opts = {});
+                                   ForwardHooks *hooks = nullptr);
 
 } // namespace fastbcnn
 

@@ -83,23 +83,6 @@ predictUnaffected(const BitVolume &zero_map, const CountVolume &counts,
 }
 
 BitVolume
-actualUnaffected(const BitVolume &zero_map, const Tensor &true_output)
-{
-    FASTBCNN_CHECK(true_output.shape().rank() == 3,
-                   "conv output must be CHW");
-    FASTBCNN_CHECK(zero_map.size() == true_output.numel(),
-                   "zero map / output shape mismatch");
-    BitVolume unaffected(zero_map.channels(), zero_map.height(),
-                         zero_map.width());
-    for (std::size_t i = 0; i < true_output.numel(); ++i) {
-        // Post-ReLU zero <=> pre-activation <= 0.
-        if (zero_map.getFlat(i) && true_output.at(i) <= 0.0f)
-            unaffected.setFlat(i, true);
-    }
-    return unaffected;
-}
-
-BitVolume
 mispredicted(const BitVolume &predicted, const Tensor &true_output)
 {
     FASTBCNN_CHECK(true_output.shape().rank() == 3,
@@ -108,12 +91,13 @@ mispredicted(const BitVolume &predicted, const Tensor &true_output)
                    "prediction map / output shape mismatch");
     BitVolume missed(predicted.channels(), predicted.height(),
                      predicted.width());
-    for (std::size_t i = 0; i < true_output.numel(); ++i) {
+    const float *out = true_output.data().data();
+    predicted.forEachSet([&](std::size_t i) {
         // Predicted unaffected (forced to zero) yet actually positive
         // pre-ReLU: the skip engine corrupted this neuron.
-        if (predicted.getFlat(i) && true_output.at(i) > 0.0f)
+        if (out[i] > 0.0f)
             missed.setFlat(i, true);
-    }
+    });
     return missed;
 }
 

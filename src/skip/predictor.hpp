@@ -46,23 +46,11 @@ BitVolume predictUnaffected(const BitVolume &zero_map,
                             const ThresholdSet &thresholds, NodeId conv);
 
 /**
- * Ground truth for prediction quality: the bitmap of *actually*
- * unaffected neurons, i.e. zero in the pre-inference and still zero
- * (post-ReLU) in the dropout sample's true conv output.
- *
- * @param zero_map    the block's pre-inference zero map
- * @param true_output the sample's exact conv output (pre-ReLU)
- */
-BitVolume actualUnaffected(const BitVolume &zero_map,
-                           const Tensor &true_output);
-
-/**
- * Ground truth for the audit layer: the bitmap of mispredicted
- * neurons, i.e. predicted unaffected (forced to zero by the skip
- * engine) but actually positive (post-ReLU) in the sample's true conv
- * output.  The shadow audit estimates exactly this set's density by
- * re-computing a sampled fraction of @p predicted; tests compare the
- * estimate against this full enumeration.
+ * The bitmap of mispredicted neurons: predicted unaffected (forced to
+ * zero by the skip engine) but actually positive (post-ReLU) in the
+ * sample's true conv output.  predictiveForward() records it per conv
+ * from its dense conv output, and the shadow audit samples that
+ * record.
  *
  * @param predicted   the block's prediction bitmap (predictUnaffected)
  * @param true_output the sample's exact conv output (pre-ReLU)

@@ -49,12 +49,6 @@ validateOptimizerOptions(const OptimizerOptions &opts)
                       "OptimizerOptions::dropRate %g outside [0, 1)",
                       opts.dropRate);
     }
-    if (!(opts.tolerance >= 0.0f)) {
-        return errorf(ErrorCode::InvalidArgument,
-                      "OptimizerOptions::tolerance %g must be >= 0 "
-                      "and finite",
-                      static_cast<double>(opts.tolerance));
-    }
     return Status::ok();
 }
 
@@ -87,7 +81,7 @@ tryOptimizeThresholds(const BcnnTopology &topo,
 
     // Phase A: exact dropout inferences ("Inference", line 13) — one
     // pass per (input, sample) recording masks and node outputs.
-    auto brng = makeBrng(opts.brng, opts.dropRate, opts.seed);
+    auto brng = makeBrng(BrngKind::Software, opts.dropRate, opts.seed);
     std::vector<SampleState> states;
     states.reserve(dataset.size() * opts.samples);
     for (std::size_t d = 0; d < dataset.size(); ++d) {
@@ -136,11 +130,15 @@ tryOptimizeThresholds(const BcnnTopology &topo,
             m_total, std::vector<std::uint64_t>(counterCeiling, 0));
         std::vector<std::uint64_t> fixed_ok(m_total, 0);
 
-        for (SampleState &st : states) {
-            const BitVolume in_mask =
-                effectiveInputMask(topo, id, st.masks);
-            const CountVolume counts = countDroppedNwInputs(
-                conv, in_mask, indicators.of(id));
+        // N_d per sample, resolved once: the histograms read it here
+        // and the frozen prediction below reuses it.
+        std::vector<CountVolume> block_counts;
+        block_counts.reserve(states.size());
+        for (const SampleState &st : states) {
+            block_counts.push_back(countDroppedNwInputs(
+                conv, effectiveInputMask(topo, id, st.masks),
+                indicators.of(id)));
+            const CountVolume &counts = block_counts.back();
             const BitVolume &zeros = zero_maps[st.inputIdx].at(id);
             const Tensor &o_true = st.trueOutputs[id];
             const Tensor &o_base = st.cascOutputs[id];
@@ -152,10 +150,9 @@ tryOptimizeThresholds(const BcnnTopology &topo,
                     // A predicted neuron is forced to zero, so it is
                     // correct exactly when the true value is zero.
                     const bool p_ok = tv == 0.0f;
-                    const bool b_ok =
-                        opts.metric == PredictMetric::PatternMatch
-                            ? (bv == 0.0f) == (tv == 0.0f)
-                            : nearlyEqual(bv, tv, opts.tolerance);
+                    // EvaluatePredict compares zero patterns: the
+                    // reading that reproduces Fig. 12a (DESIGN.md §5).
+                    const bool b_ok = (bv == 0.0f) == (tv == 0.0f);
                     if (zeros.getFlat(flat)) {
                         const std::size_t v = std::min<std::size_t>(
                             counts.atFlat(flat), counterCeiling - 1);
@@ -217,13 +214,10 @@ tryOptimizeThresholds(const BcnnTopology &topo,
 
         // Apply the frozen prediction so downstream blocks tune
         // against the real cascade (prediction mode from layer 1).
-        for (SampleState &st : states) {
-            const BitVolume in_mask =
-                effectiveInputMask(topo, id, st.masks);
-            const CountVolume counts = countDroppedNwInputs(
-                conv, in_mask, indicators.of(id));
+        for (std::size_t s = 0; s < states.size(); ++s) {
+            SampleState &st = states[s];
             const BitVolume predicted = predictUnaffected(
-                zero_maps[st.inputIdx].at(id), counts,
+                zero_maps[st.inputIdx].at(id), block_counts[s],
                 result.thresholds, id);
             float *out = st.cascOutputs[id].data().data();
             predicted.forEachSet([out](std::size_t i) { out[i] = 0.0f; });

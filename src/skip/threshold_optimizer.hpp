@@ -27,19 +27,6 @@
 
 namespace fastbcnn {
 
-/** How EvaluatePredict compares predictive and true feature maps. */
-enum class PredictMetric {
-    /**
-     * A neuron is correct when the predictive and true maps agree on
-     * zero vs non-zero (post-ReLU).  This is the reading that
-     * reproduces Fig. 12a's confidence/speedup trade-off and is the
-     * default.
-     */
-    PatternMatch,
-    /** Stricter: values must also match within `tolerance`. */
-    ValueMatch
-};
-
 /** Algorithm 1 inputs (names follow the paper). */
 struct OptimizerOptions {
     int initialThreshold = 1 << 10;  ///< Th (10-bit counter ceiling)
@@ -47,12 +34,7 @@ struct OptimizerOptions {
     double confidence = 0.68;        ///< p_cf, the paper's sweet spot
     std::size_t samples = 8;         ///< T during optimization
     double dropRate = 0.3;           ///< dropout rate during tuning
-    BrngKind brng = BrngKind::Software;
-    std::uint64_t seed = 7;
-    /** EvaluatePredict comparison mode (DESIGN.md §6 note 2). */
-    PredictMetric metric = PredictMetric::PatternMatch;
-    /** Value-match tolerance (ValueMatch metric only). */
-    float tolerance = 0.05f;
+    std::uint64_t seed = 7;          ///< software BRNG seed
 };
 
 /** Tuning diagnostics for one conv block. */
@@ -73,7 +55,7 @@ struct OptimizeResult {
  * Validate @p opts at the API boundary (the engine does this before
  * any work).  @return ok, or an InvalidArgument error naming the bad
  * value: non-positive Th or Δs, p_cf outside (0, 1], zero tuning
- * samples, dropRate outside [0, 1), negative tolerance.
+ * samples, dropRate outside [0, 1).
  */
 [[nodiscard]] Status validateOptimizerOptions(
     const OptimizerOptions &opts);

@@ -122,47 +122,93 @@ TEST(AuditSelect, DeterministicAndRateBounded)
 TEST(Audit, FullRateMatchesEnumeration)
 {
     // With rate 1.0 the audit must equal the full mispredict
-    // enumeration: audited == predicted popcount per conv, and the
-    // mispredict count must match the independent full-tensor path
-    // (Conv2d::forward + mispredicted()).
-    Network net = tinyBcnn();
-    BcnnTopology topo(net);
-    IndicatorSet indicators(topo);
-    const Tensor input = randomInput(11);
-    const ZeroMaps zeros = computeZeroMaps(topo, input);
-    // Aggressive thresholds so mispredicts actually occur.
-    const ThresholdSet thresholds(topo, 6);
+    // enumeration, per kernel: audited == the predicted neurons, and
+    // mispredicted == those that Conv2d::computeNeuron() — independent
+    // of the dense conv whose values the audit reads — finds positive
+    // on the replayed cascade.  The second net holds exactly-zero
+    // weights (taps the dense conv skips and computeNeuron sums) and
+    // -0.0 biases.  Eight samples each, so mispredicts occur.
+    std::uint64_t total_mispredicted = 0;
+    for (bool zeroed : {false, true}) {
+        Network net = tinyBcnn();
+        if (zeroed) {
+            for (const char *name : {"c1", "c2"}) {
+                auto &conv = static_cast<Conv2d &>(
+                    net.layer(net.findNode(name)));
+                std::vector<float> w = conv.weights().mckk();
+                for (std::size_t i = 0; i < w.size(); i += 3)
+                    w[i] = i % 2 == 0 ? 0.0f : -0.0f;
+                conv.setWeights(w);
+                for (float &b : conv.bias().data())
+                    b = -0.0f;
+            }
+        }
+        BcnnTopology topo(net);
+        IndicatorSet indicators(topo);
+        const Tensor input = randomInput(11);
+        const ZeroMaps zeros = computeZeroMaps(topo, input);
+        // Aggressive thresholds so mispredicts actually occur.
+        const ThresholdSet thresholds(topo, 6);
+        AuditOptions aopts;
+        aopts.rate = 1.0;
 
-    auto brng = makeBrng(BrngKind::Software, 0.3, 99);
-    const MaskSet masks = sampleMasks(net, *brng);
-    PredictiveOptions popts;
-    popts.captureNodeOutputs = true;
-    const PredictiveResult pres = predictiveForward(
-        topo, indicators, zeros, thresholds, input, masks, popts);
+        auto brng = makeBrng(BrngKind::Software, 0.3, 99);
+        for (std::size_t t = 0; t < 8; ++t) {
+            const MaskSet masks = sampleMasks(net, *brng);
+            const PredictiveResult pres = predictiveForward(
+                topo, indicators, zeros, thresholds, input, masks);
+            const SampleAudit audit = auditPredictedNeurons(pres, aopts, t);
 
-    AuditOptions aopts;
-    aopts.rate = 1.0;
-    const SampleAudit audit = auditPredictedNeurons(
-        topo, input, pres.nodeOutputs, pres.predicted, aopts, 0);
+            // The replayed cascade: the sample's forward with every
+            // conv's predicted neurons zeroed before a consumer reads
+            // them.
+            ReplayHooks replay(masks);
+            std::vector<Tensor> cascade(net.size());
+            for (NodeId id = 0; id < net.size(); ++id) {
+                cascade[id] = net.forwardNode(id, input, cascade, &replay);
+                if (const auto it = pres.predicted.find(id);
+                    it != pres.predicted.end()) {
+                    float *out = cascade[id].data().data();
+                    it->second.forEachSet(
+                        [out](std::size_t i) { out[i] = 0.0f; });
+                }
+            }
 
-    std::uint64_t want_mispredicted = 0;
-    for (const ConvBlock &b : topo.blocks()) {
-        const BitVolume &pred = pres.predicted.at(b.conv);
-        std::uint64_t audited = 0;
-        for (const KernelAudit &k : audit.kernels.at(b.conv))
-            audited += k.audited;
-        EXPECT_EQ(audited, pred.popcount());
-
-        const NodeId producer = net.inputsOf(b.conv)[0];
-        const Tensor &conv_in = producer == Network::inputNode
-                                    ? input
-                                    : pres.nodeOutputs[producer];
-        const Tensor exact = net.layer(b.conv).forward({&conv_in},
-                                                       nullptr);
-        want_mispredicted += mispredicted(pred, exact).popcount();
+            for (const ConvBlock &b : topo.blocks()) {
+                const auto &conv =
+                    static_cast<const Conv2d &>(net.layer(b.conv));
+                const NodeId producer = net.inputsOf(b.conv)[0];
+                const Tensor &conv_in = producer == Network::inputNode
+                                            ? input
+                                            : cascade[producer];
+                const std::size_t width = b.outShape.dim(2);
+                const std::size_t plane = b.outShape.dim(1) * width;
+                std::vector<KernelAudit> want(conv.outChannels());
+                pres.predicted.at(b.conv).forEachSet([&](std::size_t flat) {
+                    const std::size_t m = flat / plane, rem = flat % plane;
+                    ++want[m].audited;
+                    if (conv.computeNeuron(conv_in, m, rem / width,
+                                           rem % width) > 0.0f) {
+                        ++want[m].mispredicted;
+                    }
+                });
+                const std::vector<KernelAudit> &got =
+                    audit.kernels.at(b.conv);
+                ASSERT_EQ(got.size(), want.size());
+                for (std::size_t m = 0; m < want.size(); ++m) {
+                    EXPECT_EQ(got[m].audited, want[m].audited)
+                        << "zeroed " << zeroed << " sample " << t
+                        << " conv " << b.conv << " kernel " << m;
+                    EXPECT_EQ(got[m].mispredicted, want[m].mispredicted)
+                        << "zeroed " << zeroed << " sample " << t
+                        << " conv " << b.conv << " kernel " << m;
+                }
+            }
+            EXPECT_GT(audit.audited(), 0u);
+            total_mispredicted += audit.mispredicted();
+        }
     }
-    EXPECT_EQ(audit.mispredicted(), want_mispredicted);
-    EXPECT_GT(audit.audited(), 0u);
+    EXPECT_GT(total_mispredicted, 0u);
 }
 
 TEST(Guard, BacksOffToDisableUnderSustainedMispredicts)
@@ -830,6 +876,64 @@ TEST(GuardedRunner, MaskFaultsReachSkipMode)
             << faultKindName(kind);
         for (std::size_t t : {0, 2, 3}) {
             EXPECT_TRUE(sameBits(r.outputs[t], clean.value().outputs[t]))
+                << faultKindName(kind) << " sample " << t;
+        }
+    }
+}
+
+TEST(GuardedRunner, ActivationFaultsReachSkipMode)
+{
+    // Skip mode's replay passes every node's output to the runner's
+    // hooks, so an activation fault on sample 1 reaches that sample:
+    // NaN or Inf in the output fails it as NonFinite, a bit flip
+    // changes it.  One decision round spans the run, so every other
+    // sample runs under the clean run's thresholds, bit for bit.
+    Network net = tinyBcnn(5);
+    BcnnTopology topo(net);
+    IndicatorSet indicators(topo);
+    const Tensor input = randomInput(21);
+    GuardOptions gopts = driftGuardOptions();
+    McOptions mc;
+    mc.samples = 8;
+    mc.seed = 17;
+    gopts.decisionInterval = mc.samples;
+    SkipGuard cleanGuard(topo, ThresholdSet(topo, 6), gopts);
+    Expected<GuardedMcResult> clean = tryRunGuardedPredictive(
+        topo, indicators, cleanGuard, input, mc);
+    ASSERT_TRUE(clean.hasValue()) << clean.error().toString();
+    ASSERT_EQ(clean.value().outputs.size(), mc.samples);
+
+    for (FaultKind kind :
+         {FaultKind::ActivationNaN, FaultKind::ActivationInf,
+          FaultKind::ActivationBitFlip}) {
+        FaultPlan plan;
+        FaultSpec spec;
+        spec.kind = kind;
+        spec.layer = "d2";
+        spec.sample = 1;
+        spec.element = 0;
+        spec.bit = 30;
+        plan.add(spec);
+        mc.faults = &plan;
+        SkipGuard guard(topo, ThresholdSet(topo, 6), gopts);
+        Expected<GuardedMcResult> run = tryRunGuardedPredictive(
+            topo, indicators, guard, input, mc);
+        ASSERT_TRUE(run.hasValue()) << run.error().toString();
+        const GuardedMcResult &r = run.value();
+        if (kind == FaultKind::ActivationBitFlip) {
+            ASSERT_EQ(r.outputs.size(), mc.samples);
+            EXPECT_FALSE(sameBits(r.outputs[1], clean.value().outputs[1]));
+        } else {
+            ASSERT_EQ(r.census.failures.size(), 1u) << faultKindName(kind);
+            EXPECT_EQ(r.census.failures[0].sample, 1u);
+            EXPECT_EQ(r.census.failures[0].code, ErrorCode::NonFinite);
+            ASSERT_EQ(r.outputs.size(), mc.samples - 1);
+        }
+        for (std::size_t i = 0; i < r.outputs.size(); ++i) {
+            const std::size_t t = r.sampleIndices[i];
+            if (t == 1)
+                continue;
+            EXPECT_TRUE(sameBits(r.outputs[i], clean.value().outputs[t]))
                 << faultKindName(kind) << " sample " << t;
         }
     }

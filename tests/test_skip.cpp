@@ -299,16 +299,6 @@ TEST(Predictor, ThresholdSemantics)
     EXPECT_FALSE(pred.get(0, 0, 2));  // N_d == alpha is not predicted
 }
 
-TEST(Predictor, ActualUnaffected)
-{
-    BitVolume zeros(1, 1, 2);
-    zeros.fill(true);
-    Tensor out(Shape({1, 1, 2}), {-0.5f, 0.7f});
-    BitVolume u = actualUnaffected(zeros, out);
-    EXPECT_TRUE(u.get(0, 0, 0));   // still <= 0
-    EXPECT_FALSE(u.get(0, 0, 1));  // flipped positive: affected
-}
-
 namespace {
 
 /** Records every ReLU output of a Network::forward pass by name. */
@@ -329,6 +319,36 @@ class ReluRecorder : public ForwardHooks
     }
 
     std::map<std::string, Tensor> relu;
+};
+
+/**
+ * Records every node's output as predictiveForward() hands it to the
+ * run hooks: after the layer, before a conv's predicted neurons are
+ * zeroed.
+ */
+class OutputRecorder : public ForwardHooks
+{
+  public:
+    explicit OutputRecorder(const Network &net)
+        : outputs(net.size()), net_(&net)
+    {}
+
+    const BitVolume *dropoutMask(const std::string &,
+                                 const Shape &) override
+    {
+        return nullptr;
+    }
+
+    void mutateActivation(const std::string &layer_name, LayerKind,
+                          Tensor &out) override
+    {
+        outputs[net_->findNode(layer_name)] = out;
+    }
+
+    std::vector<Tensor> outputs;
+
+  private:
+    const Network *net_;
 };
 
 } // namespace
@@ -371,14 +391,15 @@ TEST(PredictiveInference, AlphaZeroIsExact)
         exact[id] = net.forwardNode(id, in, exact, &sample);
     MaskSet masks = sample.takeMasks();
 
-    PredictiveOptions opts;
-    opts.captureNodeOutputs = true;
+    OutputRecorder recorder(net);
     PredictiveResult res = predictiveForward(topo, ind, zeros, thr, in,
-                                             masks, opts);
+                                             masks, &recorder);
     EXPECT_EQ(res.predictedNeurons, 0u);
+    for (const auto &[id, missed] : res.mispredicted)
+        EXPECT_EQ(missed.popcount(), 0u);
     EXPECT_TRUE(res.output.allClose(exact.back(), 0.0f));
     for (NodeId id = 0; id < net.size(); ++id) {
-        EXPECT_TRUE(res.nodeOutputs[id].allClose(exact[id], 0.0f))
+        EXPECT_TRUE(recorder.outputs[id].allClose(exact[id], 0.0f))
             << net.layer(id).name();
     }
 }
@@ -404,28 +425,6 @@ TEST(PredictiveInference, HugeAlphaPredictsAllZeroIndexed)
     EXPECT_TRUE(res.predicted.at(b0.conv) == zeros.at(b0.conv));
 }
 
-TEST(PredictiveInference, UpToBlockLimitsScope)
-{
-    Network net = tinyBcnn();
-    BcnnTopology topo(net);
-    IndicatorSet ind(topo);
-    Tensor in = randomInput(7);
-    ZeroMaps zeros = computeZeroMaps(topo, in);
-    ThresholdSet thr(topo, 1 << 20);
-
-    SoftwareBrng brng(0.3, 23);
-    SamplingHooks sample(brng);
-    net.forward(in, &sample);
-    MaskSet masks = sample.takeMasks();
-
-    PredictiveOptions opts;
-    opts.upToBlock = 0;
-    PredictiveResult res = predictiveForward(topo, ind, zeros, thr, in,
-                                             masks, opts);
-    EXPECT_EQ(res.predicted.count(topo.blocks()[0].conv), 1u);
-    EXPECT_EQ(res.predicted.count(topo.blocks()[1].conv), 0u);
-}
-
 TEST(PredictiveInference, PredictedNeuronsAreZeroInOutput)
 {
     Network net = tinyBcnn();
@@ -435,24 +434,34 @@ TEST(PredictiveInference, PredictedNeuronsAreZeroInOutput)
     ZeroMaps zeros = computeZeroMaps(topo, in);
     ThresholdSet thr(topo, 8);
 
+    // The ReLU reads each conv output after the zeroing; the recorded
+    // conv output is the dense value, positive exactly at the
+    // recorded mispredictions.  Sixteen samples, so mispredicts occur.
     SoftwareBrng brng(0.3, 24);
-    SamplingHooks sample(brng);
-    net.forward(in, &sample);
-    MaskSet masks = sample.takeMasks();
-
-    PredictiveOptions opts;
-    opts.captureNodeOutputs = true;
-    PredictiveResult res = predictiveForward(topo, ind, zeros, thr, in,
-                                             masks, opts);
-    for (const ConvBlock &b : topo.blocks()) {
-        const Tensor &out = res.nodeOutputs[b.conv];
-        const BitVolume &pred = res.predicted.at(b.conv);
-        for (std::size_t i = 0; i < out.numel(); ++i) {
-            if (pred.getFlat(i)) {
-                ASSERT_EQ(out.at(i), 0.0f);
+    std::uint64_t predicted = 0, missed_total = 0;
+    for (int t = 0; t < 16; ++t) {
+        const MaskSet masks = sampleMasks(net, brng);
+        OutputRecorder recorder(net);
+        PredictiveResult res = predictiveForward(topo, ind, zeros, thr,
+                                                 in, masks, &recorder);
+        for (const ConvBlock &b : topo.blocks()) {
+            const Tensor &dense = recorder.outputs[b.conv];
+            const Tensor &relu = recorder.outputs[b.relu];
+            const BitVolume &pred = res.predicted.at(b.conv);
+            const BitVolume &missed = res.mispredicted.at(b.conv);
+            for (std::size_t i = 0; i < dense.numel(); ++i) {
+                ASSERT_EQ(missed.getFlat(i),
+                          pred.getFlat(i) && dense.at(i) > 0.0f);
+                if (pred.getFlat(i)) {
+                    ASSERT_EQ(relu.at(i), 0.0f);
+                }
             }
+            predicted += pred.popcount();
+            missed_total += missed.popcount();
         }
     }
+    EXPECT_GT(predicted, 0u);
+    EXPECT_GT(missed_total, 0u);
 }
 
 namespace {
@@ -492,59 +501,66 @@ branchyBcnn(int variant, std::uint64_t seed)
 }
 
 /**
- * Replays a MaskSet through Network::forward, overwrites the given
- * predicted bits of each conv output with zero before any consumer
- * reads it, and records every node's final output.
+ * Replays a MaskSet through Network::forward and, at each conv,
+ * records the dense output and its mispredicted() map, then overwrites
+ * the given predicted bits with zero before any consumer reads them.
+ * Every node's output is recorded as the layer produced it (a conv's
+ * before the zeroing), as predictiveForward() hands it to its hooks.
  */
 class PredictedZeroHooks : public ReplayHooks
 {
   public:
     PredictedZeroHooks(const Network &net, const MaskSet &masks,
                        const std::map<NodeId, BitVolume> &predicted)
-        : ReplayHooks(masks), net_(&net), predicted_(&predicted),
-          outputs_(net.size())
+        : ReplayHooks(masks), outputs(net.size()), net_(&net),
+          predicted_(&predicted)
     {}
 
     void mutateActivation(const std::string &layer_name, LayerKind kind,
                           Tensor &out) override
     {
         const NodeId id = net_->findNode(layer_name);
+        outputs[id] = out;
         const auto it = predicted_->find(id);
         if (kind == LayerKind::Conv2d && it != predicted_->end()) {
+            missed.emplace(id, mispredicted(it->second, out));
             for (std::size_t i = 0; i < out.numel(); ++i) {
                 if (it->second.getFlat(i))
                     out.at(i) = 0.0f;
             }
         }
-        outputs_[id] = out;
     }
 
-    std::vector<Tensor> takeOutputs() { return std::move(outputs_); }
+    std::vector<Tensor> outputs;
+    std::map<NodeId, BitVolume> missed;
 
   private:
     const Network *net_;
     const std::map<NodeId, BitVolume> *predicted_;
-    std::vector<Tensor> outputs_;
+};
+
+/** predictiveForward()'s result and every node's output as its run
+ *  hooks see them. */
+struct ReplayedPass {
+    PredictiveResult result;
+    std::vector<Tensor> nodes;
 };
 
 /**
- * Reference of predictiveForward: Eq. 5 for every conv in scope (it
- * reads only masks, zero maps and thresholds), then the ordinary
- * replayed forward with those predicted bits zeroed at each conv.
+ * Reference of predictiveForward: Eq. 5 for every conv (it reads only
+ * masks, zero maps and thresholds), then the ordinary replayed forward
+ * with those predicted bits zeroed at each conv.
  */
-PredictiveResult
+ReplayedPass
 replayWithPredictedZeroed(const BcnnTopology &topo,
                           const IndicatorSet &indicators,
                           const ZeroMaps &zeros,
                           const ThresholdSet &thresholds,
-                          const Tensor &input, const MaskSet &masks,
-                          std::size_t up_to_block)
+                          const Tensor &input, const MaskSet &masks)
 {
     const Network &net = topo.network();
     PredictiveResult res;
     for (const ConvBlock &b : topo.blocks()) {
-        if (b.index > up_to_block)
-            continue;
         const auto &conv = static_cast<const Conv2d &>(net.layer(b.conv));
         BitVolume pred = predictUnaffected(
             zeros.at(b.conv),
@@ -557,8 +573,8 @@ replayWithPredictedZeroed(const BcnnTopology &topo,
     }
     PredictedZeroHooks hooks(net, masks, res.predicted);
     res.output = net.forward(input, &hooks);
-    res.nodeOutputs = hooks.takeOutputs();
-    return res;
+    res.mispredicted = std::move(hooks.missed);
+    return {std::move(res), std::move(hooks.outputs)};
 }
 
 bool
@@ -575,13 +591,13 @@ TEST(PredictiveInference, EqualsReplayedForwardWithPredictedZeroed)
 {
     // Skip mode is the MC-dropout sample with the predicted neurons
     // also zeroed: the ordinary replayed forward that zeroes them at
-    // each in-scope conv must agree bit for bit — outputs, every
-    // captured node (dropped neurons keep their dense conv and ReLU
-    // values; the Dropout zeroes them), prediction maps and counts —
-    // across thresholds, scopes, SIMD levels and networks where a
-    // conv or ReLU output has a second consumer.
+    // each conv must agree bit for bit — outputs, every node as the
+    // run hooks see it (dropped neurons keep their dense conv and
+    // ReLU values; the Dropout zeroes them), prediction and
+    // misprediction maps and counts — across thresholds, SIMD levels
+    // and networks where a conv or ReLU output has a second consumer.
     const simd::SimdLevel saved = simd::activeLevel();
-    std::size_t checked = 0, predicted = 0;
+    std::size_t checked = 0, predicted = 0, missed = 0;
     for (int variant = 0; variant < 3; ++variant) {
         for (std::uint64_t seed = 0; seed < 12; ++seed) {
             Network net = branchyBcnn(variant, 100 + seed);
@@ -598,15 +614,14 @@ TEST(PredictiveInference, EqualsReplayedForwardWithPredictedZeroed)
             auto brng = makeBrng(BrngKind::Software, 0.3, 7 + seed);
             const MaskSet masks = sampleMasks(net, *brng);
 
-            PredictiveOptions opts;
-            opts.captureNodeOutputs = true;
-            opts.upToBlock = seed % 5 == 2 ? 1 : opts.upToBlock;
-            const PredictiveResult want = replayWithPredictedZeroed(
-                topo, ind, zeros, thr, in, masks, opts.upToBlock);
+            const ReplayedPass ref = replayWithPredictedZeroed(
+                topo, ind, zeros, thr, in, masks);
+            const PredictiveResult &want = ref.result;
             for (int l = 0; l < simd::kSimdLevelCount; ++l) {
                 simd::setLevel(static_cast<simd::SimdLevel>(l));
+                OutputRecorder recorder(net);
                 const PredictiveResult got = predictiveForward(
-                    topo, ind, zeros, thr, in, masks, opts);
+                    topo, ind, zeros, thr, in, masks, &recorder);
                 const std::string where =
                     "variant " + std::to_string(variant) + " seed " +
                     std::to_string(seed) + " level " +
@@ -618,20 +633,26 @@ TEST(PredictiveInference, EqualsReplayedForwardWithPredictedZeroed)
                     << where;
                 for (const auto &[id, map] : want.predicted)
                     ASSERT_TRUE(got.predicted.at(id) == map) << where;
-                ASSERT_EQ(got.nodeOutputs.size(), want.nodeOutputs.size());
+                ASSERT_EQ(got.mispredicted.size(),
+                          want.mispredicted.size()) << where;
+                for (const auto &[id, map] : want.mispredicted)
+                    ASSERT_TRUE(got.mispredicted.at(id) == map) << where;
                 for (NodeId id = 0; id < net.size(); ++id) {
-                    ASSERT_TRUE(sameBits(got.nodeOutputs[id],
-                                         want.nodeOutputs[id]))
+                    ASSERT_TRUE(sameBits(recorder.outputs[id],
+                                         ref.nodes[id]))
                         << where << " node " << net.layer(id).name();
                 }
                 ++checked;
             }
             predicted += want.predictedNeurons;
+            for (const auto &[id, map] : want.mispredicted)
+                missed += map.popcount();
         }
     }
     simd::setLevel(saved);
     EXPECT_EQ(checked, 3u * 12u * simd::kSimdLevelCount);
     EXPECT_GT(predicted, 0u);
+    EXPECT_GT(missed, 0u);
 }
 
 TEST(Optimizer, MeetsConfidenceWhenFeasible)
