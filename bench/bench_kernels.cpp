@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <vector>
 
 #include "nn/conv2d.hpp"
 #include "rng/brng.hpp"
@@ -103,6 +104,23 @@ BM_LfsrBrng(benchmark::State &state)
         static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LfsrBrng);
+
+void
+BM_LfsrBrngFill(benchmark::State &state)
+{
+    // One B-VGG16 x0.5 sample's mask bits, word-parallel.
+    constexpr std::size_t bits = 138000;
+    LfsrBrng brng(0.3);
+    std::vector<std::uint64_t> words((bits + 63) / 64);
+    for (auto _ : state) {
+        brng.fill(words.data(), bits);
+        benchmark::DoNotOptimize(words.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * bits));
+}
+BENCHMARK(BM_LfsrBrngFill);
 
 void
 BM_SoftwareBrng(benchmark::State &state)

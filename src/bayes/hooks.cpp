@@ -5,6 +5,17 @@
 
 namespace fastbcnn {
 
+BitVolume
+sampleMask(Brng &brng, const Shape &shape)
+{
+    FASTBCNN_CHECK_EQ(shape.rank(), 3u);
+    BitVolume mask(shape.dim(0), shape.dim(1), shape.dim(2));
+    mask.assignWords([&brng](std::uint64_t *words, std::size_t nbits) {
+        brng.fill(words, nbits);
+    });
+    return mask;
+}
+
 MaskSet
 drawMasks(const Network &net, ForwardHooks &hooks)
 {
@@ -34,12 +45,8 @@ const BitVolume *
 SamplingHooks::dropoutMask(const std::string &layer_name,
                            const Shape &shape)
 {
-    FASTBCNN_CHECK_EQ(shape.rank(), 3u);
-    BitVolume mask(shape.dim(0), shape.dim(1), shape.dim(2));
-    for (std::size_t i = 0; i < mask.size(); ++i)
-        mask.setFlat(i, brng_->nextBit());
-    auto [it, inserted] = masks_.insert_or_assign(layer_name,
-                                                  std::move(mask));
+    auto [it, inserted] =
+        masks_.insert_or_assign(layer_name, sampleMask(*brng_, shape));
     (void)inserted;
     return &it->second;
 }

@@ -21,6 +21,12 @@ using MaskSet = std::map<std::string, BitVolume>;
 class Network;
 
 /**
+ * Draw one Bernoulli mask over the CHW volume @p shape from @p brng,
+ * in flat CHW order, a word at a time through Brng::fill().
+ */
+BitVolume sampleMask(Brng &brng, const Shape &shape);
+
+/**
  * Request every Dropout layer's mask of @p net from @p hooks without
  * running a forward pass, in node order and at the shapes
  * net.forward() would request them — so a SamplingHooks draws exactly

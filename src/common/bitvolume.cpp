@@ -62,13 +62,17 @@ void
 BitVolume::fill(bool value)
 {
     std::fill_n(words_.begin(), wordCount(), value ? ~0ull : 0ull);
-    if (value) {
-        // Clear the padding bits past size() so popcount() stays exact
-        // (the guard word past wordCount() is never written).
-        const std::size_t used = size() % 64;
-        if (used != 0)
-            words_[wordCount() - 1] &= (1ull << used) - 1;
-    }
+    clearPadding();
+}
+
+void
+BitVolume::clearPadding()
+{
+    // Keeps popcount() exact; the guard word past wordCount() is never
+    // written.
+    const std::size_t used = size() % 64;
+    if (used != 0)
+        words_[wordCount() - 1] &= (1ull << used) - 1;
 }
 
 void

@@ -80,6 +80,19 @@ class BitVolume
      */
     const std::uint64_t *words() const { return words_.data(); }
 
+    /**
+     * Overwrite every bit: @p write(words, size()) sets the wordCount()
+     * data words, and the padding bits past size() are cleared after
+     * it, so they and the guard word stay zero.  Mask sampling fills a
+     * fresh volume straight from Brng::fill() this way.
+     */
+    template <class Write>
+    void assignWords(Write &&write)
+    {
+        write(words_.data(), size());
+        clearPadding();
+    }
+
     /** Set every bit to zero, keeping the shape. */
     void clear();
 
@@ -110,6 +123,9 @@ class BitVolume
     bool operator==(const BitVolume &other) const;
 
   private:
+    /** Zero the bits past size() in the last data word. */
+    void clearPadding();
+
     std::size_t flatIndex(std::size_t c, std::size_t r,
                           std::size_t col) const
     {

@@ -2,29 +2,13 @@
 
 #include <cmath>
 
+#include "bayes/hooks.hpp"
 #include "bayes/mc_runner.hpp"
 #include "common/check.hpp"
 #include "skip/indicator.hpp"
 #include "skip/predictor.hpp"
 
 namespace fastbcnn::quant {
-
-namespace {
-
-/** Draw a Bernoulli mask over a CHW volume from @p brng. */
-BitVolume
-sampleMask(Brng &brng, const Shape &shape)
-{
-    FASTBCNN_CHECK(shape.rank() == 3, "mask volume must be CHW");
-    BitVolume mask(shape.dim(0), shape.dim(1), shape.dim(2));
-    for (std::size_t i = 0; i < mask.size(); ++i) {
-        if (brng.nextBit())
-            mask.setFlat(i, true);
-    }
-    return mask;
-}
-
-} // namespace
 
 SkipAgreement
 compareSkipPredictions(const BcnnTopology &topo,

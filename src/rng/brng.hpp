@@ -14,6 +14,7 @@
 #define FASTBCNN_RNG_BRNG_HPP
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <random>
@@ -33,6 +34,16 @@ class Brng
 
     /** Draw one dropout bit. */
     virtual bool nextBit() = 0;
+
+    /**
+     * Draw the next @p nbits dropout bits into @p words, LSB-first:
+     * draw i lands in bit i % 64 of words[i / 64].  Writes exactly
+     * ceil(nbits / 64) words; the bits past @p nbits in the last one
+     * are zero.  The stream is the one nextBit() yields, so fill() and
+     * nextBit() may be interleaved freely.  This default loops
+     * nextBit(); LfsrBrng overrides it word-parallel.
+     */
+    virtual void fill(std::uint64_t *words, std::size_t nbits);
 
     /** @return the configured drop probability. */
     virtual double dropRate() const = 0;
@@ -55,6 +66,15 @@ class LfsrBrng : public Brng
     explicit LfsrBrng(double drop_rate, std::uint32_t seed = 0x1234u);
 
     bool nextBit() override;
+
+    /**
+     * Word-parallel draw, bit-identical to nextBit(): each register
+     * yields up to 25 outputs per shift-and-xor (its nearest tap is 25
+     * back), 64 outputs per register form eight bit planes, and u < t
+     * is evaluated bit-sliced over the planes, 64 draws at a time.
+     */
+    void fill(std::uint64_t *words, std::size_t nbits) override;
+
     double dropRate() const override { return dropRate_; }
 
     /** @return the 8-bit comparison threshold t = 2^8 * drop_rate. */
@@ -86,7 +106,7 @@ class SoftwareBrng : public Brng
 
 /**
  * Measure the empirical drop rate of @p brng over @p n draws
- * (the Table III experiment).
+ * (the Table III experiment): Brng::fill() in blocks, then popcount.
  */
 double measureDropRate(Brng &brng, std::size_t n);
 

@@ -30,7 +30,10 @@ class Lfsr32
     static constexpr unsigned tap3 = 26;
     static constexpr unsigned tap4 = 25;
 
-    /** Construct with a seed; 0 is remapped to a fixed non-zero state. */
+    /**
+     * Construct with a seed, which becomes the register contents; 0 is
+     * remapped to a fixed non-zero state.
+     */
     explicit Lfsr32(std::uint32_t seed = 0xace1u);
 
     /** Advance one cycle and @return the output bit (0 or 1). */

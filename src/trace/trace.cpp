@@ -1,6 +1,7 @@
 #include "trace.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/math_util.hpp"
 
@@ -178,6 +179,14 @@ buildTrace(const BcnnTopology &topo, const IndicatorSet &indicators,
             node_out[id] = net.forwardNode(id, input, node_out, &hooks);
         const MaskSet masks = hooks.takeMasks();
 
+        // With functional capture the predictive forward forms every
+        // block's prediction bits, and the census reads them from it.
+        std::optional<PredictiveResult> functional;
+        if (opts.captureFunctional) {
+            functional = predictiveForward(topo, indicators, zero_maps,
+                                           thresholds, input, masks);
+        }
+
         SampleTrace sample;
         sample.blocks.reserve(trace.blocks.size());
         for (std::size_t bi = 0; bi < trace.blocks.size(); ++bi) {
@@ -199,12 +208,18 @@ buildTrace(const BcnnTopology &topo, const IndicatorSet &indicators,
             // Prediction bits exactly as the central predictor forms
             // them: counts from the effective input mask, thresholds,
             // AND the zero index.
-            const BitVolume in_mask =
-                effectiveInputMask(topo, b.conv, masks);
-            const CountVolume counts = countDroppedNwInputs(
-                conv, in_mask, indicators.of(b.conv));
-            const BitVolume predicted = predictUnaffected(
-                zero_maps.at(b.conv), counts, thresholds, b.conv);
+            BitVolume own_prediction;
+            if (!functional) {
+                own_prediction = predictUnaffected(
+                    zero_maps.at(b.conv),
+                    countDroppedNwInputs(
+                        conv, effectiveInputMask(topo, b.conv, masks),
+                        indicators.of(b.conv)),
+                    thresholds, b.conv);
+            }
+            const BitVolume &predicted =
+                functional ? functional->predicted.at(b.conv)
+                           : own_prediction;
 
             const Tensor &o_true = node_out[b.conv];
             const BitVolume &zeros = zero_maps.at(b.conv);
@@ -240,12 +255,9 @@ buildTrace(const BcnnTopology &topo, const IndicatorSet &indicators,
         }
         trace.perSample.push_back(std::move(sample));
 
-        if (opts.captureFunctional) {
+        if (functional) {
             exact_outputs.push_back(node_out.back());
-            fb_outputs.push_back(
-                predictiveForward(topo, indicators, zero_maps,
-                                  thresholds, input, masks)
-                    .output);
+            fb_outputs.push_back(std::move(functional->output));
         }
     }
 

@@ -127,7 +127,9 @@ struct TraceOptions {
     BrngKind brng = BrngKind::Lfsr;
     std::uint64_t seed = 1;
     /** Also run the predictive cascade to capture functional outputs
-     *  (needed for accuracy; ~2x slower to build). */
+     *  (needed for accuracy); the census then reads its prediction
+     *  bits from the cascade, so Eq. 5 runs once per (sample, block)
+     *  either way. */
     bool captureFunctional = true;
 };
 

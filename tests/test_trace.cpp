@@ -262,6 +262,60 @@ TEST(Trace, CaptureFunctionalOptional)
     EXPECT_EQ(b.trace.perSample.size(), opts.samples);
 }
 
+TEST(Trace, CensusIdenticalWithAndWithoutFunctionalCapture)
+{
+    // With functional capture the census reads its prediction bits
+    // from predictiveForward(); without it, it forms them itself.
+    for (int alpha : {2, 6}) {
+        Fixture f(alpha);
+        const Tensor in = randomInput(14);
+        TraceOptions on = fastOptions(8);
+        on.brng = BrngKind::Lfsr;
+        TraceOptions off = on;
+        off.captureFunctional = false;
+        const TraceBundle a =
+            buildTrace(f.topo, f.indicators, f.thresholds, in, on);
+        const TraceBundle b =
+            buildTrace(f.topo, f.indicators, f.thresholds, in, off);
+        ASSERT_FALSE(a.functional.fbMean.empty());
+        ASSERT_EQ(a.trace.perSample.size(), b.trace.perSample.size());
+        std::uint64_t predicted = 0;
+        for (std::size_t t = 0; t < a.trace.perSample.size(); ++t) {
+            for (std::size_t bi = 0; bi < 2; ++bi) {
+                const BlockSampleTrace &x = a.trace.perSample[t].blocks[bi];
+                const BlockSampleTrace &y = b.trace.perSample[t].blocks[bi];
+                EXPECT_EQ(x.dropped, y.dropped);
+                EXPECT_EQ(x.predicted, y.predicted);
+                EXPECT_EQ(x.skipped, y.skipped);
+                EXPECT_EQ(x.cnvLaneCyclesPerChannel,
+                          y.cnvLaneCyclesPerChannel);
+                EXPECT_EQ(x.cnvMacsPerChannel, y.cnvMacsPerChannel);
+                EXPECT_EQ(x.actualUnaffected, y.actualUnaffected);
+                EXPECT_EQ(x.correctPredictions, y.correctPredictions);
+                EXPECT_EQ(x.falsePredictions, y.falsePredictions);
+                predicted += x.totalPredicted();
+            }
+        }
+        EXPECT_GT(predicted, 0u) << "alpha " << alpha;
+        const std::vector<BlockCensus> ca = censusOf(a.trace);
+        const std::vector<BlockCensus> cb = censusOf(b.trace);
+        ASSERT_EQ(ca.size(), cb.size());
+        for (std::size_t bi = 0; bi < ca.size(); ++bi) {
+            EXPECT_EQ(ca[bi].name, cb[bi].name);
+            EXPECT_EQ(ca[bi].neurons, cb[bi].neurons);
+            EXPECT_EQ(ca[bi].zeroRatio, cb[bi].zeroRatio);
+            EXPECT_EQ(ca[bi].unaffectedRatio, cb[bi].unaffectedRatio);
+            EXPECT_EQ(ca[bi].affectedRatio, cb[bi].affectedRatio);
+            EXPECT_EQ(ca[bi].unaffectedOfZero, cb[bi].unaffectedOfZero);
+            EXPECT_EQ(ca[bi].droppedRatio, cb[bi].droppedRatio);
+            EXPECT_EQ(ca[bi].predictedRatio, cb[bi].predictedRatio);
+            EXPECT_EQ(ca[bi].skipRatio, cb[bi].skipRatio);
+            EXPECT_EQ(ca[bi].predictionAccuracy,
+                      cb[bi].predictionAccuracy);
+        }
+    }
+}
+
 TEST(Trace, ZeroSamplesFatal)
 {
     Fixture f(4);
