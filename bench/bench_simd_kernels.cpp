@@ -5,6 +5,12 @@
  * end-to-end predictive-inference speedup on B-LeNet-5, with the
  * bit-identity contract re-checked on every measured buffer.
  *
+ * A third section times the AVX2 conv's two paths, dense and
+ * zero-input skipping, on every conv shape of B-VGG16 x0.5 and
+ * B-LeNet-5 at zero ratios 0-0.9, with both outputs checked against
+ * the scalar level: the per-layer break-even zero ratio of
+ * DESIGN.md §14 comes from these rows.
+ *
  * Output: a table per section on stdout and a machine-readable
  * summary written to BENCH_simd_kernels.json (override the path with
  * FASTBCNN_SIMD_JSON).  The process exits nonzero when any dispatch
@@ -27,6 +33,8 @@
 #include "bench_util.hpp"
 #include "bayes/mc_runner.hpp"
 #include "models/zoo.hpp"
+#include "nn/conv2d.hpp"
+#include "simd/kernels_internal.hpp"
 #include "simd/simd.hpp"
 #include "skip/predictive_inference.hpp"
 
@@ -380,6 +388,133 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
 }
 
 // ---------------------------------------------------------------- //
+// Zero-input skipping: dense vs zero-skip per conv shape            //
+// ---------------------------------------------------------------- //
+
+/** Zero ratios of the conv inputs in the zero-skip sweep. */
+constexpr double kSkipRatios[] = {0.0, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9};
+constexpr std::size_t kSkipRatioCount = std::size(kSkipRatios);
+
+/** One conv shape of a paper model, timed on both AVX2 conv paths. */
+struct SkipRow {
+    std::string layer, shape;
+    double dense_ns[kSkipRatioCount] = {};
+    double skip_ns[kSkipRatioCount] = {};
+    bool selected[kSkipRatioCount] = {};
+    /** Lowest swept ratio from which zero skipping stays faster, or a
+     *  negative value when it never is. */
+    double breakEven() const
+    {
+        double from = -1.0;
+        for (std::size_t r = kSkipRatioCount; r-- > 0;) {
+            if (skip_ns[r] >= dense_ns[r])
+                break;
+            from = kSkipRatios[r];
+        }
+        return from;
+    }
+};
+
+/** @return the conv layers of @p net with their input shapes. */
+std::vector<std::pair<const Conv2d *, Shape>>
+convLayers(const Network &net)
+{
+    std::vector<std::pair<const Conv2d *, Shape>> convs;
+    for (NodeId id = 0; id < net.size(); ++id) {
+        if (net.layer(id).kind() != LayerKind::Conv2d)
+            continue;
+        const NodeId src = net.inputsOf(id)[0];
+        convs.emplace_back(static_cast<const Conv2d *>(&net.layer(id)),
+                           src == Network::inputNode ? net.inputShape()
+                                                     : net.shapeOf(src));
+    }
+    return convs;
+}
+
+/** @p n normal floats, each zero with probability @p zero_ratio; half
+ *  of the zeros are -0.0. */
+std::vector<float>
+sparseInput(std::size_t n, std::uint64_t seed, double zero_ratio)
+{
+    std::mt19937_64 rng(seed);
+    std::normal_distribution<float> g(0.0f, 1.0f);
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    std::vector<float> v(n);
+    for (float &x : v)
+        x = u(rng) < zero_ratio ? ((rng() & 1) != 0 ? -0.0f : 0.0f)
+                                : g(rng);
+    return v;
+}
+
+/**
+ * Dense against zero skipping on every conv of B-VGG16 x0.5 and
+ * B-LeNet-5 (the bench_perf models), over kSkipRatios.  Weights and
+ * biases are finite, so zero skipping may run on every row, and no
+ * weight is zero, as in the models (a zero weight sends the dense
+ * conv through its slower blend path); both paths must equal the
+ * scalar level.  Empty when the AVX2 level is not available.
+ */
+std::vector<SkipRow>
+runZeroSkipBenches()
+{
+    std::vector<SkipRow> rows;
+    if (!simd::levelAvailable(simd::SimdLevel::Avx2))
+        return rows;
+    ModelOptions vgg_opts;
+    vgg_opts.widthMultiplier = 0.5;
+    const Network vgg = buildVgg16(vgg_opts);
+    const Network lenet = buildLenet5(ModelOptions{});
+    const simd::SimdKernels &scalar =
+        simd::kernelsFor(simd::SimdLevel::Scalar);
+    std::uint64_t seed = 90;
+    for (const Network *net : {&vgg, &lenet}) {
+        for (const auto &[conv, in_shape] : convLayers(*net)) {
+            const std::size_t in_c = in_shape.dim(0), h = in_shape.dim(1),
+                              w = in_shape.dim(2);
+            const std::size_t k = conv->kernelSize(), s = conv->stride(),
+                              p = conv->padding(), out_c = conv->outChannels();
+            const std::size_t oh = (h + 2 * p - k) / s + 1;
+            const std::size_t ow = (w + 2 * p - k) / s + 1;
+            SkipRow row{net->name() + " " + conv->name(),
+                        format("%zux%zux%zu k%zu s%zu p%zu -> %zu", in_c, h,
+                               w, k, s, p, out_c)};
+            const simd::ConvWeights packed(
+                out_c, in_c, k,
+                randomFloats(out_c * in_c * k * k, seed++).data());
+            const std::vector<float> b = randomFloats(out_c, seed++);
+            std::vector<float> out(out_c * oh * ow), ref(out.size());
+            for (std::size_t r = 0; r < kSkipRatioCount; ++r) {
+                const std::vector<float> x =
+                    sparseInput(in_c * h * w, seed++, kSkipRatios[r]);
+                scalar.packedConvForward(x.data(), packed, b.data(),
+                                         ref.data(), h, w, oh, ow, s, p);
+                for (bool zero_skip : {false, true}) {
+                    bool ran = false;
+                    const double ns = timeNs(
+                        [&] {
+                            ran = simd::detail::avx2ConvForwardOn(
+                                zero_skip, x.data(), packed, b.data(),
+                                out.data(), h, w, oh, ow, s, p);
+                        },
+                        scaledIters(8));
+                    (zero_skip ? row.skip_ns : row.dense_ns)[r] = ns;
+                    check(ran == zero_skip,
+                          "zero skipping did not run where it may");
+                    check(sameBytes(out.data(), ref.data(),
+                                    out.size() * sizeof(float)),
+                          zero_skip ? "zero-skip conv differs from scalar"
+                                    : "dense conv differs from scalar");
+                }
+                row.selected[r] = simd::detail::avx2ZeroSkipSelected(
+                    x.data(), packed, b.data(), h, w, oh, ow, s, p);
+            }
+            rows.push_back(row);
+        }
+    }
+    return rows;
+}
+
+// ---------------------------------------------------------------- //
 // End-to-end predictive inference                                  //
 // ---------------------------------------------------------------- //
 
@@ -517,7 +652,8 @@ runMcIdentity(const std::vector<simd::SimdLevel> &levels)
 
 void
 writeJson(const std::vector<simd::SimdLevel> &levels,
-          const std::vector<KernelRow> &rows, const EndToEnd &e2e,
+          const std::vector<KernelRow> &rows,
+          const std::vector<SkipRow> &skip_rows, const EndToEnd &e2e,
           bool mc_ok)
 {
     std::ostringstream json;
@@ -550,8 +686,36 @@ writeJson(const std::vector<simd::SimdLevel> &levels,
              << "\", \"pack_ms\": " << format("%.4f", packRows[r].ms)
              << "}" << (r + 1 == packRows.size() ? "\n" : ",\n");
     }
+    json << "  ],\n  \"zero_skip\": {\"zero_ratios\": [";
+    for (std::size_t r = 0; r < kSkipRatioCount; ++r)
+        json << format("%.1f", kSkipRatios[r])
+             << (r + 1 == kSkipRatioCount ? "" : ", ");
+    json << "], \"layers\": [\n";
+    const auto list = [&json](const auto &values, const char *fmt) {
+        json << "[";
+        for (std::size_t r = 0; r < kSkipRatioCount; ++r)
+            json << format(fmt, values[r])
+                 << (r + 1 == kSkipRatioCount ? "" : ", ");
+        json << "]";
+    };
+    for (std::size_t i = 0; i < skip_rows.size(); ++i) {
+        const SkipRow &row = skip_rows[i];
+        json << "    {\"layer\": \"" << row.layer << "\", \"shape\": \""
+             << row.shape << "\", \"dense_ns\": ";
+        list(row.dense_ns, "%.0f");
+        json << ", \"zero_skip_ns\": ";
+        list(row.skip_ns, "%.0f");
+        json << ", \"selected\": [";
+        for (std::size_t r = 0; r < kSkipRatioCount; ++r)
+            json << (row.selected[r] ? "true" : "false")
+                 << (r + 1 == kSkipRatioCount ? "" : ", ");
+        const double be = row.breakEven();
+        json << "], \"break_even\": "
+             << (be < 0.0 ? std::string("null") : format("%.1f", be))
+             << "}" << (i + 1 == skip_rows.size() ? "\n" : ",\n");
+    }
     const double best_ms = e2e.ms[static_cast<int>(levels.back())];
-    json << "  ],\n  \"end_to_end\": {\"model\": \"" << e2e.model
+    json << "  ]},\n  \"end_to_end\": {\"model\": \"" << e2e.model
          << "\", "
          << "\"what\": \"predictiveForward\", \"ms_per_inference\": {";
     for (std::size_t i = 0; i < levels.size(); ++i)
@@ -620,6 +784,32 @@ main()
         tp.addRow({row.shape, format("%.4f", row.ms)});
     tp.print(std::cout);
 
+    const std::vector<SkipRow> skip_rows = runZeroSkipBenches();
+    if (skip_rows.empty()) {
+        std::cout << "\nzero-input skipping: AVX2 not available, skipped\n";
+    } else {
+        std::cout << "\nzero-input skipping, AVX2 conv: speedup over dense"
+                     " (dense ns / zero-skip ns) per input zero ratio;"
+                     " * = the kernel selects zero skipping:\n";
+        std::vector<std::string> head = {"layer", "shape"};
+        for (double r : kSkipRatios)
+            head.push_back(format("%.1f", r));
+        head.push_back("break-even");
+        Table ts(head);
+        for (const SkipRow &row : skip_rows) {
+            std::vector<std::string> cells = {row.layer, row.shape};
+            for (std::size_t r = 0; r < kSkipRatioCount; ++r)
+                cells.push_back(format("%.2fx%s",
+                                       row.dense_ns[r] / row.skip_ns[r],
+                                       row.selected[r] ? "*" : ""));
+            const double be = row.breakEven();
+            cells.push_back(be < 0.0 ? std::string("never")
+                                     : format("%.1f", be));
+            ts.addRow(cells);
+        }
+        ts.print(std::cout);
+    }
+
     const EndToEnd e2e = runEndToEnd(levels, benchScale());
     std::cout << "\nend-to-end predictiveForward (" << e2e.model << ", "
               << e2e.predictedNeurons << " predicted neurons):\n";
@@ -639,7 +829,7 @@ main()
     std::cout << "MC outputs bit-identical across levels x threads: "
               << (mc_ok ? "yes" : "NO") << "\n";
 
-    writeJson(levels, rows, e2e, mc_ok);
+    writeJson(levels, rows, skip_rows, e2e, mc_ok);
     if (failures > 0) {
         std::cerr << "bench_simd_kernels: " << failures
                   << " identity check(s) FAILED\n";

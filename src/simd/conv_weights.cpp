@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.hpp"
 #include "simd/simd.hpp"
@@ -53,7 +54,12 @@ void
 ConvWeights::set(std::size_t index, float value)
 {
     FASTBCNN_CHECK_LT(index, size());
-    w_[slot(index)] = value;
+    float &slot_value = w_[slot(index)];
+    if (!std::isfinite(slot_value))
+        --nonFinite_;
+    if (!std::isfinite(value))
+        ++nonFinite_;
+    slot_value = value;
     if (!zeros_.empty()) {
         const std::size_t block = index / taps() / kLanes;
         const std::size_t tap = index % taps();
@@ -90,6 +96,9 @@ ConvWeights::classOf(std::size_t block, std::size_t tap) const
 void
 ConvWeights::classify()
 {
+    // Pad lanes hold 1.0f, so counting every slot counts real weights.
+    nonFinite_ = static_cast<std::size_t>(std::count_if(
+        w_.begin(), w_.end(), [](float v) { return !std::isfinite(v); }));
     zeros_.clear();
     if (std::find(w_.begin(), w_.end(), 0.0f) == w_.end()) {
         zeros_.shrink_to_fit();

@@ -9,7 +9,9 @@
  * independent outputs only, never across a reduction, and keep the
  * scalar tap order per output element.  The conv puts 8 output
  * channels in the lanes (one broadcast input feeds all 8) and reads
- * their weights as packed by ConvWeights; pooling and
+ * their weights as packed by ConvWeights; on a mostly-zero input it
+ * skips the zero inputs' taps where that provably changes no bit
+ * (zero-input skipping, below); pooling and
  * ReLU vectorize along output columns.  Use separate mul + add (never
  * fmadd, which would double-round differently), cmp + blendv for max
  * semantics and skipped taps, cmp + and for ReLU semantics, and
@@ -26,6 +28,7 @@
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <utility>
 
 namespace fastbcnn::simd::detail {
@@ -590,19 +593,9 @@ convBlocked(const ConvGeom &g, const ConvWeights &w, const float *bias,
  * added as w * 0 (-0.0 + +0.0 is +0.0, and Inf * 0 is NaN).
  */
 FASTBCNN_HOT void
-avx2ConvForward(const float *in_data, const ConvWeights &w,
-                const float *bias, float *out_data, std::size_t in_h,
-                std::size_t in_w, std::size_t out_h, std::size_t out_w,
-                std::size_t stride, std::size_t padding)
+convDense(const ConvGeom &g, const ConvWeights &w, const float *bias,
+          float *out_data)
 {
-    const std::size_t kernel = w.kernel();
-    if (kernel > kMaxConvKernel) {
-        scalarConvForward(in_data, w, bias, out_data, in_h, in_w, out_h,
-                          out_w, stride, padding);
-        return;
-    }
-    const ConvGeom g{in_data, in_h,  in_w,   in_h * in_w, out_w,
-                     out_h * out_w, kernel, stride, padding};
     // Small late-layer planes run one position per tile across 8
     // blocks: no per-position range checks and no repeated slots,
     // unless that leaves more blocks idle than the slots it saves.
@@ -613,10 +606,547 @@ avx2ConvForward(const float *in_data, const ConvWeights &w,
         (g.out_plane + kConvAccs - 1) / kConvAccs * blocks;
     if (g.out_plane <= kMaxOnePositionPlane && blocks >= kConvAccs &&
         one_wide <= eight_wide &&
-        kernel * kernel * kConvAccs <= kConvChunkVecs)
+        g.kernel * g.kernel * kConvAccs <= kConvChunkVecs)
         convBlocked<1>(g, w, bias, out_data);
     else
         convBlocked<8>(g, w, bias, out_data);
+}
+
+/*
+ * Zero-input skipping (the paper's zero and dropped neurons, seen from
+ * the consuming conv, as in Cnvlutin).  One input value feeds the 8
+ * output channels of a block at every tap it reaches, so a zero input
+ * saves a broadcast and 8 lanes of mul + add per block at each of
+ * them.  Each output position gets a compacted list of its nonzero
+ * in-range taps, in (n, i, j) order, and every block of the layer
+ * runs it: each neuron sees bias, then those taps in order as
+ * mul + add.  That equals the dense sequence bit for bit when no bias
+ * lane is -0.0, no weight is Inf or NaN and no input is Inf or NaN:
+ * the accumulator then never holds -0.0 (x + y is -0.0 only when both
+ * are), so every tap left out, a zero-weight lane included, would have
+ * added a signed zero to a value it cannot change.  DESIGN.md §14 has
+ * the proof and the break-even.
+ */
+
+/** Largest N * K * K the zero-skipping conv takes: its tap offsets,
+ *  its tap masks and one position's worst-case list are stack arrays. */
+inline constexpr std::size_t kSkipMaxTaps = 4096;
+
+/** u16 entries of one band's tap lists (32 KiB of stack). */
+inline constexpr std::size_t kSkipListCap = 4 * kSkipMaxTaps;
+
+/** Words of the largest nonzero map the scan takes (32 KiB). */
+inline constexpr std::size_t kSkipMaxMapWords = 4096;
+
+/*
+ * Break-even of zero skipping against the dense conv (DESIGN.md §14):
+ * its cost per output position and tap, in units of one dense 8-lane
+ * tap of one block, is
+ *   kSkipCallCost / (positions * taps) + kSkipPositionCost / taps
+ *     + kSkipScanCost + live * group_blocks * kSkipTapCost,
+ * where live is the input's nonzero share and group_blocks the blocks
+ * its groups compute (slid-back groups recompute some); it runs when
+ * that is below the dense cost, blocks.  Fitted to the per-layer rows
+ * of bench_simd_kernels (B-VGG16 x0.5 and B-LeNet-5 shapes at zero
+ * ratios 0-0.9).
+ */
+inline constexpr double kSkipCallCost = 2048.0;
+inline constexpr double kSkipPositionCost = 100.0;
+inline constexpr double kSkipScanCost = 2.0;
+inline constexpr double kSkipTapCost = 1.3;
+
+/** For every byte value, the indices of its set bits, lowest first:
+ *  one load turns 8 tap bits into their tap numbers. */
+struct TapLut {
+    std::uint8_t idx[256][8];
+};
+
+constexpr TapLut
+makeTapLut()
+{
+    TapLut lut{};
+    for (unsigned b = 0; b < 256; ++b) {
+        unsigned k = 0;
+        for (unsigned i = 0; i < 8; ++i) {
+            if (((b >> i) & 1u) != 0)
+                lut.idx[b][k++] = static_cast<std::uint8_t>(i);
+        }
+    }
+    return lut;
+}
+
+alignas(64) constexpr TapLut kTapLut = makeTapLut();
+
+/** OR @p bits into the bit array from bit @p pos on (one guard word
+ *  past the data takes the spill of the last word). */
+inline void
+orBits(std::uint64_t *map, std::size_t pos, std::uint64_t bits)
+{
+    const std::size_t sh = pos & 63;
+    map[pos >> 6] |= bits << sh;
+    if (sh != 0)
+        map[(pos >> 6) + 1] |= bits >> (64 - sh);
+}
+
+/** What one pass over a conv input finds. */
+struct InputScan {
+    std::size_t nonzero = 0;  ///< values that are not +-0.0
+    bool finite = true;       ///< no value is Inf or NaN
+};
+
+/**
+ * One vector pass over the (N, H, W) input: count its nonzero values,
+ * note any non-finite one, and set bit (n, y + p, x + p) of the
+ * zero-padded (N, H + 2p, W + 2p) map @p map (row-major, plus one
+ * guard word) for every nonzero in(n, y, x).
+ */
+FASTBCNN_HOT InputScan
+scanInput(const float *in, std::size_t channels, std::size_t in_h,
+          std::size_t in_w, std::size_t p, std::uint64_t *map,
+          std::size_t words)
+{
+    std::fill(map, map + words, std::uint64_t{0});
+    const std::size_t ph = in_h + 2 * p, pw = in_w + 2 * p;
+    const __m256 zero = _mm256_setzero_ps();
+    __m256 bad = zero;  // v - v: +0.0 when finite, NaN otherwise
+    InputScan scan;
+    bool tail_bad = false;
+    for (std::size_t n = 0; n < channels; ++n) {
+        for (std::size_t y = 0; y < in_h; ++y) {
+            const float *row = in + (n * in_h + y) * in_w;
+            const std::size_t bit0 = (n * ph + y + p) * pw + p;
+            std::size_t x = 0;
+            for (; x + kConvLanes <= in_w; x += kConvLanes) {
+                const __m256 v = _mm256_loadu_ps(row + x);
+                bad = _mm256_or_ps(bad, _mm256_sub_ps(v, v));
+                const auto bits = static_cast<unsigned>(_mm256_movemask_ps(
+                    _mm256_cmp_ps(v, zero, _CMP_NEQ_UQ)));
+                scan.nonzero += static_cast<std::size_t>(std::popcount(bits));
+                orBits(map, bit0 + x, bits);
+            }
+            for (; x < in_w; ++x) {
+                const float v = row[x];
+                tail_bad = tail_bad || !std::isfinite(v);
+                if (v != 0.0f) {
+                    ++scan.nonzero;
+                    orBits(map, bit0 + x, 1);
+                }
+            }
+        }
+    }
+    const int nan_lanes =
+        _mm256_movemask_ps(_mm256_cmp_ps(bad, bad, _CMP_UNORD_Q));
+    scan.finite = !tail_bad && nan_lanes == 0;
+    return scan;
+}
+
+/** Bits 0, 2, ..., 14 of @p v packed into bits 0-7. */
+inline std::uint64_t
+evenBits(std::uint64_t v)
+{
+    v &= 0x5555;
+    v = (v | (v >> 1)) & 0x3333;
+    v = (v | (v >> 2)) & 0x0f0f;
+    return (v | (v >> 4)) & 0x00ff;
+}
+
+/** Geometry of the zero-skipping conv: the dense geometry plus the
+ *  padded nonzero map, the tap offsets into the input and the taps
+ *  per chunk. */
+struct SkipGeom {
+    const ConvGeom &g;
+    const std::uint64_t *map;
+    std::size_t ph, pw, taps;
+    const std::int32_t *toff;  ///< in offset of tap t from tap 0
+    std::size_t chunk;
+};
+
+/**
+ * Tap masks of one tile: positions (r, c + q), q < count, of one
+ * output row.  Bit q of mask[t] is set when tap t of position q reads
+ * a nonzero, in-range input.  Stride 1 or 2.
+ */
+FASTBCNN_HOT void
+tileMasks(const SkipGeom &sg, std::size_t r, std::size_t c,
+          std::size_t count, std::uint8_t *mask)
+{
+    // Locals: the byte stores below may alias anything.
+    const std::uint64_t *map = sg.map;
+    const std::size_t kernel = sg.g.kernel, pw = sg.pw;
+    const bool stride1 = sg.g.stride == 1;
+    const std::uint64_t keep = (std::uint64_t{1} << count) - 1;
+    const std::size_t channels = sg.taps / (kernel * kernel);
+    const std::size_t skip_rows = (sg.ph - kernel) * pw;
+    std::size_t bit = r * sg.g.stride * pw + c * sg.g.stride;
+    for (std::size_t n = 0; n < channels; ++n, bit += skip_rows) {
+        for (std::size_t i = 0; i < kernel; ++i, bit += pw) {
+            const std::uint64_t word = extract64(map, bit);
+            for (std::size_t j = 0; j < kernel; ++j) {
+                const std::uint64_t bits =
+                    stride1 ? word >> j : evenBits(word >> j);
+                *mask++ = static_cast<std::uint8_t>(bits & keep);
+            }
+        }
+    }
+}
+
+/**
+ * Append the taps whose bit @p q is set in @p mask (zero-padded to a
+ * multiple of 32) to @p dst, in tap order, and write the list length
+ * after every @p chunk taps (a multiple of 32) and at the end to
+ * @p cuts.  Writes up to 8 entries past the end.
+ */
+FASTBCNN_HOT void
+expandTaps(const std::uint8_t *mask, std::size_t taps, std::size_t chunk,
+           unsigned q, std::uint16_t *dst, std::uint16_t *cuts)
+{
+    std::uint16_t *d = dst;
+    const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(7 - q));
+    *cuts++ = 0;
+    std::size_t next_cut = chunk;
+    for (std::size_t t0 = 0; t0 < taps; t0 += 32) {
+        const __m256i v = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(mask + t0));
+        // Bit q of every mask byte, moved to the byte's top bit.
+        auto bits = static_cast<std::uint32_t>(
+            _mm256_movemask_epi8(_mm256_sll_epi16(v, shift)));
+        for (std::size_t k = 0; k < 4; ++k, bits >>= 8) {
+            const unsigned b = bits & 0xffu;
+            const __m128i idx = _mm_add_epi16(
+                _mm_cvtepu8_epi16(_mm_loadl_epi64(
+                    reinterpret_cast<const __m128i *>(kTapLut.idx[b]))),
+                _mm_set1_epi16(static_cast<short>(t0 + 8 * k)));
+            _mm_storeu_si128(reinterpret_cast<__m128i *>(d), idx);
+            d += std::popcount(b);
+        }
+        if (t0 + 32 == next_cut || t0 + 32 >= taps) {
+            *cuts++ = static_cast<std::uint16_t>(d - dst);
+            next_cut += chunk;
+        }
+    }
+}
+
+/** One position's entries in one chunk: list[0, len) are tap indices,
+ *  and tap t reads in[base + toff[t]]. */
+struct SkipSpan {
+    const std::uint16_t *list;
+    std::size_t len;
+    std::ptrdiff_t base;
+};
+
+/** One list entry: B blocks' mul + add of in[base + toff[t]]. */
+template <std::size_t B, std::size_t... Bs>
+[[gnu::always_inline]] FASTBCNN_HOT inline void
+skipTap(__m256 *acc, const float *w, std::size_t stride, const float *in,
+        const std::int32_t *toff, std::ptrdiff_t base, std::uint16_t t,
+        std::index_sequence<Bs...>)
+{
+    const __m256 x = _mm256_broadcast_ss(in + (base + toff[t]));
+    const float *wt = w + static_cast<std::size_t>(t) * kConvLanes;
+    ((acc[Bs] = _mm256_add_ps(
+          acc[Bs], _mm256_mul_ps(_mm256_load_ps(wt + Bs * stride), x))),
+     ...);
+}
+
+/** Entries [from, len) of span @p p, on its B accumulators. */
+template <std::size_t B, std::size_t p>
+[[gnu::always_inline]] FASTBCNN_HOT inline void
+skipTail(__m256 *acc, const SkipSpan *span, std::size_t from,
+         const float *w, std::size_t stride, const float *in,
+         const std::int32_t *toff)
+{
+    for (std::size_t e = from; e < span[p].len; ++e)
+        skipTap<B>(acc + p * B, w, stride, in, toff, span[p].base,
+                   span[p].list[e], std::make_index_sequence<B>{});
+}
+
+/**
+ * Run P positions' spans over B blocks, starting from @p stage and
+ * leaving the sums there (P * B = 8 accumulators, so the add chains of
+ * one entry fill the FP pipes): the common prefix of the spans
+ * interleaved, then each span's rest.
+ */
+template <std::size_t B, std::size_t... Ps, std::size_t... A>
+[[gnu::always_inline]] FASTBCNN_HOT inline void
+skipRun(float (*stage)[kConvLanes], const SkipSpan *span, const float *w,
+        std::size_t stride, const float *in, const std::int32_t *toff,
+        std::index_sequence<Ps...>, std::index_sequence<A...>)
+{
+    constexpr auto bs = std::make_index_sequence<B>{};
+    // Accumulators indexed only by constants stay in registers.
+    __m256 acc[kConvAccs] = {_mm256_load_ps(stage[A])...};
+    const std::size_t common = std::min({span[Ps].len...});
+    for (std::size_t e = 0; e < common; ++e) {
+        (skipTap<B>(acc + Ps * B, w, stride, in, toff, span[Ps].base,
+                    span[Ps].list[e], bs),
+         ...);
+    }
+    (skipTail<B, Ps>(acc, span, common, w, stride, in, toff), ...);
+    (_mm256_store_ps(stage[A], acc[A]), ...);
+}
+
+/** Output positions of one band. */
+inline constexpr std::size_t kSkipMaxBand = 16;
+
+/**
+ * Tap vectors (taps x blocks of a group) per chunk of the zero-skipping
+ * conv: 32 KiB of packed weights, which stay in L1 while a band runs
+ * the chunk.
+ */
+inline constexpr std::size_t kSkipChunkVecs = 1024;
+
+/** @return the taps per chunk for a layer of @p taps taps run in
+ *  groups of @p group blocks: the fewest chunks within kSkipChunkVecs,
+ *  balanced and rounded up to the 32-tap steps of expandTaps. */
+std::size_t
+skipChunkTaps(std::size_t taps, std::size_t group)
+{
+    const std::size_t budget = kSkipChunkVecs / group;
+    const std::size_t chunks = (taps + budget - 1) / budget;
+    return ((taps + chunks - 1) / chunks + 31) / 32 * 32;
+}
+
+/** Chunk cuts per position: at most kSkipMaxTaps / 32 chunks, plus
+ *  the start. */
+inline constexpr std::size_t kSkipMaxCuts = kSkipMaxTaps / 32 + 1;
+
+/** One band: up to kSkipMaxBand output positions and their lists. */
+struct SkipBand {
+    std::size_t count = 0;
+    std::ptrdiff_t base[kSkipMaxBand];   ///< in offset of tap 0
+    std::size_t z[kSkipMaxBand];         ///< output position
+    const std::uint16_t *list[kSkipMaxBand];
+    std::uint16_t cuts[kSkipMaxBand][kSkipMaxCuts];
+};
+
+/**
+ * One band over the B blocks from @p b0, chunk by chunk: each chunk's
+ * tap vectors (at most kSkipChunkVecs) stay in L1 while every position
+ * of the band runs its entries in the chunk, P positions at a time.
+ * The sums wait in a stack stage between chunks and go to the output
+ * once (a short last run pads with empty spans, never stored).
+ */
+template <std::size_t B>
+FASTBCNN_HOT void
+skipBlocks(const SkipGeom &sg, const ConvWeights &w, const float *bias,
+           float *out_data, std::size_t b0, const SkipBand &band)
+{
+    constexpr std::size_t P = kConvAccs / B;
+    const std::size_t stride = w.taps() * kConvLanes;
+    const float *wg = w.data() + b0 * stride;
+    const std::size_t m0 = b0 * kConvLanes;
+    const std::size_t real = std::min(B * kConvLanes, w.outChannels() - m0);
+    alignas(32) float b[B][kConvLanes] = {};
+    std::copy_n(bias + m0, real, b[0]);
+    const std::size_t runs = (band.count + P - 1) / P;
+    alignas(32) float stage[kSkipMaxBand / P * kConvAccs][kConvLanes];
+    for (std::size_t r = 0; r < runs; ++r) {
+        for (std::size_t a = 0; a < kConvAccs; ++a)
+            std::copy_n(b[a % B], kConvLanes, stage[r * kConvAccs + a]);
+    }
+    const std::size_t chunks = (sg.taps + sg.chunk - 1) / sg.chunk;
+    for (std::size_t c = 0; c < chunks; ++c) {
+        for (std::size_t r = 0; r < runs; ++r) {
+            SkipSpan span[P];
+            for (std::size_t q = 0; q < P; ++q) {
+                const std::size_t i = r * P + q;
+                if (i >= band.count) {
+                    span[q] = {nullptr, 0, 0};
+                    continue;
+                }
+                const std::uint16_t *cut = band.cuts[i] + c;
+                span[q] = {band.list[i] + cut[0],
+                           static_cast<std::size_t>(cut[1] - cut[0]),
+                           band.base[i]};
+            }
+            skipRun<B>(stage + r * kConvAccs, span, wg, stride, sg.g.in,
+                       sg.toff, std::make_index_sequence<P>{},
+                       std::make_index_sequence<kConvAccs>{});
+        }
+    }
+    const std::size_t out_plane = sg.g.out_plane;
+    for (std::size_t i = 0; i < band.count; ++i) {
+        const float(*v)[kConvLanes] = stage + i / P * kConvAccs + i % P * B;
+        float *o = out_data + m0 * out_plane + band.z[i];
+        for (std::size_t m = 0; m < real; ++m)
+            o[m * out_plane] = v[m / kConvLanes][m % kConvLanes];
+    }
+}
+
+/**
+ * Every block of the layer over one band, in groups of B = 8 blocks
+ * (or the largest power of two not above a smaller block count).  A
+ * last group that would run past the final block slides back to end
+ * on it, recomputing (bit for bit) blocks the previous group stored.
+ */
+template <std::size_t B>
+FASTBCNN_HOT void
+skipGroups(const SkipGeom &sg, const ConvWeights &w, const float *bias,
+           float *out_data, const SkipBand &band)
+{
+    const std::size_t blocks = w.blocks();
+    for (std::size_t g0 = 0; g0 < blocks; g0 += B)
+        skipBlocks<B>(sg, w, bias, out_data, std::min(g0, blocks - B), band);
+}
+
+/** Blocks per group of the zero-skipping conv for @p blocks. */
+std::size_t
+skipGroupBlocks(std::size_t blocks)
+{
+    return blocks >= 8 ? 8 : blocks >= 4 ? 4 : blocks >= 2 ? 2 : 1;
+}
+
+FASTBCNN_HOT void
+skipBand(const SkipGeom &sg, const ConvWeights &w, const float *bias,
+         float *out_data, const SkipBand &band)
+{
+    switch (skipGroupBlocks(w.blocks())) {
+    case 8: skipGroups<8>(sg, w, bias, out_data, band); break;
+    case 4: skipGroups<4>(sg, w, bias, out_data, band); break;
+    case 2: skipGroups<2>(sg, w, bias, out_data, band); break;
+    default: skipGroups<1>(sg, w, bias, out_data, band); break;
+    }
+}
+
+/**
+ * The zero-skipping conv over a scanned input (@p map from scanInput).
+ * Positions go in bands of up to kSkipMaxBand: their lists are built
+ * once, then every block group runs them.
+ */
+FASTBCNN_HOT void
+convZeroSkip(const ConvGeom &g, const ConvWeights &w, const float *bias,
+             float *out_data, const std::uint64_t *map)
+{
+    const std::size_t taps = w.taps();
+    std::int32_t toff[kSkipMaxTaps];
+    std::size_t t = 0;
+    for (std::size_t n = 0; n < w.inChannels(); ++n) {
+        for (std::size_t i = 0; i < g.kernel; ++i) {
+            for (std::size_t j = 0; j < g.kernel; ++j, ++t)
+                toff[t] = static_cast<std::int32_t>(n * g.in_plane +
+                                                    i * g.in_w + j);
+        }
+    }
+    const std::size_t chunk =
+        skipChunkTaps(taps, skipGroupBlocks(w.blocks()));
+    const SkipGeom sg{g,    map,  g.in_h + 2 * g.padding,
+                      g.in_w + 2 * g.padding, taps, toff, chunk};
+    alignas(32) std::uint8_t mask[kSkipMaxTaps + 32];
+    std::fill(mask + taps, mask + (taps + 31) / 32 * 32, std::uint8_t{0});
+    std::uint16_t list[kSkipListCap + 8];
+    SkipBand band;
+    std::size_t used = 0;
+    const std::size_t out_h = g.out_plane / g.out_w;
+    for (std::size_t r = 0; r < out_h; ++r) {
+        for (std::size_t c = 0; c < g.out_w; c += kConvLanes) {
+            const std::size_t tile = std::min(kConvLanes, g.out_w - c);
+            tileMasks(sg, r, c, tile, mask);
+            for (std::size_t q = 0; q < tile; ++q) {
+                if (band.count == kSkipMaxBand || used + taps > kSkipListCap) {
+                    skipBand(sg, w, bias, out_data, band);
+                    band.count = 0;
+                    used = 0;
+                }
+                const std::size_t i = band.count++;
+                expandTaps(mask, taps, chunk, static_cast<unsigned>(q),
+                           list + used, band.cuts[i]);
+                const auto pad = static_cast<std::ptrdiff_t>(g.padding);
+                const auto y =
+                    static_cast<std::ptrdiff_t>(r * g.stride) - pad;
+                const auto x =
+                    static_cast<std::ptrdiff_t>((c + q) * g.stride) - pad;
+                band.base[i] = y * static_cast<std::ptrdiff_t>(g.in_w) + x;
+                band.z[i] = r * g.out_w + c + q;
+                band.list[i] = list + used;
+                used += band.cuts[i][(taps + chunk - 1) / chunk];
+            }
+        }
+    }
+    if (band.count > 0)
+        skipBand(sg, w, bias, out_data, band);
+}
+
+/** What selectZeroSkip decides for one call. */
+struct SkipChoice {
+    bool allowed = false;  ///< the bit-identity preconditions hold
+    bool pays = false;     ///< and the zero ratio clears the break-even
+};
+
+/**
+ * Whether zero skipping may and should run for this call.  It may
+ * when the layer and input shapes fit its stack scratch and no bias
+ * lane is -0.0 and no weight or input is Inf or NaN (the bit-identity
+ * preconditions); it pays when the input's zero ratio clears the
+ * break-even of the layer's shape.  The input is scanned into @p map
+ * (kSkipMaxMapWords words, as scanInput fills it) only when it could
+ * pay, or when @p always_scan asks whether it may.
+ */
+FASTBCNN_HOT SkipChoice
+selectZeroSkip(const ConvGeom &g, const ConvWeights &w, const float *bias,
+               std::uint64_t *map, bool always_scan)
+{
+    const std::size_t ph = g.in_h + 2 * g.padding;
+    const std::size_t pw = g.in_w + 2 * g.padding;
+    const std::size_t channels = w.inChannels();
+    const std::size_t words = (channels * ph * pw + 63) / 64 + 1;
+    SkipChoice choice;
+    if (g.stride > 2 || w.taps() > kSkipMaxTaps ||
+        words > kSkipMaxMapWords || !w.allFinite())
+        return choice;
+    for (std::size_t m = 0; m < w.outChannels(); ++m) {
+        if (bias[m] == 0.0f && std::signbit(bias[m]))
+            return choice;
+    }
+    // The break-even cost model, split into the part every input pays
+    // and the part that scales with its nonzero share.
+    const double taps = static_cast<double>(w.taps());
+    const double blocks = static_cast<double>(w.blocks());
+    const std::size_t group = skipGroupBlocks(w.blocks());
+    const double fixed =
+        kSkipCallCost / (static_cast<double>(g.out_plane) * taps) +
+        kSkipPositionCost / taps + kSkipScanCost;
+    const double per_live =
+        static_cast<double>((w.blocks() + group - 1) / group * group) *
+        kSkipTapCost;
+    if (fixed >= blocks && !always_scan)
+        return choice;
+    const InputScan scan =
+        scanInput(g.in, channels, g.in_h, g.in_w, g.padding, map, words);
+    const double live = static_cast<double>(scan.nonzero) /
+                        static_cast<double>(channels * g.in_plane);
+    choice.allowed = scan.finite;
+    choice.pays = scan.finite && fixed + live * per_live < blocks;
+    return choice;
+}
+
+/** The dense geometry of a call. */
+ConvGeom
+convGeom(const float *in_data, const ConvWeights &w, std::size_t in_h,
+         std::size_t in_w, std::size_t out_h, std::size_t out_w,
+         std::size_t stride, std::size_t padding)
+{
+    return {in_data, in_h,  in_w,     in_h * in_w, out_w,
+            out_h * out_w, w.kernel(), stride, padding};
+}
+
+FASTBCNN_HOT void
+avx2ConvForward(const float *in_data, const ConvWeights &w,
+                const float *bias, float *out_data, std::size_t in_h,
+                std::size_t in_w, std::size_t out_h, std::size_t out_w,
+                std::size_t stride, std::size_t padding)
+{
+    if (w.kernel() > kMaxConvKernel) {
+        scalarConvForward(in_data, w, bias, out_data, in_h, in_w, out_h,
+                          out_w, stride, padding);
+        return;
+    }
+    const ConvGeom g =
+        convGeom(in_data, w, in_h, in_w, out_h, out_w, stride, padding);
+    std::uint64_t map[kSkipMaxMapWords];
+    if (selectZeroSkip(g, w, bias, map, false).pays)
+        convZeroSkip(g, w, bias, out_data, map);
+    else
+        convDense(g, w, bias, out_data);
 }
 
 FASTBCNN_HOT void
@@ -1269,6 +1799,44 @@ avx2QuantPoolMax(const std::int8_t *in, std::int8_t *out,
 
 } // namespace
 
+bool
+avx2ZeroSkipSelected(const float *in_data, const ConvWeights &w,
+                     const float *bias, std::size_t in_h, std::size_t in_w,
+                     std::size_t out_h, std::size_t out_w,
+                     std::size_t stride, std::size_t padding)
+{
+    if (w.kernel() > kMaxConvKernel)
+        return false;
+    std::uint64_t map[kSkipMaxMapWords];
+    return selectZeroSkip(convGeom(in_data, w, in_h, in_w, out_h, out_w,
+                                   stride, padding),
+                          w, bias, map, false)
+        .pays;
+}
+
+bool
+avx2ConvForwardOn(bool zero_skip, const float *in_data,
+                  const ConvWeights &w, const float *bias, float *out_data,
+                  std::size_t in_h, std::size_t in_w, std::size_t out_h,
+                  std::size_t out_w, std::size_t stride,
+                  std::size_t padding)
+{
+    if (w.kernel() > kMaxConvKernel) {
+        scalarConvForward(in_data, w, bias, out_data, in_h, in_w, out_h,
+                          out_w, stride, padding);
+        return false;
+    }
+    const ConvGeom g =
+        convGeom(in_data, w, in_h, in_w, out_h, out_w, stride, padding);
+    std::uint64_t map[kSkipMaxMapWords];
+    if (zero_skip && selectZeroSkip(g, w, bias, map, true).allowed) {
+        convZeroSkip(g, w, bias, out_data, map);
+        return true;
+    }
+    convDense(g, w, bias, out_data);
+    return false;
+}
+
 const SimdKernels *
 avx2TableOrNull()
 {
@@ -1293,6 +1861,25 @@ const SimdKernels *
 avx2TableOrNull()
 {
     return nullptr;
+}
+
+bool
+avx2ZeroSkipSelected(const float *, const ConvWeights &, const float *,
+                     std::size_t, std::size_t, std::size_t, std::size_t,
+                     std::size_t, std::size_t)
+{
+    return false;
+}
+
+bool
+avx2ConvForwardOn(bool, const float *in_data, const ConvWeights &w,
+                  const float *bias, float *out_data, std::size_t in_h,
+                  std::size_t in_w, std::size_t out_h, std::size_t out_w,
+                  std::size_t stride, std::size_t padding)
+{
+    scalarConvForward(in_data, w, bias, out_data, in_h, in_w, out_h, out_w,
+                      stride, padding);
+    return false;
 }
 
 } // namespace fastbcnn::simd::detail

@@ -31,6 +31,31 @@ const SimdKernels &scalarTable();
 /** @return the AVX2 table, or nullptr when not compiled in. */
 const SimdKernels *avx2TableOrNull();
 
+/**
+ * @return true when the AVX2 packedConvForward would run these
+ * arguments through its zero-skipping path (false when AVX2 is not
+ * compiled in).  For tests that pin which path a case exercises.
+ */
+bool avx2ZeroSkipSelected(const float *in, const ConvWeights &w,
+                          const float *bias, std::size_t in_h,
+                          std::size_t in_w, std::size_t out_h,
+                          std::size_t out_w, std::size_t stride,
+                          std::size_t padding);
+
+/**
+ * The AVX2 packedConvForward on a chosen path, for the per-layer
+ * probe in bench_simd_kernels: dense, or (when @p zero_skip) zero
+ * skipping wherever its bit-identity preconditions hold, whatever the
+ * zero ratio.  Either way the output equals packedConvForward's.
+ * Needs the AVX2 level to be available (the scalar conv runs when it
+ * is not compiled in).  @return true when zero skipping ran.
+ */
+bool avx2ConvForwardOn(bool zero_skip, const float *in,
+                       const ConvWeights &w, const float *bias,
+                       float *out, std::size_t in_h, std::size_t in_w,
+                       std::size_t out_h, std::size_t out_w,
+                       std::size_t stride, std::size_t padding);
+
 /** Read bit @p pos of a packed bit array. */
 FASTBCNN_HOT inline bool
 bitAt(const std::uint64_t *w, std::size_t pos)

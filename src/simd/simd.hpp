@@ -21,7 +21,9 @@
  *    mul + add);
  *  - per-output-element accumulation order is the scalar order (vector
  *    kernels parallelise across independent output elements, never
- *    across the reduction of one element);
+ *    across the reduction of one element); the AVX2 conv's zero-input
+ *    skipping leaves out only taps whose product is a signed zero,
+ *    and only where that provably changes no bit (packedConvForward);
  *  - the one true reduction (dense) is defined lane-strided: 8 partial
  *    double sums over lanes i % 8, reduced in fixed lane order — the
  *    scalar reference computes the same 8 partials, so both levels
@@ -74,6 +76,11 @@ enum class TapZeros : std::uint8_t { None, Some, All };
  * They are kept only while some weight is zero (zeros() is null
  * otherwise), so a dense layer carries nothing beside its weights.
  * set() refreshes the one class it touches.
+ *
+ * Finiteness: packing also counts the non-finite (Inf or NaN)
+ * weights, and set() keeps the count, so allFinite() costs a kernel
+ * call nothing.  w * 0 is NaN for such a weight, which is why the
+ * AVX2 conv skips zero inputs only while allFinite() holds.
  */
 class ConvWeights
 {
@@ -123,6 +130,8 @@ class ConvWeights
     {
         return zeros_.empty() ? nullptr : zeros_.data();
     }
+    /** @return true when no weight is Inf or NaN. */
+    bool allFinite() const { return nonFinite_ == 0; }
 
   private:
     /** @return the offset of channel @p m's tap 0. */
@@ -143,6 +152,7 @@ class ConvWeights
     std::size_t kernel_ = 0;
     AlignedVector<float> w_;
     std::vector<TapZeros> zeros_;
+    std::size_t nonFinite_ = 0;
 };
 
 /**
@@ -165,6 +175,18 @@ struct SimdKernels {
      * w(m, n, i, j) 8 floats per tap apart.  Nothing is packed here,
      * and @p w is only read, so one ConvWeights may serve any number
      * of concurrent calls at any level.
+     *
+     * Zero inputs: the AVX2 level may also skip every tap whose input
+     * is +-0.0, feeding each neuron bias, then only its nonzero
+     * in-range taps in (n, i, j) order as mul + add.  That is the
+     * dense result bit for bit, and the level takes that path only
+     * when it is: no bias lane is -0.0 (so no accumulator is ever
+     * -0.0, and adding a signed-zero product changes nothing), every
+     * weight is finite (w.allFinite(): w * 0 is never NaN) and every
+     * input is finite (a zero-weight lane never meets Inf * 0).  It
+     * takes it when the input's zero ratio, counted in one pass per
+     * call, clears the break-even of the layer's shape (DESIGN.md
+     * §14).  The choice is the kernel's own; no setting selects it.
      */
     void (*packedConvForward)(const float *in, const ConvWeights &w,
                               const float *bias, float *out,

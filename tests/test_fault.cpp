@@ -29,6 +29,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/dropout.hpp"
 #include "sim/report.hpp"
+#include "simd/kernels_internal.hpp"
 #include "simd/simd.hpp"
 
 using namespace fastbcnn;
@@ -274,6 +275,86 @@ TEST(WeightFaults, FlipInsideAllZeroTapRefreshesThePack)
     EXPECT_EQ(std::memcmp(before.data(), restored.data(),
                           before.size() * sizeof(float)),
               0);
+}
+
+TEST(WeightFaults, NonFiniteFlipSendsZeroSkippingDenseAndBack)
+{
+    // A layer whose input is mostly zeros runs the AVX2 conv's zero
+    // skipping.  A bit flip that makes one weight Inf or NaN must send
+    // it dense (a skipped w * 0 would be a NaN the scalar level
+    // computes), with outputs still equal to the scalar level NaN for
+    // NaN; flipping the bit back restores zero skipping.  1.0f and its
+    // successor are one flip of bit 30 away from +Inf and from a NaN.
+    if (!simd::levelAvailable(simd::SimdLevel::Avx2))
+        GTEST_SKIP() << "AVX2 not available";
+    Network net("sparse", Shape({64, 8, 8}));
+    net.add(std::make_unique<Conv2d>("c1", 64, 65, 3, 1, 1));
+    InitOptions init;
+    init.seed = 7;
+    initializeWeights(net, init);
+    auto &conv = static_cast<Conv2d &>(net.layer(net.findNode("c1")));
+    conv.bias().fill(0.125f);
+    std::vector<float> w = conv.weights().mckk();
+    const std::size_t inf_at = 64 * 576 + 100, nan_at = 3 * 576 + 7;
+    w[inf_at] = 1.0f;
+    w[nan_at] = std::nextafter(1.0f, 2.0f);
+    conv.setWeights(w);
+    Tensor in(Shape({64, 8, 8}));
+    for (std::size_t i = 0; i < in.numel(); ++i)
+        in.at(i) = i % 4 == 1 ? 0.5f + 0.01f * static_cast<float>(i % 13)
+                              : 0.0f;
+
+    const auto selected = [&] {
+        return simd::detail::avx2ZeroSkipSelected(
+            in.data().data(), conv.weights(), conv.bias().data().data(), 8,
+            8, 8, 8, 1, 1);
+    };
+    const auto forwardAt = [&](simd::SimdLevel level) {
+        const simd::SimdLevel saved = simd::activeLevel();
+        simd::setLevel(level);
+        const Tensor out = conv.forward({&in}, nullptr);
+        simd::setLevel(saved);
+        return std::vector<float>(out.data().begin(), out.data().end());
+    };
+    const auto sameOrBothNan = [](const std::vector<float> &a,
+                                  const std::vector<float> &b) {
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            if (!(std::isnan(a[i]) && std::isnan(b[i])) &&
+                std::memcmp(&a[i], &b[i], sizeof(float)) != 0)
+                return false;
+        }
+        return a.size() == b.size();
+    };
+    ASSERT_TRUE(selected());
+    const std::vector<float> before = forwardAt(simd::SimdLevel::Avx2);
+    EXPECT_TRUE(sameOrBothNan(before, forwardAt(simd::SimdLevel::Scalar)));
+
+    for (const std::size_t element : {inf_at, nan_at}) {
+        FaultPlan plan;
+        FaultSpec spec;
+        spec.kind = FaultKind::WeightBitFlip;
+        spec.layer = "c1";
+        spec.element = element;
+        spec.bit = 30;
+        plan.add(spec);
+        ASSERT_EQ(applyWeightFaults(net, plan).value(), 1u);
+        EXPECT_FALSE(std::isfinite(conv.weights().at(element)));
+        EXPECT_FALSE(conv.weights().allFinite());
+        EXPECT_FALSE(selected());
+        const std::vector<float> poisoned = forwardAt(simd::SimdLevel::Avx2);
+        EXPECT_TRUE(std::any_of(poisoned.begin(), poisoned.end(),
+                                [](float v) { return std::isnan(v); }));
+        EXPECT_TRUE(
+            sameOrBothNan(poisoned, forwardAt(simd::SimdLevel::Scalar)));
+
+        ASSERT_EQ(applyWeightFaults(net, plan).value(), 1u);
+        EXPECT_TRUE(conv.weights().allFinite());
+        EXPECT_TRUE(selected());
+        const std::vector<float> restored = forwardAt(simd::SimdLevel::Avx2);
+        EXPECT_EQ(std::memcmp(before.data(), restored.data(),
+                              before.size() * sizeof(float)),
+                  0);
+    }
 }
 
 TEST(WeightFaults, UnknownLayerIsError)

@@ -36,6 +36,7 @@
 #include "nn/network.hpp"
 #include "nn/pooling.hpp"
 #include "rng/brng.hpp"
+#include "simd/kernels_internal.hpp"
 #include "simd/simd.hpp"
 #include "tensor/tensor.hpp"
 
@@ -431,6 +432,178 @@ TEST(SimdDispatch, ConvBitIdenticalAcrossLevels)
     EXPECT_GT(cases, 250u);
 }
 
+namespace {
+
+/**
+ * Conv input of @p c x @p h x @p w with about @p zero_ratio of its
+ * values zero, half of them -0.0; the rest are finite and nonzero.
+ * Channel 0 is all zeros when @p zero_channel is set.
+ */
+std::vector<float>
+zeroMixedInput(std::size_t c, std::size_t h, std::size_t w,
+               std::uint64_t seed, double zero_ratio, bool zero_channel)
+{
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    std::uniform_real_distribution<float> dist(0.25f, 2.0f);
+    std::vector<float> v(c * h * w);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+        const bool zero = u(rng) < zero_ratio || (zero_channel && i < h * w);
+        const float sign = (rng() & 1) != 0 ? -1.0f : 1.0f;
+        v[i] = sign * (zero ? 0.0f : dist(rng));
+    }
+    return v;
+}
+
+/** The zero-skipping AVX2 conv against the scalar level on one case:
+ *  @return true when zero skipping ran (its preconditions held). */
+bool
+zeroSkipMatchesScalar(const GenShape &sh, const std::vector<float> &in,
+                      const simd::ConvWeights &w,
+                      const std::vector<float> &bias)
+{
+    const std::size_t out_h = sh.outH(), out_w = sh.outW();
+    const std::size_t n_out = sh.out_c * out_h * out_w;
+    std::vector<float> expect(n_out), got(n_out), table(n_out);
+    simd::kernelsFor(simd::SimdLevel::Scalar)
+        .packedConvForward(in.data(), w, bias.data(), expect.data(), sh.h,
+                           sh.w, out_h, out_w, sh.s, sh.p);
+    const bool ran = simd::detail::avx2ConvForwardOn(
+        true, in.data(), w, bias.data(), got.data(), sh.h, sh.w, out_h,
+        out_w, sh.s, sh.p);
+    simd::kernelsFor(simd::SimdLevel::Avx2)
+        .packedConvForward(in.data(), w, bias.data(), table.data(), sh.h,
+                           sh.w, out_h, out_w, sh.s, sh.p);
+    EXPECT_TRUE(bitIdenticalOrBothNan(expect, got))
+        << "zero-skip conv " << sh.in_c << "x" << sh.h << "x" << sh.w
+        << " -> " << sh.out_c << " k" << sh.k << " s" << sh.s << " p"
+        << sh.p;
+    EXPECT_TRUE(bitIdenticalOrBothNan(expect, table));
+    return ran;
+}
+
+} // namespace
+
+TEST(SimdDispatch, ConvZeroSkipBitIdenticalToScalar)
+{
+    // The AVX2 conv's zero-skipping path against the scalar level:
+    // every generated geometry (widths 1-17, stride 2, padding) at
+    // zero ratios 0 to 1 with mixed +-0.0 and an all-zero channel,
+    // over out channels 1/7/8/9/17/64/120 (groups of 1, 4 and 8
+    // blocks, and slid-back groups).  Weights are finite (with some
+    // zeros) and biases non-negative, so skipping may run in every
+    // case, and it must.
+    if (!simd::levelAvailable(simd::SimdLevel::Avx2))
+        GTEST_SKIP() << "AVX2 not available";
+    const std::size_t out_counts[] = {1, 7, 8, 9, 17, 64, 120};
+    const double ratios[] = {0.0, 0.5, 0.75, 0.95, 1.0};
+    std::uint64_t seed = 301;
+    std::size_t cases = 0, next = 0;
+    for (GenShape sh : generatedShapes()) {
+        sh.out_c = out_counts[next++ % std::size(out_counts)];
+        const double ratio = ratios[next % std::size(ratios)];
+        const std::size_t taps = sh.in_c * sh.k * sh.k;
+        const simd::ConvWeights w(
+            sh.out_c, sh.in_c, sh.k,
+            randomFloats(sh.out_c * taps, seed++, 0.2f).data());
+        std::vector<float> bias = randomFloats(sh.out_c, seed++, 0.2f);
+        for (float &b : bias)
+            b = std::fabs(b);
+        const auto in = zeroMixedInput(sh.in_c, sh.h, sh.w, seed++, ratio,
+                                       next % 3 == 0);
+        EXPECT_TRUE(zeroSkipMatchesScalar(sh, in, w, bias));
+        ++cases;
+    }
+    EXPECT_GT(cases, 250u);
+}
+
+TEST(SimdDispatch, ConvZeroSkipSelectedOnSparseLayerInputs)
+{
+    // Paper-model layer shapes at the census zero ratios: zero
+    // skipping is selected where it pays (B-VGG16 x0.5 layers fed by
+    // dropout, about 3 inputs in 4 zero, a whole plane of zeros
+    // included), not on a dense input, and equals the scalar level
+    // either way.
+    if (!simd::levelAvailable(simd::SimdLevel::Avx2))
+        GTEST_SKIP() << "AVX2 not available";
+    struct Case {
+        GenShape sh;
+        double ratio;
+        bool selected;
+    };
+    const Case cases[] = {{{32, 32, 32, 32, 3, 1, 1}, 0.75, true},
+                          {{64, 64, 16, 16, 3, 1, 1}, 0.75, true},
+                          {{128, 128, 8, 8, 3, 1, 1}, 0.75, true},
+                          {{256, 256, 4, 4, 3, 1, 1}, 0.75, true},
+                          {{256, 256, 2, 2, 3, 1, 1}, 0.95, true},
+                          {{64, 64, 16, 16, 3, 2, 1}, 0.75, true},
+                          {{64, 64, 16, 16, 3, 1, 1}, 1.0, true},
+                          {{64, 64, 16, 16, 3, 1, 1}, 0.0, false},
+                          {{3, 32, 32, 32, 3, 1, 1}, 0.0, false}};
+    std::uint64_t seed = 501;
+    for (const Case &c : cases) {
+        const GenShape &sh = c.sh;
+        const simd::ConvWeights w(
+            sh.out_c, sh.in_c, sh.k,
+            randomFloats(sh.out_c * sh.in_c * sh.k * sh.k, seed++).data());
+        const auto bias = randomFloats(sh.out_c, seed++);
+        const auto in =
+            zeroMixedInput(sh.in_c, sh.h, sh.w, seed++, c.ratio, true);
+        EXPECT_EQ(simd::detail::avx2ZeroSkipSelected(
+                      in.data(), w, bias.data(), sh.h, sh.w, sh.outH(),
+                      sh.outW(), sh.s, sh.p),
+                  c.selected)
+            << sh.in_c << "x" << sh.h << "x" << sh.w << " -> " << sh.out_c
+            << " s" << sh.s << " at zero ratio " << c.ratio;
+        EXPECT_TRUE(zeroSkipMatchesScalar(sh, in, w, bias));
+    }
+}
+
+TEST(SimdDispatch, ConvZeroSkipFallsBackToDense)
+{
+    // Each bit-identity precondition alone sends a call dense: one
+    // -0.0 bias lane (a skipped w * +0.0 would turn it into +0.0), one
+    // Inf or NaN weight (w * 0 is NaN), one non-finite input (a zero
+    // weight's lane would see NaN).  The output still equals the
+    // scalar level, NaN for NaN.
+    if (!simd::levelAvailable(simd::SimdLevel::Avx2))
+        GTEST_SKIP() << "AVX2 not available";
+    const GenShape sh{64, 65, 8, 8, 3, 1, 1};
+    const std::size_t n_w = sh.out_c * sh.in_c * sh.k * sh.k;
+    const auto weights = randomFloats(n_w, 601, 0.1f);
+    const auto bias = randomFloats(sh.out_c, 602);
+    const auto in = zeroMixedInput(sh.in_c, sh.h, sh.w, 603, 0.75, true);
+    const auto selected = [&](const simd::ConvWeights &w,
+                              const std::vector<float> &b,
+                              const std::vector<float> &x) {
+        return simd::detail::avx2ZeroSkipSelected(x.data(), w, b.data(),
+                                                  sh.h, sh.w, sh.outH(),
+                                                  sh.outW(), sh.s, sh.p);
+    };
+    const simd::ConvWeights clean(sh.out_c, sh.in_c, sh.k, weights.data());
+    ASSERT_TRUE(selected(clean, bias, in));
+
+    auto neg_zero_bias = bias;
+    neg_zero_bias[9] = -0.0f;  // one lane of the second block
+    EXPECT_FALSE(selected(clean, neg_zero_bias, in));
+    EXPECT_FALSE(zeroSkipMatchesScalar(sh, in, clean, neg_zero_bias));
+
+    for (const float bad : {std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()}) {
+        auto poisoned = weights;
+        poisoned[64 * sh.in_c * sh.k * sh.k + 5] = bad;  // last channel
+        const simd::ConvWeights w(sh.out_c, sh.in_c, sh.k, poisoned.data());
+        EXPECT_FALSE(w.allFinite());
+        EXPECT_FALSE(selected(w, bias, in));
+        EXPECT_FALSE(zeroSkipMatchesScalar(sh, in, w, bias));
+
+        auto bad_in = in;
+        bad_in[sh.h * sh.w + 3] = bad;
+        EXPECT_FALSE(selected(clean, bias, bad_in));
+        EXPECT_FALSE(zeroSkipMatchesScalar(sh, bad_in, clean, bias));
+    }
+}
+
 TEST(SimdDispatch, CountNwInputsAgreesAcrossLevels)
 {
     const simd::SimdKernels &ref =
@@ -671,7 +844,9 @@ TEST(SimdDispatchConcurrency, ThreadsShareOnePackedConv)
     // One packed layer serves concurrent calls at every level: a call
     // only reads the packed weights and zero classes.  A 4x4 plane
     // runs one-position tiles, a 12x12 plane eight-position tiles;
-    // the zero weights make every call read the zero classes.
+    // the zero weights make every call read the zero classes.  A
+    // third input, about 3 in 4 values zero, sends the AVX2 calls
+    // through zero skipping.
     const std::size_t in_c = 32, out_c = 64, k = 3;
     const simd::ConvWeights packed(
         out_c, in_c, k,
@@ -682,13 +857,19 @@ TEST(SimdDispatchConcurrency, ThreadsShareOnePackedConv)
         std::vector<float> in, expect;
     };
     std::vector<Case> cases;
-    for (std::size_t hw : {4u, 12u}) {
-        Case c{hw, randomFloats(in_c * hw * hw, 916 + hw),
+    for (std::size_t hw : {4u, 12u, 8u}) {
+        const float zeros = hw == 8 ? 0.75f : 0.0f;
+        Case c{hw, randomFloats(in_c * hw * hw, 916 + hw, zeros),
                std::vector<float>(out_c * hw * hw)};
         simd::kernelsFor(simd::SimdLevel::Scalar)
             .packedConvForward(c.in.data(), packed, bias.data(),
                                c.expect.data(), hw, hw, hw, hw, 1, 1);
         cases.push_back(std::move(c));
+    }
+    if (simd::levelAvailable(simd::SimdLevel::Avx2)) {
+        const Case &sparse = cases.back();
+        ASSERT_TRUE(simd::detail::avx2ZeroSkipSelected(
+            sparse.in.data(), packed, bias.data(), 8, 8, 8, 8, 1, 1));
     }
     const auto levels = availableLevels();
     std::atomic<bool> mismatch{false};
