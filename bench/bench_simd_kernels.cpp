@@ -5,9 +5,10 @@
  * end-to-end predictive-inference speedup on B-LeNet-5, with the
  * bit-identity contract re-checked on every measured buffer.
  *
- * A third section times the AVX2 conv's two paths, dense and
- * zero-input skipping, on every conv shape of B-VGG16 x0.5 and
- * B-LeNet-5 at zero ratios 0-0.9, with both outputs checked against
+ * The per-kernel section also times countNwInputs on every conv
+ * shape of B-VGG16 x0.5 and B-LeNet-5.  A third section times the
+ * AVX2 conv's two paths, dense and zero-input skipping, on the same
+ * conv shapes at zero ratios 0-0.9, with both outputs checked against
  * the scalar level: the per-layer break-even zero ratio of
  * DESIGN.md §14 comes from these rows.
  *
@@ -221,7 +222,7 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
     for (const BitVolume &v : cnt_ind)
         cnt_ind_words.push_back(v.words());
     std::vector<std::uint16_t> cnt_out(out_c * out_h * out_w, 0);
-    std::vector<std::uint8_t> cnt_scratch(simd::countNwInputsScratchBytes(
+    std::vector<std::uint64_t> cnt_scratch(simd::countNwInputsScratchWords(
         in_c, in_h, in_w, out_h, out_w, k, pad));
     std::vector<std::uint16_t> cnt_ref;
 
@@ -515,6 +516,72 @@ runZeroSkipBenches()
 }
 
 // ---------------------------------------------------------------- //
+// Eq. 5 counting per conv shape                                    //
+// ---------------------------------------------------------------- //
+
+/**
+ * countNwInputs on every conv shape of B-VGG16 x0.5 and B-LeNet-5,
+ * one row per layer, checked against the scalar level.  Masks drop
+ * 30% of the input, as the models' dropout does, except for a conv
+ * that reads the image, whose mask is all zero; indicators are set
+ * for half the weights.
+ */
+void
+appendCountRows(const std::vector<simd::SimdLevel> &levels,
+                std::vector<KernelRow> &rows)
+{
+    ModelOptions vgg_opts;
+    vgg_opts.widthMultiplier = 0.5;
+    const Network vgg = buildVgg16(vgg_opts);
+    const Network lenet = buildLenet5(ModelOptions{});
+    std::uint64_t seed = 120;
+    for (const Network *net : {&vgg, &lenet}) {
+        for (const auto &[conv, in_shape] : convLayers(*net)) {
+            const std::size_t in_c = in_shape.dim(0), h = in_shape.dim(1),
+                              w = in_shape.dim(2);
+            const std::size_t k = conv->kernelSize(), s = conv->stride(),
+                              p = conv->padding(), out_c = conv->outChannels();
+            const std::size_t oh = (h + 2 * p - k) / s + 1;
+            const std::size_t ow = (w + 2 * p - k) / s + 1;
+            const bool reads_image = in_shape == net->inputShape();
+            const BitVolume mask =
+                randomBits(in_c, h, w, seed++, reads_image ? 0.0 : 0.3);
+            std::vector<BitVolume> ind;
+            std::vector<const std::uint64_t *> ind_words;
+            for (std::size_t m = 0; m < out_c; ++m)
+                ind.push_back(randomBits(in_c, k, k, seed++, 0.5));
+            for (const BitVolume &v : ind)
+                ind_words.push_back(v.words());
+            std::vector<std::uint64_t> scratch(
+                simd::countNwInputsScratchWords(in_c, h, w, oh, ow, k, p));
+            std::vector<std::uint16_t> out(out_c * oh * ow), ref;
+            KernelRow row{"countNwInputs",
+                          format("%s %s %zux%zux%zu k%zu p%zu -> %zu",
+                                 net->name().c_str(), conv->name().c_str(),
+                                 in_c, h, w, k, p, out_c),
+                          {}};
+            for (simd::SimdLevel level : levels) {
+                const simd::SimdKernels &ks = simd::kernelsFor(level);
+                const bool is_scalar = level == simd::SimdLevel::Scalar;
+                row.ns[static_cast<int>(level)] = timeNs(
+                    [&] {
+                        ks.countNwInputs(mask.words(), ind_words.data(),
+                                         out.data(), scratch.data(), in_c,
+                                         out_c, h, w, oh, ow, k, s, p);
+                    },
+                    scaledIters(is_scalar ? 1 : 40));
+                if (is_scalar)
+                    ref = out;
+                else
+                    check(out == ref,
+                          "countNwInputs output differs from scalar");
+            }
+            rows.push_back(row);
+        }
+    }
+}
+
+// ---------------------------------------------------------------- //
 // End-to-end predictive inference                                  //
 // ---------------------------------------------------------------- //
 
@@ -759,7 +826,8 @@ main()
     std::cout << "detected level: "
               << simd::simdLevelName(simd::detectedLevel()) << "\n\n";
 
-    const std::vector<KernelRow> rows = runKernelBenches(levels);
+    std::vector<KernelRow> rows = runKernelBenches(levels);
+    appendCountRows(levels, rows);
     Table t({"kernel", "shape", "scalar ns", "avx2 ns", "avx2 x"});
     for (const KernelRow &row : rows) {
         auto cell = [&](simd::SimdLevel l) {

@@ -23,6 +23,47 @@
 namespace fastbcnn {
 
 /**
+ * @return the 64 bits of the packed bit array @p w from bit @p pos
+ * on.  Reads the next word too unless @p pos is word-aligned, so the
+ * array needs one readable word past the word of its last bit (a
+ * BitVolume's guard word).
+ */
+inline std::uint64_t
+extract64(const std::uint64_t *w, std::size_t pos)
+{
+    const std::size_t sh = pos & 63;
+    const std::uint64_t lo = w[pos >> 6] >> sh;
+    return sh == 0 ? lo : lo | (w[(pos >> 6) + 1] << (64 - sh));
+}
+
+/**
+ * OR the low @p count bits of @p bits (its higher bits zero) into the
+ * packed bit array @p w from bit @p pos on, touching no word past the
+ * one that takes bit pos + count - 1.
+ */
+inline void
+orBits(std::uint64_t *w, std::size_t pos, std::uint64_t bits,
+       std::size_t count)
+{
+    const std::size_t sh = pos & 63;
+    w[pos >> 6] |= bits << sh;
+    if (sh + count > 64)
+        w[(pos >> 6) + 1] |= bits >> (64 - sh);
+}
+
+/** @return bits 0, 2, ..., 62 of @p v packed into bits 0-31. */
+inline std::uint64_t
+packEvenBits(std::uint64_t v)
+{
+    v &= 0x5555555555555555ull;
+    v = (v | (v >> 1)) & 0x3333333333333333ull;
+    v = (v | (v >> 2)) & 0x0f0f0f0f0f0f0f0full;
+    v = (v | (v >> 4)) & 0x00ff00ff00ff00ffull;
+    v = (v | (v >> 8)) & 0x0000ffff0000ffffull;
+    return (v | (v >> 16)) & 0x00000000ffffffffull;
+}
+
+/**
  * A dense 3-D bit tensor with (channel, row, column) indexing.
  *
  * Bits are stored row-major in 64-bit words.  A 2-D plane is simply a

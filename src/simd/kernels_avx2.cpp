@@ -18,11 +18,13 @@
  * lane-strided dense doubles (two __m256d registers = the 8 scalar
  * lanes).  Shapes a vector path does not cover (conv kernels wider
  * than kMaxConvKernel, pooling strides above 2) call the scalar
- * reference in kernels_internal.hpp.  The bit-window and byte-plane
- * helpers at the top of the file serve only this table.
+ * reference in kernels_internal.hpp.  The bit-window helpers at the
+ * top of the file serve only this table.
  */
 
 #include "simd/kernels_internal.hpp"
+
+#include "common/bitvolume.hpp"
 
 #if defined(FASTBCNN_SIMD_BUILD_AVX2)
 
@@ -33,76 +35,6 @@
 
 namespace fastbcnn::simd::detail {
 namespace {
-
-/**
- * Extract 64 bits starting at bit @p pos.  Requires one readable
- * guard word past the last data word (BitVolume over-allocates it).
- */
-FASTBCNN_HOT inline std::uint64_t
-extract64(const std::uint64_t *w, std::size_t pos)
-{
-    const std::size_t wi = pos >> 6;
-    const std::size_t sh = pos & 63;
-    const std::uint64_t lo = w[wi] >> sh;
-    return sh == 0 ? lo : (lo | (w[wi + 1] << (64 - sh)));
-}
-
-/**
- * First half of the vector Eq. 5 count: expand the (in_channels, in_h,
- * in_w) mask bits into a zero-padded byte image, then cut one shifted
- * 0/1 byte plane per (n, i, j) tap out of it — plane (n, i, j) holds
- * mask(n, r*s+i-p, c*s+j-p) at r * out_w + c, 0 for padding taps.
- * Planes start countPlaneStride(out_h, out_w) bytes apart, tails
- * zeroed.  Each kernel's count is then the sum of the planes its
- * indicator bits select (the popcount trick of binarized inference,
- * turned into byte adds).  @return the first plane.
- */
-FASTBCNN_HOT inline const std::uint8_t *
-buildCountPlanes(const std::uint64_t *mask_words, std::uint8_t *scratch,
-                 std::size_t in_channels, std::size_t in_h,
-                 std::size_t in_w, std::size_t out_h, std::size_t out_w,
-                 std::size_t k, std::size_t s, std::size_t p)
-{
-    const std::size_t ph = in_h + 2 * p;
-    const std::size_t pw = in_w + 2 * p;
-    std::uint8_t *image = scratch;
-    std::fill(image, image + in_channels * ph * pw, std::uint8_t{0});
-    for (std::size_t n = 0; n < in_channels; ++n) {
-        for (std::size_t y = 0; y < in_h; ++y) {
-            std::uint8_t *row = image + (n * ph + y + p) * pw + p;
-            const std::size_t bit0 = (n * in_h + y) * in_w;
-            for (std::size_t x0 = 0; x0 < in_w; x0 += 64) {
-                const std::uint64_t bits = extract64(mask_words, bit0 + x0);
-                const std::size_t span = std::min<std::size_t>(64, in_w - x0);
-                for (std::size_t t = 0; t < span; ++t)
-                    row[x0 + t] = static_cast<std::uint8_t>((bits >> t) & 1);
-            }
-        }
-    }
-    const std::size_t stride = countPlaneStride(out_h, out_w);
-    std::uint8_t *planes = image + in_channels * ph * pw;
-    for (std::size_t n = 0; n < in_channels; ++n) {
-        for (std::size_t i = 0; i < k; ++i) {
-            for (std::size_t j = 0; j < k; ++j) {
-                std::uint8_t *plane = planes + ((n * k + i) * k + j) * stride;
-                for (std::size_t r = 0; r < out_h; ++r) {
-                    const std::uint8_t *src =
-                        image + (n * ph + r * s + i) * pw + j;
-                    std::uint8_t *dst = plane + r * out_w;
-                    if (s == 1) {
-                        std::copy(src, src + out_w, dst);
-                    } else {
-                        for (std::size_t c = 0; c < out_w; ++c)
-                            dst[c] = src[c * s];
-                    }
-                }
-                std::fill(plane + out_h * out_w, plane + stride,
-                          std::uint8_t{0});
-            }
-        }
-    }
-    return planes;
-}
 
 /** Unrolled 4x64-bit whole-array popcount. */
 FASTBCNN_HOT inline std::size_t
@@ -677,17 +609,6 @@ makeTapLut()
 
 alignas(64) constexpr TapLut kTapLut = makeTapLut();
 
-/** OR @p bits into the bit array from bit @p pos on (one guard word
- *  past the data takes the spill of the last word). */
-inline void
-orBits(std::uint64_t *map, std::size_t pos, std::uint64_t bits)
-{
-    const std::size_t sh = pos & 63;
-    map[pos >> 6] |= bits << sh;
-    if (sh != 0)
-        map[(pos >> 6) + 1] |= bits >> (64 - sh);
-}
-
 /** What one pass over a conv input finds. */
 struct InputScan {
     std::size_t nonzero = 0;  ///< values that are not +-0.0
@@ -722,14 +643,14 @@ scanInput(const float *in, std::size_t channels, std::size_t in_h,
                 const auto bits = static_cast<unsigned>(_mm256_movemask_ps(
                     _mm256_cmp_ps(v, zero, _CMP_NEQ_UQ)));
                 scan.nonzero += static_cast<std::size_t>(std::popcount(bits));
-                orBits(map, bit0 + x, bits);
+                orBits(map, bit0 + x, bits, kConvLanes);
             }
             for (; x < in_w; ++x) {
                 const float v = row[x];
                 tail_bad = tail_bad || !std::isfinite(v);
                 if (v != 0.0f) {
                     ++scan.nonzero;
-                    orBits(map, bit0 + x, 1);
+                    orBits(map, bit0 + x, 1, 1);
                 }
             }
         }
@@ -738,16 +659,6 @@ scanInput(const float *in, std::size_t channels, std::size_t in_h,
         _mm256_movemask_ps(_mm256_cmp_ps(bad, bad, _CMP_UNORD_Q));
     scan.finite = !tail_bad && nan_lanes == 0;
     return scan;
-}
-
-/** Bits 0, 2, ..., 14 of @p v packed into bits 0-7. */
-inline std::uint64_t
-evenBits(std::uint64_t v)
-{
-    v &= 0x5555;
-    v = (v | (v >> 1)) & 0x3333;
-    v = (v | (v >> 2)) & 0x0f0f;
-    return (v | (v >> 4)) & 0x00ff;
 }
 
 /** Geometry of the zero-skipping conv: the dense geometry plus the
@@ -783,7 +694,7 @@ tileMasks(const SkipGeom &sg, std::size_t r, std::size_t c,
             const std::uint64_t word = extract64(map, bit);
             for (std::size_t j = 0; j < kernel; ++j) {
                 const std::uint64_t bits =
-                    stride1 ? word >> j : evenBits(word >> j);
+                    stride1 ? word >> j : packEvenBits(word >> j);
                 *mask++ = static_cast<std::uint8_t>(bits & keep);
             }
         }
@@ -1380,71 +1291,276 @@ avx2PopcountWords(const std::uint64_t *w, std::size_t n)
     return popcountWords4(w, n);
 }
 
-/**
- * Sum the indicator-selected byte planes over @p kRegs x 16 output
- * positions starting at @p base, in saturating u16 lanes (exactly
- * min(count, 0xffff)), and store the first @p count of them.
+/*
+ * Eq. 5 as AND + popcount (DESIGN.md §14).  Each output position's
+ * receptive field is cut out of the mask once per call as a row of
+ * ceil(N * K * K / 64) words, in the indicators' own (n, i, j) bit
+ * order with padding taps zero; kernel m's count at position z is
+ * then the sum over w of popcount(row_z[w] & ind_m[w]).  The rows are
+ * built a word at a time: one bit plane per tap (bit z of plane
+ * (n, i, j) is the mask bit that tap reads at position z), then
+ * 64 x 64 bit transposes turn 64 planes into word w of 64 rows.  Rows
+ * are stored word-major, word w of every position together, so one
+ * vector holds word w of 4 consecutive positions.  The counts are
+ * integers, so every summation order gives the scalar reference's
+ * count exactly.
  */
-template <int kRegs>
+
+/** Row words counted per position block: 16 KiB, so a block's rows
+ *  stay in L1 while every kernel's indicator row passes over them. */
+inline constexpr std::size_t kCountBlockWords = 2048;
+
+/** One swap round of transpose64 between words k and k + j, for the
+ *  4 k in @p lo and the 4 k + j in @p hi. */
+template <int kShift>
 FASTBCNN_HOT inline void
-avx2SumPlanes(const std::uint8_t *planes, std::size_t stride,
-              const std::uint64_t *ind, std::size_t taps,
-              std::size_t base, std::uint16_t *out, std::size_t count)
+swapRound(__m256i &lo, __m256i &hi, __m256i m)
 {
-    __m256i acc[kRegs];
-    for (int r = 0; r < kRegs; ++r)
-        acc[r] = _mm256_setzero_si256();
-    for (std::size_t w0 = 0; w0 < taps; w0 += 64) {
-        std::uint64_t bits = ind[w0 / 64];
-        if (taps - w0 < 64)
-            bits &= (1ull << (taps - w0)) - 1;
-        while (bits != 0) {
-            const std::size_t t =
-                w0 + static_cast<std::size_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            const std::uint8_t *pl = planes + t * stride + base;
-            for (int r = 0; r < kRegs; ++r) {
-                acc[r] = _mm256_adds_epu16(
-                    acc[r], _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                                reinterpret_cast<const __m128i *>(
-                                    pl + 16 * r))));
+    const __m256i t = _mm256_and_si256(
+        _mm256_xor_si256(_mm256_srli_epi64(lo, kShift), hi), m);
+    lo = _mm256_xor_si256(lo, _mm256_slli_epi64(t, kShift));
+    hi = _mm256_xor_si256(hi, t);
+}
+
+/** The rounds of transpose64 whose word pairs share a register
+ *  (j = 2: lanes 0-1 with 2-3; j = 1: lanes 0, 2 with 1, 3). */
+FASTBCNN_HOT inline __m256i
+swapInRegister(__m256i v)
+{
+    const __m256i m2 = _mm256_set1_epi64x(0x3333333333333333ll);
+    __m256i t = _mm256_and_si256(
+        _mm256_xor_si256(_mm256_srli_epi64(v, 2),
+                         _mm256_permute4x64_epi64(v, 0x4e)),
+        m2);
+    v = _mm256_xor_si256(
+        v, _mm256_blend_epi32(_mm256_slli_epi64(t, 2),
+                              _mm256_permute4x64_epi64(t, 0x4e), 0xf0));
+    const __m256i m1 = _mm256_set1_epi64x(0x5555555555555555ll);
+    t = _mm256_and_si256(
+        _mm256_xor_si256(_mm256_srli_epi64(v, 1),
+                         _mm256_shuffle_epi32(v, 0x4e)),
+        m1);
+    return _mm256_xor_si256(
+        v, _mm256_blend_epi32(_mm256_slli_epi64(t, 1),
+                              _mm256_shuffle_epi32(t, 0x4e), 0xcc));
+}
+
+/** Transpose the 64 x 64 bit matrix @p a (32-byte aligned) in place:
+ *  bit z of a[t] moves to bit t of a[z]. */
+FASTBCNN_HOT inline void
+transpose64(std::uint64_t *a)
+{
+    __m256i v[16];
+    for (int r = 0; r < 16; ++r)
+        v[r] = _mm256_load_si256(reinterpret_cast<const __m256i *>(a + 4 * r));
+    const __m256i m32 = _mm256_set1_epi64x(0x00000000ffffffffll);
+    const __m256i m16 = _mm256_set1_epi64x(0x0000ffff0000ffffll);
+    const __m256i m8 = _mm256_set1_epi64x(0x00ff00ff00ff00ffll);
+    const __m256i m4 = _mm256_set1_epi64x(0x0f0f0f0f0f0f0f0fll);
+    for (int r = 0; r < 8; ++r)
+        swapRound<32>(v[r], v[r + 8], m32);
+    for (int r = 0; r < 16; r += 8) {
+        for (int q = 0; q < 4; ++q)
+            swapRound<16>(v[r + q], v[r + q + 4], m16);
+    }
+    for (int r = 0; r < 16; r += 4) {
+        for (int q = 0; q < 2; ++q)
+            swapRound<8>(v[r + q], v[r + q + 2], m8);
+    }
+    for (int r = 0; r < 16; r += 2)
+        swapRound<4>(v[r], v[r + 1], m4);
+    for (int r = 0; r < 16; ++r) {
+        _mm256_store_si256(reinterpret_cast<__m256i *>(a + 4 * r),
+                           swapInRegister(v[r]));
+    }
+}
+
+/**
+ * Build word w of the bit row of every output position into
+ * rows[w * pad + z], pad = 64 * ceil(out_h * out_w / 64) (positions
+ * past the plane read zero).  @p scratch holds the tap planes
+ * (N * K * K planes of pad / 64 words), then the zero-padded
+ * (N, H + 2p, W + 2p) mask image (packed row-major, plus a guard
+ * word).
+ */
+FASTBCNN_HOT void
+buildCountRows(const std::uint64_t *mask_words, std::uint64_t *rows,
+               std::size_t row_words, std::uint64_t *scratch,
+               std::size_t in_channels, std::size_t in_h, std::size_t in_w,
+               std::size_t out_h, std::size_t out_w, std::size_t k,
+               std::size_t s, std::size_t p)
+{
+    const std::size_t ph = in_h + 2 * p, pw = in_w + 2 * p;
+    const std::size_t plane_words = (out_h * out_w + 63) / 64;
+    const std::size_t taps = in_channels * k * k;
+    std::uint64_t *planes = scratch;
+    std::uint64_t *image = planes + taps * plane_words;
+    std::fill(image, image + (in_channels * ph * pw + 63) / 64 + 1,
+              std::uint64_t{0});
+    for (std::size_t n = 0; n < in_channels; ++n) {
+        for (std::size_t y = 0; y < in_h; ++y) {
+            const std::size_t src = (n * in_h + y) * in_w;
+            const std::size_t dst = (n * ph + y + p) * pw + p;
+            for (std::size_t x = 0; x < in_w; x += 64) {
+                const std::size_t span = std::min<std::size_t>(64, in_w - x);
+                std::uint64_t bits = extract64(mask_words, src + x);
+                if (span < 64)
+                    bits &= (std::uint64_t{1} << span) - 1;
+                orBits(image, dst + x, bits, span);
             }
         }
     }
-    alignas(32) std::uint16_t tmp[16 * kRegs];
-    for (int r = 0; r < kRegs; ++r) {
-        _mm256_store_si256(reinterpret_cast<__m256i *>(tmp + 16 * r),
-                           acc[r]);
+
+    // Plane (n, i, j), row r: image(n, r*s + i, c*s + j) for every
+    // column c.  At stride 1 or 2 one extract serves every j for the
+    // columns all K of them can reach in it.
+    std::fill(planes, planes + taps * plane_words, std::uint64_t{0});
+    const bool wide = k <= 32 && s <= 2;
+    const std::size_t span = wide ? (64 - k) / s + 1 : 1;
+    for (std::size_t n = 0; n < in_channels; ++n) {
+        for (std::size_t i = 0; i < k; ++i) {
+            std::uint64_t *plane = planes + (n * k + i) * k * plane_words;
+            for (std::size_t r = 0; r < out_h; ++r) {
+                const std::size_t bit0 = (n * ph + r * s + i) * pw;
+                for (std::size_t c = 0; c < out_w; c += span) {
+                    const std::size_t take = std::min(span, out_w - c);
+                    const std::uint64_t keep =
+                        take < 64 ? (std::uint64_t{1} << take) - 1 : ~0ull;
+                    const std::size_t bit = bit0 + c * s;
+                    const std::uint64_t raw = extract64(image, bit);
+                    for (std::size_t j = 0; j < k; ++j) {
+                        const std::uint64_t v =
+                            wide ? raw >> j : extract64(image, bit + j);
+                        const std::uint64_t bits =
+                            (s == 2 && wide ? packEvenBits(v) : v) & keep;
+                        orBits(plane + j * plane_words, r * out_w + c,
+                                    bits, take);
+                    }
+                }
+            }
+        }
     }
-    std::copy(tmp, tmp + std::min<std::size_t>(count, 16 * kRegs),
-              out + base);
+
+    // 64 planes x 64 positions at a time in, word w of 64 rows out.
+    alignas(32) std::uint64_t block[64];
+    const std::size_t pad = plane_words * 64;
+    for (std::size_t w = 0; w < row_words; ++w) {
+        const std::size_t tn = std::min<std::size_t>(64, taps - w * 64);
+        for (std::size_t zw = 0; zw < plane_words; ++zw) {
+            const std::uint64_t *src = planes + w * 64 * plane_words + zw;
+            for (std::size_t q = 0; q < 64; ++q)
+                block[q] = q < tn ? src[q * plane_words] : 0;
+            transpose64(block);
+            std::copy(block, block + 64, rows + w * pad + zw * 64);
+        }
+    }
+}
+
+/** Per-byte popcounts of @p v: two nibble lookups (vpshufb), added. */
+FASTBCNN_HOT inline __m256i
+popcountBytes(__m256i v)
+{
+    const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2,
+                                         3, 2, 3, 3, 4, 0, 1, 1, 2, 1, 2,
+                                         2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+    const __m256i low = _mm256_set1_epi8(0x0f);
+    const __m256i lo = _mm256_and_si256(v, low);
+    const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
+    return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
+                           _mm256_shuffle_epi8(lut, hi));
+}
+
+/** The four u64 lanes of @p v (each below 2^31) as four u32. */
+FASTBCNN_HOT inline __m128i
+lowDwords(__m256i v)
+{
+    return _mm256_castsi256_si128(_mm256_permute4x64_epi64(
+        _mm256_shuffle_epi32(v, 0x08), 0x08));
+}
+
+/**
+ * Counts of indicator row @p ind at the 4 * @p kVecs positions whose
+ * row words start at @p rows (word w at rows[w * pad]): the AND's
+ * byte popcounts summed per byte for up to 31 words (8 * 31 < 256),
+ * then folded into u64 lanes by vpsadbw.  Stores min(count, 0xffff)
+ * for the first @p count positions to @p out.
+ */
+template <int kVecs>
+FASTBCNN_HOT inline void
+countPositions(const std::uint64_t *rows, std::size_t pad,
+               std::size_t row_words, const std::uint64_t *ind,
+               std::uint16_t *out, std::size_t count)
+{
+    const __m256i zero = _mm256_setzero_si256();
+    __m256i total[2] = {zero, zero};
+    for (std::size_t w = 0; w < row_words;) {
+        const std::size_t stop = std::min<std::size_t>(row_words, w + 31);
+        __m256i acc[2] = {zero, zero};
+        for (; w < stop; ++w) {
+            const __m256i iv =
+                _mm256_set1_epi64x(static_cast<long long>(ind[w]));
+            for (int q = 0; q < kVecs; ++q) {
+                const __m256i rv = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i *>(rows + w * pad + 4 * q));
+                acc[q] = _mm256_add_epi8(
+                    acc[q], popcountBytes(_mm256_and_si256(iv, rv)));
+            }
+        }
+        for (int q = 0; q < kVecs; ++q) {
+            total[q] =
+                _mm256_add_epi64(total[q], _mm256_sad_epu8(acc[q], zero));
+        }
+    }
+    // packus saturates each count to exactly min(count, 0xffff).
+    const __m128i packed =
+        _mm_packus_epi32(lowDwords(total[0]), lowDwords(total[1]));
+    if (count >= 8) {
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(out), packed);
+    } else {
+        alignas(16) std::uint16_t tmp[8];
+        _mm_store_si128(reinterpret_cast<__m128i *>(tmp), packed);
+        std::copy(tmp, tmp + count, out);
+    }
 }
 
 FASTBCNN_HOT void
 avx2CountNwInputs(const std::uint64_t *mask_words,
                   const std::uint64_t *const *ind_words,
-                  std::uint16_t *out, std::uint8_t *scratch,
+                  std::uint16_t *out, std::uint64_t *scratch,
                   std::size_t in_channels, std::size_t out_channels,
                   std::size_t in_h, std::size_t in_w, std::size_t out_h,
                   std::size_t out_w, std::size_t k, std::size_t s,
                   std::size_t p)
 {
-    const std::uint8_t *planes = buildCountPlanes(
-        mask_words, scratch, in_channels, in_h, in_w, out_h, out_w, k, s,
-        p);
-    const std::size_t stride = countPlaneStride(out_h, out_w);
     const std::size_t hw = out_h * out_w;
-    const std::size_t taps = in_channels * k * k;
-    for (std::size_t m = 0; m < out_channels; ++m) {
-        std::uint16_t *o = out + m * hw;
-        std::size_t base = 0;
-        for (; base + 64 <= stride; base += 64) {
-            avx2SumPlanes<4>(planes, stride, ind_words[m], taps, base, o,
-                             hw - base);
-        }
-        for (; base < stride; base += 16) {
-            avx2SumPlanes<1>(planes, stride, ind_words[m], taps, base, o,
-                             hw - base);
+    const std::size_t mask_words_n = (in_channels * in_h * in_w + 63) / 64;
+    if (std::all_of(mask_words, mask_words + mask_words_n,
+                    [](std::uint64_t w) { return w == 0; })) {
+        // No dropped input (a conv reading the image): every count is 0.
+        std::fill(out, out + out_channels * hw, std::uint16_t{0});
+        return;
+    }
+    const std::size_t row_words = (in_channels * k * k + 63) / 64;
+    const std::size_t pad = (hw + 63) / 64 * 64;
+    std::uint64_t *rows = scratch;
+    buildCountRows(mask_words, rows, row_words, rows + row_words * pad,
+                   in_channels, in_h, in_w, out_h, out_w, k, s, p);
+    const std::size_t block =
+        std::max<std::size_t>(8, kCountBlockWords / row_words / 8 * 8);
+    for (std::size_t z0 = 0; z0 < hw; z0 += block) {
+        const std::size_t z1 = std::min(hw, z0 + block);
+        for (std::size_t m = 0; m < out_channels; ++m) {
+            const std::uint64_t *ind = ind_words[m];
+            std::uint16_t *o = out + m * hw;
+            for (std::size_t z = z0; z < z1; z += 8) {
+                if (z1 - z > 4) {
+                    countPositions<2>(rows + z, pad, row_words, ind, o + z,
+                                      z1 - z);
+                } else {
+                    countPositions<1>(rows + z, pad, row_words, ind, o + z,
+                                      z1 - z);
+                }
+            }
         }
     }
 }

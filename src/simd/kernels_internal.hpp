@@ -260,7 +260,7 @@ scalarPopcountWords(const std::uint64_t *w, std::size_t n)
 FASTBCNN_HOT inline void
 scalarCountNwInputs(const std::uint64_t *mask_words,
                     const std::uint64_t *const *ind_words,
-                    std::uint16_t *out, std::uint8_t *scratch,
+                    std::uint16_t *out, std::uint64_t *scratch,
                     std::size_t in_channels, std::size_t out_channels,
                     std::size_t in_h, std::size_t in_w, std::size_t out_h,
                     std::size_t out_w, std::size_t k, std::size_t s,

@@ -240,12 +240,19 @@ struct SimdKernels {
      * exactly min(count, 0xffff).  Bit volumes are flat row-major
      * packed with a guard word past the end; out-of-range (padding)
      * taps count nothing.  @p scratch is caller-provided working
-     * storage of countNwInputsScratchBytes bytes (contents undefined
+     * storage of countNwInputsScratchWords words (contents undefined
      * before and after).
+     *
+     * The AVX2 level builds each output position's receptive-field
+     * mask bits once per call as a row of ceil(in_channels * k * k /
+     * 64) words in the indicators' (n, i, j) order, and counts
+     * popcount(row & indicator) a word at a time (DESIGN.md §14); an
+     * all-zero mask returns zeros at once.  Counts are integers, so
+     * the levels agree exactly.
      */
     void (*countNwInputs)(const std::uint64_t *mask_words,
                           const std::uint64_t *const *ind_words,
-                          std::uint16_t *out, std::uint8_t *scratch,
+                          std::uint16_t *out, std::uint64_t *scratch,
                           std::size_t in_channels,
                           std::size_t out_channels, std::size_t in_h,
                           std::size_t in_w, std::size_t out_h,
@@ -322,24 +329,22 @@ struct SimdKernels {
                      std::size_t stride, std::size_t padding) const;
 };
 
-/** Bytes between consecutive tap planes of the countNwInputs scratch:
- *  one byte per output position, rounded up to 16-byte vectors. */
+/** Words of scratch countNwInputs needs: ceil(in_channels * k * k /
+ *  64) row words and as many tap planes per 64 output positions (the
+ *  plane rounded up), then the zero-padded mask image and a guard
+ *  word. */
 inline std::size_t
-countPlaneStride(std::size_t out_h, std::size_t out_w)
-{
-    return (out_h * out_w + 15) / 16 * 16;
-}
-
-/** Bytes of scratch countNwInputs needs: the zero-padded byte image
- *  of the mask plus one shifted byte plane per (n, i, j) tap. */
-inline std::size_t
-countNwInputsScratchBytes(std::size_t in_channels, std::size_t in_h,
+countNwInputsScratchWords(std::size_t in_channels, std::size_t in_h,
                           std::size_t in_w, std::size_t out_h,
                           std::size_t out_w, std::size_t k,
                           std::size_t p)
 {
-    return in_channels * (in_h + 2 * p) * (in_w + 2 * p) +
-           in_channels * k * k * countPlaneStride(out_h, out_w);
+    const std::size_t taps = in_channels * k * k;
+    const std::size_t plane_words = (out_h * out_w + 63) / 64;
+    const std::size_t image_bits =
+        in_channels * (in_h + 2 * p) * (in_w + 2 * p);
+    return plane_words * 64 * ((taps + 63) / 64) + taps * plane_words +
+           (image_bits + 63) / 64 + 1;
 }
 
 /**

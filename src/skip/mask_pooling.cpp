@@ -1,9 +1,44 @@
 #include "mask_pooling.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "nn/pooling.hpp"
 
 namespace fastbcnn {
+
+namespace {
+
+/**
+ * The 2x2 stride-2 unpadded window, 32 outputs at a time: AND the
+ * window's two input rows, AND each bit with its right neighbour and
+ * keep the even bits.  An odd last column or row is left out, as the
+ * window never covers it.
+ */
+FASTBCNN_HOT void
+maskPool2x2(const std::uint64_t *in, std::size_t channels,
+            std::size_t in_h, std::size_t in_w, std::size_t out_h,
+            std::size_t out_w, std::uint64_t *out, std::size_t out_bits)
+{
+    std::fill(out, out + (out_bits + 63) / 64, std::uint64_t{0});
+    for (std::size_t c = 0; c < channels; ++c) {
+        for (std::size_t r = 0; r < out_h; ++r) {
+            const std::size_t top = (c * in_h + 2 * r) * in_w;
+            const std::size_t dst = (c * out_h + r) * out_w;
+            for (std::size_t x = 0; x < out_w; x += 32) {
+                const std::size_t take = std::min<std::size_t>(32, out_w - x);
+                const std::uint64_t both = extract64(in, top + 2 * x) &
+                                           extract64(in, top + in_w + 2 * x);
+                const std::uint64_t pooled =
+                    packEvenBits(both & (both >> 1)) &
+                    ((std::uint64_t{1} << take) - 1);
+                orBits(out, dst + x, pooled, take);
+            }
+        }
+    }
+}
+
+} // namespace
 
 BitVolume
 maskPool(const BitVolume &mask, std::size_t kernel, std::size_t stride,
@@ -17,6 +52,13 @@ maskPool(const BitVolume &mask, std::size_t kernel, std::size_t stride,
     const std::size_t out_h = (h - kernel) / stride + 1;
     const std::size_t out_w = (w - kernel) / stride + 1;
     BitVolume out(mask.channels(), out_h, out_w);
+    if (kernel == 2 && stride == 2 && pad == 0) {
+        out.assignWords([&](std::uint64_t *words, std::size_t bits) {
+            maskPool2x2(mask.words(), mask.channels(), mask.height(),
+                        mask.width(), out_h, out_w, words, bits);
+        });
+        return out;
+    }
     for (std::size_t c = 0; c < mask.channels(); ++c) {
         for (std::size_t r = 0; r < out_h; ++r) {
             for (std::size_t col = 0; col < out_w; ++col) {

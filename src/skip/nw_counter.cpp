@@ -52,9 +52,10 @@ countDroppedNwInputs(const Conv2d &conv, const BitVolume &input_mask,
 
     CountVolume counts(conv.outChannels(), out_h, out_w);
     // Eq. 5 lives in the dispatched SIMD kernel layer: the vector
-    // levels cut one shifted byte plane per (n, i, j) tap out of the
-    // mask and add up the planes each kernel's indicator bits select.
-    // Scratch is hoisted here so the hot kernels never allocate.
+    // level cuts each output position's receptive field out of the
+    // mask as one bit row and ANDs and popcounts it against each
+    // kernel's indicator bits.  Scratch is hoisted here so the hot
+    // kernels never allocate.
     std::vector<const std::uint64_t *> ind_words(conv.outChannels());
     for (std::size_t m = 0; m < conv.outChannels(); ++m) {
         const BitVolume &ind = indicators.kernel(m);
@@ -63,7 +64,7 @@ countDroppedNwInputs(const Conv2d &conv, const BitVolume &input_mask,
                         "indicator volume shape mismatch");
         ind_words[m] = ind.words();
     }
-    std::vector<std::uint8_t> scratch(simd::countNwInputsScratchBytes(
+    std::vector<std::uint64_t> scratch(simd::countNwInputsScratchWords(
         conv.inChannels(), in_h, in_w, out_h, out_w, k, p));
     simd::active().countNwInputs(
         input_mask.words(), ind_words.data(), counts.data(),

@@ -1,37 +1,59 @@
 #include "predictor.hpp"
 
+#include <algorithm>
+
 #include "common/check.hpp"
 
 namespace fastbcnn {
 
 namespace {
 
+/** Bit b of the result set iff n_d[b] < @p alpha, for b < @p count
+ *  (at most 64). */
+FASTBCNN_HOT inline std::uint64_t
+belowBits(const std::uint16_t *n_d, std::size_t count, std::uint32_t alpha)
+{
+    std::uint64_t bits = 0;
+    for (std::size_t b = 0; b < count; ++b)
+        bits |= std::uint64_t{n_d[b] < alpha} << b;
+    return bits;
+}
+
 /**
- * Threshold-compare loops of the central predictor: a neuron is
- * predicted unaffected when it is zero in the pre-inference AND its
- * dropped nw-input count stays below the kernel's α (FASTBCNN_HOT —
- * lint rule R3 keeps allocation, locks, I/O and logging out).
+ * Threshold-compare loops of the central predictor, 64 neurons per
+ * word: a neuron is predicted unaffected when its dropped nw-input
+ * count stays below its kernel's α AND it is zero in the
+ * pre-inference (the AND with the zero indexer in Section V-C).
+ * Each channel reads its α once; its compare bits are gathered into
+ * the word being built, which is ANDed with the zero-map word and
+ * stored once (FASTBCNN_HOT — lint rule R3 keeps allocation, locks,
+ * I/O and logging out).
  */
 FASTBCNN_HOT void
-predictUnaffectedKernel(const BitVolume &zero_map,
-                        const CountVolume &counts,
-                        const ThresholdSet &thresholds, NodeId conv,
-                        BitVolume &predicted)
+predictUnaffectedKernel(const std::uint64_t *zero, const std::uint16_t *n_d,
+                        const int *alpha, std::size_t channels,
+                        std::size_t plane, std::uint64_t *predicted)
 {
-    const std::size_t plane = counts.height() * counts.width();
-    const std::uint64_t *zero = zero_map.words();
-    const std::uint16_t *n_d = counts.data();
-    for (std::size_t m = 0; m < counts.channels(); ++m) {
-        const int alpha = thresholds.of(conv, m);
-        for (std::size_t z = m * plane; z < (m + 1) * plane; ++z) {
-            // Only zero neurons can be predicted unaffected (the AND
-            // with the zero indexer in Section V-C).
-            if (((zero[z / 64] >> (z % 64)) & 1) != 0 &&
-                static_cast<int>(n_d[z]) < alpha) {
-                predicted.setFlat(z, true);
+    std::uint64_t word = 0;
+    std::size_t z = 0;
+    for (std::size_t m = 0; m < channels; ++m) {
+        // Counts are at most 0xffff, so α clamped to [0, 0x10000]
+        // compares the same as the int α.
+        const auto a = static_cast<std::uint32_t>(
+            std::clamp(alpha[m], 0, 0x10000));
+        for (const std::size_t end = z + plane; z < end;) {
+            const std::size_t off = z % 64;
+            const std::size_t take = std::min(64 - off, end - z);
+            word |= belowBits(n_d + z, take, a) << off;
+            z += take;
+            if (z % 64 == 0) {
+                predicted[z / 64 - 1] = word & zero[z / 64 - 1];
+                word = 0;
             }
         }
     }
+    if (z % 64 != 0)
+        predicted[z / 64] = word & zero[z / 64];
 }
 
 } // namespace
@@ -58,8 +80,19 @@ computeZeroMaps(const BcnnTopology &topo, const Tensor &input,
         const Tensor &relu_out = node_out[b.relu];
         const Shape &s = relu_out.shape();
         BitVolume zero(s.dim(0), s.dim(1), s.dim(2));
-        for (std::size_t i = 0; i < relu_out.numel(); ++i)
-            zero.setFlat(i, relu_out.at(i) == 0.0f);
+        const float *v = relu_out.data().data();
+        zero.assignWords([v](std::uint64_t *words, std::size_t n) {
+            // 64 ReLU outputs per zero-map word.
+            for (std::size_t w = 0; w * 64 < n; ++w) {
+                const float *x = v + w * 64;
+                const std::size_t count =
+                    std::min<std::size_t>(64, n - w * 64);
+                std::uint64_t bits = 0;
+                for (std::size_t i = 0; i < count; ++i)
+                    bits |= std::uint64_t{x[i] == 0.0f} << i;
+                words[w] = bits;
+            }
+        });
         maps.emplace(b.conv, std::move(zero));
     }
     if (output != nullptr)
@@ -75,10 +108,18 @@ predictUnaffected(const BitVolume &zero_map, const CountVolume &counts,
                    zero_map.height() == counts.height() &&
                    zero_map.width() == counts.width(),
                    "zero map / count volume shape mismatch");
+    if (!thresholds.has(conv))
+        fatal("no thresholds for conv node %zu", conv);
+    const std::vector<int> &alpha = thresholds.layer(conv);
+    FASTBCNN_CHECK(alpha.size() >= counts.channels(),
+                   "kernel index out of range");
     BitVolume predicted(counts.channels(), counts.height(),
                         counts.width());
-    predictUnaffectedKernel(zero_map, counts, thresholds, conv,
-                            predicted);
+    predicted.assignWords([&](std::uint64_t *words, std::size_t) {
+        predictUnaffectedKernel(zero_map.words(), counts.data(),
+                                alpha.data(), counts.channels(),
+                                counts.height() * counts.width(), words);
+    });
     return predicted;
 }
 

@@ -38,6 +38,7 @@
 #include "rng/brng.hpp"
 #include "simd/kernels_internal.hpp"
 #include "simd/simd.hpp"
+#include "skip/predictive_inference.hpp"
 #include "tensor/tensor.hpp"
 
 using namespace fastbcnn;
@@ -617,7 +618,7 @@ TEST(SimdDispatch, CountNwInputsAgreesAcrossLevels)
             ind.push_back(randomBits(sh.in_c, sh.k, sh.k, seed++, 0.5));
         for (const BitVolume &v : ind)
             ind_words.push_back(v.words());
-        std::vector<std::uint8_t> scratch(simd::countNwInputsScratchBytes(
+        std::vector<std::uint64_t> scratch(simd::countNwInputsScratchWords(
             sh.in_c, sh.h, sh.w, out_h, out_w, sh.k, sh.p));
         for (double density : {0.0, 0.3, 0.72, 1.0}) {
             const BitVolume mask =
@@ -655,14 +656,112 @@ TEST(SimdDispatch, CountNwInputsSaturatesAt0xffff)
     BitVolume ind(n, k, k);
     ind.fill(true);
     const std::uint64_t *ind_words[] = {ind.words()};
-    std::vector<std::uint8_t> scratch(
-        simd::countNwInputsScratchBytes(n, k, k, 1, 1, k, p));
+    std::vector<std::uint64_t> scratch(
+        simd::countNwInputsScratchWords(n, k, k, 1, 1, k, p));
     for (simd::SimdLevel level : availableLevels()) {
         std::uint16_t got = 0;
         simd::kernelsFor(level).countNwInputs(mask.words(), ind_words,
                                               &got, scratch.data(), n, 1,
                                               k, k, 1, 1, k, 1, p);
         EXPECT_EQ(got, 0xffffu) << simd::simdLevelName(level);
+    }
+}
+
+TEST(SimdDispatch, CountNwInputsEdgeCasesMatchScalar)
+{
+    // N * K * K straddling the 64- and 128-bit word boundaries of the
+    // bit rows for K = 1, 3, 5, on 1x1 and 2x2 output planes, a plane
+    // of 81 positions (two plane words), stride 2 with padding 2 and
+    // stride 3.
+    // Kernel 0's indicators are all zero, kernel 1's all one and
+    // kernel 2's random; the masks are all zero, all one and random.
+    const simd::SimdKernels &ref =
+        simd::kernelsFor(simd::SimdLevel::Scalar);
+    std::uint64_t seed = 4040;
+    std::size_t cases = 0;
+    for (std::size_t k : {1u, 3u, 5u}) {
+        std::vector<std::size_t> channels;
+        for (std::size_t taps : {63u, 64u, 65u, 127u, 128u, 129u}) {
+            const std::size_t n = std::max<std::size_t>(1, taps / (k * k));
+            for (std::size_t c : {n, n + 1}) {
+                if (std::find(channels.begin(), channels.end(), c) ==
+                    channels.end())
+                    channels.push_back(c);
+            }
+        }
+        struct Geometry {
+            std::size_t h, w, s, p;
+        };
+        const Geometry geometries[] = {
+            {k, k, 1, 0},          // 1x1 output
+            {k + 1, k + 1, 1, 0},  // 2x2 output
+            {9, 9, 1, k / 2},      // 81 positions
+            {7, 6, 2, 2},          // stride 2, padding 2
+            {10, 11, 3, 1},        // stride 3: one extract per tap
+        };
+        for (std::size_t n : channels) {
+            std::vector<BitVolume> ind;
+            ind.emplace_back(n, k, k);
+            ind.emplace_back(n, k, k);
+            ind.back().fill(true);
+            ind.push_back(randomBits(n, k, k, seed++, 0.5));
+            std::vector<const std::uint64_t *> ind_words;
+            for (const BitVolume &v : ind)
+                ind_words.push_back(v.words());
+            for (const Geometry &g : geometries) {
+                const std::size_t out_h = (g.h + 2 * g.p - k) / g.s + 1;
+                const std::size_t out_w = (g.w + 2 * g.p - k) / g.s + 1;
+                std::vector<std::uint64_t> scratch(
+                    simd::countNwInputsScratchWords(n, g.h, g.w, out_h,
+                                                    out_w, k, g.p));
+                std::vector<BitVolume> masks;
+                masks.emplace_back(n, g.h, g.w);
+                masks.emplace_back(n, g.h, g.w);
+                masks.back().fill(true);
+                masks.push_back(randomBits(n, g.h, g.w, seed++, 0.3));
+                for (const BitVolume &mask : masks) {
+                    std::vector<std::uint16_t> expect(3 * out_h * out_w,
+                                                      0xabcd);
+                    ref.countNwInputs(mask.words(), ind_words.data(),
+                                      expect.data(), scratch.data(), n, 3,
+                                      g.h, g.w, out_h, out_w, k, g.s, g.p);
+                    for (simd::SimdLevel level : availableLevels()) {
+                        std::vector<std::uint16_t> got(expect.size(),
+                                                       0x1234);
+                        simd::kernelsFor(level).countNwInputs(
+                            mask.words(), ind_words.data(), got.data(),
+                            scratch.data(), n, 3, g.h, g.w, out_h, out_w,
+                            k, g.s, g.p);
+                        ASSERT_EQ(expect, got)
+                            << simd::simdLevelName(level) << " n" << n
+                            << " k" << k << " " << g.h << "x" << g.w
+                            << " s" << g.s << " p" << g.p << " mask bits "
+                            << mask.popcount();
+                    }
+                    ++cases;
+                }
+            }
+        }
+    }
+    EXPECT_GE(cases, 3u * 5u * 3u * 5u);
+
+    // A 33x33 kernel, wider than one extract serves for every tap.
+    const std::size_t n = 2, k = 33, h = 35, w = 36, p = 1;
+    const std::size_t out_h = h + 2 * p - k + 1, out_w = w + 2 * p - k + 1;
+    const BitVolume mask = randomBits(n, h, w, seed++, 0.3);
+    const BitVolume ind = randomBits(n, k, k, seed++, 0.5);
+    const std::uint64_t *ind_words[] = {ind.words()};
+    std::vector<std::uint64_t> scratch(
+        simd::countNwInputsScratchWords(n, h, w, out_h, out_w, k, p));
+    std::vector<std::uint16_t> expect(out_h * out_w);
+    ref.countNwInputs(mask.words(), ind_words, expect.data(),
+                      scratch.data(), n, 1, h, w, out_h, out_w, k, 1, p);
+    for (simd::SimdLevel level : availableLevels()) {
+        std::vector<std::uint16_t> got(expect.size());
+        simd::kernelsFor(level).countNwInputs(
+            mask.words(), ind_words, got.data(), scratch.data(), n, 1, h, w,
+            out_h, out_w, k, 1, p);
+        EXPECT_EQ(expect, got) << "k33 at " << simd::simdLevelName(level);
     }
 }
 
@@ -757,6 +856,93 @@ TEST(SimdDispatch, NetworkForwardBitIdenticalAcrossLevels)
             EXPECT_TRUE(bitIdentical(want, forward()))
                 << m.net.name() << " forward mismatch at level "
                 << simd::simdLevelName(level);
+        }
+    }
+}
+
+TEST(SimdDispatch, PredictiveForwardBitIdenticalAcrossLevels)
+{
+    // Skip mode end to end on the paper models: for 2 inputs x 2 MC
+    // samples, every conv's dropped nw-input counts, the predicted and
+    // mispredicted maps and the output bytes of predictiveForward are
+    // the same at every level as at the scalar level.
+    ModelOptions vgg;
+    vgg.widthMultiplier = 0.5;
+    struct Model {
+        Network net;
+        bool cifar;
+    };
+    const Model models[] = {{buildLenet5(), false},
+                            {buildVgg16(vgg), true}};
+    for (const Model &model : models) {
+        const BcnnTopology topo(model.net);
+        const IndicatorSet indicators(topo);
+        const ThresholdSet thresholds(topo, 24);
+        for (std::uint64_t seed : {1u, 2u}) {
+            const Tensor input = model.cifar
+                                     ? makeCifarLikeImage(seed, 40 + seed)
+                                     : makeMnistLikeImage(seed, 40 + seed);
+            for (std::uint32_t sample = 0; sample < 2; ++sample) {
+                LfsrBrng brng(0.3, 0x5eedu + 16 * seed + sample);
+                const MaskSet masks = sampleMasks(model.net, brng);
+                struct Run {
+                    std::vector<std::uint16_t> counts;
+                    std::vector<BitVolume> predicted, mispredicted;
+                    std::vector<float> output;
+                };
+                const auto run = [&] {
+                    Run r;
+                    const ZeroMaps zero = computeZeroMaps(topo, input);
+                    for (const ConvBlock &b : topo.blocks()) {
+                        const auto &conv = static_cast<const Conv2d &>(
+                            model.net.layer(b.conv));
+                        const CountVolume c = countDroppedNwInputs(
+                            conv, effectiveInputMask(topo, b.conv, masks),
+                            indicators.of(b.conv));
+                        r.counts.insert(r.counts.end(), c.data(),
+                                        c.data() + c.size());
+                    }
+                    PredictiveResult res =
+                        predictiveForward(topo, indicators, zero,
+                                          thresholds, input, masks);
+                    for (auto &[id, map] : res.predicted)
+                        r.predicted.push_back(map);
+                    for (auto &[id, map] : res.mispredicted)
+                        r.mispredicted.push_back(map);
+                    r.output.assign(res.output.data().begin(),
+                                    res.output.data().end());
+                    return r;
+                };
+                Run want;
+                {
+                    ScopedLevel force(simd::SimdLevel::Scalar);
+                    want = run();
+                }
+                std::size_t predicted = 0, missed = 0;
+                for (const BitVolume &v : want.predicted)
+                    predicted += v.popcount();
+                for (const BitVolume &v : want.mispredicted)
+                    missed += v.popcount();
+                EXPECT_GT(predicted, 0u) << model.net.name();
+                EXPECT_GT(missed, 0u) << model.net.name();
+                for (simd::SimdLevel level : availableLevels()) {
+                    if (level == simd::SimdLevel::Scalar)
+                        continue;
+                    ScopedLevel force(level);
+                    const Run got = run();
+                    const std::string where =
+                        model.net.name() + " at " +
+                        simd::simdLevelName(level) + ", seed " +
+                        std::to_string(seed) + ", sample " +
+                        std::to_string(sample);
+                    EXPECT_EQ(want.counts, got.counts) << where;
+                    EXPECT_TRUE(want.predicted == got.predicted) << where;
+                    EXPECT_TRUE(want.mispredicted == got.mispredicted)
+                        << where;
+                    EXPECT_TRUE(bitIdentical(want.output, got.output))
+                        << where;
+                }
+            }
         }
     }
 }

@@ -123,10 +123,29 @@ TEST(MaskPool, PaddingCountsAsDropped)
 
 TEST(MaskPool, PropertyMatchesBruteForce)
 {
-    for (std::uint64_t seed = 0; seed < 6; ++seed) {
-        BitVolume m = randomMask(2, 6, 6, seed, 0.5);
-        const std::size_t k = 2 + seed % 2, s = 1 + seed % 2;
+    // Unpadded windows, including the word-wise 2x2 stride-2 path on
+    // odd widths and heights, and on rows wider than one 64-bit word.
+    struct Case {
+        std::size_t h, w, k, s;
+    };
+    std::vector<Case> cases;
+    for (std::uint64_t seed = 0; seed < 6; ++seed)
+        cases.push_back({6, 6, 2 + seed % 2, 1 + seed % 2});
+    for (std::size_t w : {1u, 2u, 7u, 63u, 64u, 65u, 129u, 130u}) {
+        for (std::size_t h : {2u, 5u, 6u}) {
+            cases.push_back({h, w, 2, 2});
+            cases.push_back({h, w, 2, 1});
+        }
+    }
+    std::uint64_t seed = 0;
+    for (const Case &cs : cases) {
+        if (cs.w < cs.k)
+            continue;
+        BitVolume m = randomMask(3, cs.h, cs.w, seed++, 0.7);
+        const std::size_t k = cs.k, s = cs.s;
         BitVolume out = maskPool(m, k, s, 0);
+        ASSERT_EQ(out.height(), (cs.h - k) / s + 1);
+        ASSERT_EQ(out.width(), (cs.w - k) / s + 1);
         for (std::size_t c = 0; c < out.channels(); ++c) {
             for (std::size_t r = 0; r < out.height(); ++r) {
                 for (std::size_t col = 0; col < out.width(); ++col) {
@@ -135,10 +154,17 @@ TEST(MaskPool, PropertyMatchesBruteForce)
                         for (std::size_t j = 0; j < k; ++j)
                             all &= m.get(c, r * s + i, col * s + j);
                     }
-                    ASSERT_EQ(out.get(c, r, col), all);
+                    ASSERT_EQ(out.get(c, r, col), all)
+                        << cs.h << "x" << cs.w << " k" << k << " s" << s
+                        << " at " << c << "," << r << "," << col;
                 }
             }
         }
+        // No bit past the volume is ever set.
+        EXPECT_EQ(out.words()[out.wordCount()], 0u);
+        std::size_t set = 0;
+        out.forEachSet([&](std::size_t) { ++set; });
+        EXPECT_EQ(set, out.popcount());
     }
 }
 
@@ -352,6 +378,49 @@ class OutputRecorder : public ForwardHooks
 };
 
 } // namespace
+
+TEST(Predictor, WordWiseMatchesPerBitReference)
+{
+    // Planes whose size is not a multiple of 64, so channels start
+    // inside words; 11 kernels with random counts and zero maps.  α
+    // is 0, 1 or max count + 1 for every kernel, then mixed.
+    for (std::size_t side : {2u, 4u, 7u}) {
+        Network net("plane", Shape({1, side, side}));
+        net.add(std::make_unique<Conv2d>("c", 1, 11, 1));
+        net.add(std::make_unique<ReLU>("r"));
+        net.add(std::make_unique<Dropout>("d", 0.3));
+        BcnnTopology topo(net);
+        const NodeId conv = net.findNode("c");
+        std::mt19937_64 rng(side);
+        const std::uint16_t max_count = 20;
+        CountVolume counts(11, side, side);
+        for (std::size_t i = 0; i < counts.size(); ++i)
+            counts.data()[i] =
+                static_cast<std::uint16_t>(rng() % (max_count + 1));
+        const BitVolume zeros = randomMask(11, side, side, side + 100, 0.5);
+        const int alphas[] = {0, 1, max_count + 1};
+        for (int mode = 0; mode < 4; ++mode) {
+            ThresholdSet thr(topo, 0);
+            for (std::size_t m = 0; m < 11; ++m)
+                thr.set(conv, m, alphas[mode < 3 ? mode : (m + side) % 3]);
+            const BitVolume pred =
+                predictUnaffected(zeros, counts, thr, conv);
+            BitVolume want(11, side, side);
+            for (std::size_t z = 0; z < want.size(); ++z) {
+                const int alpha = thr.of(conv, z / (side * side));
+                want.setFlat(z, zeros.getFlat(z) &&
+                                    static_cast<int>(counts.atFlat(z)) <
+                                        alpha);
+            }
+            EXPECT_TRUE(pred == want)
+                << side << "x" << side << " mode " << mode;
+            EXPECT_EQ(pred.words()[pred.wordCount()], 0u);
+            if (mode == 2) {
+                EXPECT_EQ(pred.popcount(), zeros.popcount());
+            }
+        }
+    }
+}
 
 TEST(Predictor, ZeroMapsMatchPreInference)
 {
