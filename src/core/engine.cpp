@@ -180,21 +180,6 @@ FastBcnnEngine::tryQuantize(const std::vector<Tensor> &calibration_inputs)
     return Status::ok();
 }
 
-Status
-FastBcnnEngine::tryAdoptQuantRecords(
-    const std::vector<QuantRecord> &records)
-{
-    Expected<quant::QuantizedNetwork> qnet =
-        quant::QuantizedNetwork::fromRecords(net_, records);
-    if (!qnet.hasValue()) {
-        return std::move(qnet).takeError().withContext(
-            "adopting checkpointed quant records");
-    }
-    quantNet_ = std::make_unique<quant::QuantizedNetwork>(
-        std::move(qnet.value()));
-    return Status::ok();
-}
-
 Expected<McResult>
 FastBcnnEngine::tryMcReference(const Tensor &input) const
 {

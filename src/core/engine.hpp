@@ -37,7 +37,9 @@ struct EngineOptions {
      * tryCalibrate() constructs a SkipGuard over the tuned thresholds,
      * which skip mode (tryGuardedMc()) drives; a tolerance of 0
      * resolves to 1 − p_cf, the mispredict budget the thresholds were
-     * calibrated against.
+     * calibrated against.  Like sim and config, only offline and
+     * engine-level callers read it: the serving layer always runs
+     * tryMcReference().
      */
     GuardOptions guard;
 };
@@ -119,15 +121,6 @@ class FastBcnnEngine
      */
     [[nodiscard]] Status tryQuantize(
         const std::vector<Tensor> &calibration_inputs);
-
-    /**
-     * Adopt quantized parameters from checkpointed QuantRecords
-     * (validated against the owned network's topology) — the load
-     * path mirror of tryQuantize(), used when a binary checkpoint
-     * already carries a quantized-weights section.
-     */
-    [[nodiscard]] Status tryAdoptQuantRecords(
-        const std::vector<QuantRecord> &records);
 
     /** @return true when an int8 mirror is ready to serve. */
     bool int8Available() const { return quantNet_ != nullptr; }
@@ -253,7 +246,7 @@ class FastBcnnEngine
     std::vector<BlockTuneReport> tuneReports_;
     /** Constructed by tryCalibrate() when EngineOptions::guard.enabled. */
     std::unique_ptr<SkipGuard> guard_;
-    /** Int8 mirror; built by tryQuantize() / tryAdoptQuantRecords(). */
+    /** Int8 mirror; built by tryQuantize(). */
     std::unique_ptr<quant::QuantizedNetwork> quantNet_;
 };
 

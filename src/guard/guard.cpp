@@ -62,55 +62,6 @@ guardEventKindName(GuardEventKind kind)
     return "Unknown";
 }
 
-GuardSnapshot
-mergeGuardSnapshots(const std::vector<GuardSnapshot> &parts)
-{
-    GuardSnapshot merged;
-    std::map<std::pair<NodeId, std::size_t>, KernelGuardStatus> byKey;
-    for (const GuardSnapshot &part : parts) {
-        merged.tolerance = part.tolerance;
-        merged.samplesSeen += part.samplesSeen;
-        merged.auditedNeurons += part.auditedNeurons;
-        merged.mispredictedNeurons += part.mispredictedNeurons;
-        merged.backoffs += part.backoffs;
-        merged.disables += part.disables;
-        merged.probes += part.probes;
-        merged.recoveries += part.recoveries;
-        for (const KernelGuardStatus &k : part.kernels) {
-            auto [it, inserted] =
-                byKey.emplace(std::make_pair(k.conv, k.kernel), k);
-            if (inserted)
-                continue;
-            KernelGuardStatus &acc = it->second;
-            acc.audited += k.audited;
-            acc.mispredicted += k.mispredicted;
-            // Report the most conservative replica: the serving layer
-            // cares about the worst-case degradation.
-            if (k.currentAlpha < acc.currentAlpha)
-                acc.currentAlpha = k.currentAlpha;
-            acc.backoffLevel = std::max(acc.backoffLevel,
-                                        k.backoffLevel);
-            acc.ewmaRate = std::max(acc.ewmaRate, k.ewmaRate);
-            acc.healthy = acc.healthy && k.healthy;
-        }
-    }
-    merged.kernels.reserve(byKey.size());
-    for (auto &[key, k] : byKey) {
-        if (k.audited > 0) {
-            k.mispredictRate = static_cast<double>(k.mispredicted) /
-                               static_cast<double>(k.audited);
-        }
-        k.wilsonLower = wilsonLowerBound(k.mispredicted, k.audited,
-                                         kWilsonZ);
-        k.wilsonUpper = wilsonUpperBound(k.mispredicted, k.audited,
-                                         kWilsonZ);
-        if (!k.healthy)
-            ++merged.degradedKernels;
-        merged.kernels.push_back(k);
-    }
-    return merged;
-}
-
 SkipGuard::SkipGuard(const BcnnTopology &topo, ThresholdSet calibrated,
                      const GuardOptions &opts)
     : opts_(opts), calibrated_(std::move(calibrated)),

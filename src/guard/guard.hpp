@@ -110,15 +110,6 @@ struct GuardSnapshot {
 };
 
 /**
- * Merge snapshots from several guards (the serving layer's per-worker
- * engine replicas): counters sum, per-kernel tallies merge by
- * (conv, kernel) with interval bounds recomputed from the aggregate,
- * and the reported α is the most conservative across replicas.
- */
-GuardSnapshot mergeGuardSnapshots(
-    const std::vector<GuardSnapshot> &parts);
-
-/**
  * The guard itself: owns the effective thresholds (starting at the
  * calibrated set), accumulates per-kernel audit tallies, and runs the
  * backoff/recovery policy at decision-round boundaries.

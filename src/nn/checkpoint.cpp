@@ -21,16 +21,9 @@ constexpr std::uint32_t kFormatVersion = 1;
 constexpr std::size_t kAlign = 64;
 constexpr std::size_t kHeaderBytes = 64;
 
-/** Section kind codes (a subset of LayerKind with pinned values).
- *  Codes 3/4 mark quantized sections of the same layer kinds; their
- *  payload layout differs (see quantSectionPayload). */
+/** Section kind codes (a subset of LayerKind with pinned values). */
 constexpr std::uint32_t kKindConv2d = 1;
 constexpr std::uint32_t kKindLinear = 2;
-constexpr std::uint32_t kKindQuantConv2d = 3;
-constexpr std::uint32_t kKindQuantLinear = 4;
-
-/** Byte size of a quant section's scale/shift parameter block. */
-constexpr std::size_t kQuantParamBytes = 16;
 
 std::size_t
 alignUp(std::size_t n)
@@ -103,23 +96,14 @@ kindCode(LayerKind kind)
     return kind == LayerKind::Linear ? kKindLinear : kKindConv2d;
 }
 
-std::uint32_t
-quantKindCode(LayerKind kind)
-{
-    return kind == LayerKind::Linear ? kKindQuantLinear
-                                     : kKindQuantConv2d;
-}
-
 Status
 kindFromCode(std::uint32_t code, LayerKind &kind)
 {
     switch (code) {
       case kKindConv2d:
-      case kKindQuantConv2d:
         kind = LayerKind::Conv2d;
         return Status::ok();
       case kKindLinear:
-      case kKindQuantLinear:
         kind = LayerKind::Linear;
         return Status::ok();
       default:
@@ -127,12 +111,6 @@ kindFromCode(std::uint32_t code, LayerKind &kind)
                       "section kind code %u is not a checkpointable "
                       "layer kind", code);
     }
-}
-
-bool
-isQuantKindCode(std::uint32_t code)
-{
-    return code == kKindQuantConv2d || code == kKindQuantLinear;
 }
 
 /**
@@ -166,32 +144,6 @@ sectionPayload(const CheckpointRecord &rec)
     return payload;
 }
 
-/**
- * One quant section's payload: name + pad, a 16-byte parameter block
- * (wScale, inScale, outScale as f32 LE, shift as i32 LE), int8
- * weights (one byte each), int32 bias (4 bytes LE each), pad.
- */
-std::string
-quantSectionPayload(const QuantRecord &rec)
-{
-    std::string payload;
-    payload.reserve(alignUp(rec.name.size()) +
-                    alignUp(kQuantParamBytes + rec.weights.size() +
-                            4 * rec.bias.size()));
-    payload += rec.name;
-    pad(payload, 0);
-    putF32(payload, rec.wScale);
-    putF32(payload, rec.inScale);
-    putF32(payload, rec.outScale);
-    putU32(payload, static_cast<std::uint32_t>(rec.shift));
-    for (std::int8_t v : rec.weights)
-        payload.push_back(static_cast<char>(v));
-    for (std::int32_t v : rec.bias)
-        putU32(payload, static_cast<std::uint32_t>(v));
-    pad(payload, 0);
-    return payload;
-}
-
 } // namespace
 
 Status
@@ -216,21 +168,6 @@ tryEmitBinaryCheckpoint(const CheckpointImage &image, std::ostream &os)
         sealHeader(body, fields);
         body += payload;
     }
-    // Quantized sections ride after the float ones; same header
-    // layout, distinct kind codes, int8/int32 payload encoding.
-    for (const QuantRecord &rec : image.quantRecords) {
-        const std::string payload = quantSectionPayload(rec);
-        std::string fields;
-        putU32(fields, quantKindCode(rec.kind));
-        putU32(fields, static_cast<std::uint32_t>(rec.name.size()));
-        putU64(fields, rec.weights.size());
-        putU64(fields, rec.bias.size());
-        putU64(fields, payload.size());
-        putU32(fields, crc32(payload));
-        fields.append(kHeaderBytes - 4 - fields.size(), '\0');
-        sealHeader(body, fields);
-        body += payload;
-    }
 
     std::string file;
     file.reserve(kHeaderBytes + body.size() + kHeaderBytes);
@@ -239,8 +176,7 @@ tryEmitBinaryCheckpoint(const CheckpointImage &image, std::ostream &os)
         fields.append(kFileMagic, sizeof(kFileMagic));
         putU32(fields, kFormatVersion);
         putU32(fields,
-               static_cast<std::uint32_t>(image.records.size() +
-                                          image.quantRecords.size()));
+               static_cast<std::uint32_t>(image.records.size()));
         putU64(fields, body.size());
         putU32(fields,
                static_cast<std::uint32_t>(image.modelName.size()));
@@ -408,18 +344,17 @@ tryParseBinaryCheckpoint(const std::string &bytes)
                           static_cast<unsigned long long>(biasCount),
                           static_cast<unsigned long long>(secPayload));
         }
+        // The header CRC passed, so the kind code is what the writer
+        // meant: an unreadable kind — including the int8 sections
+        // (codes 3/4) older builds wrote — is rejected by its code
+        // before the payload is sized as f32.
+        CheckpointRecord rec;
+        FASTBCNN_RETURN_IF_ERROR(kindFromCode(kind, rec.kind));
         // The advertised element counts must reproduce the payload
         // size exactly; any disagreement means a rotted length field
-        // the CRCs happened to miss is caught structurally.  Quant
-        // sections pack int8 weights + int32 bias behind a 16-byte
-        // parameter block; float sections are f32 throughout.
+        // the CRCs happened to miss is caught structurally.
         const std::uint64_t wantPayload =
-            isQuantKindCode(kind)
-                ? alignUp(nameBytes) +
-                      alignUp(kQuantParamBytes + weightCount +
-                              4 * biasCount)
-                : alignUp(nameBytes) +
-                      alignUp(4 * (weightCount + biasCount));
+            alignUp(nameBytes) + alignUp(4 * (weightCount + biasCount));
         if (wantPayload != secPayload) {
             return errorf(ErrorCode::ParseError,
                           "section %u claims %llu name bytes and "
@@ -438,43 +373,16 @@ tryParseBinaryCheckpoint(const std::string &bytes)
                           s);
         }
 
-        if (isQuantKindCode(kind)) {
-            QuantRecord rec;
-            FASTBCNN_RETURN_IF_ERROR(kindFromCode(kind, rec.kind));
-            rec.name.assign(payload, nameBytes);
-            const char *values = payload + alignUp(nameBytes);
-            rec.wScale = getF32(values);
-            rec.inScale = getF32(values + 4);
-            rec.outScale = getF32(values + 8);
-            rec.shift =
-                static_cast<std::int32_t>(getU32(values + 12));
-            values += kQuantParamBytes;
-            rec.weights.reserve(
-                static_cast<std::size_t>(weightCount));
-            for (std::uint64_t i = 0; i < weightCount; ++i)
-                rec.weights.push_back(
-                    static_cast<std::int8_t>(values[i]));
-            values += weightCount;
-            rec.bias.reserve(static_cast<std::size_t>(biasCount));
-            for (std::uint64_t i = 0; i < biasCount; ++i)
-                rec.bias.push_back(static_cast<std::int32_t>(
-                    getU32(values + 4 * i)));
-            image.quantRecords.push_back(std::move(rec));
-        } else {
-            CheckpointRecord rec;
-            FASTBCNN_RETURN_IF_ERROR(kindFromCode(kind, rec.kind));
-            rec.name.assign(payload, nameBytes);
-            const char *values = payload + alignUp(nameBytes);
-            rec.weights.reserve(
-                static_cast<std::size_t>(weightCount));
-            for (std::uint64_t i = 0; i < weightCount; ++i)
-                rec.weights.push_back(getF32(values + 4 * i));
-            values += 4 * weightCount;
-            rec.bias.reserve(static_cast<std::size_t>(biasCount));
-            for (std::uint64_t i = 0; i < biasCount; ++i)
-                rec.bias.push_back(getF32(values + 4 * i));
-            image.records.push_back(std::move(rec));
-        }
+        rec.name.assign(payload, nameBytes);
+        const char *values = payload + alignUp(nameBytes);
+        rec.weights.reserve(static_cast<std::size_t>(weightCount));
+        for (std::uint64_t i = 0; i < weightCount; ++i)
+            rec.weights.push_back(getF32(values + 4 * i));
+        values += 4 * weightCount;
+        rec.bias.reserve(static_cast<std::size_t>(biasCount));
+        for (std::uint64_t i = 0; i < biasCount; ++i)
+            rec.bias.push_back(getF32(values + 4 * i));
+        image.records.push_back(std::move(rec));
 
         at += kHeaderBytes + secPayload;
     }
@@ -522,11 +430,8 @@ tryAuditCheckpoint(const std::string &bytes)
     CheckpointAudit audit;
     audit.modelName = parsed.value().modelName;
     audit.sections = parsed.value().records.size();
-    audit.quantSections = parsed.value().quantRecords.size();
     audit.fileBytes = bytes.size();
     for (const CheckpointRecord &rec : parsed.value().records)
-        audit.totalValues += rec.weights.size() + rec.bias.size();
-    for (const QuantRecord &rec : parsed.value().quantRecords)
         audit.totalValues += rec.weights.size() + rec.bias.size();
     return audit;
 }
@@ -535,20 +440,11 @@ Status
 trySaveCheckpointFile(const Network &net, const std::string &path,
                       const AtomicWriteOptions &write_opts)
 {
-    return trySaveCheckpointImageFile(checkpointImageOf(net), path,
-                                      write_opts);
-}
-
-Status
-trySaveCheckpointImageFile(const CheckpointImage &image,
-                           const std::string &path,
-                           const AtomicWriteOptions &write_opts)
-{
     std::ostringstream os;
-    FASTBCNN_RETURN_IF_ERROR(tryEmitBinaryCheckpoint(image, os));
+    FASTBCNN_RETURN_IF_ERROR(trySaveWeightsBinary(net, os));
     return tryAtomicWriteFile(path, os.str(), write_opts)
         .withContext(format("saving checkpoint of '%s'",
-                            image.modelName.c_str()));
+                            net.name().c_str()));
 }
 
 Status

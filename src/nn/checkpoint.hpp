@@ -3,7 +3,8 @@
  * The checkpoint format + crash-safe checkpoint files.
  *
  * This is the one on-disk encoding of a CheckpointImage
- * (serialize.hpp): model weights plus any quantized sections.
+ * (serialize.hpp): the float weights and biases of every Conv2d /
+ * Linear layer.
  *
  * Byte-level layout (all integers little-endian, every region padded
  * to a 64-byte boundary so float payloads are 64-byte-aligned from
@@ -14,23 +15,22 @@
  *                        + CRC32, header CRC32 over bytes [0, 60)
  *   name region          model name, zero-padded to 64 B
  *   Section × N (each):
- *     SectionHeader (64 B)  layer kind, name length, weight/bias
- *                           element counts, payload byte count,
- *                           payload CRC32, header CRC32
+ *     SectionHeader (64 B)  layer kind (1 = Conv2d, 2 = Linear),
+ *                           name length, weight/bias element counts,
+ *                           payload byte count, payload CRC32,
+ *                           header CRC32
  *     payload             layer name (zero-padded to 64 B), weights
  *                         as f32 LE, bias as f32 LE, zero-padded to
  *                         64 B; the payload CRC covers all of it
- *
- * Quantized sections (kind codes 3 = quant Conv2d, 4 = quant Linear)
- * share the SectionHeader layout but pack a different payload: layer
- * name (zero-padded to 64 B), a 16-byte parameter block (wScale,
- * inScale, outScale as f32 LE, requant shift as i32 LE), weights as
- * int8 (one byte each), bias as i32 LE, zero-padded to 64 B.  They
- * ride after the float sections and are counted in the header's
- * section count; a checkpoint without them is simply float-only.
  *   FileFooter   (64 B)  magic "FBCNNFT1", byte count of everything
  *                        before the footer, whole-file CRC32 over
  *                        those bytes, footer CRC32
+ *
+ * Any other kind code is a ParseError that names the code.  Codes 3
+ * and 4 were int8 sections that older builds could append; the int8
+ * mirror is now always rebuilt from calibration
+ * (FastBcnnEngine::tryQuantize()), so such a file fails to load
+ * rather than silently dropping a section.
  *
  * Every length field is validated against the actual stream size
  * before any arithmetic, pointer offset or allocation it implies, so
@@ -95,9 +95,8 @@ namespace fastbcnn {
  */
 struct CheckpointAudit {
     std::string modelName;
-    std::size_t sections = 0;       ///< parameterised-layer records
-    std::size_t quantSections = 0;  ///< quantized-layer records
-    std::size_t totalValues = 0;    ///< weight + bias element count
+    std::size_t sections = 0;     ///< parameterised-layer records
+    std::size_t totalValues = 0;  ///< weight + bias element count
     std::size_t fileBytes = 0;
 };
 
@@ -112,15 +111,6 @@ struct CheckpointAudit {
  */
 [[nodiscard]] Status trySaveCheckpointFile(
     const Network &net, const std::string &path,
-    const AtomicWriteOptions &write_opts = {});
-
-/**
- * Image overload of trySaveCheckpointFile(): atomically write an
- * already-assembled image — the path that carries quant records
- * (append QuantizedNetwork::records() to checkpointImageOf(net)).
- */
-[[nodiscard]] Status trySaveCheckpointImageFile(
-    const CheckpointImage &image, const std::string &path,
     const AtomicWriteOptions &write_opts = {});
 
 /**

@@ -15,7 +15,6 @@
 #ifndef FASTBCNN_NN_SERIALIZE_HPP
 #define FASTBCNN_NN_SERIALIZE_HPP
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -34,23 +33,6 @@ struct CheckpointRecord {
 };
 
 /**
- * One parameterised layer's quantized state: int8 weights, int32
- * biases, and the symmetric per-layer scale chain (real ≈ q * scale,
- * zero-point 0).  The requant invariant outScale == inScale * wScale *
- * 2^shift holds exactly — QuantizedNetwork::fromRecords() verifies it.
- */
-struct QuantRecord {
-    std::string name;          ///< layer name (the matching key)
-    LayerKind kind = LayerKind::Conv2d;  ///< Conv2d or Linear
-    std::vector<std::int8_t> weights;
-    std::vector<std::int32_t> bias;
-    float wScale = 1.0f;       ///< weight scale (real w ≈ q * wScale)
-    float inScale = 1.0f;      ///< input activation scale
-    float outScale = 1.0f;     ///< output activation scale
-    std::int32_t shift = 0;    ///< requant right shift, in [0, 30]
-};
-
-/**
  * A parsed checkpoint, independent of any network: the auditor
  * (tools/fastbcnn_ckpt) checks images without ever building a model,
  * and loads commit through the staged all-or-nothing path below.
@@ -58,8 +40,6 @@ struct QuantRecord {
 struct CheckpointImage {
     std::string modelName;
     std::vector<CheckpointRecord> records;
-    /** Quantized sections (may be empty). */
-    std::vector<QuantRecord> quantRecords;
 };
 
 /** Snapshot every Conv2d / Linear layer of @p net into an image. */
@@ -70,9 +50,7 @@ CheckpointImage checkpointImageOf(const Network &net);
  * every record first — unknown layer names (NotFound), layers without
  * parameters or element-count disagreements (Mismatch) — and only
  * then writes, so on any error the network's weights are left exactly
- * as they were.  Quant records are not committed here — a float
- * Network has nowhere to put them; the engine adopts them via
- * FastBcnnEngine::tryAdoptQuantRecords().
+ * as they were.
  */
 [[nodiscard]] Status tryCommitCheckpointImage(Network &net,
                                               const CheckpointImage &image);

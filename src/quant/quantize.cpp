@@ -57,9 +57,9 @@ allFinite(const Tensor &t)
 
 /**
  * Recompute the output scale from the *rounded* weight scale so that
- * outScale == inScale * wScale * 2^shift holds bit-exactly in float —
- * the invariant fromRecords() verifies.  The 2^shift multiply is exact
- * (power of two); the single rounding lives in inScale * wScale.
+ * outScale == inScale * wScale * 2^shift holds bit-exactly in float.
+ * The 2^shift multiply is exact (power of two); the single rounding
+ * lives in inScale * wScale.
  */
 float
 chainOutScale(float in_scale, float w_scale, std::int32_t shift)
@@ -72,24 +72,6 @@ bool
 isParametric(LayerKind kind)
 {
     return kind == LayerKind::Conv2d || kind == LayerKind::Linear;
-}
-
-/** Expected weight / bias element counts of a parametric node. */
-void
-paramCounts(const Network &net, const QuantNode &n, std::size_t &w_count,
-            std::size_t &b_count, std::size_t &taps)
-{
-    if (n.kind == LayerKind::Conv2d) {
-        const auto &c = static_cast<const Conv2d &>(net.layer(n.id));
-        w_count = c.weights().size();
-        b_count = c.bias().numel();
-        taps = c.inChannels() * c.kernelSize() * c.kernelSize();
-    } else {
-        const auto &l = static_cast<const Linear &>(net.layer(n.id));
-        w_count = l.weights().numel();
-        b_count = l.bias().numel();
-        taps = l.inFeatures();
-    }
 }
 
 } // namespace
@@ -156,8 +138,11 @@ tryCalibrateActivations(const Network &net,
 }
 
 Expected<QuantizedNetwork>
-QuantizedNetwork::fromSkeleton(const Network &net)
+QuantizedNetwork::build(const Network &net,
+                        const CalibrationProfile &calib)
 {
+    // Structural pass: a sequential chain of supported layers ending
+    // in a Linear head (+ optional Softmax), mirrored node by node.
     if (net.size() == 0) {
         return errorf(ErrorCode::InvalidArgument,
                       "cannot quantize empty network '%s'",
@@ -245,18 +230,9 @@ QuantizedNetwork::fromSkeleton(const Network &net)
         n.head = (l.kind() == LayerKind::Linear && id == last_linear);
         q.nodes_.push_back(std::move(n));
     }
-    return q;
-}
 
-Expected<QuantizedNetwork>
-QuantizedNetwork::build(const Network &net,
-                        const CalibrationProfile &calib)
-{
-    auto skel = fromSkeleton(net);
-    if (!skel.hasValue())
-        return std::move(skel).takeError();
-    QuantizedNetwork q = std::move(skel.value());
-
+    // Parameter pass: quantize every Conv2d / Linear along the scale
+    // chain.
     if (!std::isfinite(calib.inputMaxAbs) || calib.inputMaxAbs < 0.0f) {
         return errorf(ErrorCode::InvalidArgument,
                       "calibration input range %g is not a finite "
@@ -362,119 +338,6 @@ QuantizedNetwork::build(const Network &net,
         s_in = n.outScale;
     }
     return q;
-}
-
-Expected<QuantizedNetwork>
-QuantizedNetwork::fromRecords(const Network &net,
-                              const std::vector<QuantRecord> &records)
-{
-    auto skel = fromSkeleton(net);
-    if (!skel.hasValue())
-        return std::move(skel).takeError();
-    QuantizedNetwork q = std::move(skel.value());
-
-    std::vector<std::size_t> param_idx;
-    for (std::size_t i = 0; i < q.nodes_.size(); ++i) {
-        if (isParametric(q.nodes_[i].kind))
-            param_idx.push_back(i);
-    }
-    if (records.size() != param_idx.size()) {
-        return errorf(ErrorCode::Mismatch,
-                      "checkpoint carries %zu quant records, network "
-                      "'%s' has %zu parametric layers",
-                      records.size(), net.name().c_str(),
-                      param_idx.size());
-    }
-
-    float s_prev = 0.0f;
-    for (std::size_t k = 0; k < records.size(); ++k) {
-        QuantNode &n = q.nodes_[param_idx[k]];
-        const QuantRecord &r = records[k];
-        if (r.name != n.name) {
-            return errorf(ErrorCode::Mismatch,
-                          "quant record %zu is '%s', expected layer "
-                          "'%s'", k, r.name.c_str(), n.name.c_str());
-        }
-        if (r.kind != n.kind) {
-            return errorf(ErrorCode::Mismatch,
-                          "quant record '%s' has kind %s, layer is %s",
-                          r.name.c_str(), layerKindName(r.kind),
-                          layerKindName(n.kind));
-        }
-        std::size_t w_count = 0;
-        std::size_t b_count = 0;
-        std::size_t taps = 0;
-        paramCounts(net, n, w_count, b_count, taps);
-        if (r.weights.size() != w_count || r.bias.size() != b_count) {
-            return errorf(ErrorCode::Mismatch,
-                          "quant record '%s' carries %zu weights / "
-                          "%zu biases, layer needs %zu / %zu",
-                          r.name.c_str(), r.weights.size(),
-                          r.bias.size(), w_count, b_count);
-        }
-        const bool scales_ok =
-            std::isfinite(r.wScale) && r.wScale > 0.0f &&
-            std::isfinite(r.inScale) && r.inScale > 0.0f &&
-            std::isfinite(r.outScale) && r.outScale > 0.0f;
-        if (!scales_ok) {
-            return errorf(ErrorCode::InvalidArgument,
-                          "quant record '%s' has a non-finite or "
-                          "non-positive scale", r.name.c_str());
-        }
-        if (r.shift < 0 || r.shift > 30) {
-            return errorf(ErrorCode::InvalidArgument,
-                          "quant record '%s' has shift %d outside "
-                          "[0, 30]", r.name.c_str(),
-                          static_cast<int>(r.shift));
-        }
-        if (chainOutScale(r.inScale, r.wScale, r.shift) != r.outScale) {
-            return errorf(ErrorCode::Mismatch,
-                          "quant record '%s': outScale %g breaks the "
-                          "requant invariant inScale * wScale * "
-                          "2^shift", r.name.c_str(),
-                          static_cast<double>(r.outScale));
-        }
-        if (k == 0) {
-            q.inputScale_ = r.inScale;
-        } else if (r.inScale != s_prev) {
-            return errorf(ErrorCode::Mismatch,
-                          "quant record '%s': inScale %g does not "
-                          "chain from the previous outScale %g",
-                          r.name.c_str(),
-                          static_cast<double>(r.inScale),
-                          static_cast<double>(s_prev));
-        }
-        s_prev = r.outScale;
-
-        n.weights = r.weights;
-        n.bias = r.bias;
-        n.wScale = r.wScale;
-        n.inScale = r.inScale;
-        n.outScale = r.outScale;
-        n.shift = r.shift;
-    }
-    return q;
-}
-
-std::vector<QuantRecord>
-QuantizedNetwork::records() const
-{
-    std::vector<QuantRecord> out;
-    for (const QuantNode &n : nodes_) {
-        if (!isParametric(n.kind))
-            continue;
-        QuantRecord r;
-        r.name = n.name;
-        r.kind = n.kind;
-        r.weights = n.weights;
-        r.bias = n.bias;
-        r.wScale = n.wScale;
-        r.inScale = n.inScale;
-        r.outScale = n.outScale;
-        r.shift = n.shift;
-        out.push_back(std::move(r));
-    }
-    return out;
 }
 
 Tensor

@@ -13,9 +13,9 @@
  * The scale chain is pinned exactly: for every parametric layer,
  *   outScale == inScale * wScale * 2^shift   (bit-exact in float)
  * because wScale is derived from the target output scale and outScale
- * is then recomputed from the rounded wScale.  fromRecords() verifies
- * this invariant on load, so a checkpoint can never smuggle in an
- * inconsistent chain.
+ * is then recomputed from the rounded wScale.  The mirror lives only
+ * in memory: it is rebuilt from calibration, never loaded from a
+ * checkpoint.
  *
  * Determinism: integer arithmetic is exact and associative, so int8
  * outputs are bit-identical across SIMD levels and thread counts by
@@ -36,7 +36,6 @@
 #include "common/bitvolume.hpp"
 #include "common/error.hpp"
 #include "nn/network.hpp"
-#include "nn/serialize.hpp"
 #include "quant/precision.hpp"
 
 namespace fastbcnn::quant {
@@ -137,17 +136,6 @@ class QuantizedNetwork
         const Network &net, const CalibrationProfile &calib);
 
     /**
-     * Rebuild from checkpointed quant records against the float
-     * network's topology.  Validates record count and order (Mismatch),
-     * name/kind/geometry agreement (Mismatch), scale sanity — finite,
-     * positive, shift in [0, 30] (InvalidArgument) — and the exact
-     * requant invariant outScale == inScale * wScale * 2^shift plus
-     * inter-layer scale continuity (Mismatch).
-     */
-    [[nodiscard]] static Expected<QuantizedNetwork> fromRecords(
-        const Network &net, const std::vector<QuantRecord> &records);
-
-    /**
      * Run an int8 forward pass.  The input is quantized against the
      * calibrated input scale, every hidden layer runs in int8 through
      * the active SimdKernels table, and the head Linear dequantizes
@@ -168,9 +156,6 @@ class QuantizedNetwork
     std::map<NodeId, BitVolume> computeZeroMaps(const Tensor &input)
         const;
 
-    /** Snapshot the quantized parameters for checkpointing. */
-    std::vector<QuantRecord> records() const;
-
     /** @return the calibrated input activation scale. */
     float inputScale() const { return inputScale_; }
     /** @return the mirrored model's name. */
@@ -186,11 +171,6 @@ class QuantizedNetwork
 
   private:
     QuantizedNetwork() = default;
-
-    /** Structural pass shared by build() and fromRecords(): mirrors
-     *  the topology, leaving parameters/scales default. */
-    [[nodiscard]] static Expected<QuantizedNetwork> fromSkeleton(
-        const Network &net);
 
     Tensor run(const Tensor &input, ForwardHooks *hooks,
                std::map<NodeId, BitVolume> *zero_maps) const;

@@ -3,13 +3,12 @@
  * Per-model circuit breaker for the serving layer.
  *
  * Closed → Open after a run of consecutive failures (engine run-level
- * errors or guard-tripped degradations); while Open every request is
- * rejected immediately with Unavailable — no queueing, no engine time.
- * After a cooldown the breaker half-opens and admits a bounded number
- * of probe requests; enough probe successes close it again, any probe
- * failure reopens it.  The state machine is a mutex-guarded
- * monitor — admission and completion race freely across the server's
- * threads.
+ * errors); while Open every request is rejected immediately with
+ * Unavailable — no queueing, no engine time.  After a cooldown the
+ * breaker half-opens and admits a bounded number of probe requests;
+ * enough probe successes close it again, any probe failure reopens
+ * it.  The state machine is a mutex-guarded monitor — admission and
+ * completion race freely across the server's threads.
  */
 
 #ifndef FASTBCNN_SERVE_BREAKER_HPP
@@ -56,7 +55,7 @@ const char *breakerStateName(BreakerState state);
 /** How a completed request reads to the breaker. */
 enum class BreakerSignal {
     Success,  ///< served cleanly
-    Failure,  ///< engine error or guard-tripped degradation
+    Failure,  ///< engine run-level error
     Neutral   ///< shed / cancelled: says nothing about model health
 };
 

@@ -24,7 +24,6 @@
 #include <string>
 
 #include "bayes/mc_runner.hpp"
-#include "guard/guard.hpp"
 #include "tensor/tensor.hpp"
 
 namespace fastbcnn::serve {
@@ -117,9 +116,9 @@ struct McOverrides {
     std::optional<std::uint64_t> seed;    ///< pin for reproducibility
     /**
      * Numeric path override (unset = replica default).  Int8 requires
-     * the served model's engines to carry a quantized mirror —
-     * admission rejects otherwise (see ModelInfo::int8Available).
-     * Ignored by skip-mode models, which always run float.
+     * the served model's engines to carry a quantized mirror, built
+     * from calibration by FastBcnnEngine::tryQuantize() — admission
+     * rejects otherwise (see ModelInfo::int8Available).
      */
     std::optional<Precision> precision;
     /**
@@ -196,13 +195,10 @@ struct InferResponse {
     /** How the request left the server. */
     Outcome outcome = Outcome::Failed;
     /**
-     * The run result (engaged iff outcome == Ok).  A model whose
-     * engines carry a skip guard serves every request in skip mode
-     * (FastBcnnEngine::tryGuardedMc); the result has the same shape.
+     * The run result (engaged iff outcome == Ok): the exact MC
+     * reference (FastBcnnEngine::tryMcReference) on the replica.
      */
     std::optional<McResult> result;
-    /** Guard decisions made during a skip-mode run (else empty). */
-    std::vector<GuardEvent> guardEvents;
     /** Why the request was not served (ok iff outcome == Ok). */
     Error error;
     /** Submit-to-dispatch wait in ms. */
@@ -223,8 +219,8 @@ struct InferResponse {
     std::uint64_t modelVersion = 0;
     /**
      * Numeric path the request actually ran on (replica default
-     * merged with any McOverrides::precision; always Float32 for a
-     * skip-mode model).  Meaningless unless dispatched.
+     * merged with any McOverrides::precision).  Meaningless unless
+     * dispatched.
      */
     Precision precision = Precision::Float32;
     /**
@@ -232,7 +228,7 @@ struct InferResponse {
      * when the controller is disabled or the request never
      * dispatched).  A browned-out response is still Outcome::Ok —
      * quality degradation is never a failure signal; the circuit
-     * breaker and guard ignore it.
+     * breaker ignores it.
      */
     BrownoutLevel brownoutLevel = BrownoutLevel::Normal;
     /**
@@ -249,22 +245,6 @@ struct InferResponse {
     bool degraded() const
     {
         return result.has_value() && result->degraded();
-    }
-
-    /**
-     * @return true when the skip guard backed off or disabled a
-     * kernel during this request — the degradation signal the
-     * circuit breaker counts as a failure.
-     */
-    bool guardTripped() const
-    {
-        for (const GuardEvent &ev : guardEvents) {
-            if (ev.kind == GuardEventKind::Backoff ||
-                ev.kind == GuardEventKind::Disable) {
-                return true;
-            }
-        }
-        return false;
     }
 };
 

@@ -5,14 +5,14 @@
 namespace fastbcnn::serve {
 
 BatchScheduler::BatchScheduler(BoundedRequestQueue &queue,
-                               SchedulerOptions opts, ShedFn shed,
+                               std::size_t max_batch, ShedFn shed,
                                const BrownoutController *brownout,
                                ShedFn brownout_shed)
-    : queue_(queue), opts_(opts), shed_(std::move(shed)),
+    : queue_(queue), maxBatch_(max_batch), shed_(std::move(shed)),
       brownout_(brownout), brownoutShed_(std::move(brownout_shed))
 {
-    FASTBCNN_CHECK(opts_.maxBatch > 0,
-                   "SchedulerOptions::maxBatch must be >= 1");
+    FASTBCNN_CHECK(maxBatch_ > 0,
+                   "BatchScheduler max_batch must be >= 1");
     FASTBCNN_CHECK(shed_ != nullptr,
                    "BatchScheduler needs a shed callback");
 }
@@ -47,14 +47,14 @@ BatchScheduler::nextBatch()
             continue;
 
         std::vector<PendingRequest> batch;
-        batch.reserve(opts_.maxBatch);
+        batch.reserve(maxBatch_);
         batch.push_back(std::move(*head));
         // The batch head fixes the model; fill with compatible
         // requests, shedding expired ones found along the way (they
         // would be shed at their own dispatch anyway — doing it here
         // frees queue slots sooner).
         const std::string model = batch.front().request.modelId;
-        while (batch.size() < opts_.maxBatch) {
+        while (batch.size() < maxBatch_) {
             std::optional<PendingRequest> next =
                 queue_.tryPopModel(model);
             if (!next.has_value())

@@ -7,12 +7,12 @@
  * ordering), sheds any request whose deadline already expired before
  * dispatch (load shedding: completing it now with Outcome::Shed is
  * strictly better than burning a replica on an answer nobody is
- * waiting for), and then fills a micro-batch with up to maxBatch - 1
+ * waiting for), and then fills a micro-batch with up to max_batch - 1
  * more queued requests of the *same model*.  A batch shares one
  * registry acquire, so every request in it runs on one pinned model
- * version; each request still runs its own pre-inference and samples.
- * Batching also drains the queue a batch at a time, and the brownout
- * controller reads that queue's depth; maxBatch = 1 measured no better
+ * version; each request still runs its own samples.  Batching also
+ * drains the queue a batch at a time, and the brownout controller
+ * reads that queue's depth; max_batch = 1 measured no better
  * under overload (DESIGN.md §10).
  */
 
@@ -28,12 +28,6 @@
 
 namespace fastbcnn::serve {
 
-/** Scheduling policy knobs. */
-struct SchedulerOptions {
-    /** Micro-batch size cap (1 disables batching). */
-    std::size_t maxBatch = 8;
-};
-
 class BatchScheduler
 {
   public:
@@ -42,7 +36,8 @@ class BatchScheduler
 
     /**
      * @param queue the admission queue (not owned; must outlive this)
-     * @param opts  policy knobs
+     * @param max_batch micro-batch size cap (>= 1; 1 disables
+     *              batching)
      * @param shed  called with every load-shed request; must complete
      *              its promise (the server wires this to its
      *              completion path)
@@ -54,7 +49,7 @@ class BatchScheduler
      *              request; must complete its promise.  Falls back to
      *              @p shed when null.
      */
-    BatchScheduler(BoundedRequestQueue &queue, SchedulerOptions opts,
+    BatchScheduler(BoundedRequestQueue &queue, std::size_t max_batch,
                    ShedFn shed,
                    const BrownoutController *brownout = nullptr,
                    ShedFn brownout_shed = nullptr);
@@ -76,7 +71,7 @@ class BatchScheduler
     bool brownoutSheds(PendingRequest &pending);
 
     BoundedRequestQueue &queue_;
-    SchedulerOptions opts_;
+    std::size_t maxBatch_;
     ShedFn shed_;
     const BrownoutController *brownout_;
     ShedFn brownoutShed_;

@@ -94,7 +94,6 @@ InferenceServer::create(std::vector<ModelSpec> models,
         ModelInfo info;
         info.inputShape = replica0->engine->network().inputShape();
         info.mcDefaults = replica0->engine->options().mc;
-        info.guardEnabled = replica0->engine->guard() != nullptr;
         info.int8Available = replica0->engine->int8Available();
         server->models_.emplace(spec.id, std::move(info));
         server->breakers_.emplace(
@@ -117,7 +116,7 @@ InferenceServer::create(std::vector<ModelSpec> models,
     }
     InferenceServer *raw = server.get();
     server->scheduler_ = std::make_unique<BatchScheduler>(
-        server->queue_, SchedulerOptions{opts.maxBatch},
+        server->queue_, opts.maxBatch,
         [raw](PendingRequest &&pending) {
             raw->shed(std::move(pending));
         },
@@ -147,7 +146,7 @@ InferenceServer::submit(InferRequest request)
     ModelInfo info;
     {
         // Copy the admission contract out: a concurrent hot-swap may
-        // refresh mcDefaults / guardEnabled mid-validation.
+        // refresh mcDefaults / int8Available mid-validation.
         const std::lock_guard<std::mutex> lock(modelsMutex_);
         auto it = models_.find(request.modelId);
         if (it == models_.end()) {
@@ -304,17 +303,14 @@ InferenceServer::complete(PendingRequest &&pending,
                                     converged);
     }
 
-    // Feed the model's breaker.  A served response still counts as a
-    // failure when the guard tripped mid-request (the output stands,
-    // but the model is visibly misbehaving); shed / cancelled requests
-    // say nothing about model health, so they only release a held
-    // probe slot.
+    // Feed the model's breaker: served is a success, a run-level
+    // error a failure.  Shed / cancelled requests say nothing about
+    // model health, so they only release a held probe slot.
     auto breaker = breakers_.find(pending.request.modelId);
     if (breaker != breakers_.end()) {
         BreakerSignal signal = BreakerSignal::Neutral;
         if (response.outcome == Outcome::Ok) {
-            signal = response.guardTripped() ? BreakerSignal::Failure
-                                             : BreakerSignal::Success;
+            signal = BreakerSignal::Success;
         } else if (response.outcome == Outcome::Failed) {
             signal = BreakerSignal::Failure;
         }
@@ -441,8 +437,6 @@ InferenceServer::onSwapSuccess(const std::string &model_id,
             // inputShape is swap-invariant (the registry rejects
             // shape changes); the tunables may move with the version.
             it->second.mcDefaults = replica0.engine->options().mc;
-            it->second.guardEnabled =
-                replica0.engine->guard() != nullptr;
             it->second.int8Available =
                 replica0.engine->int8Available();
         }
@@ -497,8 +491,8 @@ InferenceServer::health() const
     report.p99Ms = served.p99Ms();
     report.brownout = brownout_->state();
 
-    // Copy the model map out so guard / registry snapshots (which
-    // take other locks) run without holding modelsMutex_.
+    // Copy the model map out so registry snapshots (which take other
+    // locks) run without holding modelsMutex_.
     std::map<std::string, ModelInfo> models;
     {
         const std::lock_guard<std::mutex> lock(modelsMutex_);
@@ -508,7 +502,6 @@ InferenceServer::health() const
     for (const auto &[id, info] : models) {
         ModelHealth model;
         model.id = id;
-        model.guardEnabled = info.guardEnabled;
         model.int8Available = info.int8Available;
         for (std::size_t p = 0; p < kPriorityLevels; ++p) {
             model.effectiveSamples[p] = brownout_->effectiveSamples(
@@ -525,20 +518,6 @@ InferenceServer::health() const
             registry_->modelHealth(id);
         if (registry.hasValue())
             model.registry = std::move(registry).value();
-        if (info.guardEnabled) {
-            std::vector<GuardSnapshot> snapshots;
-            snapshots.reserve(workers_.size());
-            for (const auto &worker : workers_) {
-                const std::shared_ptr<const VersionedEngine> replica =
-                    worker->replica(id);
-                if (replica != nullptr &&
-                    replica->engine->guard() != nullptr) {
-                    snapshots.push_back(
-                        replica->engine->guard()->snapshot());
-                }
-            }
-            model.guard = mergeGuardSnapshots(snapshots);
-        }
         report.models.push_back(std::move(model));
     }
     return report;

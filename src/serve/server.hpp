@@ -80,15 +80,11 @@ struct ServerOptions {
 /** Point-in-time health of one served model. */
 struct ModelHealth {
     std::string id;
-    /** True when the model's engines run with a skip guard. */
-    bool guardEnabled = false;
     /** True when the model's engines carry an int8 mirror. */
     bool int8Available = false;
     BreakerState breakerState = BreakerState::Closed;
     std::uint64_t breakerOpens = 0;
     std::uint64_t breakerRejections = 0;
-    /** Guard state merged across the worker replicas' guards. */
-    GuardSnapshot guard;
     /**
      * Registry lifecycle state: active / warming version, swap and
      * rollback counts, failure backoff, last lifecycle event.
@@ -199,8 +195,7 @@ class InferenceServer
     /**
      * Assemble a health report: queue depth, admission/outcome
      * counters, served-latency percentiles, and per-model breaker +
-     * registry state plus the guard snapshots merged across worker
-     * replicas.  Safe to call at any time from any thread.
+     * registry state.  Safe to call at any time from any thread.
      */
     HealthReport health() const;
 
@@ -233,8 +228,6 @@ class InferenceServer
     struct ModelInfo {
         Shape inputShape;
         McOptions mcDefaults;
-        /** True when the model's engines carry a skip guard. */
-        bool guardEnabled = false;
         /** True when the model's engines carry an int8 mirror —
          *  admission rejects Precision::Int8 requests otherwise. */
         bool int8Available = false;

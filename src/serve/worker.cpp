@@ -27,28 +27,6 @@ EngineWorker::replica(const std::string &model_id) const
 namespace {
 
 /**
- * Run one request on @p engine: in skip mode when the engine carries
- * a guard (its guard decisions land in @p response), as the exact MC
- * reference otherwise.  Records the precision the run used.
- */
-Expected<McResult>
-runRequest(const FastBcnnEngine &engine, const Tensor &input,
-           const McOptions &mc, InferResponse &response)
-{
-    if (engine.guard() == nullptr) {
-        response.precision = mc.precision;
-        return engine.tryMcReference(input, mc);
-    }
-    // Skip mode has no int8 path (tryRunGuardedPredictive).
-    response.precision = Precision::Float32;
-    Expected<GuardedMcResult> run = engine.tryGuardedMc(input, mc);
-    if (!run.hasValue())
-        return std::move(run).takeError();
-    response.guardEvents = std::move(run.value().events);
-    return McResult(std::move(run).value());
-}
-
-/**
  * Merge @p pending's overrides into @p engine's default McOptions at
  * dispatch time @p now, converting the remaining end-to-end budget
  * into McOptions::deadlineMs.
@@ -78,12 +56,10 @@ EngineWorker::runBatch(std::vector<PendingRequest> &&batch,
                        const CompleteFn &complete)
 {
     FASTBCNN_CHECK(!batch.empty(), "runBatch on an empty batch");
-    // Acquire the replica once for the whole batch: same-model
-    // grouping means every request shares this engine's calibrated
-    // thresholds and predictor state, and the single acquisition is
-    // what makes hot-swaps atomic — every request in the batch runs
-    // on exactly one version, pinned by this shared_ptr until the
-    // batch completes.
+    // Acquire the replica once for the whole batch: the single
+    // acquisition is what makes hot-swaps atomic — every request in
+    // the batch runs on exactly one version, pinned by this
+    // shared_ptr until the batch completes.
     const std::string &model = batch.front().request.modelId;
     const std::shared_ptr<const VersionedEngine> pinned =
         replica(model);
@@ -131,8 +107,9 @@ EngineWorker::runBatch(std::vector<PendingRequest> &&batch,
                 brownout_->apply(mc, pending.request.priority);
         }
         const ServeClock::time_point begin = ServeClock::now();
-        Expected<McResult> run = runRequest(
-            *engine, pending.request.input, mc, response);
+        response.precision = mc.precision;
+        Expected<McResult> run =
+            engine->tryMcReference(pending.request.input, mc);
         response.serviceMs = elapsedMs(begin, ServeClock::now());
         if (run.hasValue()) {
             response.outcome = Outcome::Ok;

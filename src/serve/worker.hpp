@@ -18,9 +18,9 @@
  * replica's default McOptions — converting the *remaining* end-to-end
  * budget into McOptions::deadlineMs so the MC runner stops launching
  * samples when the request's budget runs out — applies the brownout
- * ladder, and dispatches through the engine's Expected<T> API: in skip
- * mode (tryGuardedMc) when the model's engines carry a guard, as the
- * exact MC reference (tryMcReference) otherwise.
+ * ladder, and runs the exact MC reference (tryMcReference): the
+ * average of T exact stochastic forward passes.  The server never
+ * runs skip mode, whatever EngineOptions::guard says.
  */
 
 #ifndef FASTBCNN_SERVE_WORKER_HPP
@@ -51,8 +51,8 @@ class EngineWorker
      *                 worker)
      * @param brownout optional brownout controller (not owned; must
      *                 outlive the worker).  Its current rung's quality
-     *                 levers are applied to every exact-path dispatch
-     *                 after the per-request override merge.
+     *                 levers are applied to every dispatch after the
+     *                 per-request override merge.
      */
     EngineWorker(std::size_t index, const ModelRegistry *registry,
                  const BrownoutController *brownout = nullptr);

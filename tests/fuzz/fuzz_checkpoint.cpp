@@ -24,7 +24,6 @@
 
 #include "models/zoo.hpp"
 #include "nn/checkpoint.hpp"
-#include "quant/quantize.hpp"
 
 namespace {
 
@@ -74,7 +73,6 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <random>
 #include <vector>
 
 namespace {
@@ -138,60 +136,15 @@ main(int argc, char **argv)
         return 2;
     }
 
-    // A quantized checkpoint as a second mutation source, so the
-    // int8 section parser (kind codes 3/4, scale/shift param blocks)
-    // gets the same byte-flip + truncation sweep as the float paths.
-    std::ostringstream savedQuant;
-    {
-        fastbcnn::Network &net = fuzzNetwork();
-        std::vector<fastbcnn::Tensor> calib;
-        std::mt19937_64 rng(11);
-        std::normal_distribution<float> g(0.0f, 1.0f);
-        for (int i = 0; i < 2; ++i) {
-            fastbcnn::Tensor t(net.inputShape());
-            for (float &v : t.data())
-                v = g(rng);
-            calib.push_back(std::move(t));
-        }
-        fastbcnn::Expected<fastbcnn::quant::CalibrationProfile>
-            profile =
-                fastbcnn::quant::tryCalibrateActivations(net, calib);
-        if (!profile.hasValue()) {
-            std::cerr << "fuzz_checkpoint: cannot calibrate: "
-                      << profile.error().toString() << "\n";
-            return 2;
-        }
-        fastbcnn::Expected<fastbcnn::quant::QuantizedNetwork> qnet =
-            fastbcnn::quant::QuantizedNetwork::build(net,
-                                                     profile.value());
-        if (!qnet.hasValue()) {
-            std::cerr << "fuzz_checkpoint: cannot quantize: "
-                      << qnet.error().toString() << "\n";
-            return 2;
-        }
-        fastbcnn::CheckpointImage image =
-            fastbcnn::checkpointImageOf(net);
-        image.quantRecords = qnet.value().records();
-        const fastbcnn::Status sq =
-            fastbcnn::tryEmitBinaryCheckpoint(image, savedQuant);
-        if (!sq.isOk()) {
-            std::cerr << "fuzz_checkpoint: cannot emit quantized "
-                         "checkpoint: " << sq.toString() << "\n";
-            return 2;
-        }
-    }
-
-    for (const std::string &good :
-         {savedBinary.str(), savedQuant.str()}) {
-        replay(good);
-        for (std::size_t pos = 0; pos < good.size();
-             pos += 1 + good.size() / 64) {
-            std::string bad = good;
-            bad[pos] = static_cast<char>(bad[pos] ^ 0x5a);
-            replay(bad);
-            replay(bad.substr(0, pos));  // truncation at the same spot
-            ++ran;
-        }
+    const std::string good = savedBinary.str();
+    replay(good);
+    for (std::size_t pos = 0; pos < good.size();
+         pos += 1 + good.size() / 64) {
+        std::string bad = good;
+        bad[pos] = static_cast<char>(bad[pos] ^ 0x5a);
+        replay(bad);
+        replay(bad.substr(0, pos));  // truncation at the same spot
+        ++ran;
     }
 
     std::cout << "fuzz_checkpoint: replayed " << ran

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <random>
 #include <sstream>
+#include <string>
 
 #include "common/atomic_file.hpp"
 #include "common/crc32.hpp"
@@ -285,6 +286,50 @@ elementCountWrapFile()
     return file + sealed(footer);
 }
 
+/**
+ * @p good (a float checkpoint with @p sections sections) with one more
+ * section of kind code @p kind, laid out as the int8 sections older
+ * builds appended: layer name, a 16-byte scale/shift block, int8
+ * weights, int32 bias.  Every CRC in the result is valid.
+ */
+std::string
+withInt8Section(const std::string &good, std::uint32_t sections,
+                std::uint32_t kind)
+{
+    constexpr std::uint64_t kWeights = 150;
+    constexpr std::uint64_t kBiases = 6;
+    std::string payload("c1");
+    payload.resize(64, '\0');
+    for (int i = 0; i < 3; ++i)
+        appendLe(payload, 0x3c000000, 4);  // scales: 2^-7 as f32
+    appendLe(payload, 4, 4);               // requant shift
+    payload.append(kWeights, '\x01');
+    for (std::uint64_t i = 0; i < kBiases; ++i)
+        appendLe(payload, 7, 4);
+    payload.resize((payload.size() + 63) / 64 * 64, '\0');
+    std::string section;
+    appendLe(section, kind, 4);
+    appendLe(section, 2, 4);  // layer-name length
+    appendLe(section, kWeights, 8);
+    appendLe(section, kBiases, 8);
+    appendLe(section, payload.size(), 8);
+    appendLe(section, crc32(payload), 4);
+
+    // Keep the name region and float sections; drop header and footer.
+    const std::string body = good.substr(64, good.size() - 128) +
+                             sealed(section) + payload;
+    std::string fields = good.substr(0, 12);  // magic + version
+    appendLe(fields, sections + 1, 4);
+    appendLe(fields, body.size(), 8);
+    fields += good.substr(24, 8);  // model-name length + CRC
+    std::string file = sealed(fields) + body;
+
+    std::string footer("FBCNNFT1", 8);
+    appendLe(footer, file.size(), 8);
+    appendLe(footer, crc32(file), 4);
+    return file + sealed(footer);
+}
+
 /** Parse @p bytes; a crafted length must be a clean, typed Error. */
 void
 expectCleanRejection(const std::string &bytes)
@@ -310,6 +355,41 @@ TEST(BinaryCheckpoint, PayloadSizeWrapIsRejected)
 TEST(BinaryCheckpoint, ElementCountWrapIsRejected)
 {
     expectCleanRejection(elementCountWrapFile());
+}
+
+TEST(BinaryCheckpoint, Int8SectionsFailByKindCode)
+{
+    // Int8 sections (kind codes 3/4) are no longer read: a file that
+    // carries one fails as a ParseError naming the code, whatever its
+    // CRCs say, and the network is left as it was.
+    Network net = tinyModel(ModelKind::LeNet5, 71);
+    const CheckpointImage before = checkpointImageOf(net);
+    const std::string good = binaryBytesOf(tinyModel(ModelKind::LeNet5, 72));
+    for (std::uint32_t kind : {3u, 4u}) {
+        const std::string bytes = withInt8Section(
+            good, static_cast<std::uint32_t>(before.records.size()),
+            kind);
+        const std::string named = "kind code " + std::to_string(kind);
+
+        std::istringstream is(bytes);
+        const Status loaded = tryLoadWeightsBinary(net, is);
+        ASSERT_FALSE(loaded.isOk());
+        EXPECT_EQ(ErrorCode::ParseError, loaded.code());
+        EXPECT_NE(std::string::npos, loaded.toString().find(named))
+            << loaded.toString();
+        expectSameImage(before, checkpointImageOf(net));
+
+        Expected<CheckpointAudit> audit = tryAuditCheckpoint(bytes);
+        ASSERT_FALSE(audit.hasValue());
+        EXPECT_EQ(ErrorCode::ParseError, audit.error().code());
+        EXPECT_NE(std::string::npos,
+                  audit.error().toString().find(named))
+            << audit.error().toString();
+    }
+
+    // The same file without the extra section loads.
+    std::istringstream is(good);
+    EXPECT_TRUE(tryLoadWeightsBinary(net, is).isOk());
 }
 
 TEST(AtomicFile, WritesAndReadsBack)
@@ -454,7 +534,6 @@ TEST(CheckpointFile, AuditReportsBothFormats)
     EXPECT_EQ(net.name(), bin.value().modelName);
     EXPECT_EQ(checkpointImageOf(net).records.size(),
               bin.value().sections);
-    EXPECT_EQ(0u, bin.value().quantSections);
     EXPECT_GT(bin.value().totalValues, 0u);
     EXPECT_EQ(binBytes.size(), bin.value().fileBytes);
 

@@ -309,63 +309,6 @@ TEST(Guard, ZeroCalibratedKernelIsNeverManaged)
     EXPECT_EQ(guard.effectiveThresholds().of(conv, 0), 0);
 }
 
-TEST(Guard, MergeSnapshotsIsConservative)
-{
-    GuardSnapshot a;
-    a.tolerance = 0.1;
-    a.samplesSeen = 10;
-    a.backoffs = 2;
-    a.auditedNeurons = 100;
-    a.mispredictedNeurons = 20;
-    KernelGuardStatus ka;
-    ka.conv = 4;
-    ka.kernel = 1;
-    ka.calibratedAlpha = 8;
-    ka.currentAlpha = 2;
-    ka.backoffLevel = 2;
-    ka.audited = 100;
-    ka.mispredicted = 20;
-    ka.healthy = false;
-    a.kernels.push_back(ka);
-
-    GuardSnapshot b;
-    b.tolerance = 0.1;
-    b.samplesSeen = 5;
-    b.recoveries = 1;
-    b.auditedNeurons = 60;
-    KernelGuardStatus kb = ka;
-    kb.currentAlpha = 8;
-    kb.backoffLevel = 0;
-    kb.audited = 50;
-    kb.mispredicted = 0;
-    kb.healthy = true;
-    b.kernels.push_back(kb);
-    KernelGuardStatus kc;
-    kc.conv = 9;
-    kc.kernel = 0;
-    kc.calibratedAlpha = 4;
-    kc.currentAlpha = 4;
-    kc.audited = 10;
-    b.kernels.push_back(kc);
-
-    const GuardSnapshot merged = mergeGuardSnapshots({a, b});
-    EXPECT_EQ(merged.samplesSeen, 15u);
-    EXPECT_EQ(merged.backoffs, 2u);
-    EXPECT_EQ(merged.recoveries, 1u);
-    ASSERT_EQ(merged.kernels.size(), 2u);
-    const KernelGuardStatus &k41 = merged.kernels[0];
-    EXPECT_EQ(k41.conv, 4u);
-    EXPECT_EQ(k41.audited, 150u);
-    EXPECT_EQ(k41.mispredicted, 20u);
-    // Most conservative replica wins the reported alpha / level.
-    EXPECT_EQ(k41.currentAlpha, 2);
-    EXPECT_EQ(k41.backoffLevel, 2u);
-    EXPECT_FALSE(k41.healthy);
-    EXPECT_NEAR(k41.mispredictRate, 20.0 / 150.0, 1e-12);
-    EXPECT_EQ(merged.degradedKernels, 1u);
-    EXPECT_EQ(merged.auditedNeurons, 160u);
-}
-
 TEST(GuardedRunner, RejectsBadOptionsAndShape)
 {
     Network net = tinyBcnn();

@@ -2,12 +2,10 @@
  * @file
  * Quantized int8 engine tests.  QuantDispatch pins the kernel-level
  * promises (bit-identical int8 outputs at every dispatch level, the
- * pinned requantization convention, calibration edge cases and the
- * record-chain invariants); BinaryCheckpointQuant covers the quant
- * sections of the binary checkpoint format; QuantServe covers the
- * per-request precision override and admission; and the
- * QuantDispatchConcurrency suite (picked up by the TSan CI regex)
- * proves thread-count invariance of the int8 MC path.
+ * pinned requantization convention and calibration edge cases);
+ * QuantServe covers the per-request precision override and
+ * admission; and the QuantDispatchConcurrency suite (picked up by the
+ * TSan CI regex) proves thread-count invariance of the int8 MC path.
  */
 
 #include <gtest/gtest.h>
@@ -16,19 +14,16 @@
 #include <cstring>
 #include <limits>
 #include <random>
-#include <sstream>
 #include <vector>
 
 #include "bayes/mc_runner.hpp"
 #include "core/engine.hpp"
 #include "models/zoo.hpp"
 #include "nn/activations.hpp"
-#include "nn/checkpoint.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
 #include "nn/pooling.hpp"
-#include "nn/serialize.hpp"
 #include "quant/fidelity.hpp"
 #include "quant/quantize.hpp"
 #include "serve/server.hpp"
@@ -373,46 +368,6 @@ TEST(QuantDispatch, ForwardBitIdenticalAcrossLevels)
     }
 }
 
-TEST(QuantDispatch, RecordsRoundTripBitExactly)
-{
-    const Network net = quantBcnn();
-    const quant::QuantizedNetwork qnet = mustQuantize(net);
-    Expected<quant::QuantizedNetwork> rebuilt =
-        quant::QuantizedNetwork::fromRecords(net, qnet.records());
-    ASSERT_TRUE(rebuilt.hasValue()) << rebuilt.error().toString();
-
-    const Tensor input = randomInput(net.inputShape(), 72);
-    EXPECT_TRUE(sameBytes(qnet.forward(input),
-                          rebuilt.value().forward(input)));
-}
-
-TEST(QuantDispatch, FromRecordsRejectsBrokenScaleChain)
-{
-    const Network net = quantBcnn();
-    const quant::QuantizedNetwork qnet = mustQuantize(net);
-
-    std::vector<QuantRecord> tampered = qnet.records();
-    ASSERT_FALSE(tampered.empty());
-    tampered[0].outScale *= 1.5f;  // breaks the requant invariant
-    EXPECT_FALSE(quant::QuantizedNetwork::fromRecords(net, tampered)
-                     .hasValue());
-
-    std::vector<QuantRecord> badShift = qnet.records();
-    badShift[0].shift = 31;  // outside [0, 30]
-    EXPECT_FALSE(quant::QuantizedNetwork::fromRecords(net, badShift)
-                     .hasValue());
-
-    std::vector<QuantRecord> nanScale = qnet.records();
-    nanScale[0].wScale = std::numeric_limits<float>::quiet_NaN();
-    EXPECT_FALSE(quant::QuantizedNetwork::fromRecords(net, nanScale)
-                     .hasValue());
-
-    std::vector<QuantRecord> truncated = qnet.records();
-    truncated.pop_back();
-    EXPECT_FALSE(quant::QuantizedNetwork::fromRecords(net, truncated)
-                     .hasValue());
-}
-
 TEST(QuantDispatch, FidelityStaysInToleranceOnTinyModel)
 {
     const Network net = quantBcnn();
@@ -440,82 +395,6 @@ TEST(QuantDispatch, FidelityStaysInToleranceOnTinyModel)
                                       4);
     EXPECT_GT(agreement.compared, 0u);
     EXPECT_GE(agreement.agreement(), 0.95);
-}
-
-// ---------------------------------------------------------------------------
-// BinaryCheckpointQuant: quant sections of the binary format
-
-TEST(BinaryCheckpointQuant, EmitParseRoundTrip)
-{
-    const Network net = quantBcnn();
-    const quant::QuantizedNetwork qnet = mustQuantize(net);
-
-    CheckpointImage image = checkpointImageOf(net);
-    image.quantRecords = qnet.records();
-    std::ostringstream os;
-    ASSERT_TRUE(tryEmitBinaryCheckpoint(image, os).isOk());
-
-    Expected<CheckpointImage> parsed =
-        tryParseBinaryCheckpoint(os.str());
-    ASSERT_TRUE(parsed.hasValue()) << parsed.error().toString();
-    const CheckpointImage &back = parsed.value();
-    ASSERT_EQ(back.quantRecords.size(), image.quantRecords.size());
-    for (std::size_t i = 0; i < back.quantRecords.size(); ++i) {
-        const QuantRecord &a = image.quantRecords[i];
-        const QuantRecord &b = back.quantRecords[i];
-        EXPECT_EQ(a.name, b.name);
-        EXPECT_EQ(a.kind, b.kind);
-        EXPECT_EQ(a.weights, b.weights);
-        EXPECT_EQ(a.bias, b.bias);
-        EXPECT_EQ(a.wScale, b.wScale);
-        EXPECT_EQ(a.inScale, b.inScale);
-        EXPECT_EQ(a.outScale, b.outScale);
-        EXPECT_EQ(a.shift, b.shift);
-    }
-
-    // The parsed records rebuild a working int8 mirror.
-    Expected<quant::QuantizedNetwork> adopted =
-        quant::QuantizedNetwork::fromRecords(net, back.quantRecords);
-    ASSERT_TRUE(adopted.hasValue()) << adopted.error().toString();
-    const Tensor input = randomInput(net.inputShape(), 81);
-    EXPECT_TRUE(sameBytes(qnet.forward(input),
-                          adopted.value().forward(input)));
-}
-
-TEST(BinaryCheckpointQuant, ByteFlipsAreCaughtByCrc)
-{
-    const Network net = quantBcnn();
-    const quant::QuantizedNetwork qnet = mustQuantize(net);
-    CheckpointImage image = checkpointImageOf(net);
-    image.quantRecords = qnet.records();
-    std::ostringstream os;
-    ASSERT_TRUE(tryEmitBinaryCheckpoint(image, os).isOk());
-    const std::string good = os.str();
-
-    // Flip one byte at a stride: every corruption — header, float
-    // payload, quant scales, int8 weights — must fail, never load.
-    for (std::size_t pos = 16; pos < good.size();
-         pos += 1 + good.size() / 48) {
-        std::string bad = good;
-        bad[pos] = static_cast<char>(bad[pos] ^ 0x5a);
-        const auto parsed = tryParseBinaryCheckpoint(bad);
-        EXPECT_FALSE(parsed.hasValue())
-            << "byte flip at " << pos << " parsed anyway";
-    }
-}
-
-TEST(BinaryCheckpointQuant, AuditCountsQuantSections)
-{
-    const Network net = quantBcnn();
-    const quant::QuantizedNetwork qnet = mustQuantize(net);
-    CheckpointImage image = checkpointImageOf(net);
-    image.quantRecords = qnet.records();
-    std::ostringstream os;
-    ASSERT_TRUE(tryEmitBinaryCheckpoint(image, os).isOk());
-
-    Expected<CheckpointAudit> audit = tryAuditCheckpoint(os.str());
-    ASSERT_TRUE(audit.hasValue()) << audit.error().toString();
-    EXPECT_EQ(audit.value().quantSections, image.quantRecords.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -204,7 +205,7 @@ TEST(ServeScheduler, ShedsExpiredAndBatchesSameModel)
     BoundedRequestQueue queue(8);
     std::vector<std::uint64_t> shedIds;
     BatchScheduler scheduler(
-        queue, SchedulerOptions{2},
+        queue, 2,
         [&shedIds](PendingRequest &&p) { shedIds.push_back(p.id); });
 
     // One already-expired request and three live ones (two models).
@@ -368,6 +369,81 @@ TEST(ServeServer, PerRequestSeedIsDeterministicAcrossReplicas)
     EXPECT_TRUE(ra.result->summary.mean.allClose(
         rb.result->summary.mean, 0.0f));
     EXPECT_EQ(ra.result->summary.argmax, rb.result->summary.argmax);
+}
+
+TEST(ServeServer, GuardEnabledReplicaServesTheExactReference)
+{
+    // EngineOptions::guard is read only offline and by engine-level
+    // callers: a replica built with it is served like any other, as
+    // the exact MC reference, and its guard is never fed.
+    const auto guardedReplica =
+        []() -> Expected<std::unique_ptr<FastBcnnEngine>> {
+        EngineOptions eopts;
+        eopts.mc.samples = 4;
+        eopts.mc.seed = 21;
+        eopts.mc.recordMasks = false;
+        eopts.optimizer.samples = 2;
+        eopts.guard.enabled = true;
+        eopts.guard.audit.rate = 1.0;
+        Expected<std::unique_ptr<FastBcnnEngine>> engine =
+            FastBcnnEngine::create(tinyBcnn(), eopts);
+        if (!engine.hasValue())
+            return engine;
+        Status calibrated =
+            engine.value()->tryCalibrate({ones(Shape({1, 6, 6}))});
+        if (!calibrated.isOk())
+            return calibrated;
+        return engine;
+    };
+    ServerOptions sopts;
+    sopts.workers = 1;
+    auto server = InferenceServer::create(
+        {namedSpec("guarded", guardedReplica)}, sopts);
+    ASSERT_TRUE(server.hasValue()) << server.error().toString();
+    InferenceServer &srv = *server.value();
+
+    InferRequest req;
+    req.modelId = "guarded";
+    req.input = ones(Shape({1, 6, 6}));
+    req.mc.seed = 99;
+    req.mc.samples = 6;
+    const McOverrides overrides = req.mc;
+    auto handle = srv.submit(std::move(req));
+    ASSERT_TRUE(handle.hasValue());
+    InferResponse response = handle.value().response.get();
+    ASSERT_EQ(response.outcome, Outcome::Ok);
+    ASSERT_TRUE(response.result.has_value());
+
+    Expected<std::unique_ptr<FastBcnnEngine>> reference =
+        guardedReplica();
+    ASSERT_TRUE(reference.hasValue());
+    const McOptions merged =
+        applyOverrides(reference.value()->options().mc, overrides);
+    Expected<McResult> want = reference.value()->tryMcReference(
+        ones(Shape({1, 6, 6})), merged);
+    ASSERT_TRUE(want.hasValue()) << want.error().toString();
+
+    const auto sameBytes = [](const Tensor &a, const Tensor &b) {
+        return a.shape() == b.shape() &&
+               std::memcmp(a.data().data(), b.data().data(),
+                           a.numel() * sizeof(float)) == 0;
+    };
+    const McResult &got = *response.result;
+    ASSERT_EQ(got.outputs.size(), want.value().outputs.size());
+    for (std::size_t t = 0; t < got.outputs.size(); ++t) {
+        EXPECT_TRUE(sameBytes(got.outputs[t], want.value().outputs[t]))
+            << "sample " << t;
+    }
+    EXPECT_TRUE(sameBytes(got.summary.mean, want.value().summary.mean));
+    EXPECT_TRUE(sameBytes(got.summary.variance,
+                          want.value().summary.variance));
+
+    const std::shared_ptr<const VersionedEngine> replica =
+        srv.registry().acquire("guarded", 0);
+    ASSERT_NE(replica, nullptr);
+    ASSERT_NE(replica->engine->guard(), nullptr);
+    EXPECT_EQ(replica->engine->guard()->snapshot().samplesSeen, 0u);
+    srv.drain();
 }
 
 TEST(ServeServer, CancelledBeforeSubmitCompletesAsCancelled)
@@ -680,32 +756,6 @@ fastBreaker(std::size_t threshold = 2, double cooldown_ms = 40.0)
     return opts;
 }
 
-/** A guard-enabled tiny-model replica factory. */
-Expected<std::unique_ptr<FastBcnnEngine>>
-makeGuardedReplica(double tolerance)
-{
-    EngineOptions eopts;
-    eopts.mc.samples = 4;
-    eopts.mc.seed = 21;
-    eopts.mc.recordMasks = false;
-    eopts.optimizer.samples = 2;
-    eopts.guard.enabled = true;
-    eopts.guard.audit.rate = 1.0;
-    eopts.guard.tolerance = tolerance;
-    eopts.guard.decisionInterval = 1;
-    eopts.guard.minAudited = 1;
-    eopts.guard.cooldownRounds = 1000;  // stay backed off once tripped
-    Expected<std::unique_ptr<FastBcnnEngine>> engine =
-        FastBcnnEngine::create(tinyBcnn(), eopts);
-    if (!engine.hasValue())
-        return engine;
-    Status calibrated =
-        engine.value()->tryCalibrate({ones(Shape({1, 6, 6}))});
-    if (!calibrated.isOk())
-        return calibrated;
-    return engine;
-}
-
 /** The kill-every-sample fault plan (forces Outcome::Failed). */
 const FaultPlan &
 killAllPlan()
@@ -872,91 +922,6 @@ TEST(ServeBreaker, ServerOpensRejectsFastAndRecovers)
     auto served = srv.submit(std::move(after));
     ASSERT_TRUE(served.hasValue());
     EXPECT_EQ(served.value().response.get().outcome, Outcome::Ok);
-    srv.drain();
-}
-
-TEST(ServeBreaker, GuardedPathServesAndReportsHealth)
-{
-    ServerOptions sopts;
-    sopts.workers = 2;
-    auto server = InferenceServer::create(
-        {namedSpec("guarded",
-                   []() { return makeGuardedReplica(0.9); }),
-         tinySpec("plain")},
-        sopts);
-    ASSERT_TRUE(server.hasValue()) << server.error().toString();
-    InferenceServer &srv = *server.value();
-
-    // Skip mode is a property of the model: every request to the
-    // guarded model runs through its guard, and its result carries the
-    // same census as an exact run.  The plain model stays exact.
-    std::vector<RequestHandle> handles;
-    for (const char *model : {"guarded", "guarded", "guarded", "guarded",
-                              "plain"}) {
-        InferRequest req;
-        req.modelId = model;
-        req.input = ones(Shape({1, 6, 6}));
-        auto handle = srv.submit(std::move(req));
-        ASSERT_TRUE(handle.hasValue());
-        handles.push_back(std::move(handle).value());
-    }
-    srv.drain();
-    for (RequestHandle &h : handles) {
-        InferResponse response = h.response.get();
-        ASSERT_EQ(response.outcome, Outcome::Ok);
-        ASSERT_TRUE(response.result.has_value());
-        EXPECT_EQ(response.result->outputs.size(), 4u);
-        EXPECT_EQ(response.result->census.survived, 4u);
-        EXPECT_EQ(response.effectiveSamples, 4u);
-        EXPECT_FALSE(response.degraded());
-        EXPECT_EQ(response.precision, Precision::Float32);
-    }
-
-    const HealthReport report = srv.health();
-    ASSERT_EQ(report.models.size(), 2u);  // map order: guarded, plain
-    const ModelHealth &guarded = report.models[0];
-    EXPECT_EQ(guarded.id, "guarded");
-    EXPECT_TRUE(guarded.guardEnabled);
-    EXPECT_GT(guarded.guard.samplesSeen, 0u);
-    EXPECT_GT(guarded.guard.auditedNeurons, 0u);
-    EXPECT_FALSE(report.models[1].guardEnabled);
-    EXPECT_EQ(report.ok, 5u);
-}
-
-TEST(ServeBreaker, GuardTripCountsAsBreakerFailure)
-{
-    // A guard with a near-zero tolerance trips on the first audited
-    // mispredict; the breaker must read the served-but-degraded
-    // response as a failure and open.  (The guard's backoff persists
-    // across requests, so the trip happens exactly once per replica —
-    // the threshold must be 1 for a single trip to open the breaker.)
-    ServerOptions sopts;
-    sopts.workers = 1;
-    sopts.breaker = fastBreaker(1, 10000.0);
-    auto server = InferenceServer::create(
-        {namedSpec("touchy",
-                   []() { return makeGuardedReplica(1e-6); })},
-        sopts);
-    ASSERT_TRUE(server.hasValue()) << server.error().toString();
-    InferenceServer &srv = *server.value();
-
-    std::size_t tripped = 0;
-    for (int i = 0; i < 6 &&
-                    srv.breaker("touchy")->state() ==
-                        BreakerState::Closed;
-         ++i) {
-        InferRequest req;
-        req.modelId = "touchy";
-        req.input = ones(Shape({1, 6, 6}));
-        auto handle = srv.submit(std::move(req));
-        ASSERT_TRUE(handle.hasValue());
-        InferResponse response = handle.value().response.get();
-        ASSERT_EQ(response.outcome, Outcome::Ok);
-        ASSERT_TRUE(response.result.has_value());
-        tripped += response.guardTripped() ? 1 : 0;
-    }
-    EXPECT_GE(tripped, 1u) << "guard never tripped on mispredicts";
-    EXPECT_EQ(srv.breaker("touchy")->state(), BreakerState::Open);
     srv.drain();
 }
 

@@ -34,10 +34,10 @@ void
 printAudit(const std::string &path, const CheckpointAudit &audit)
 {
     std::cout << format(
-        "%s: checkpoint of model '%s' — %zu sections (%zu quant), "
-        "%zu values, %zu bytes, CRC verified\n", path.c_str(),
-        audit.modelName.c_str(), audit.sections + audit.quantSections,
-        audit.quantSections, audit.totalValues, audit.fileBytes);
+        "%s: checkpoint of model '%s' — %zu sections, %zu values, "
+        "%zu bytes, CRC verified\n", path.c_str(),
+        audit.modelName.c_str(), audit.sections, audit.totalValues,
+        audit.fileBytes);
 }
 
 int

@@ -6,17 +6,13 @@
  *                       [--samples T] [--seed N] [--threshold TH]
  *                       [--drop-rate P] [--mask-samples K]
  *                       [--agreement-target A]
- *                       [--save <ckpt>] [--load <ckpt>]
  *
- * Builds the named zoo model, quantizes it (offline activation
- * calibration on synthetic inputs, or --load to adopt the quantized
- * sections of a binary checkpoint), and validates the int8 mirror
+ * Builds the named zoo model, quantizes it the way a serving engine
+ * does (offline activation calibration on synthetic inputs; the int8
+ * mirror is never stored in a checkpoint), and validates the mirror
  * against the float reference: skip-decision agreement under
- * identical masks, posterior mean / variance / argmax fidelity over a
- * shared MC run, and a quantized-vs-float round-trip of every scale
- * in the record chain.  --save writes a binary checkpoint carrying
- * both the float weights and the quantized sections, so a serving
- * process can adopt the exact mirror this run validated.
+ * identical masks and posterior mean / variance / argmax fidelity
+ * over a shared MC run.
  *
  * Exit 1 when any fidelity gate fails, 2 on usage errors — the CI
  * hook for vetting a quantized model before it ships.
@@ -36,7 +32,6 @@
 #include "bayes/mc_runner.hpp"
 #include "common/table.hpp"
 #include "models/zoo.hpp"
-#include "nn/checkpoint.hpp"
 #include "quant/fidelity.hpp"
 #include "quant/quantize.hpp"
 
@@ -57,8 +52,7 @@ usage(int code)
         "[--threshold TH]\n"
         "                           [--drop-rate P] "
         "[--mask-samples K]\n"
-        "                           [--agreement-target A]\n"
-        "                           [--save <ckpt>] [--load <ckpt>]\n";
+        "                           [--agreement-target A]\n";
     return code;
 }
 
@@ -82,8 +76,6 @@ struct Options {
     double dropRate = 0.3;
     std::size_t maskSamples = 4;
     double agreementTarget = 0.995;
-    std::string savePath;
-    std::string loadPath;
 };
 
 } // namespace
@@ -120,10 +112,6 @@ main(int argc, char **argv)
                 std::atoll(v.c_str()));
         else if (a == "--agreement-target")
             opt.agreementTarget = std::atof(v.c_str());
-        else if (a == "--save")
-            opt.savePath = v;
-        else if (a == "--load")
-            opt.loadPath = v;
         else
             return usage(2);
     }
@@ -149,43 +137,22 @@ main(int argc, char **argv)
         calib.push_back(randomInput(net.inputShape(),
                                     opt.seed + 2 + i));
 
-    // Quantize: offline calibration, or adopt a checkpoint's records.
-    Expected<quant::QuantizedNetwork> built = [&]() {
-        if (!opt.loadPath.empty()) {
-            Expected<std::string> bytes = tryReadFile(opt.loadPath);
-            if (!bytes.hasValue())
-                return Expected<quant::QuantizedNetwork>(
-                    std::move(bytes).takeError());
-            Expected<CheckpointImage> image =
-                tryParseBinaryCheckpoint(bytes.value());
-            if (!image.hasValue())
-                return Expected<quant::QuantizedNetwork>(
-                    std::move(image).takeError());
-            return quant::QuantizedNetwork::fromRecords(
-                net, image.value().quantRecords);
-        }
-        Expected<quant::CalibrationProfile> profile =
-            quant::tryCalibrateActivations(net, calib);
-        if (!profile.hasValue())
-            return Expected<quant::QuantizedNetwork>(
-                std::move(profile).takeError());
-        return quant::QuantizedNetwork::build(net, profile.value());
-    }();
+    // Quantize: offline activation calibration, then the int8 build.
+    Expected<quant::CalibrationProfile> profile =
+        quant::tryCalibrateActivations(net, calib);
+    if (!profile.hasValue()) {
+        std::cerr << "fastbcnn_quantcheck: "
+                  << profile.error().toString() << "\n";
+        return 1;
+    }
+    Expected<quant::QuantizedNetwork> built =
+        quant::QuantizedNetwork::build(net, profile.value());
     if (!built.hasValue()) {
         std::cerr << "fastbcnn_quantcheck: "
                   << built.error().toString() << "\n";
         return 1;
     }
     const quant::QuantizedNetwork qnet = std::move(built).value();
-
-    // Record round-trip: the snapshot must rebuild bit-exactly.
-    Expected<quant::QuantizedNetwork> rebuilt =
-        quant::QuantizedNetwork::fromRecords(net, qnet.records());
-    if (!rebuilt.hasValue()) {
-        std::cerr << "fastbcnn_quantcheck: record round-trip: "
-                  << rebuilt.error().toString() << "\n";
-        return 1;
-    }
 
     McOptions mc;
     mc.samples = opt.samples;
@@ -247,20 +214,6 @@ main(int argc, char **argv)
               moments.argmaxMatch ? "match" : "mismatch", "match",
               gate(moments.argmaxMatch)});
     t.print(std::cout);
-
-    if (!opt.savePath.empty()) {
-        CheckpointImage image = checkpointImageOf(net);
-        image.quantRecords = qnet.records();
-        const Status saved =
-            trySaveCheckpointImageFile(image, opt.savePath);
-        if (!saved.isOk()) {
-            std::cerr << "fastbcnn_quantcheck: "
-                      << saved.toString() << "\n";
-            return 1;
-        }
-        std::cout << "wrote quantized binary checkpoint to "
-                  << opt.savePath << "\n";
-    }
 
     if (failures > 0) {
         std::cerr << "fastbcnn_quantcheck: " << failures
