@@ -152,25 +152,23 @@ struct RunRecord {
 void
 finalize(RunRecord &r, const InferenceServer &srv, double duration_s)
 {
-    const StatGroup &stats = srv.stats();
+    const HealthReport health = srv.health();
     r.durationS = duration_s;
-    r.ok = stats.counter("ok");
-    r.shed = stats.counter("shed");
-    r.cancelled = stats.counter("cancelled");
-    r.failed = stats.counter("failed");
-    r.degraded = stats.counter("degraded");
+    r.ok = health.ok;
+    r.shed = health.shed;
+    r.cancelled = health.cancelled;
+    r.failed = health.failed;
+    r.degraded = health.degraded;
     r.throughputRps =
         duration_s > 0.0 ? static_cast<double>(r.ok) / duration_s : 0.0;
     const LatencyHistogram okLatency = srv.latencySnapshot(Outcome::Ok);
     r.p50Ms = okLatency.p50Ms();
     r.p95Ms = okLatency.p95Ms();
     r.p99Ms = okLatency.p99Ms();
-    const std::uint64_t batches = stats.counter("batches");
-    r.meanBatch =
-        batches > 0
-            ? static_cast<double>(stats.counter("batched_requests")) /
-                  static_cast<double>(batches)
-            : 0.0;
+    r.meanBatch = health.batches > 0
+                      ? static_cast<double>(health.batchedRequests) /
+                            static_cast<double>(health.batches)
+                      : 0.0;
 }
 
 /** Closed loop: each client keeps exactly one request in flight. */

@@ -27,14 +27,16 @@
  *     path).
  *
  * Exit is nonzero when any request is lost or double-completed, when
- * a good swap fails, when the corrupt swap is NOT rejected, when the
- * rollback leaves the model unserved, or when the brownout phase
- * fails its gates — the controller must cut the shed+rejected rate at
- * least 2x versus fixed-T, keep served p99 within
- * max(1.25 * fixed-T p99, the deadline), engage the ladder under the
- * overload and walk it back to Normal afterwards — the CI wiring
- * treats this binary as a pass/fail robustness gate, not just a
- * meter.
+ * the server's outcome counts do not sum to its accepted count (the
+ * JSON's accepted/ok/shed/failed/cancelled come from that one
+ * health() snapshot), when a good swap fails, when the corrupt swap
+ * is NOT rejected, when the rollback leaves the model unserved, or
+ * when the brownout phase fails its gates — the controller must cut
+ * the shed+rejected rate at least 2x versus fixed-T, keep served p99
+ * within max(1.25 * fixed-T p99, the deadline), engage the ladder
+ * under the overload and walk it back to Normal afterwards — the CI
+ * wiring treats this binary as a pass/fail robustness gate, not just
+ * a meter.
  */
 
 #include <algorithm>
@@ -911,8 +913,23 @@ main()
         }
     }
 
-    // --- Post-rollback health ----------------------------------------
+    // --- Server accounting balances ---------------------------------
+    // One snapshot after drain(): every request the server accepted
+    // (ceiling probe and post-rollback check included) completed
+    // exactly once, so the outcome counts sum to its accepted count.
     const HealthReport health = srv.health();
+    const std::uint64_t completed =
+        health.ok + health.shed + health.failed + health.cancelled;
+    if (health.accepted != completed) {
+        std::cerr << format(
+            "FAIL: server accepted %llu but its outcome counts sum "
+            "to %llu\n",
+            static_cast<unsigned long long>(health.accepted),
+            static_cast<unsigned long long>(completed));
+        ++failures;
+    }
+
+    // --- Post-rollback health ----------------------------------------
     for (const ModelHealth &model : health.models) {
         if (model.id == "zoo-a") {
             if (model.registry.activeVersion != 2 ||
@@ -1031,7 +1048,6 @@ main()
         }
     }
 
-    const StatGroup &stats = srv.stats();
     std::ostringstream json;
     json << "{\n  \"bench\": \"serve_soak\",\n"
          << "  \"duration_s\": " << format("%.1f", durationS) << ",\n"
@@ -1039,12 +1055,12 @@ main()
          << "  \"offered_rps\": " << format("%.1f", offered) << ",\n"
          << "  \"deadline_ms\": " << format("%.2f", deadlineMs)
          << ",\n"
-         << "  \"accepted\": " << accepted.load() << ",\n"
+         << "  \"accepted\": " << health.accepted << ",\n"
          << "  \"rejected\": " << rejected.load() << ",\n"
-         << "  \"ok\": " << stats.counter("ok") << ",\n"
-         << "  \"shed\": " << stats.counter("shed") << ",\n"
-         << "  \"failed\": " << stats.counter("failed") << ",\n"
-         << "  \"cancelled\": " << stats.counter("cancelled") << ",\n"
+         << "  \"ok\": " << health.ok << ",\n"
+         << "  \"shed\": " << health.shed << ",\n"
+         << "  \"failed\": " << health.failed << ",\n"
+         << "  \"cancelled\": " << health.cancelled << ",\n"
          << "  \"swaps\": [\n";
     for (std::size_t i = 0; i < swaps.size(); ++i) {
         const SwapEvent &event = swaps[i];

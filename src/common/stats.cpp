@@ -8,21 +8,6 @@
 
 namespace fastbcnn {
 
-void
-StatGroup::add(const std::string &key, std::uint64_t delta)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    counters_[key] += delta;
-}
-
-std::uint64_t
-StatGroup::counter(const std::string &key) const
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto it = counters_.find(key);
-    return it == counters_.end() ? 0 : it->second;
-}
-
 LatencyHistogram::LatencyHistogram(const LatencyHistogram &other)
 {
     const std::lock_guard<std::mutex> lock(other.mutex_);

@@ -1,8 +1,9 @@
 /**
  * @file
- * Run-time statistics: the serving layer's named counters
- * (StatGroup), log-bucketed latency histograms, and the Wilson-bounded
- * rate estimator the skip guard tracks mispredicts with.
+ * Run-time statistics: log-bucketed latency histograms (the serving
+ * layer's per-outcome latencies and outcome counts) and the
+ * Wilson-bounded rate estimator the skip guard tracks mispredicts
+ * with.
  */
 
 #ifndef FASTBCNN_COMMON_STATS_HPP
@@ -10,40 +11,11 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <ostream>
 #include <string>
 
 namespace fastbcnn {
-
-/**
- * A group of named 64-bit counters (the InferenceServer's outcome
- * tallies).
- *
- * Thread-safe: every member serialises on an internal mutex, so the
- * server's worker threads can add() while health() reads.
- */
-class StatGroup
-{
-  public:
-    /** Construct a group with a dotted-path name, e.g. "serve". */
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Add @p delta to counter @p key (creating it at zero). */
-    void add(const std::string &key, std::uint64_t delta = 1);
-
-    /** @return counter value (0 when absent). */
-    std::uint64_t counter(const std::string &key) const;
-
-    /** @return the group's dotted-path name. */
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    mutable std::mutex mutex_;
-    std::map<std::string, std::uint64_t> counters_;
-};
 
 /**
  * A log-bucketed latency histogram with quantile estimation.
@@ -55,7 +27,7 @@ class StatGroup
  * interpolate linearly inside the winning bucket and are clamped to
  * the observed [min, max], which keeps single-sample histograms exact.
  *
- * Thread-safe like StatGroup (internal mutex): the serving layer
+ * Thread-safe (internal mutex): the serving layer
  * records completions from every worker thread into one per-outcome
  * histogram.  merge() makes per-worker local histograms cheap to
  * aggregate; copying takes a consistent snapshot.

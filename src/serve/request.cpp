@@ -63,16 +63,4 @@ outcomeName(Outcome outcome)
     panic("unknown Outcome %d", static_cast<int>(outcome));
 }
 
-const char *
-outcomeStatKey(Outcome outcome)
-{
-    switch (outcome) {
-      case Outcome::Ok: return "ok";
-      case Outcome::Shed: return "shed";
-      case Outcome::Cancelled: return "cancelled";
-      case Outcome::Failed: return "failed";
-    }
-    panic("unknown Outcome %d", static_cast<int>(outcome));
-}
-
 } // namespace fastbcnn::serve

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -185,9 +186,6 @@ inline constexpr std::size_t kOutcomeCount = 4;
 /** @return a stable human-readable name for @p outcome. */
 const char *outcomeName(Outcome outcome);
 
-/** @return the lowercase stats-key spelling of @p outcome. */
-const char *outcomeStatKey(Outcome outcome);
-
 /** What the server resolved a request's future with. */
 struct InferResponse {
     /** The id submit() handed back. */
@@ -289,6 +287,14 @@ struct PendingRequest {
         return left > 0.0 ? left : 0.0;
     }
 };
+
+/**
+ * Disposal of a request that leaves the pipeline, served or not: must
+ * resolve its promise with the given response.  The scheduler (sheds)
+ * and the workers (everything dispatched) share the server's one
+ * completion function.
+ */
+using CompleteFn = std::function<void(PendingRequest &&, InferResponse &&)>;
 
 } // namespace fastbcnn::serve
 

@@ -19,7 +19,6 @@
 #ifndef FASTBCNN_SERVE_SCHEDULER_HPP
 #define FASTBCNN_SERVE_SCHEDULER_HPP
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -31,28 +30,22 @@ namespace fastbcnn::serve {
 class BatchScheduler
 {
   public:
-    /** Disposal of a request shed before dispatch. */
-    using ShedFn = std::function<void(PendingRequest &&)>;
-
     /**
      * @param queue the admission queue (not owned; must outlive this)
      * @param max_batch micro-batch size cap (>= 1; 1 disables
      *              batching)
-     * @param shed  called with every load-shed request; must complete
-     *              its promise (the server wires this to its
-     *              completion path)
+     * @param complete called with every request shed before dispatch
+     *              and its Outcome::Shed response (the server wires
+     *              its one completion function here and to the
+     *              workers)
      * @param brownout optional brownout controller (not owned; must
      *              outlive this).  At the Shed rung the scheduler
-     *              drops Background requests pre-dispatch through
-     *              @p brownout_shed.
-     * @param brownout_shed disposal of a browned-out Background
-     *              request; must complete its promise.  Falls back to
-     *              @p shed when null.
+     *              drops Background requests pre-dispatch and counts
+     *              each one there (noteShed()).
      */
     BatchScheduler(BoundedRequestQueue &queue, std::size_t max_batch,
-                   ShedFn shed,
-                   const BrownoutController *brownout = nullptr,
-                   ShedFn brownout_shed = nullptr);
+                   CompleteFn complete,
+                   BrownoutController *brownout = nullptr);
 
     BatchScheduler(const BatchScheduler &) = delete;
     BatchScheduler &operator=(const BatchScheduler &) = delete;
@@ -66,15 +59,17 @@ class BatchScheduler
     std::optional<std::vector<PendingRequest>> nextBatch();
 
   private:
-    /** @return true when the Shed rung drops @p pending (Background
-     *  only); completes its promise through the brownout-shed path. */
-    bool brownoutSheds(PendingRequest &pending);
+    /**
+     * Complete @p pending as Outcome::Shed when its deadline passed
+     * (DeadlineExceeded) or the Shed rung drops it (Background only;
+     * ResourceExhausted).  @return true when it was shed.
+     */
+    bool shedIfDue(PendingRequest &pending);
 
     BoundedRequestQueue &queue_;
     std::size_t maxBatch_;
-    ShedFn shed_;
-    const BrownoutController *brownout_;
-    ShedFn brownoutShed_;
+    CompleteFn complete_;
+    BrownoutController *brownout_;
 };
 
 } // namespace fastbcnn::serve

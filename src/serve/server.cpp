@@ -115,19 +115,17 @@ InferenceServer::create(std::vector<ModelSpec> models,
             w, server->registry_.get(), server->brownout_.get()));
     }
     InferenceServer *raw = server.get();
+    const CompleteFn complete = [raw](PendingRequest &&pending,
+                                      InferResponse &&response) {
+        raw->complete(std::move(pending), std::move(response));
+    };
     server->scheduler_ = std::make_unique<BatchScheduler>(
-        server->queue_, opts.maxBatch,
-        [raw](PendingRequest &&pending) {
-            raw->shed(std::move(pending));
-        },
-        server->brownout_.get(),
-        [raw](PendingRequest &&pending) {
-            raw->brownoutShed(std::move(pending));
-        });
+        server->queue_, opts.maxBatch, complete,
+        server->brownout_.get());
     server->threads_.reserve(opts.workers);
     for (std::size_t w = 0; w < opts.workers; ++w)
         server->threads_.emplace_back(
-            [raw, w]() { raw->workerLoop(w); });
+            [raw, w, complete]() { raw->workerLoop(w, complete); });
     if (opts.brownout.enabled)
         server->brownoutThread_ =
             std::thread([raw]() { raw->brownoutLoop(); });
@@ -139,10 +137,9 @@ InferenceServer::~InferenceServer()
     stop(false);
 }
 
-Expected<RequestHandle>
-InferenceServer::submit(InferRequest request)
+Status
+InferenceServer::checkRequest(const InferRequest &request) const
 {
-    stats_.add("submitted");
     ModelInfo info;
     {
         // Copy the admission contract out: a concurrent hot-swap may
@@ -150,7 +147,6 @@ InferenceServer::submit(InferRequest request)
         const std::lock_guard<std::mutex> lock(modelsMutex_);
         auto it = models_.find(request.modelId);
         if (it == models_.end()) {
-            stats_.add("rejected_invalid");
             return errorf(ErrorCode::NotFound,
                           "model '%s' is not served",
                           request.modelId.c_str());
@@ -158,7 +154,6 @@ InferenceServer::submit(InferRequest request)
         info = it->second;
     }
     if (!(request.input.shape() == info.inputShape)) {
-        stats_.add("rejected_invalid");
         return errorf(ErrorCode::InvalidArgument,
                       "input shape %s does not match model '%s' "
                       "input %s",
@@ -168,39 +163,43 @@ InferenceServer::submit(InferRequest request)
     }
     if (!(request.deadlineMs >= 0.0) ||
         !std::isfinite(request.deadlineMs)) {
-        stats_.add("rejected_invalid");
         return errorf(ErrorCode::InvalidArgument,
                       "InferRequest::deadlineMs %g must be finite "
                       "and >= 0", request.deadlineMs);
     }
     if (static_cast<std::size_t>(request.priority) >=
         kPriorityLevels) {
-        stats_.add("rejected_invalid");
         return errorf(ErrorCode::InvalidArgument,
                       "InferRequest::priority %d out of range",
                       static_cast<int>(request.priority));
     }
+    // Validate the merged MC options now, so a bad override is an
+    // immediate submit error instead of a deferred Failed response.
+    // The deadline merge is dispatch-time state and is validated by
+    // construction (remainingMs() >= 0).
+    const McOptions merged = applyOverrides(info.mcDefaults, request.mc);
+    Status valid = validateMcOptions(merged);
+    if (!valid.isOk())
+        return std::move(valid).withContext("per-request MC overrides");
+    if (merged.precision == Precision::Int8 && !info.int8Available) {
+        return errorf(ErrorCode::InvalidArgument,
+                      "model '%s' is served without an int8 "
+                      "mirror; Precision::Int8 needs engines "
+                      "quantized at build time",
+                      request.modelId.c_str());
+    }
+    return Status::ok();
+}
+
+Expected<RequestHandle>
+InferenceServer::submit(InferRequest request)
+{
+    submitted_.fetch_add(1, std::memory_order_relaxed);
     {
-        // Validate the merged MC options now, so a bad override is an
-        // immediate submit error instead of a deferred Failed
-        // response.  The deadline merge is dispatch-time state and is
-        // validated by construction (remainingMs() >= 0).
-        const McOptions merged =
-            applyOverrides(info.mcDefaults, request.mc);
-        Status valid = validateMcOptions(merged);
+        Status valid = checkRequest(request);
         if (!valid.isOk()) {
-            stats_.add("rejected_invalid");
-            return std::move(valid).withContext(
-                "per-request MC overrides");
-        }
-        if (merged.precision == Precision::Int8 &&
-            !info.int8Available) {
-            stats_.add("rejected_invalid");
-            return errorf(ErrorCode::InvalidArgument,
-                          "model '%s' is served without an int8 "
-                          "mirror; Precision::Int8 needs engines "
-                          "quantized at build time",
-                          request.modelId.c_str());
+            rejectedInvalid_.fetch_add(1, std::memory_order_relaxed);
+            return valid;
         }
     }
 
@@ -210,7 +209,6 @@ InferenceServer::submit(InferRequest request)
     const CircuitBreaker::Admission admission =
         breaker.admit(ServeClock::now());
     if (!admission.admitted) {
-        stats_.add("rejected_breaker");
         return errorf(ErrorCode::Unavailable,
                       "model '%s' circuit breaker is %s; rejecting "
                       "fast", request.modelId.c_str(),
@@ -245,27 +243,21 @@ InferenceServer::submit(InferRequest request)
             breaker.report(BreakerSignal::Neutral, true,
                            ServeClock::now());
         }
-        stats_.add(admitted.code() == ErrorCode::ResourceExhausted
-                       ? "rejected_full"
-                       : "rejected_closed");
         return std::move(admitted).withContext("submitting request");
     }
-    stats_.add("accepted");
+    accepted_.fetch_add(1, std::memory_order_relaxed);
     return handle;
 }
 
 void
-InferenceServer::workerLoop(std::size_t index)
+InferenceServer::workerLoop(std::size_t index, const CompleteFn &complete)
 {
     EngineWorker &worker = *workers_[index];
-    const EngineWorker::CompleteFn completer =
-        [this](PendingRequest &&pending, InferResponse &&response) {
-            complete(std::move(pending), std::move(response));
-        };
     while (auto batch = scheduler_->nextBatch()) {
-        stats_.add("batches");
-        stats_.add("batched_requests", batch->size());
-        worker.runBatch(std::move(*batch), completer);
+        batches_.fetch_add(1, std::memory_order_relaxed);
+        batchedRequests_.fetch_add(batch->size(),
+                                   std::memory_order_relaxed);
+        worker.runBatch(std::move(*batch), complete);
     }
 }
 
@@ -279,29 +271,24 @@ InferenceServer::complete(PendingRequest &&pending,
     if (response.queueMs < 0.0)
         response.queueMs = 0.0;
 
-    stats_.add(outcomeStatKey(response.outcome));
     if (response.degraded())
-        stats_.add("degraded");
-    const bool converged = response.result.has_value() &&
-                           response.result->census.converged;
-    if (converged)
-        stats_.add("converged");
+        degraded_.fetch_add(1, std::memory_order_relaxed);
     latency_[static_cast<std::size_t>(response.outcome)].record(
         response.totalMs);
 
-    // Feed the brownout controller's pressure EWMAs: queue delay from
-    // every completion, deadline misses from expiry sheds and
-    // DeadlineExceeded failures.  Brownout sheds (ResourceExhausted)
-    // are the ladder's own output, not a pressure signal — counting
-    // them would wedge the Shed rung against its own recovery.
-    if (brownout_ != nullptr) {
-        const bool missed =
-            (response.outcome == Outcome::Shed ||
-             response.outcome == Outcome::Failed) &&
-            response.error.code() == ErrorCode::DeadlineExceeded;
-        brownout_->recordCompletion(response.queueMs, missed,
-                                    converged);
-    }
+    // Feed the brownout controller's pressure EWMAs (and its converged
+    // count): queue delay from every completion, deadline misses from
+    // expiry sheds and DeadlineExceeded failures.  Brownout sheds
+    // (ResourceExhausted) are the ladder's own output, not a pressure
+    // signal — counting them would wedge the Shed rung against its
+    // own recovery.
+    const bool missed =
+        (response.outcome == Outcome::Shed ||
+         response.outcome == Outcome::Failed) &&
+        response.error.code() == ErrorCode::DeadlineExceeded;
+    const bool converged = response.result.has_value() &&
+                           response.result->census.converged;
+    brownout_->recordCompletion(response.queueMs, missed, converged);
 
     // Feed the model's breaker: served is a success, a run-level
     // error a failure.  Shed / cancelled requests say nothing about
@@ -318,34 +305,6 @@ InferenceServer::complete(PendingRequest &&pending,
                                 ServeClock::now());
     }
     pending.promise.set_value(std::move(response));
-}
-
-void
-InferenceServer::shed(PendingRequest &&pending)
-{
-    InferResponse response;
-    response.id = pending.id;
-    response.outcome = Outcome::Shed;
-    response.error =
-        errorf(ErrorCode::DeadlineExceeded,
-               "shed: deadline (%.3f ms) expired while queued",
-               pending.request.deadlineMs);
-    complete(std::move(pending), std::move(response));
-}
-
-void
-InferenceServer::brownoutShed(PendingRequest &&pending)
-{
-    brownout_->noteShed();
-    stats_.add("brownout_shed");
-    InferResponse response;
-    response.id = pending.id;
-    response.outcome = Outcome::Shed;
-    response.brownoutLevel = BrownoutLevel::Shed;
-    response.error =
-        errorf(ErrorCode::ResourceExhausted,
-               "browned out: overload shed of Background traffic");
-    complete(std::move(pending), std::move(response));
 }
 
 void
@@ -446,7 +405,6 @@ InferenceServer::onSwapSuccess(const std::string &model_id,
     auto breaker = breakers_.find(model_id);
     if (breaker != breakers_.end())
         breaker->second->reset();
-    stats_.add("swaps");
 }
 
 Expected<std::future<Status>>
@@ -476,13 +434,20 @@ InferenceServer::health() const
     HealthReport report;
     report.accepting = accepting();
     report.queueDepth = queue_.size();
-    report.submitted = stats_.counter("submitted");
-    report.accepted = stats_.counter("accepted");
-    report.ok = stats_.counter("ok");
-    report.failed = stats_.counter("failed");
-    report.shed = stats_.counter("shed");
-    report.cancelled = stats_.counter("cancelled");
-    report.rejectedBreaker = stats_.counter("rejected_breaker");
+    constexpr auto relaxed = std::memory_order_relaxed;
+    report.submitted = submitted_.load(relaxed);
+    report.accepted = accepted_.load(relaxed);
+    report.rejectedInvalid = rejectedInvalid_.load(relaxed);
+    const auto completions = [this](Outcome outcome) {
+        return latency_[static_cast<std::size_t>(outcome)].count();
+    };
+    report.ok = completions(Outcome::Ok);
+    report.failed = completions(Outcome::Failed);
+    report.shed = completions(Outcome::Shed);
+    report.cancelled = completions(Outcome::Cancelled);
+    report.degraded = degraded_.load(relaxed);
+    report.batches = batches_.load(relaxed);
+    report.batchedRequests = batchedRequests_.load(relaxed);
 
     const LatencyHistogram &served =
         latency_[static_cast<std::size_t>(Outcome::Ok)];
@@ -513,6 +478,7 @@ InferenceServer::health() const
             model.breakerState = breaker->second->state();
             model.breakerOpens = breaker->second->opens();
             model.breakerRejections = breaker->second->rejections();
+            report.rejectedBreaker += model.breakerRejections;
         }
         Expected<RegistryModelHealth> registry =
             registry_->modelHealth(id);
@@ -521,6 +487,15 @@ InferenceServer::health() const
         report.models.push_back(std::move(model));
     }
     return report;
+}
+
+std::uint64_t
+HealthReport::counter(std::string_view key) const
+{
+    FASTBCNN_CHECK(key == "degraded",
+                   "HealthReport::counter knows only \"degraded\"; "
+                   "read the HealthReport field instead");
+    return degraded;
 }
 
 std::string

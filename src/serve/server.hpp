@@ -6,9 +6,10 @@
  * (backpressure: a full queue rejects with ResourceExhausted), a
  * deadline/priority-aware batch scheduler with pre-dispatch load
  * shedding, and a pool of worker threads each holding its own
- * calibrated engine replica per served model.  Per-outcome latency
- * histograms and a StatGroup give the load-generator harness and the
- * soak tests a consistent view of what happened to every request.
+ * calibrated engine replica per served model.  Every serve event is
+ * counted once, by the module that decides it (the server, the
+ * per-outcome latency histograms, the brownout controller, the
+ * breakers, the registry); health() gathers them into one report.
  *
  * Lifecycle: create() → submit()* → drain() (graceful: serve
  * everything queued, then stop) or shutdown() (hard: stop pulling,
@@ -26,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -104,11 +106,22 @@ struct HealthReport {
     std::size_t queueDepth = 0;
     std::uint64_t submitted = 0;
     std::uint64_t accepted = 0;
+    /** Admission rejections of a malformed request (unknown model,
+     *  wrong shape, bad deadline, priority or MC overrides). */
+    std::uint64_t rejectedInvalid = 0;
+    /** Breaker rejections: the sum of the per-model breakers'. */
+    std::uint64_t rejectedBreaker = 0;
+    /** Completions by outcome (the per-outcome histograms' counts);
+     *  after drain() they sum to accepted. */
     std::uint64_t ok = 0;
     std::uint64_t failed = 0;
     std::uint64_t shed = 0;
     std::uint64_t cancelled = 0;
-    std::uint64_t rejectedBreaker = 0;
+    /** Served on fewer than T samples (InferResponse::degraded()). */
+    std::uint64_t degraded = 0;
+    /** Micro-batches dispatched and the requests they carried. */
+    std::uint64_t batches = 0;
+    std::uint64_t batchedRequests = 0;
     /** Served-request (Outcome::Ok) latency percentiles in ms. */
     double p50Ms = 0.0;
     double p95Ms = 0.0;
@@ -116,6 +129,12 @@ struct HealthReport {
     /** Brownout controller snapshot (enabled == false when off). */
     BrownoutState brownout;
     std::vector<ModelHealth> models;
+
+    /**
+     * @return degraded; @p key must be "degraded" (panics otherwise).
+     * The one name-keyed read left, behind InferenceServer::stats().
+     */
+    std::uint64_t counter(std::string_view key) const;
 };
 
 /**
@@ -183,11 +202,11 @@ class InferenceServer
     std::vector<std::string> modelIds() const;
 
     /**
-     * Serving counters: accepted, rejected_full, rejected_invalid,
-     * ok, shed, cancelled, failed, degraded, batches,
-     * batched_requests.
+     * health() under its old name, kept only because
+     * bench/perf/bench_perf.cpp reads stats().counter("degraded");
+     * new code reads health().
      */
-    const StatGroup &stats() const { return stats_; }
+    HealthReport stats() const { return health(); }
 
     /** @return a snapshot of the latency histogram of @p outcome. */
     LatencyHistogram latencySnapshot(Outcome outcome) const;
@@ -208,10 +227,10 @@ class InferenceServer
      * the model set).  The new version builds, warms and health-gates
      * on the registry's background thread while the old one keeps
      * serving; on success admission metadata is refreshed, the
-     * model's circuit breaker resets, and the "swaps" counter ticks —
-     * on failure the old version keeps serving (rollback) and the
-     * model enters exponential backoff.  The returned future resolves
-     * with the final status.
+     * model's circuit breaker resets, and the registry's swap count
+     * ticks — on failure the old version keeps serving (rollback) and
+     * the model enters exponential backoff.  The returned future
+     * resolves with the final status.
      */
     [[nodiscard]] Expected<std::future<Status>> requestSwap(
         ModelVersionSpec spec);
@@ -239,13 +258,15 @@ class InferenceServer
     void onSwapSuccess(const std::string &model_id,
                        const VersionedEngine &replica0);
 
-    void workerLoop(std::size_t index);
-    /** Resolve @p pending's promise and account for the outcome. */
+    /** @return ok, or why admission rejects @p request as invalid. */
+    Status checkRequest(const InferRequest &request) const;
+    void workerLoop(std::size_t index, const CompleteFn &complete);
+    /**
+     * The one completion path (workers, scheduler sheds, shutdown
+     * cancels): resolve @p pending's promise and account for the
+     * outcome.
+     */
     void complete(PendingRequest &&pending, InferResponse &&response);
-    /** complete() for a load-shed request. */
-    void shed(PendingRequest &&pending);
-    /** complete() for a Background request the Shed rung dropped. */
-    void brownoutShed(PendingRequest &&pending);
     /** Brownout tick thread body (runs only when brownout.enabled). */
     void brownoutLoop();
     void stop(bool drain_queue);
@@ -269,7 +290,15 @@ class InferenceServer
     std::condition_variable brownoutCv_;
     bool brownoutStop_ = false;
 
-    StatGroup stats_{"serve"};
+    /** Events only the server sees; everything else health()
+     *  reports is counted where it is decided. */
+    std::atomic<std::uint64_t> submitted_{0};
+    std::atomic<std::uint64_t> accepted_{0};
+    std::atomic<std::uint64_t> rejectedInvalid_{0};
+    std::atomic<std::uint64_t> degraded_{0};
+    std::atomic<std::uint64_t> batches_{0};
+    std::atomic<std::uint64_t> batchedRequests_{0};
+    /** Per-outcome latencies; their counts are the outcome counts. */
     std::array<LatencyHistogram, kOutcomeCount> latency_;
     std::atomic<std::uint64_t> nextId_{1};
     std::atomic<std::uint64_t> nextSeq_{1};
@@ -277,8 +306,8 @@ class InferenceServer
     /**
      * Versioned engine replicas (workers acquire per batch).
      * Declared after every member its swap callback touches (models_,
-     * breakers_, stats_), so its destructor — which joins the swap
-     * thread, possibly mid-callback — runs first.
+     * breakers_), so its destructor — which joins the swap thread,
+     * possibly mid-callback — runs first.
      */
     std::unique_ptr<ModelRegistry> registry_;
 

@@ -11,7 +11,8 @@
  * version stays alive (via the shared_ptr) until the last in-flight
  * batch on it completes.  No engine is ever touched concurrently; the
  * only cross-thread state is the queue, the registry's slot map and
- * the server's (internally locked) metrics.
+ * the server's completion function (atomic counters, locked
+ * histograms).
  *
  * For every request the worker re-checks cancellation and the deadline
  * at dispatch time, merges the request's McOverrides into the
@@ -26,7 +27,6 @@
 #ifndef FASTBCNN_SERVE_WORKER_HPP
 #define FASTBCNN_SERVE_WORKER_HPP
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -40,10 +40,6 @@ namespace fastbcnn::serve {
 class EngineWorker
 {
   public:
-    /** Disposal of a finished request: must complete its promise. */
-    using CompleteFn =
-        std::function<void(PendingRequest &&, InferResponse &&)>;
-
     /**
      * @param index    worker id == registry replica slot (reported in
      *                 responses)

@@ -12,7 +12,6 @@
 
 #include "common/bitvolume.hpp"
 #include "common/math_util.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 
 using namespace fastbcnn;
@@ -226,15 +225,6 @@ TEST(Format, Printf)
     EXPECT_EQ(format("%d-%s", 42, "x"), "42-x");
     EXPECT_EQ(format("%.2f", 3.14159), "3.14");
     EXPECT_EQ(format("empty"), "empty");
-}
-
-TEST(StatGroup, CountersAndGauges)
-{
-    StatGroup g("pe0");
-    g.add("cycles", 10);
-    g.add("cycles", 5);
-    EXPECT_EQ(g.counter("cycles"), 15u);
-    EXPECT_EQ(g.counter("absent"), 0u);
 }
 
 TEST(Logging, LevelRoundTrip)

@@ -2,7 +2,7 @@
  * @file
  * Concurrency tests: the parallel MC-dropout runner's determinism
  * guarantee (bit-identical results for any thread count) and the
- * thread safety of the shared logging / stats sinks.  This file is the
+ * thread safety of the shared logging sink.  This file is the
  * designated ThreadSanitizer workload — the `tsan` CMake preset runs
  * exactly these suites — so every test here must exercise real
  * cross-thread sharing, not mocked concurrency.
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bayes/mc_runner.hpp"
-#include "common/stats.hpp"
 #include "models/zoo.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -268,25 +267,4 @@ TEST(ThreadSafeLogging, ConcurrentReportsAndLevelChanges)
         th.join();
     setLogLevel(before);
     SUCCEED();
-}
-
-TEST(ThreadSafeStats, ConcurrentCountersAndGauges)
-{
-    StatGroup group("mc.workers");
-    constexpr std::size_t threads = 4;
-    constexpr std::uint64_t perThread = 512;
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t w = 0; w < threads; ++w) {
-        pool.emplace_back([&group]() {
-            for (std::uint64_t i = 0; i < perThread; ++i) {
-                group.add("samples");
-                group.add("bits", 8);
-            }
-        });
-    }
-    for (std::thread &th : pool)
-        th.join();
-    EXPECT_EQ(group.counter("samples"), threads * perThread);
-    EXPECT_EQ(group.counter("bits"), threads * perThread * 8);
 }

@@ -523,7 +523,7 @@ TEST(QuantServe, Int8RejectedWithoutMirror)
     auto handle = srv.submit(std::move(req));
     ASSERT_FALSE(handle.hasValue());
     EXPECT_EQ(handle.error().code(), ErrorCode::InvalidArgument);
-    EXPECT_EQ(srv.stats().counter("rejected_invalid"), 1u);
+    EXPECT_EQ(srv.health().rejectedInvalid, 1u);
 
     // Float requests still serve.
     InferRequest ok;

@@ -204,9 +204,12 @@ TEST(ServeScheduler, ShedsExpiredAndBatchesSameModel)
 {
     BoundedRequestQueue queue(8);
     std::vector<std::uint64_t> shedIds;
+    std::vector<InferResponse> shed;
     BatchScheduler scheduler(
-        queue, 2,
-        [&shedIds](PendingRequest &&p) { shedIds.push_back(p.id); });
+        queue, 2, [&](PendingRequest &&p, InferResponse &&response) {
+            shedIds.push_back(p.id);
+            shed.push_back(std::move(response));
+        });
 
     // One already-expired request and three live ones (two models).
     ASSERT_TRUE(
@@ -225,6 +228,13 @@ TEST(ServeScheduler, ShedsExpiredAndBatchesSameModel)
     // Expired head was shed; batch groups model 'a' past the queued
     // 'b' request, up to maxBatch = 2.
     EXPECT_EQ(shedIds, std::vector<std::uint64_t>{1});
+    ASSERT_EQ(shed.size(), 1u);
+    EXPECT_EQ(shed[0].id, 1u);
+    EXPECT_EQ(shed[0].outcome, Outcome::Shed);
+    EXPECT_EQ(shed[0].error.code(), ErrorCode::DeadlineExceeded);
+    EXPECT_EQ(shed[0].error.message(),
+              "shed: deadline (0.000 ms) expired while queued");
+    EXPECT_EQ(shed[0].brownoutLevel, BrownoutLevel::Normal);
     ASSERT_EQ(first->size(), 2u);
     EXPECT_EQ((*first)[0].id, 2u);
     EXPECT_EQ((*first)[1].id, 4u);
@@ -289,9 +299,12 @@ TEST(ServeServer, EndToEndServesAndReportsLatency)
         EXPECT_GE(resp.batchSize, 1u);
         EXPECT_GE(resp.totalMs, resp.serviceMs);
     }
-    EXPECT_EQ(srv.stats().counter("accepted"), 8u);
-    EXPECT_EQ(srv.stats().counter("ok"), 8u);
-    EXPECT_EQ(srv.stats().counter("failed"), 0u);
+    const HealthReport health = srv.health();
+    EXPECT_EQ(health.accepted, 8u);
+    EXPECT_EQ(health.ok, 8u);
+    EXPECT_EQ(health.failed, 0u);
+    EXPECT_EQ(health.batchedRequests, 8u);
+    EXPECT_GE(health.batches, 2u);  // maxBatch 4
     EXPECT_EQ(srv.latencySnapshot(Outcome::Ok).count(), 8u);
     EXPECT_GT(srv.latencySnapshot(Outcome::Ok).p99Ms(), 0.0);
 
@@ -333,7 +346,7 @@ TEST(ServeServer, AdmissionRejectsInvalidRequests)
     ASSERT_FALSE(r3.hasValue());
     EXPECT_EQ(r3.error().code(), ErrorCode::InvalidArgument);
 
-    EXPECT_EQ(srv.stats().counter("rejected_invalid"), 3u);
+    EXPECT_EQ(srv.health().rejectedInvalid, 3u);
     srv.shutdown();
 }
 
@@ -462,7 +475,7 @@ TEST(ServeServer, CancelledBeforeSubmitCompletesAsCancelled)
     EXPECT_EQ(resp.outcome, Outcome::Cancelled);
     EXPECT_EQ(resp.error.code(), ErrorCode::Cancelled);
     srv.drain();
-    EXPECT_EQ(srv.stats().counter("cancelled"), 1u);
+    EXPECT_EQ(srv.health().cancelled, 1u);
 }
 
 TEST(ServeServer, ExpiredDeadlineIsShedNotServed)
@@ -482,7 +495,7 @@ TEST(ServeServer, ExpiredDeadlineIsShedNotServed)
     EXPECT_EQ(resp.error.code(), ErrorCode::DeadlineExceeded);
     EXPECT_EQ(resp.serviceMs, 0.0);
     srv.drain();
-    EXPECT_EQ(srv.stats().counter("shed"), 1u);
+    EXPECT_EQ(srv.health().shed, 1u);
     EXPECT_EQ(srv.latencySnapshot(Outcome::Shed).count(), 1u);
 }
 
@@ -529,8 +542,9 @@ TEST(ServeServer, PerRequestFaultPlanDegradesOrFails)
     EXPECT_EQ(doomed.outcome, Outcome::Failed);
     EXPECT_EQ(doomed.error.code(), ErrorCode::QuorumNotMet);
 
-    EXPECT_EQ(srv.stats().counter("degraded"), 1u);
-    EXPECT_EQ(srv.stats().counter("failed"), 1u);
+    const HealthReport health = srv.health();
+    EXPECT_EQ(health.degraded, 1u);
+    EXPECT_EQ(health.failed, 1u);
 }
 
 TEST(ServeServer, ShutdownCancelsQueuedRequests)
@@ -567,8 +581,9 @@ TEST(ServeServer, ShutdownCancelsQueuedRequests)
     // Every request resolved exactly once; the hard shutdown cancelled
     // whatever the single worker had not pulled yet.
     EXPECT_EQ(okCount + cancelledCount, 6u);
-    EXPECT_EQ(srv.stats().counter("ok"), okCount);
-    EXPECT_EQ(srv.stats().counter("cancelled"), cancelledCount);
+    const HealthReport health = srv.health();
+    EXPECT_EQ(health.ok, okCount);
+    EXPECT_EQ(health.cancelled, cancelledCount);
 }
 
 // ---------------------------------------------------------------------------
@@ -680,14 +695,14 @@ TEST(ServeConcurrency, SoakManyProducersFaultsAndMidLoadDrain)
     EXPECT_EQ(accepted + rejected.load(), producers * perProducer);
     EXPECT_EQ(byOutcome[0] + byOutcome[1] + byOutcome[2] + byOutcome[3],
               accepted);
-    EXPECT_EQ(srv.stats().counter("accepted"), accepted);
-    EXPECT_EQ(srv.stats().counter("ok"),
-              byOutcome[static_cast<std::size_t>(Outcome::Ok)]);
-    EXPECT_EQ(srv.stats().counter("shed"),
+    const HealthReport health = srv.health();
+    EXPECT_EQ(health.accepted, accepted);
+    EXPECT_EQ(health.ok, byOutcome[static_cast<std::size_t>(Outcome::Ok)]);
+    EXPECT_EQ(health.shed,
               byOutcome[static_cast<std::size_t>(Outcome::Shed)]);
-    EXPECT_EQ(srv.stats().counter("cancelled"),
+    EXPECT_EQ(health.cancelled,
               byOutcome[static_cast<std::size_t>(Outcome::Cancelled)]);
-    EXPECT_EQ(srv.stats().counter("failed"),
+    EXPECT_EQ(health.failed,
               byOutcome[static_cast<std::size_t>(Outcome::Failed)]);
     const std::uint64_t latencyTotal =
         srv.latencySnapshot(Outcome::Ok).count() +
@@ -734,8 +749,9 @@ TEST(ServeConcurrency, ConcurrentSubmittersSeeConsistentCounters)
     srv.drain();
     for (RequestHandle &h : handles)
         EXPECT_EQ(h.response.get().outcome, Outcome::Ok);
-    EXPECT_EQ(srv.stats().counter("accepted"), accepted.load());
-    EXPECT_EQ(srv.stats().counter("ok"), accepted.load());
+    const HealthReport health = srv.health();
+    EXPECT_EQ(health.accepted, accepted.load());
+    EXPECT_EQ(health.ok, accepted.load());
 }
 
 // ---------------------------------------------------------------------------
@@ -898,9 +914,8 @@ TEST(ServeBreaker, ServerOpensRejectsFastAndRecovers)
     auto nope = srv.submit(std::move(rejected));
     ASSERT_FALSE(nope.hasValue());
     EXPECT_EQ(nope.error().code(), ErrorCode::Unavailable);
-    EXPECT_GE(srv.stats().counter("rejected_breaker"), 1u);
-
     HealthReport mid = srv.health();
+    EXPECT_GE(mid.rejectedBreaker, 1u);
     ASSERT_EQ(mid.models.size(), 1u);
     EXPECT_EQ(mid.models[0].breakerState, BreakerState::Open);
     EXPECT_GE(mid.models[0].breakerOpens, 1u);
@@ -996,15 +1011,11 @@ TEST(ServeConcurrency, BreakerSoakLosesNoRequestAndDoublesNone)
                     response.outcome == Outcome::Cancelled);
     }
     EXPECT_EQ(resolved, accepted.load());
-    EXPECT_EQ(srv.stats().counter("accepted"), accepted.load());
-    EXPECT_EQ(srv.stats().counter("rejected_breaker"),
-              rejectedBreaker.load());
-    EXPECT_EQ(srv.stats().counter("submitted"),
-              producers * perProducer);
-    EXPECT_EQ(srv.stats().counter("ok") +
-                  srv.stats().counter("failed") +
-                  srv.stats().counter("cancelled") +
-                  srv.stats().counter("shed"),
+    const HealthReport health = srv.health();
+    EXPECT_EQ(health.accepted, accepted.load());
+    EXPECT_EQ(health.rejectedBreaker, rejectedBreaker.load());
+    EXPECT_EQ(health.submitted, producers * perProducer);
+    EXPECT_EQ(health.ok + health.failed + health.cancelled + health.shed,
               accepted.load());
 }
 
@@ -1139,15 +1150,10 @@ TEST(RegistrySwap, SwapUnderLoadLosesNothingAndStaysVersionAtomic)
         }
     }
     EXPECT_EQ(resolved, accepted.load());
-    EXPECT_EQ(srv.stats().counter("accepted"), accepted.load());
-    EXPECT_EQ(srv.stats().counter("ok") +
-                  srv.stats().counter("failed") +
-                  srv.stats().counter("cancelled") +
-                  srv.stats().counter("shed"),
-              accepted.load());
-    EXPECT_EQ(srv.stats().counter("swaps"), 2u);
-
     const HealthReport report = srv.health();
+    EXPECT_EQ(report.accepted, accepted.load());
+    EXPECT_EQ(report.ok + report.failed + report.cancelled + report.shed,
+              accepted.load());
     const RegistryModelHealth &reg = registryHealthOf(report, "tiny");
     EXPECT_EQ(3u, reg.activeVersion);
     EXPECT_EQ(0u, reg.warmingVersion);
@@ -1580,7 +1586,7 @@ TEST(Brownout, BrownedOutResponseIsOkNotBreakerFailure)
     // Quality degradation is never a breaker failure.
     EXPECT_EQ(srv.breaker("tiny")->state(), BreakerState::Closed);
     srv.drain();
-    EXPECT_EQ(srv.stats().counter("failed"), 0u);
+    EXPECT_EQ(srv.health().failed, 0u);
 }
 
 TEST(Brownout, ShedRungDropsBackgroundKeepsPayingClasses)
@@ -1604,6 +1610,8 @@ TEST(Brownout, ShedRungDropsBackgroundKeepsPayingClasses)
     EXPECT_EQ(bgResp.outcome, Outcome::Shed);
     EXPECT_EQ(bgResp.brownoutLevel, BrownoutLevel::Shed);
     EXPECT_EQ(bgResp.error.code(), ErrorCode::ResourceExhausted);
+    EXPECT_EQ(bgResp.error.message(),
+              "browned out: overload shed of Background traffic");
 
     InferRequest fg;
     fg.modelId = "tiny";
@@ -1615,8 +1623,9 @@ TEST(Brownout, ShedRungDropsBackgroundKeepsPayingClasses)
     EXPECT_EQ(fgResp.outcome, Outcome::Ok);
 
     srv.drain();
-    EXPECT_GE(srv.stats().counter("brownout_shed"), 1u);
-    EXPECT_GE(srv.health().brownout.brownoutSheds, 1u);
+    const HealthReport health = srv.health();
+    EXPECT_EQ(health.brownout.brownoutSheds, 1u);
+    EXPECT_EQ(health.shed, 1u);
 }
 
 TEST(Brownout, HealthReportsControllerStateAndEffectiveT)
@@ -1682,9 +1691,9 @@ TEST(Brownout, AdaptiveOverridesMergeAndValidateAtSubmit)
     EXPECT_EQ(resp.effectiveSamples, 2u);
     // Converged early exits are counted, and never as degradation.
     srv.drain();
-    EXPECT_GE(srv.stats().counter("converged"), 1u);
-    EXPECT_EQ(srv.stats().counter("degraded"), 0u);
-    EXPECT_GE(srv.health().brownout.converged, 1u);
+    const HealthReport health = srv.health();
+    EXPECT_EQ(health.degraded, 0u);
+    EXPECT_GE(health.brownout.converged, 1u);
 }
 
 TEST(BrownoutConcurrency, TickingLadderUnderMixedLoad)
@@ -1731,9 +1740,8 @@ TEST(BrownoutConcurrency, TickingLadderUnderMixedLoad)
     // Every accepted request resolved exactly once, whatever rung the
     // ladder was on when it dispatched.
     EXPECT_EQ(resolved.load(), accepted.load());
-    const StatGroup &stats = srv.stats();
-    EXPECT_EQ(stats.counter("ok") + stats.counter("shed") +
-                  stats.counter("cancelled") + stats.counter("failed"),
+    const HealthReport health = srv.health();
+    EXPECT_EQ(health.ok + health.shed + health.cancelled + health.failed,
               accepted.load());
-    EXPECT_GE(srv.health().brownout.ticks, 1u);
+    EXPECT_GE(health.brownout.ticks, 1u);
 }
