@@ -10,7 +10,8 @@
  *     ("zoo-a", "zoo-b"), two weight versions each, plus a
  *     deliberately corrupted v3 of zoo-a (one flipped payload byte —
  *     the file-level CRC must catch it at swap time).
- *  2. Measure the closed-loop throughput ceiling.
+ *  2. Measure the closed-loop throughput ceiling (median of five
+ *     probes).
  *  3. Open-loop at 2x the ceiling for FASTBCNN_SOAK_SECONDS (default
  *     60; CI runs 20) while a chaos thread hot-swaps zoo-a to v2 at
  *     0.3D, attempts the corrupt v3 at 0.5D (must fail and roll back
@@ -225,22 +226,26 @@ soakSeconds()
     return 60.0;
 }
 
-/** Closed-loop ceiling: clients keep one request in flight each. */
+/**
+ * Closed-loop rate in served requests per second: 4 clients keep one
+ * request in flight each for @p per_client requests, client c
+ * addressing models[c % models.size()].
+ */
 double
-measureCeiling(InferenceServer &srv)
+closedLoopRps(InferenceServer &srv, const std::vector<std::string> &models,
+              const Tensor &in, std::size_t per_client)
 {
     constexpr std::size_t clients = 4;
-    constexpr std::size_t perClient = 40;
     std::atomic<std::uint64_t> ok{0};
     const auto begin = std::chrono::steady_clock::now();
     std::vector<std::thread> pool;
     pool.reserve(clients);
     for (std::size_t c = 0; c < clients; ++c) {
         pool.emplace_back([&, c]() {
-            for (std::size_t i = 0; i < perClient; ++i) {
+            for (std::size_t i = 0; i < per_client; ++i) {
                 InferRequest req;
-                req.modelId = c % 2 == 0 ? "zoo-a" : "zoo-b";
-                req.input = input();
+                req.modelId = models[c % models.size()];
+                req.input = in;
                 req.mc.seed = c * 10000 + i;
                 auto handle = srv.submit(std::move(req));
                 if (!handle.hasValue())
@@ -257,7 +262,26 @@ measureCeiling(InferenceServer &srv)
                                       begin)
             .count();
     return duration > 0.0 ? static_cast<double>(ok.load()) / duration
-                          : 100.0;
+                          : 0.0;
+}
+
+/**
+ * Closed-loop ceiling of the zoo: the median of five probes of 160
+ * requests each.  One probe lasts only a few ms at these rates, and
+ * single probes on one host read anywhere from 7k to 30k rps; the
+ * soak's offered rate and deadline derive from this value.
+ */
+double
+measureCeiling(InferenceServer &srv)
+{
+    std::vector<double> probes;
+    for (int p = 0; p < 5; ++p)
+        probes.push_back(closedLoopRps(srv, {"zoo-a", "zoo-b"}, input(), 40));
+    std::sort(probes.begin(), probes.end());
+    std::cerr << format(
+        "bench_serve_soak: ceiling probes %.0f %.0f %.0f %.0f %.0f rps\n",
+        probes[0], probes[1], probes[2], probes[3], probes[4]);
+    return probes[2];
 }
 
 // --- Brownout A/B overload comparison --------------------------------
@@ -622,36 +646,9 @@ measureBrownCeiling()
         return 0.0;
     }
     InferenceServer &srv = *created.value();
-    constexpr std::size_t clients = 4;
-    constexpr std::size_t perClient = 25;
-    std::atomic<std::uint64_t> ok{0};
-    const auto begin = std::chrono::steady_clock::now();
-    std::vector<std::thread> pool;
-    pool.reserve(clients);
-    for (std::size_t c = 0; c < clients; ++c) {
-        pool.emplace_back([&, c]() {
-            for (std::size_t i = 0; i < perClient; ++i) {
-                InferRequest req;
-                req.modelId = "brown";
-                req.input = brownInput();
-                req.mc.seed = c * 10000 + i;
-                auto handle = srv.submit(std::move(req));
-                if (!handle.hasValue())
-                    continue;
-                if (handle.value().response.get().ok())
-                    ok.fetch_add(1);
-            }
-        });
-    }
-    for (std::thread &t : pool)
-        t.join();
-    const double duration =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      begin)
-            .count();
+    const double rps = closedLoopRps(srv, {"brown"}, brownInput(), 25);
     srv.drain();
-    return duration > 0.0 ? static_cast<double>(ok.load()) / duration
-                          : 0.0;
+    return rps;
 }
 
 void

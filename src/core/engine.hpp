@@ -162,8 +162,8 @@ class FastBcnnEngine
      * @p mc options instead of the engine defaults.  This is the
      * serving-path hook — the serve worker merges a request's
      * overrides (T, quorum, remaining deadline budget, fault plan)
-     * into the replica's defaults and dispatches here, so one
-     * calibrated engine replica can serve requests with heterogeneous
+     * into the engine's defaults and dispatches here, so one
+     * calibrated engine can serve requests with heterogeneous
      * sampling policies.
      */
     [[nodiscard]] Expected<McResult> tryMcReference(
@@ -172,7 +172,7 @@ class FastBcnnEngine
     /**
      * Deterministic health-gate digest: the predictive mean of a
      * serial, fault-free, deadline-free MC reference on @p input with
-     * exactly @p samples samples and @p seed.  Two replicas built
+     * exactly @p samples samples and @p seed.  Two engines built
      * from the same checkpoint produce bit-identical digests, so the
      * model registry compares a candidate version's digest against a
      * recorded reference before swapping it live.

@@ -62,8 +62,6 @@ BoundedRequestQueue::pop()
     // keeps serving until the queue runs dry.
     if (closed_ && (!drain_ || size_ == 0))
         return std::nullopt;
-    if (size_ == 0)
-        return std::nullopt;
     return takeBestLocked();
 }
 

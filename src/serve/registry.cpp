@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/table.hpp"
 
@@ -28,11 +27,8 @@ validateRegistryOptions(const RegistryOptions &opts)
     return Status::ok();
 }
 
-ModelRegistry::ModelRegistry(std::size_t replicas, RegistryOptions opts)
-    : replicas_(replicas), opts_(opts)
+ModelRegistry::ModelRegistry(RegistryOptions opts) : opts_(opts)
 {
-    FASTBCNN_CHECK(replicas_ > 0,
-                   "ModelRegistry needs at least one replica slot");
     swapThread_ = std::thread([this]() { swapLoop(); });
 }
 
@@ -119,13 +115,13 @@ ModelRegistry::noteFailure(const std::string &model_id,
         ServeClock::now() +
         std::chrono::duration_cast<ServeClock::duration>(
             std::chrono::duration<double, std::milli>(state.backoffMs));
-    if (state.activeVersion != 0)
+    if (state.activeVersion() != 0)
         ++state.rollbacks;
     state.lastEvent = format(
         "v%llu rejected (%s); %s v%llu, next retry in %.0f ms",
         static_cast<unsigned long long>(version), what.c_str(),
-        state.activeVersion != 0 ? "rolled back to" : "still without",
-        static_cast<unsigned long long>(state.activeVersion),
+        state.activeVersion() != 0 ? "rolled back to" : "still without",
+        static_cast<unsigned long long>(state.activeVersion()),
         state.backoffMs);
     warn("registry: model '%s' %s", model_id.c_str(),
          state.lastEvent.c_str());
@@ -165,13 +161,13 @@ ModelRegistry::swapNow(const ModelVersionSpec &spec)
                 state.consecutiveLoadFailures,
                 elapsedMs(now, state.nextRetryAt));
         }
-        if (spec.version <= state.activeVersion) {
+        if (spec.version <= state.activeVersion()) {
             return errorf(
                 ErrorCode::InvalidArgument,
                 "model '%s' version %llu does not exceed the active "
                 "v%llu", spec.modelId.c_str(),
                 static_cast<unsigned long long>(spec.version),
-                static_cast<unsigned long long>(state.activeVersion));
+                static_cast<unsigned long long>(state.activeVersion()));
         }
         if (state.warmingVersion != 0) {
             return errorf(
@@ -181,61 +177,47 @@ ModelRegistry::swapNow(const ModelVersionSpec &spec)
                 static_cast<unsigned long long>(state.warmingVersion));
         }
         state.warmingVersion = spec.version;
-        if (!state.slots.empty()) {
-            activeShape =
-                state.slots.front()->engine->network().inputShape();
-        }
+        if (state.active != nullptr)
+            activeShape = state.active->engine->network().inputShape();
     }
 
-    // Build + warm every replica outside the lock: serving continues
-    // on the old version for the whole (potentially long) build.
-    std::vector<std::shared_ptr<const VersionedEngine>> slots;
-    slots.reserve(replicas_);
-    for (std::size_t w = 0; w < replicas_; ++w) {
-        Expected<std::unique_ptr<FastBcnnEngine>> built = spec.factory();
-        if (!built.hasValue()) {
-            Error err = std::move(built).takeError().withContext(
-                format("building replica %zu of model '%s' v%llu", w,
-                       spec.modelId.c_str(),
-                       static_cast<unsigned long long>(spec.version)));
-            noteFailure(spec.modelId, spec.version, "factory failed");
-            return err;
-        }
-        std::unique_ptr<FastBcnnEngine> engine =
-            std::move(built).value();
-        if (engine == nullptr || !engine->calibrated()) {
-            noteFailure(spec.modelId, spec.version,
-                        "factory returned an uncalibrated engine");
-            return errorf(ErrorCode::InvalidArgument,
-                          "factory of model '%s' v%llu must return a "
-                          "calibrated engine", spec.modelId.c_str(),
-                          static_cast<unsigned long long>(
-                              spec.version));
-        }
-        if (activeShape.has_value() &&
-            !(engine->network().inputShape() == *activeShape)) {
-            noteFailure(spec.modelId, spec.version,
-                        "input shape changed");
-            return errorf(
-                ErrorCode::Mismatch,
-                "model '%s' v%llu input shape %s differs from the "
-                "active version's %s — admitted requests would no "
-                "longer fit", spec.modelId.c_str(),
-                static_cast<unsigned long long>(spec.version),
-                engine->network().inputShape().toString().c_str(),
-                activeShape->toString().c_str());
-        }
-        auto slot = std::make_shared<VersionedEngine>();
-        slot->version = spec.version;
-        slot->engine = std::move(engine);
-        slots.push_back(std::move(slot));
+    // Build + warm the engine outside the lock: serving continues on
+    // the old version for the whole (potentially long) build.
+    Expected<std::unique_ptr<FastBcnnEngine>> built = spec.factory();
+    if (!built.hasValue()) {
+        Error err = std::move(built).takeError().withContext(
+            format("building model '%s' v%llu", spec.modelId.c_str(),
+                   static_cast<unsigned long long>(spec.version)));
+        noteFailure(spec.modelId, spec.version, "factory failed");
+        return err;
+    }
+    std::unique_ptr<FastBcnnEngine> engine = std::move(built).value();
+    if (engine == nullptr || !engine->calibrated()) {
+        noteFailure(spec.modelId, spec.version,
+                    "factory returned an uncalibrated engine");
+        return errorf(ErrorCode::InvalidArgument,
+                      "factory of model '%s' v%llu must return a "
+                      "calibrated engine", spec.modelId.c_str(),
+                      static_cast<unsigned long long>(spec.version));
+    }
+    if (activeShape.has_value() &&
+        !(engine->network().inputShape() == *activeShape)) {
+        noteFailure(spec.modelId, spec.version, "input shape changed");
+        return errorf(
+            ErrorCode::Mismatch,
+            "model '%s' v%llu input shape %s differs from the active "
+            "version's %s — admitted requests would no longer fit",
+            spec.modelId.c_str(),
+            static_cast<unsigned long long>(spec.version),
+            engine->network().inputShape().toString().c_str(),
+            activeShape->toString().c_str());
     }
 
     // Health gate: the candidate must reproduce the recorded digest
     // before it is allowed to serve a single request.
     if (spec.gate.enabled) {
         Expected<std::vector<double>> digest =
-            slots.front()->engine->tryReferenceDigest(
+            engine->tryReferenceDigest(
                 spec.gate.input, spec.gate.samples, spec.gate.seed);
         if (!digest.hasValue()) {
             noteFailure(spec.modelId, spec.version,
@@ -273,15 +255,18 @@ ModelRegistry::swapNow(const ModelVersionSpec &spec)
         }
     }
 
-    // Publish: flip every slot under the lock.  Workers acquire a slot
-    // once per micro-batch, so each batch sees exactly one version and
-    // the old engines drain by refcount as their batches finish.
+    // Publish: flip the active version under the lock.  Workers
+    // acquire it once per micro-batch, so each batch sees exactly one
+    // version and the old engine drains by refcount as its batches
+    // finish.
+    auto published = std::make_shared<VersionedEngine>();
+    published->version = spec.version;
+    published->engine = std::move(engine);
     SwapCallback callback;
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         ModelState &state = models_[spec.modelId];
-        state.slots = std::move(slots);
-        state.activeVersion = spec.version;
+        state.active = std::move(published);
         state.warmingVersion = 0;
         state.consecutiveLoadFailures = 0;
         state.backoffMs = 0.0;
@@ -291,30 +276,20 @@ ModelRegistry::swapNow(const ModelVersionSpec &spec)
             static_cast<unsigned long long>(spec.version));
         callback = onSwap_;
     }
-    if (callback) {
-        const std::shared_ptr<const VersionedEngine> replica0 =
-            acquire(spec.modelId, 0);
-        FASTBCNN_CHECK(replica0 != nullptr,
-                       "freshly swapped model lost its slots");
-        callback(spec.modelId, *replica0);
-    }
-    inform("registry: model '%s' now serving v%llu (%zu replicas)",
-         spec.modelId.c_str(),
-         static_cast<unsigned long long>(spec.version), replicas_);
+    if (callback)
+        callback(spec.modelId);
+    inform("registry: model '%s' now serving v%llu",
+           spec.modelId.c_str(),
+           static_cast<unsigned long long>(spec.version));
     return Status::ok();
 }
 
 std::shared_ptr<const VersionedEngine>
-ModelRegistry::acquire(const std::string &model_id,
-                       std::size_t replica) const
+ModelRegistry::acquire(const std::string &model_id) const
 {
     const std::lock_guard<std::mutex> lock(mutex_);
     auto it = models_.find(model_id);
-    if (it == models_.end() || it->second.slots.empty())
-        return nullptr;
-    FASTBCNN_CHECK(replica < it->second.slots.size(),
-                   "replica index out of range");
-    return it->second.slots[replica];
+    return it == models_.end() ? nullptr : it->second.active;
 }
 
 std::vector<std::string>
@@ -324,7 +299,7 @@ ModelRegistry::modelIds() const
     std::vector<std::string> ids;
     ids.reserve(models_.size());
     for (const auto &[id, state] : models_) {
-        if (state.activeVersion != 0)
+        if (state.activeVersion() != 0)
             ids.push_back(id);
     }
     return ids;
@@ -336,7 +311,7 @@ ModelRegistry::healthOf(const std::string &id,
 {
     RegistryModelHealth health;
     health.id = id;
-    health.activeVersion = state.activeVersion;
+    health.activeVersion = state.activeVersion();
     health.warmingVersion = state.warmingVersion;
     health.swaps = state.swaps;
     health.rollbacks = state.rollbacks;

@@ -1,23 +1,25 @@
 /**
  * @file
- * ModelRegistry — versioned engine replicas with atomic hot-swap.
+ * ModelRegistry — one engine per model version, with atomic hot-swap.
  *
- * Each served model id maps to one *active* version: a set of
- * calibrated engine replicas (one per worker) published as
- * shared_ptr<const VersionedEngine> slots.  A worker acquires its slot
- * once per micro-batch, so every request observes exactly one version
- * and an old version keeps serving in-flight batches until its last
+ * Each served model id maps to one *active* version: a single
+ * calibrated engine published as a shared_ptr<const VersionedEngine>
+ * that every worker shares.  A worker acquires it once per
+ * micro-batch, so every request observes exactly one version and an
+ * old version keeps serving in-flight batches until its last
  * shared_ptr drops — the swap is atomic per batch and drains by
- * refcount, with no lock held across engine work.
+ * refcount, with no lock held across engine work.  Sharing is safe
+ * because a worker only calls the engine's const tryMcReference(),
+ * whose forwards keep no mutable scratch.
  *
  * Swapping in a new version is the failure-isolated path:
  *
- *   1. the factory builds + warms (calibrates) all replicas in the
+ *   1. the factory builds + warms (calibrates) one engine in the
  *      background, outside every lock;
  *   2. the candidate must pass a health gate — a deterministic
  *      reference-digest inference compared element-wise against a
  *      recorded expectation;
- *   3. only then are the slots republished and the version flipped.
+ *   3. only then is it published and the version flipped.
  *
  * Any failure (factory error, uncalibrated engine, shape mismatch,
  * gate miss) leaves the previous version exactly in place — rollback
@@ -58,7 +60,7 @@ struct RegistryOptions {
 [[nodiscard]] Status validateRegistryOptions(const RegistryOptions &opts);
 
 /**
- * Pre-swap health gate: the candidate's replica 0 must reproduce a
+ * Pre-swap health gate: the candidate engine must reproduce a
  * recorded reference digest (FastBcnnEngine::tryReferenceDigest)
  * element-wise within @p epsilon before the swap publishes.  Disabled
  * by default — initial installs usually have no recorded expectation
@@ -77,7 +79,7 @@ struct HealthGate {
     std::uint64_t seed = 0x9e3779b9u;
 };
 
-/** Builds one calibrated engine replica. */
+/** Builds one calibrated engine (once per model version). */
 using EngineFactory =
     std::function<Expected<std::unique_ptr<FastBcnnEngine>>()>;
 
@@ -87,13 +89,13 @@ struct ModelVersionSpec {
     std::string modelId;
     /** Monotonic version number (must exceed the active version). */
     std::uint64_t version = 1;
-    /** Replica builder; called once per worker, outside all locks. */
+    /** Engine builder; called once per swap, outside all locks. */
     EngineFactory factory;
     /** Pre-swap acceptance gate. */
     HealthGate gate;
 };
 
-/** A published engine replica tagged with its version. */
+/** A published engine tagged with its version (shared by workers). */
 struct VersionedEngine {
     std::uint64_t version = 0;
     std::unique_ptr<FastBcnnEngine> engine;
@@ -121,18 +123,14 @@ class ModelRegistry
   public:
     /**
      * Invoked (outside the registry lock) after each successful swap
-     * with the model id and the new version's replica-0 engine — the
-     * server uses it to refresh admission metadata and reset the
-     * model's circuit breaker.
+     * with the model id — the server uses it to reset the model's
+     * circuit breaker.
      */
-    using SwapCallback = std::function<void(
-        const std::string &model_id, const VersionedEngine &replica0)>;
+    using SwapCallback =
+        std::function<void(const std::string &model_id)>;
 
-    /**
-     * @param replicas slots published per model == worker count
-     * @param opts     backoff policy (must validate)
-     */
-    ModelRegistry(std::size_t replicas, RegistryOptions opts);
+    /** @param opts backoff policy (must validate) */
+    explicit ModelRegistry(RegistryOptions opts);
 
     /** Joins the background swap thread (pending swaps are failed). */
     ~ModelRegistry();
@@ -161,13 +159,13 @@ class ModelRegistry
     [[nodiscard]] std::future<Status> requestSwap(ModelVersionSpec spec);
 
     /**
-     * Acquire worker @p replica's slot of @p model_id's active
-     * version; nullptr when the model is not installed.  The returned
-     * pointer keeps the version alive for as long as the caller holds
-     * it — hold it for one micro-batch, no longer.
+     * Acquire @p model_id's active version; nullptr when the model is
+     * not installed.  The returned pointer keeps the version alive
+     * for as long as the caller holds it — hold it for one
+     * micro-batch or one admission check, no longer.
      */
     [[nodiscard]] std::shared_ptr<const VersionedEngine> acquire(
-        const std::string &model_id, std::size_t replica) const;
+        const std::string &model_id) const;
 
     /** @return installed model ids (sorted). */
     std::vector<std::string> modelIds() const;
@@ -179,13 +177,13 @@ class ModelRegistry
     [[nodiscard]] Expected<RegistryModelHealth> modelHealth(
         const std::string &model_id) const;
 
-    /** @return slots published per model. */
-    std::size_t replicas() const { return replicas_; }
-
   private:
     struct ModelState {
-        std::vector<std::shared_ptr<const VersionedEngine>> slots;
-        std::uint64_t activeVersion = 0;
+        std::shared_ptr<const VersionedEngine> active;
+        std::uint64_t activeVersion() const
+        {
+            return active == nullptr ? 0 : active->version;
+        }
         std::uint64_t warmingVersion = 0;
         std::uint64_t swaps = 0;
         std::uint64_t rollbacks = 0;
@@ -209,7 +207,6 @@ class ModelRegistry
 
     void swapLoop();
 
-    const std::size_t replicas_;
     const RegistryOptions opts_;
     SwapCallback onSwap_;
 

@@ -4,7 +4,7 @@
  *
  * A request names a served model, carries one input tensor, an
  * end-to-end deadline, a scheduling priority, per-request overrides of
- * the replica's MC-dropout options (T, quorum, seed, fault plan — the
+ * the engine's MC-dropout options (T, quorum, seed, fault plan — the
  * per-request policy knobs PR 2 added to the runner), and a
  * cancellation token.  The caller gets back a RequestHandle whose
  * future resolves to exactly one InferResponse, whatever happens to
@@ -106,8 +106,8 @@ class CancellationToken
 };
 
 /**
- * Per-request overrides of the engine replica's McOptions.  Unset
- * fields inherit the replica's defaults; the worker merges the two at
+ * Per-request overrides of the served engine's McOptions.  Unset
+ * fields inherit the engine's defaults; the worker merges the two at
  * dispatch time (worker.hpp).
  */
 struct McOverrides {
@@ -116,10 +116,10 @@ struct McOverrides {
     std::optional<std::size_t> threads;   ///< intra-request MC workers
     std::optional<std::uint64_t> seed;    ///< pin for reproducibility
     /**
-     * Numeric path override (unset = replica default).  Int8 requires
-     * the served model's engines to carry a quantized mirror, built
+     * Numeric path override (unset = engine default).  Int8 requires
+     * the served model's engine to carry a quantized mirror, built
      * from calibration by FastBcnnEngine::tryQuantize() — admission
-     * rejects otherwise (see ModelInfo::int8Available).
+     * rejects otherwise (see FastBcnnEngine::int8Available).
      */
     std::optional<Precision> precision;
     /**
@@ -137,7 +137,7 @@ struct McOverrides {
     std::optional<std::size_t> sampleBudget;
     /**
      * Per-request fault-injection plan (not owned; may be nullptr =
-     * inherit the replica default).  Must outlive the request — the
+     * inherit the engine default).  Must outlive the request — the
      * soak tests use this to fault individual requests on a healthy
      * server.
      */
@@ -166,7 +166,7 @@ struct InferRequest {
      * budget to the MC runner as McOptions::deadlineMs otherwise.
      */
     double deadlineMs = 0.0;
-    /** MC-dropout overrides (unset = replica defaults). */
+    /** MC-dropout overrides (unset = engine defaults). */
     McOverrides mc;
     /** Cancellation flag (keep a copy to cancel later). */
     CancellationToken token;
@@ -194,7 +194,7 @@ struct InferResponse {
     Outcome outcome = Outcome::Failed;
     /**
      * The run result (engaged iff outcome == Ok): the exact MC
-     * reference (FastBcnnEngine::tryMcReference) on the replica.
+     * reference (FastBcnnEngine::tryMcReference) on the served engine.
      */
     std::optional<McResult> result;
     /** Why the request was not served (ok iff outcome == Ok). */
@@ -216,7 +216,7 @@ struct InferResponse {
      */
     std::uint64_t modelVersion = 0;
     /**
-     * Numeric path the request actually ran on (replica default
+     * Numeric path the request actually ran on (engine default
      * merged with any McOverrides::precision).  Meaningless unless
      * dispatched.
      */

@@ -6,7 +6,7 @@
  * best queued request (priority, then earliest deadline — the queue's
  * ordering), sheds any request whose deadline already expired before
  * dispatch (load shedding: completing it now with Outcome::Shed is
- * strictly better than burning a replica on an answer nobody is
+ * strictly better than burning a worker on an answer nobody is
  * waiting for), and then fills a micro-batch with up to max_batch - 1
  * more queued requests of the *same model*.  A batch shares one
  * registry acquire, so every request in it runs on one pinned model

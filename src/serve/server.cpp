@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/table.hpp"
+#include "serve/worker.hpp"
 
 namespace fastbcnn::serve {
 
@@ -56,12 +57,10 @@ InferenceServer::create(std::vector<ModelSpec> models,
     std::unique_ptr<InferenceServer> server(
         new InferenceServer(opts));
 
-    // Install every model into the registry as its initial version.
-    // Replica 0 of each model defines the admission-time contract
-    // (input shape, MC defaults); the registry rebuilds one replica
-    // per worker through the same factory.
-    server->registry_ = std::make_unique<ModelRegistry>(
-        opts.workers, opts.registry);
+    // Install every model into the registry as its initial version:
+    // one engine per model, shared by every worker, which also defines
+    // the admission-time contract (input shape, MC defaults).
+    server->registry_ = std::make_unique<ModelRegistry>(opts.registry);
     for (ModelSpec &spec : models) {
         if (spec.id.empty()) {
             return errorf(ErrorCode::InvalidArgument,
@@ -72,7 +71,7 @@ InferenceServer::create(std::vector<ModelSpec> models,
                           "ModelSpec '%s' has no factory",
                           spec.id.c_str());
         }
-        if (server->models_.count(spec.id) != 0) {
+        if (server->breakers_.count(spec.id) != 0) {
             return errorf(ErrorCode::InvalidArgument,
                           "duplicate ModelSpec id '%s'",
                           spec.id.c_str());
@@ -87,34 +86,20 @@ InferenceServer::create(std::vector<ModelSpec> models,
             return std::move(installed).withContext(
                 format("installing model '%s'", spec.id.c_str()));
         }
-        const std::shared_ptr<const VersionedEngine> replica0 =
-            server->registry_->acquire(spec.id, 0);
-        FASTBCNN_CHECK(replica0 != nullptr,
-                       "freshly installed model has no replica 0");
-        ModelInfo info;
-        info.inputShape = replica0->engine->network().inputShape();
-        info.mcDefaults = replica0->engine->options().mc;
-        info.int8Available = replica0->engine->int8Available();
-        server->models_.emplace(spec.id, std::move(info));
         server->breakers_.emplace(
             spec.id, std::make_unique<CircuitBreaker>(opts.breaker));
     }
-    // Later swaps refresh admission metadata and reset the breaker;
-    // wired only now so the initial installs above stay simple.
-    InferenceServer *raw0 = server.get();
+    // Later swaps reset the breaker: failures accumulated against the
+    // old version say nothing about the new one.  Wired only now so
+    // the initial installs above stay simple.
+    InferenceServer *raw = server.get();
     server->registry_->setSwapCallback(
-        [raw0](const std::string &model_id,
-               const VersionedEngine &replica0) {
-            raw0->onSwapSuccess(model_id, replica0);
+        [raw](const std::string &model_id) {
+            raw->breakers_.at(model_id)->reset();
         });
 
     server->brownout_ =
         std::make_unique<BrownoutController>(opts.brownout);
-    for (std::size_t w = 0; w < opts.workers; ++w) {
-        server->workers_.push_back(std::make_unique<EngineWorker>(
-            w, server->registry_.get(), server->brownout_.get()));
-    }
-    InferenceServer *raw = server.get();
     const CompleteFn complete = [raw](PendingRequest &&pending,
                                       InferResponse &&response) {
         raw->complete(std::move(pending), std::move(response));
@@ -140,26 +125,23 @@ InferenceServer::~InferenceServer()
 Status
 InferenceServer::checkRequest(const InferRequest &request) const
 {
-    ModelInfo info;
-    {
-        // Copy the admission contract out: a concurrent hot-swap may
-        // refresh mcDefaults / int8Available mid-validation.
-        const std::lock_guard<std::mutex> lock(modelsMutex_);
-        auto it = models_.find(request.modelId);
-        if (it == models_.end()) {
-            return errorf(ErrorCode::NotFound,
-                          "model '%s' is not served",
-                          request.modelId.c_str());
-        }
-        info = it->second;
+    // Validate against one version: holding it keeps a concurrent
+    // hot-swap from changing the MC defaults mid-check.
+    const std::shared_ptr<const VersionedEngine> active =
+        registry_->acquire(request.modelId);
+    if (active == nullptr) {
+        return errorf(ErrorCode::NotFound, "model '%s' is not served",
+                      request.modelId.c_str());
     }
-    if (!(request.input.shape() == info.inputShape)) {
+    const FastBcnnEngine &engine = *active->engine;
+    const Shape &inputShape = engine.network().inputShape();
+    if (!(request.input.shape() == inputShape)) {
         return errorf(ErrorCode::InvalidArgument,
                       "input shape %s does not match model '%s' "
                       "input %s",
                       request.input.shape().toString().c_str(),
                       request.modelId.c_str(),
-                      info.inputShape.toString().c_str());
+                      inputShape.toString().c_str());
     }
     if (!(request.deadlineMs >= 0.0) ||
         !std::isfinite(request.deadlineMs)) {
@@ -177,11 +159,12 @@ InferenceServer::checkRequest(const InferRequest &request) const
     // immediate submit error instead of a deferred Failed response.
     // The deadline merge is dispatch-time state and is validated by
     // construction (remainingMs() >= 0).
-    const McOptions merged = applyOverrides(info.mcDefaults, request.mc);
+    const McOptions merged =
+        applyOverrides(engine.options().mc, request.mc);
     Status valid = validateMcOptions(merged);
     if (!valid.isOk())
         return std::move(valid).withContext("per-request MC overrides");
-    if (merged.precision == Precision::Int8 && !info.int8Available) {
+    if (merged.precision == Precision::Int8 && !engine.int8Available()) {
         return errorf(ErrorCode::InvalidArgument,
                       "model '%s' is served without an int8 "
                       "mirror; Precision::Int8 needs engines "
@@ -252,12 +235,24 @@ InferenceServer::submit(InferRequest request)
 void
 InferenceServer::workerLoop(std::size_t index, const CompleteFn &complete)
 {
-    EngineWorker &worker = *workers_[index];
     while (auto batch = scheduler_->nextBatch()) {
         batches_.fetch_add(1, std::memory_order_relaxed);
         batchedRequests_.fetch_add(batch->size(),
                                    std::memory_order_relaxed);
-        worker.runBatch(std::move(*batch), complete);
+        // Acquire the version once for the whole batch: the single
+        // acquisition is what makes hot-swaps atomic — every request
+        // in the batch runs on exactly one version, pinned by this
+        // shared_ptr until the batch completes.
+        const std::string &model = batch->front().request.modelId;
+        const std::shared_ptr<const VersionedEngine> pinned =
+            registry_->acquire(model);
+        FASTBCNN_CHECK(pinned != nullptr,
+                       format("model '%s' has no active version "
+                              "(admission should have rejected this)",
+                              model.c_str())
+                           .c_str());
+        runBatch(std::move(*batch), *pinned, index, *brownout_,
+                 complete);
     }
 }
 
@@ -377,47 +372,17 @@ InferenceServer::accepting() const
 std::vector<std::string>
 InferenceServer::modelIds() const
 {
-    const std::lock_guard<std::mutex> lock(modelsMutex_);
-    std::vector<std::string> ids;
-    ids.reserve(models_.size());
-    for (const auto &[id, info] : models_)
-        ids.push_back(id);
-    return ids;
-}
-
-void
-InferenceServer::onSwapSuccess(const std::string &model_id,
-                               const VersionedEngine &replica0)
-{
-    {
-        const std::lock_guard<std::mutex> lock(modelsMutex_);
-        auto it = models_.find(model_id);
-        if (it != models_.end()) {
-            // inputShape is swap-invariant (the registry rejects
-            // shape changes); the tunables may move with the version.
-            it->second.mcDefaults = replica0.engine->options().mc;
-            it->second.int8Available =
-                replica0.engine->int8Available();
-        }
-    }
-    // Failures accumulated against the old version say nothing about
-    // the new one: give it a Closed breaker.
-    auto breaker = breakers_.find(model_id);
-    if (breaker != breakers_.end())
-        breaker->second->reset();
+    return registry_->modelIds();
 }
 
 Expected<std::future<Status>>
 InferenceServer::requestSwap(ModelVersionSpec spec)
 {
-    {
-        const std::lock_guard<std::mutex> lock(modelsMutex_);
-        if (models_.count(spec.modelId) == 0) {
-            return errorf(ErrorCode::NotFound,
-                          "model '%s' is not served; hot-swap "
-                          "changes versions, not the model set",
-                          spec.modelId.c_str());
-        }
+    if (registry_->acquire(spec.modelId) == nullptr) {
+        return errorf(ErrorCode::NotFound,
+                      "model '%s' is not served; hot-swap changes "
+                      "versions, not the model set",
+                      spec.modelId.c_str());
     }
     return registry_->requestSwap(std::move(spec));
 }
@@ -456,30 +421,25 @@ InferenceServer::health() const
     report.p99Ms = served.p99Ms();
     report.brownout = brownout_->state();
 
-    // Copy the model map out so registry snapshots (which take other
-    // locks) run without holding modelsMutex_.
-    std::map<std::string, ModelInfo> models;
-    {
-        const std::lock_guard<std::mutex> lock(modelsMutex_);
-        models = models_;
-    }
-    report.models.reserve(models.size());
-    for (const auto &[id, info] : models) {
+    report.models.reserve(breakers_.size());
+    for (const auto &[id, breaker] : breakers_) {
+        const std::shared_ptr<const VersionedEngine> active =
+            registry_->acquire(id);
+        FASTBCNN_CHECK(active != nullptr,
+                       "a served model lost its active version");
+        const FastBcnnEngine &engine = *active->engine;
         ModelHealth model;
         model.id = id;
-        model.int8Available = info.int8Available;
+        model.int8Available = engine.int8Available();
         for (std::size_t p = 0; p < kPriorityLevels; ++p) {
             model.effectiveSamples[p] = brownout_->effectiveSamples(
-                info.mcDefaults.samples, static_cast<Priority>(p),
-                info.mcDefaults.quorum);
+                engine.options().mc.samples, static_cast<Priority>(p),
+                engine.options().mc.quorum);
         }
-        auto breaker = breakers_.find(id);
-        if (breaker != breakers_.end()) {
-            model.breakerState = breaker->second->state();
-            model.breakerOpens = breaker->second->opens();
-            model.breakerRejections = breaker->second->rejections();
-            report.rejectedBreaker += model.breakerRejections;
-        }
+        model.breakerState = breaker->state();
+        model.breakerOpens = breaker->opens();
+        model.breakerRejections = breaker->rejections();
+        report.rejectedBreaker += model.breakerRejections;
         Expected<RegistryModelHealth> registry =
             registry_->modelHealth(id);
         if (registry.hasValue())

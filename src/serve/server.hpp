@@ -5,8 +5,8 @@
  * Owns the full pipeline: a bounded MPMC admission queue
  * (backpressure: a full queue rejects with ResourceExhausted), a
  * deadline/priority-aware batch scheduler with pre-dispatch load
- * shedding, and a pool of worker threads each holding its own
- * calibrated engine replica per served model.  Every serve event is
+ * shedding, and a pool of worker threads that share each served
+ * model's one calibrated engine.  Every serve event is
  * counted once, by the module that decides it (the server, the
  * per-outcome latency histograms, the brownout controller, the
  * breakers, the registry); health() gathers them into one report.
@@ -37,7 +37,6 @@
 #include "serve/queue.hpp"
 #include "serve/registry.hpp"
 #include "serve/scheduler.hpp"
-#include "serve/worker.hpp"
 
 namespace fastbcnn::serve {
 
@@ -46,9 +45,8 @@ struct ModelSpec {
     /** The id requests address (InferRequest::modelId). */
     std::string id;
     /**
-     * Builds one *calibrated* engine replica.  Called once per worker
-     * at create() time; every call must produce an engine with the
-     * same input shape and MC defaults (replicas of one model).
+     * Builds the model's *calibrated* engine.  Called once at
+     * create() time; every worker thread shares the engine it returns.
      */
     EngineFactory factory;
     /** Registry version the initial install publishes as. */
@@ -59,7 +57,7 @@ struct ModelSpec {
 
 /** Server sizing knobs. */
 struct ServerOptions {
-    /** Worker threads == engine replicas per model. */
+    /** Worker threads; they share each model's one engine. */
     std::size_t workers = 2;
     /** Admission-queue bound (backpressure point). */
     std::size_t queueCapacity = 64;
@@ -82,7 +80,7 @@ struct ServerOptions {
 /** Point-in-time health of one served model. */
 struct ModelHealth {
     std::string id;
-    /** True when the model's engines carry an int8 mirror. */
+    /** True when the model's engine carries an int8 mirror. */
     bool int8Available = false;
     BreakerState breakerState = BreakerState::Closed;
     std::uint64_t breakerOpens = 0;
@@ -148,10 +146,9 @@ class InferenceServer
 {
   public:
     /**
-     * Build a server: validates @p opts, instantiates
-     * opts.workers replicas of every model in @p models (rejecting
-     * factories that fail or return uncalibrated engines), and starts
-     * the worker threads.
+     * Build a server: validates @p opts, builds one engine of every
+     * model in @p models (rejecting factories that fail or return
+     * uncalibrated engines), and starts the worker threads.
      */
     [[nodiscard]] static Expected<std::unique_ptr<InferenceServer>>
     create(
@@ -226,7 +223,7 @@ class InferenceServer
      * the model must already be served — swaps change versions, not
      * the model set).  The new version builds, warms and health-gates
      * on the registry's background thread while the old one keeps
-     * serving; on success admission metadata is refreshed, the
+     * serving; on success admission reads the new version, the
      * model's circuit breaker resets, and the registry's swap count
      * ticks — on failure the old version keeps serving (rollback) and
      * the model enters exponential backoff.  The returned future
@@ -243,20 +240,7 @@ class InferenceServer
     const BrownoutController &brownout() const { return *brownout_; }
 
   private:
-    /** Admission-time knowledge about one served model. */
-    struct ModelInfo {
-        Shape inputShape;
-        McOptions mcDefaults;
-        /** True when the model's engines carry an int8 mirror —
-         *  admission rejects Precision::Int8 requests otherwise. */
-        bool int8Available = false;
-    };
-
     explicit InferenceServer(ServerOptions opts);
-
-    /** Registry post-swap hook: refresh ModelInfo, reset the breaker. */
-    void onSwapSuccess(const std::string &model_id,
-                       const VersionedEngine &replica0);
 
     /** @return ok, or why admission rejects @p request as invalid. */
     Status checkRequest(const InferRequest &request) const;
@@ -272,16 +256,15 @@ class InferenceServer
     void stop(bool drain_queue);
 
     ServerOptions opts_;
-    /** Guards models_ (mutated by onSwapSuccess, read by submit). */
-    mutable std::mutex modelsMutex_;
-    std::map<std::string, ModelInfo> models_;
-    /** Per-model breakers (stable addresses; created at create()). */
+    /**
+     * Per-model breakers (stable addresses; created at create()).
+     * Its keys are the served model set, fixed after create().
+     */
     std::map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;
     BoundedRequestQueue queue_;
     /** Built before the scheduler / workers (both hold pointers). */
     std::unique_ptr<BrownoutController> brownout_;
     std::unique_ptr<BatchScheduler> scheduler_;
-    std::vector<std::unique_ptr<EngineWorker>> workers_;
     std::vector<std::thread> threads_;
 
     /** Brownout tick thread (joined by stop()). */
@@ -304,10 +287,10 @@ class InferenceServer
     std::atomic<std::uint64_t> nextSeq_{1};
 
     /**
-     * Versioned engine replicas (workers acquire per batch).
-     * Declared after every member its swap callback touches (models_,
-     * breakers_), so its destructor — which joins the swap thread,
-     * possibly mid-callback — runs first.
+     * One engine per model version (workers acquire per batch).
+     * Declared after the member its swap callback touches (breakers_),
+     * so its destructor — which joins the swap thread, possibly
+     * mid-callback — runs first.
      */
     std::unique_ptr<ModelRegistry> registry_;
 

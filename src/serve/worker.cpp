@@ -7,23 +7,6 @@
 
 namespace fastbcnn::serve {
 
-EngineWorker::EngineWorker(std::size_t index,
-                           const ModelRegistry *registry,
-                           const BrownoutController *brownout)
-    : index_(index), registry_(registry), brownout_(brownout)
-{
-    FASTBCNN_CHECK(registry_ != nullptr,
-                   "EngineWorker needs a model registry");
-    FASTBCNN_CHECK(index_ < registry_->replicas(),
-                   "worker index exceeds the registry's replica count");
-}
-
-std::shared_ptr<const VersionedEngine>
-EngineWorker::replica(const std::string &model_id) const
-{
-    return registry_->acquire(model_id, index_);
-}
-
 namespace {
 
 /**
@@ -40,7 +23,7 @@ effectiveOptions(const FastBcnnEngine &engine,
                                   pending.request.mc);
     if (pending.hasDeadline) {
         // Hand the MC runner only what is left of the end-to-end
-        // budget, tightened further by any replica-level deadline.
+        // budget, tightened further by any engine-level deadline.
         const double remaining = pending.remainingMs(now);
         mc.deadlineMs = mc.deadlineMs > 0.0
                             ? std::min(mc.deadlineMs, remaining)
@@ -52,23 +35,14 @@ effectiveOptions(const FastBcnnEngine &engine,
 } // namespace
 
 void
-EngineWorker::runBatch(std::vector<PendingRequest> &&batch,
-                       const CompleteFn &complete)
+runBatch(std::vector<PendingRequest> &&batch,
+         const VersionedEngine &version, std::size_t worker,
+         const BrownoutController &brownout,
+         const CompleteFn &complete)
 {
     FASTBCNN_CHECK(!batch.empty(), "runBatch on an empty batch");
-    // Acquire the replica once for the whole batch: the single
-    // acquisition is what makes hot-swaps atomic — every request in
-    // the batch runs on exactly one version, pinned by this
-    // shared_ptr until the batch completes.
     const std::string &model = batch.front().request.modelId;
-    const std::shared_ptr<const VersionedEngine> pinned =
-        replica(model);
-    FASTBCNN_CHECK(pinned != nullptr,
-                   format("worker %zu has no replica of model '%s' "
-                          "(admission should have rejected this)",
-                          index_, model.c_str())
-                       .c_str());
-    const FastBcnnEngine *engine = pinned->engine.get();
+    const FastBcnnEngine &engine = *version.engine;
     const std::size_t batchSize = batch.size();
 
     for (PendingRequest &pending : batch) {
@@ -77,8 +51,8 @@ EngineWorker::runBatch(std::vector<PendingRequest> &&batch,
         InferResponse response;
         response.id = pending.id;
         response.batchSize = batchSize;
-        response.worker = index_;
-        response.modelVersion = pinned->version;
+        response.worker = worker;
+        response.modelVersion = version.version;
 
         const ServeClock::time_point now = ServeClock::now();
         if (pending.request.token.cancelled()) {
@@ -98,18 +72,16 @@ EngineWorker::runBatch(std::vector<PendingRequest> &&batch,
             continue;
         }
 
-        McOptions mc = effectiveOptions(*engine, pending, now);
+        McOptions mc = effectiveOptions(engine, pending, now);
         // Brownout rides on top of the merged options: the ladder's
         // quality levers (adaptive exit, sample-budget clamp) degrade
         // the run, never past what the caller explicitly asked for.
-        if (brownout_ != nullptr) {
-            response.brownoutLevel =
-                brownout_->apply(mc, pending.request.priority);
-        }
+        response.brownoutLevel =
+            brownout.apply(mc, pending.request.priority);
         const ServeClock::time_point begin = ServeClock::now();
         response.precision = mc.precision;
         Expected<McResult> run =
-            engine->tryMcReference(pending.request.input, mc);
+            engine.tryMcReference(pending.request.input, mc);
         response.serviceMs = elapsedMs(begin, ServeClock::now());
         if (run.hasValue()) {
             response.outcome = Outcome::Ok;

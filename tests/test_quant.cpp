@@ -412,9 +412,9 @@ onesInput()
     return t;
 }
 
-/** Replica factory with an int8 mirror (precision default Float32). */
+/** Engine factory with an int8 mirror (precision default Float32). */
 Expected<std::unique_ptr<FastBcnnEngine>>
-makeQuantReplica()
+makeQuantEngine()
 {
     EngineOptions eopts;
     eopts.mc.samples = 4;
@@ -435,9 +435,9 @@ makeQuantReplica()
     return engine;
 }
 
-/** Replica factory without an int8 mirror. */
+/** Engine factory without an int8 mirror. */
 Expected<std::unique_ptr<FastBcnnEngine>>
-makeFloatReplica()
+makeFloatEngine()
 {
     EngineOptions eopts;
     eopts.mc.samples = 4;
@@ -459,7 +459,7 @@ quantSpec(std::string id = "qtiny")
 {
     ModelSpec spec;
     spec.id = std::move(id);
-    spec.factory = makeQuantReplica;
+    spec.factory = makeQuantEngine;
     return spec;
 }
 
@@ -468,7 +468,7 @@ floatSpec(std::string id = "ftiny")
 {
     ModelSpec spec;
     spec.id = std::move(id);
-    spec.factory = makeFloatReplica;
+    spec.factory = makeFloatEngine;
     return spec;
 }
 
@@ -476,37 +476,63 @@ floatSpec(std::string id = "ftiny")
 
 TEST(QuantServe, PrecisionOverrideServesInt8)
 {
-    auto server =
-        InferenceServer::create({quantSpec()}, ServerOptions{});
+    // Two workers share the model's one engine and its int8 mirror,
+    // each request running two sample threads: every served result
+    // must equal the engine's own tryMcReference byte for byte.
+    ServerOptions sopts;
+    sopts.workers = 2;
+    auto server = InferenceServer::create({quantSpec()}, sopts);
     ASSERT_TRUE(server.hasValue()) << server.error().toString();
     InferenceServer &srv = *server.value();
 
-    InferRequest int8Req;
-    int8Req.modelId = "qtiny";
-    int8Req.input = onesInput();
-    int8Req.mc.precision = Precision::Int8;
-    auto h8 = srv.submit(std::move(int8Req));
-    ASSERT_TRUE(h8.hasValue()) << h8.error().toString();
-
-    InferRequest floatReq;
-    floatReq.modelId = "qtiny";
-    floatReq.input = onesInput();
-    auto hf = srv.submit(std::move(floatReq));
-    ASSERT_TRUE(hf.hasValue());
+    // Pair k runs at seed 21 + k in f32, then in int8 (pair 0 at the
+    // engine's default seed).
+    constexpr std::size_t kPairs = 4;
+    std::vector<McOverrides> overrides;
+    std::vector<RequestHandle> handles;
+    for (std::size_t i = 0; i < 2 * kPairs; ++i) {
+        InferRequest req;
+        req.modelId = "qtiny";
+        req.input = onesInput();
+        if (i / 2 > 0)
+            req.mc.seed = 21 + i / 2;
+        req.mc.threads = 2;
+        if (i % 2 == 1)
+            req.mc.precision = Precision::Int8;
+        overrides.push_back(req.mc);
+        auto handle = srv.submit(std::move(req));
+        ASSERT_TRUE(handle.hasValue()) << handle.error().toString();
+        handles.push_back(std::move(handle).value());
+    }
     srv.drain();
 
-    InferResponse r8 = h8.value().response.get();
-    EXPECT_EQ(r8.outcome, Outcome::Ok);
-    EXPECT_EQ(r8.precision, Precision::Int8);
-    ASSERT_TRUE(r8.result.has_value());
-
-    InferResponse rf = hf.value().response.get();
-    EXPECT_EQ(rf.outcome, Outcome::Ok);
-    EXPECT_EQ(rf.precision, Precision::Float32);
+    Expected<std::unique_ptr<FastBcnnEngine>> reference =
+        makeQuantEngine();
+    ASSERT_TRUE(reference.hasValue()) << reference.error().toString();
+    std::vector<InferResponse> responses;
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+        responses.push_back(handles[i].response.get());
+        const InferResponse &got = responses.back();
+        ASSERT_EQ(got.outcome, Outcome::Ok) << "request " << i;
+        ASSERT_TRUE(got.result.has_value());
+        EXPECT_EQ(got.precision,
+                  i % 2 == 1 ? Precision::Int8 : Precision::Float32);
+        const McOptions merged = applyOverrides(
+            reference.value()->options().mc, overrides[i]);
+        Expected<McResult> want =
+            reference.value()->tryMcReference(onesInput(), merged);
+        ASSERT_TRUE(want.hasValue()) << want.error().toString();
+        EXPECT_TRUE(sameBytes(got.result->summary.mean,
+                              want.value().summary.mean))
+            << "request " << i;
+        EXPECT_TRUE(sameBytes(got.result->summary.variance,
+                              want.value().summary.variance))
+            << "request " << i;
+    }
 
     // Both paths classify the same way on this input.
-    ASSERT_TRUE(rf.result.has_value());
-    EXPECT_EQ(r8.result->summary.argmax, rf.result->summary.argmax);
+    EXPECT_EQ(responses[1].result->summary.argmax,
+              responses[0].result->summary.argmax);
 }
 
 TEST(QuantServe, Int8RejectedWithoutMirror)

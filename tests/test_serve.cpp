@@ -56,9 +56,9 @@ ones(const Shape &s)
     return t;
 }
 
-/** A calibrated tiny-model replica factory (deterministic). */
+/** A calibrated tiny-model engine factory (deterministic). */
 Expected<std::unique_ptr<FastBcnnEngine>>
-makeTinyReplica(std::size_t samples = 4)
+makeTinyEngine(std::size_t samples = 4)
 {
     EngineOptions eopts;
     eopts.mc.samples = samples;
@@ -89,7 +89,7 @@ ModelSpec
 tinySpec(std::string id = "tiny", std::size_t samples = 4)
 {
     return namedSpec(std::move(id),
-                     [samples]() { return makeTinyReplica(samples); });
+                     [samples]() { return makeTinyEngine(samples); });
 }
 
 PendingRequest
@@ -377,8 +377,8 @@ TEST(ServeServer, PerRequestSeedIsDeterministicAcrossReplicas)
     ASSERT_EQ(ra.outcome, Outcome::Ok);
     ASSERT_EQ(rb.outcome, Outcome::Ok);
     ASSERT_EQ(ra.result->outputs.size(), 6u);
-    // Same seed, same calibrated replicas: bit-identical regardless
-    // of which worker served which request.
+    // Same seed, one shared engine: bit-identical regardless of
+    // which worker served which request.
     EXPECT_TRUE(ra.result->summary.mean.allClose(
         rb.result->summary.mean, 0.0f));
     EXPECT_EQ(ra.result->summary.argmax, rb.result->summary.argmax);
@@ -387,9 +387,9 @@ TEST(ServeServer, PerRequestSeedIsDeterministicAcrossReplicas)
 TEST(ServeServer, GuardEnabledReplicaServesTheExactReference)
 {
     // EngineOptions::guard is read only offline and by engine-level
-    // callers: a replica built with it is served like any other, as
+    // callers: an engine built with it is served like any other, as
     // the exact MC reference, and its guard is never fed.
-    const auto guardedReplica =
+    const auto guardedEngine =
         []() -> Expected<std::unique_ptr<FastBcnnEngine>> {
         EngineOptions eopts;
         eopts.mc.samples = 4;
@@ -411,7 +411,7 @@ TEST(ServeServer, GuardEnabledReplicaServesTheExactReference)
     ServerOptions sopts;
     sopts.workers = 1;
     auto server = InferenceServer::create(
-        {namedSpec("guarded", guardedReplica)}, sopts);
+        {namedSpec("guarded", guardedEngine)}, sopts);
     ASSERT_TRUE(server.hasValue()) << server.error().toString();
     InferenceServer &srv = *server.value();
 
@@ -428,7 +428,7 @@ TEST(ServeServer, GuardEnabledReplicaServesTheExactReference)
     ASSERT_TRUE(response.result.has_value());
 
     Expected<std::unique_ptr<FastBcnnEngine>> reference =
-        guardedReplica();
+        guardedEngine();
     ASSERT_TRUE(reference.hasValue());
     const McOptions merged =
         applyOverrides(reference.value()->options().mc, overrides);
@@ -451,11 +451,11 @@ TEST(ServeServer, GuardEnabledReplicaServesTheExactReference)
     EXPECT_TRUE(sameBytes(got.summary.variance,
                           want.value().summary.variance));
 
-    const std::shared_ptr<const VersionedEngine> replica =
-        srv.registry().acquire("guarded", 0);
-    ASSERT_NE(replica, nullptr);
-    ASSERT_NE(replica->engine->guard(), nullptr);
-    EXPECT_EQ(replica->engine->guard()->snapshot().samplesSeen, 0u);
+    const std::shared_ptr<const VersionedEngine> served =
+        srv.registry().acquire("guarded");
+    ASSERT_NE(served, nullptr);
+    ASSERT_NE(served->engine->guard(), nullptr);
+    EXPECT_EQ(served->engine->guard()->snapshot().samplesSeen, 0u);
     srv.drain();
 }
 
@@ -1025,9 +1025,9 @@ TEST(ServeConcurrency, BreakerSoakLosesNoRequestAndDoublesNone)
 
 namespace {
 
-/** A tiny-model replica with version-specific weights. */
+/** A tiny-model engine with version-specific weights. */
 Expected<std::unique_ptr<FastBcnnEngine>>
-makeVersionReplica(std::uint64_t weight_seed, std::size_t samples = 4)
+makeVersionEngine(std::uint64_t weight_seed, std::size_t samples = 4)
 {
     Network net = tinyBcnn();
     InitOptions init;
@@ -1058,7 +1058,7 @@ versionSpec(std::uint64_t version, std::uint64_t weight_seed,
     spec.modelId = std::move(id);
     spec.version = version;
     spec.factory = [weight_seed]() {
-        return makeVersionReplica(weight_seed);
+        return makeVersionEngine(weight_seed);
     };
     return spec;
 }
@@ -1161,6 +1161,55 @@ TEST(RegistrySwap, SwapUnderLoadLosesNothingAndStaysVersionAtomic)
     EXPECT_EQ(0u, reg.rollbacks);
 }
 
+TEST(RegistrySwap, BuildsOneEnginePerVersionWhateverTheWorkerCount)
+{
+    // Workers share the published engine: create() builds each model
+    // once and a successful swap builds the new version once, not
+    // once per worker.
+    std::atomic<std::size_t> builds{0};
+    const auto counted = [&builds](std::uint64_t weight_seed) {
+        return [&builds, weight_seed]() {
+            builds.fetch_add(1);
+            return makeVersionEngine(weight_seed);
+        };
+    };
+    ServerOptions opts;
+    opts.workers = 3;
+    auto created =
+        InferenceServer::create({namedSpec("tiny", counted(3))}, opts);
+    ASSERT_TRUE(created.hasValue()) << created.error().toString();
+    InferenceServer &srv = *created.value();
+    EXPECT_EQ(1u, builds.load());
+
+    ModelVersionSpec next;
+    next.modelId = "tiny";
+    next.version = 2;
+    next.factory = counted(100);
+    auto swap = srv.requestSwap(std::move(next));
+    ASSERT_TRUE(swap.hasValue());
+    const Status landed = swap.value().get();
+    ASSERT_TRUE(landed.isOk()) << landed.toString();
+    EXPECT_EQ(2u, builds.load());
+
+    std::vector<RequestHandle> handles;
+    for (int i = 0; i < 6; ++i) {
+        InferRequest req;
+        req.modelId = "tiny";
+        req.input = ones(Shape({1, 6, 6}));
+        auto handle = srv.submit(std::move(req));
+        ASSERT_TRUE(handle.hasValue()) << handle.error().toString();
+        handles.push_back(std::move(handle).value());
+    }
+    srv.drain();
+    for (RequestHandle &h : handles) {
+        const InferResponse response = h.response.get();
+        EXPECT_EQ(Outcome::Ok, response.outcome);
+        EXPECT_EQ(2u, response.modelVersion);
+        EXPECT_LT(response.worker, 3u);
+    }
+    EXPECT_EQ(2u, builds.load());
+}
+
 TEST(RegistrySwap, FailedSwapRollsBackAndBacksOff)
 {
     ServerOptions opts;
@@ -1236,7 +1285,7 @@ TEST(RegistrySwap, HealthGateRejectsWrongDigestAcceptsRightOne)
     const Tensor gateInput = ones(Shape({1, 6, 6}));
     // The recorded reference: what the *candidate* checkpoint (weight
     // seed 100) is supposed to produce, computed out-of-band.
-    auto reference = makeVersionReplica(100);
+    auto reference = makeVersionEngine(100);
     ASSERT_TRUE(reference.hasValue());
     auto expected = reference.value()->tryReferenceDigest(
         gateInput, 4, 777);
@@ -1671,7 +1720,7 @@ TEST(Brownout, AdaptiveOverridesMergeAndValidateAtSubmit)
     InferRequest bad;
     bad.modelId = "tiny";
     bad.input = ones(Shape({1, 6, 6}));
-    bad.mc.minSamples = 10;  // replica default T = 4
+    bad.mc.minSamples = 10;  // engine default T = 4
     Expected<RequestHandle> rejected = srv.submit(bad);
     ASSERT_FALSE(rejected.hasValue());
     EXPECT_EQ(rejected.error().code(), ErrorCode::InvalidArgument);
